@@ -8,20 +8,22 @@ arguments.
 """
 
 from dataclasses import dataclass
-from itertools import product
 
 import numpy as np
 
 from .pmf import JointPmf, PmfError, VariableId, cond_mutual_information as cmi
 from .region import (
     INF,
-    AuxSystem,
     GridSpec,
     RateConstraintSet,
     RatePoint,
     RateRegion,
+    _evaluate_lattice,
+    _family_layers,
+    _lattice_layers,
+    _markov_residuals,
+    _nonneg,
     explicit_outer,
-    lattice_channels,
     pareto_frontier,
 )
 
@@ -128,49 +130,38 @@ def case3_region(base: JointPmf, grid: GridSpec, tol: float = CHAIN_TOL,
     consequence I(S;T|X1,U) = I(S;T|X2,U) = 0 is checked on every accepted
     point; violations are rejected and counted separately.  The maximum is a
     lower bound of the case region: no analytic construction is attempted.
+    A lattice above the entry `budget` is refused, as in `enumerate_region`.
     """
     residual = cmi(base, ("X1",), ("X2",), ("X3",))
     if residual > tol:
         raise ChainViolatedError("X1-X3-X2", residual)
-    c3 = base.variable("X3").cardinality
-    s = VariableId("S", grid.card_s)
-    t = VariableId("T", grid.card_t)
-    u = VariableId("U", grid.card_u)
-    st_channels = lattice_channels(("X3",), (c3,), (s, t), grid.q)
-    u_channels = lattice_channels(("S", "T"), (grid.card_s, grid.card_t), (u,), grid.q)
-    points = []
-    evaluated = 0
-    chain_rejected = 0
-    consequence_rejected = 0
-    for ch_st, ch_u in product(st_channels, u_channels):
-        evaluated += 1
-        aux = AuxSystem.backward(base, ch_st, ch_u, family="backward-inner")
-        p = aux.full
-        chains_ok = (
-            cmi(p, ("U",), ("X3",), ("S",)) <= tol
-            and cmi(p, ("U",), ("X3",), ("T",)) <= tol
-            and cmi(p, ("S",), ("X2", "T"), ("X1",)) <= tol
-            and cmi(p, ("S", "X1"), ("T",), ("X2",)) <= tol
+    layers = _lattice_layers(base, _family_layers("backward-inner", grid), grid.q, budget)
+
+    def evaluate(h):
+        chains_ok = np.logical_and.reduce([value <= tol for value in (
+            *_markov_residuals(h).values(),
+            h.cmi(("S",), ("X2", "T"), ("X1",)),
+            h.cmi(("S", "X1"), ("T",), ("X2",)),
+        )])
+        threshold = max(tol, 1e-9)
+        consequence_ok = ~(
+            (h.cmi(("S",), ("T",), ("X1", "U")) > threshold)
+            | (h.cmi(("S",), ("T",), ("X2", "U")) > threshold)
         )
-        if not chains_ok:
-            chain_rejected += 1
-            continue
-        consequence = max(
-            cmi(p, ("S",), ("T",), ("X1", "U")),
-            cmi(p, ("S",), ("T",), ("X2", "U")),
-        )
-        if consequence > max(tol, 1e-9):
-            consequence_rejected += 1
-            continue
-        r1 = max(0.0, cmi(p, ("S",), ("X1",), ("U",)) - cmi(p, ("S",), ("X2",), ("U",)))
-        r2 = max(0.0, cmi(p, ("T",), ("X2",), ("U",)) - cmi(p, ("T",), ("X1",), ("U",)))
-        points.append(RatePoint(RateConstraintSet(r1, r2, INF), {"case": "case3"}))
+        r1 = h.cmi(("S",), ("X1",), ("U",)) - h.cmi(("S",), ("X2",), ("U",))
+        r2 = h.cmi(("T",), ("X2",), ("U",)) - h.cmi(("T",), ("X1",), ("U",))
+        return chains_ok, consequence_ok, _nonneg(r1), _nonneg(r2)
+
+    chains_ok, consequence_ok, r1, r2 = _evaluate_lattice(base, layers, evaluate)
+    kept = chains_ok & consequence_ok
+    points = [RatePoint(RateConstraintSet(a, b, INF), {"case": "case3"})
+              for a, b in zip(r1[kept].tolist(), r2[kept].tolist())]
     frontier = pareto_frontier([p.constraints for p in points])
     return RateRegion(points=points, frontier=frontier, meta={
         "case": "case3", "bound": "lower",
-        "evaluated": evaluated,
-        "chain_rejected": chain_rejected,
-        "consequence_rejected": consequence_rejected,
+        "evaluated": len(kept),
+        "chain_rejected": int(np.count_nonzero(~chains_ok)),
+        "consequence_rejected": int(np.count_nonzero(chains_ok & ~consequence_ok)),
     })
 
 

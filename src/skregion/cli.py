@@ -15,15 +15,18 @@ are deterministic functions of the manifest (worker threads, output paths
 and wall-clock never influence file contents).  Files are written to a
 temporary name and atomically renamed, so failed runs leave no partial
 files.  The SKREGION_BUDGET environment variable overrides the dense-table
-entry budget.
+entry budget.  `--threads` only sets how many threads `simulate --mode mc`
+schedules its trials on; `region` accepts it and ignores it.
 
-Exit codes: 0 ok, 2 malformed distribution file, 3 budget exceeded,
-4 infeasible rates, 5 claimed coincidence failed, 6 lemma violation.
+Exit codes: 0 ok, 2 malformed input (distribution file, flag or
+SKREGION_BUDGET), 3 budget exceeded, 4 infeasible rates, 5 claimed
+coincidence failed, 6 lemma violation.
 """
 
 import argparse
 import hashlib
 import json
+import math
 import os
 import sys
 import tempfile
@@ -42,7 +45,7 @@ from .cases import (
     region_gap,
 )
 from .codec import InfeasibleRatesError
-from .pmf import BudgetExceededError, Channel, JointPmf, PmfError, VariableId
+from .pmf import BudgetExceededError, Channel, JointPmf, VariableId, entry_budget
 from .region import (
     INF,
     AuxSystem,
@@ -64,11 +67,11 @@ EXIT_COINCIDENCE = 5
 EXIT_LEMMA = 6
 
 
-class DistributionFormatError(Exception):
-    pass
+class InputError(Exception):
+    """Malformed input: a distribution file, a flag or SKREGION_BUDGET."""
 
 
-class CoincidenceFailure(Exception):
+class DistributionFormatError(InputError):
     pass
 
 
@@ -122,6 +125,8 @@ def parse_distribution(text: str) -> JointPmf:
             if not 0 <= v < c:
                 raise DistributionFormatError(
                     f"line {lineno}: index {v} out of range for X{i + 1} (cardinality {c})")
+        if not math.isfinite(prob):
+            raise DistributionFormatError(f"line {lineno}: non-finite probability {parts[3]!r}")
         if prob < 0:
             raise DistributionFormatError(f"line {lineno}: negative probability {prob}")
         if idx in seen:
@@ -223,22 +228,29 @@ def _cset_json(c) -> dict:
 # Subcommands
 # ---------------------------------------------------------------------------
 
-def _parse_cards(text: str | None, base: JointPmf, bound: str) -> GridSpec:
+def _at_least_one(value: int, flag: str) -> int:
+    if value < 1:
+        raise InputError(f"{flag} must be >= 1, got {value}")
+    return value
+
+
+def _parse_cards(text: str | None, base: JointPmf) -> GridSpec:
     if text is None:
         return GridSpec.default_inner(base, 1)
     spec = {}
     for tok in text.split(","):
         key, _, val = tok.strip().partition("=")
-        if key not in ("S", "T", "U", "V") or not val.isdigit():
-            raise DistributionFormatError(f"bad --cards entry {tok!r}")
+        if key not in ("S", "T", "U", "V") or not val.isdigit() or int(val) < 1:
+            raise InputError(f"bad --cards entry {tok!r}")
         spec[key] = int(val)
     return GridSpec(spec.get("S", 2), spec.get("T", 2), spec.get("U", 1), spec.get("V", 1), 1)
 
 
 def cmd_region(args) -> int:
     base = load_distribution(args.dist)
-    grid = _parse_cards(args.cards, base, args.bound)
-    grid = GridSpec(grid.card_s, grid.card_t, grid.card_u, grid.card_v, args.grid_q)
+    grid = _parse_cards(args.cards, base)
+    grid = GridSpec(grid.card_s, grid.card_t, grid.card_u, grid.card_v,
+                    _at_least_one(args.grid_q, "--grid-q"))
     if args.bound == "explicit":
         cset = explicit_outer(base)
         frontier = pareto_frontier([cset])
@@ -252,8 +264,7 @@ def cmd_region(args) -> int:
         }
     else:
         family = f"{args.direction}-{args.bound}"
-        region = enumerate_region(base, family, grid, workers=args.threads or 0,
-                                  hull=args.hull)
+        region = enumerate_region(base, family, grid, hull=args.hull)
         doc = {
             "schema": 1,
             "direction": args.direction,
@@ -312,18 +323,22 @@ def _default_channels(base: JointPmf, direction: str, rate2: float):
 
 def cmd_simulate(args) -> int:
     base = load_distribution(args.dist)
+    _at_least_one(args.n, "--n")
+    _at_least_one(args.trials, "--trials")
     channels = _default_channels(base, args.direction, args.rate2)
     eps_enc = args.eps_enc if args.eps_enc is not None else max(0.25, 2.0 * args.margin)
     eps_dec = args.eps_dec if args.eps_dec is not None else max(3.0, 2.0 * args.margin)
-    seeds = tuple(int(s) for s in args.seeds.split(","))
+    try:
+        seeds = tuple(int(s) for s in args.seeds.split(","))
+    except ValueError:
+        raise InputError(f"bad --seeds {args.seeds!r}") from None
     config = SimConfig(
         base, args.direction, channels, args.n, args.rate1, args.rate2,
         args.margin, EpsParams(enc=eps_enc, dec=eps_dec), args.trials, seeds,
-        args.mode if args.mode != "mc" else "mc",
+        args.mode,
     )
     if args.mode == "exact":
-        config.mode = "exact"
-        report = exact_report(config, workers=args.threads or 1)
+        report = exact_report(config)
     else:
         report = run_trials(config, workers=args.threads or 1)
     os.makedirs(args.out, exist_ok=True)
@@ -423,6 +438,7 @@ def _case3_check(base, grid_q, tol):
 
 def cmd_verify(args) -> int:
     base = load_distribution(args.dist)
+    _at_least_one(args.grid_q, "--grid-q")
     diag = diagnose(base, args.tol)
     doc = {"schema": 1, "diagnosis": diag.as_dict()}
     failures = []
@@ -487,6 +503,14 @@ def cmd_lemmas(args) -> int:
 # Entry point
 # ---------------------------------------------------------------------------
 
+def _check_budget_env() -> None:
+    try:
+        entry_budget()
+    except ValueError:
+        raise InputError("SKREGION_BUDGET must be an integer, got "
+                         f"{os.environ['SKREGION_BUDGET']!r}") from None
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="skregion",
@@ -503,7 +527,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cards", default=None, help="e.g. S=3,T=3,U=2,V=2")
     p.add_argument("--hull", action="store_true",
                    help="also emit the time-sharing (upper concave) hull")
-    p.add_argument("--threads", type=int, default=0, help="0 = auto")
+    p.add_argument("--threads", type=int, default=0, help="accepted and ignored")
     p.add_argument("--out", default=".")
     p.set_defaults(func=cmd_region)
 
@@ -519,7 +543,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=("mc", "exact"), default="mc")
     p.add_argument("--eps-enc", type=float, default=None)
     p.add_argument("--eps-dec", type=float, default=None)
-    p.add_argument("--threads", type=int, default=0)
+    p.add_argument("--threads", type=int, default=0,
+                   help="threads for --mode mc trials (0 = 1); ignored by --mode exact")
     p.add_argument("--out", default=".")
     p.set_defaults(func=cmd_simulate)
 
@@ -543,8 +568,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_budget_env()
         return args.func(args)
-    except (DistributionFormatError, FileNotFoundError) as exc:
+    except (InputError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_MALFORMED
     except BudgetExceededError as exc:

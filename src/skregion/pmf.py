@@ -104,9 +104,11 @@ class JointPmf:
             raise BudgetExceededError(
                 f"table with {arr.size} entries exceeds budget {entry_budget(budget)}"
             )
+        total = float(arr.sum())
+        if not math.isfinite(total):
+            raise PmfError("non-finite probability in table")
         if arr.size and arr.min() < -1e-12:
             raise PmfError(f"negative probability {arr.min()} in table")
-        total = float(arr.sum())
         if abs(total - 1.0) > NORMALIZATION_TOL:
             raise PmfError(f"table sums to {total}, not 1 within {NORMALIZATION_TOL}")
         arr = np.where(arr < 0.0, 0.0, arr)
@@ -131,9 +133,6 @@ class JointPmf:
 
     def variable(self, name: str) -> VariableId:
         return self.variables[self.axis(name)]
-
-    def _axes(self, names) -> list[int]:
-        return [self.axis(n) for n in names]
 
     # -- operations ----------------------------------------------------------
 
@@ -165,21 +164,13 @@ class JointPmf:
                 f"channel conditioned on cards {channel.matrix.shape[:len(from_cards)]}, "
                 f"pmf has {from_cards}"
             )
-        k = len(self.variables)
-        old_subs = list(range(k))
-        mat_subs = self._axes(channel.from_names) + list(range(k, k + len(channel.to_vars)))
-        out_subs = old_subs + list(range(k, k + len(channel.to_vars)))
-        out = np.einsum(self.table, old_subs, channel.matrix, mat_subs, out_subs)
-        return JointPmf(self.variables + channel.to_vars, out)
+        batch = JointBatch.of(self).extend(channel.from_names, channel.to_vars,
+                                           channel.matrix[None])
+        return JointPmf(self.variables + channel.to_vars, batch.tables[0])
 
     def entropy(self, names=None) -> float:
         """Joint entropy in bits of the given variable subset (all if None)."""
-        if names is None:
-            return _entropy_of(self.table)
-        names = tuple(names)
-        if not names:
-            return 0.0
-        return _entropy_of(self.marginalize(names).table)
+        return float(JointBatch.of(self).entropy(self.names if names is None else names)[0])
 
     def prob(self, assignment: dict) -> float:
         """Probability of a full assignment {name: symbol index}."""
@@ -191,11 +182,86 @@ class JointPmf:
         return f"JointPmf({spec})"
 
 
-def _entropy_of(table: np.ndarray) -> float:
-    t = table
-    with np.errstate(divide="ignore", invalid="ignore"):
-        x = np.where(t > 0.0, t * np.log2(np.where(t > 0.0, t, 1.0)), 0.0)
-    return float(-x.sum())
+class JointBatch:
+    """Joint tables over the same variables, stacked along a leading batch axis.
+
+    Entropies and conditional MIs come back as one value per table.  Each
+    distinct marginal entropy is computed once per batch and cached.  The
+    arithmetic applied to one table does not depend on the batch around it,
+    so a batch of one reproduces `JointPmf.entropy` and
+    `cond_mutual_information` bit for bit: those two are this kernel.
+    Tables are not validated here; they come from a validated `JointPmf` or
+    from products of validated tables and channels.
+    """
+
+    __slots__ = ("names", "tables", "_entropies")
+
+    def __init__(self, names, tables: np.ndarray):
+        self.names = tuple(names)
+        self.tables = tables
+        self._entropies = {}
+
+    @classmethod
+    def of(cls, pmf: JointPmf) -> "JointBatch":
+        """A batch of one: `pmf` alone."""
+        return cls(pmf.names, pmf.table[None])
+
+    def __len__(self) -> int:
+        return len(self.tables)
+
+    def extend(self, from_names, to_vars, matrices: np.ndarray) -> "JointBatch":
+        """Adjoin `to_vars` to each table through its own channel p(to | from).
+
+        `matrices` stacks one `Channel` matrix per table along the batch axis.
+        Every entry is the single product `JointPmf.extend` takes, which is
+        this method on a batch of one.
+        """
+        k = len(self.names)
+        joint_subs = list(range(k + 1))  # axis 0 is the batch
+        new_subs = list(range(k + 1, k + 1 + len(to_vars)))
+        mat_subs = [0] + [self.names.index(n) + 1 for n in from_names] + new_subs
+        tables = np.einsum(self.tables, joint_subs, matrices, mat_subs, joint_subs + new_subs)
+        return JointBatch(self.names + tuple(v.name for v in to_vars), tables)
+
+    def entropy(self, names) -> np.ndarray:
+        """Joint entropy in bits of the variable subset `names`, per table."""
+        key = frozenset(names)
+        h = self._entropies.get(key)
+        if h is not None:
+            return h
+        unknown = key - set(self.names)
+        if unknown:
+            raise PmfError(f"unknown variable(s) {sorted(unknown)}; have {self.names}")
+        if key:
+            drop = tuple(i + 1 for i, n in enumerate(self.names) if n not in key)
+            t = np.sum(self.tables, axis=drop) if drop else self.tables
+            t = t.reshape(len(t), -1)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                x = np.where(t > 0.0, t * np.log2(np.where(t > 0.0, t, 1.0)), 0.0)
+            h = -x.sum(axis=1)
+        else:
+            h = np.zeros(len(self))
+        self._entropies[key] = h
+        return h
+
+    def cmi(self, a, b, c=()) -> np.ndarray:
+        """I(A; B | C) in bits per table, clamped as `cond_mutual_information` is."""
+        a, b, c = set(a), set(b), set(c)
+        if (a & b) or (a & c) or (b & c):
+            raise PmfError(
+                f"variable sets must be disjoint: {sorted(a)}, {sorted(b)}, {sorted(c)}")
+        if not a or not b:
+            return np.zeros(len(self))
+        value = (
+            self.entropy(a | c)
+            + self.entropy(b | c)
+            - self.entropy(a | b | c)
+            - self.entropy(c)
+        )
+        if len(value) and value.min() < -NEG_MI_TOLERANCE:
+            raise ConsistencyError(
+                f"conditional MI = {value.min()} below -{NEG_MI_TOLERANCE}")
+        return np.where(value < 0.0, 0.0, value)
 
 
 class Channel:
@@ -220,6 +286,8 @@ class Channel:
             raise PmfError("negative conditional probability")
         to_axes = tuple(range(len(from_names), arr.ndim))
         rows = arr.sum(axis=to_axes) if to_axes else arr
+        if not np.isfinite(rows).all():
+            raise PmfError("non-finite conditional probability")
         if np.max(np.abs(rows - 1.0)) > NORMALIZATION_TOL:
             raise PmfError("conditional rows must sum to 1 within 1e-9")
         arr = np.where(arr < 0.0, 0.0, arr)
@@ -267,22 +335,7 @@ def cond_mutual_information(pmf: JointPmf, a, b, c=()) -> float:
     negative values from floating-point cancellation (>= -1e-12) are clamped
     to zero; anything more negative raises ConsistencyError.
     """
-    a, b, c = set(a), set(b), set(c)
-    if (a & b) or (a & c) or (b & c):
-        raise PmfError(f"variable sets must be disjoint: {sorted(a)}, {sorted(b)}, {sorted(c)}")
-    if not a or not b:
-        return 0.0
-    value = (
-        pmf.entropy(a | c)
-        + pmf.entropy(b | c)
-        - pmf.entropy(a | b | c)
-        - pmf.entropy(c)
-    )
-    if value < 0.0:
-        if value < -NEG_MI_TOLERANCE:
-            raise ConsistencyError(f"conditional MI = {value} below -{NEG_MI_TOLERANCE}")
-        return 0.0
-    return value
+    return float(JointBatch.of(pmf).cmi(a, b, c)[0])
 
 
 def mutual_information(pmf: JointPmf, a, b) -> float:

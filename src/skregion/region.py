@@ -16,11 +16,17 @@ forward-outer   same product parameterization (the listed Markov chains do
 backward-inner  full joint p(u|s,t) p(s,t|x3) p(x1,x2,x3).
 backward-outer  backward factorization restricted to channels satisfying the
                 chains U - S - X3 and U - T - X3 (enforced by rejection).
+
+Each family's formula is written once, over a `JointBatch` of full joints.
+`_evaluate_lattice` evaluates a lattice a chunk of points at a time for
+`enumerate_region`, `single_key_capacity` and `cases.case3_region`; the
+per-point evaluators (`forward_inner_point`, ...) use a batch of one, and a
+lattice point's values equal its per-point values bit for bit.
 """
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
+# unused here; perfbench/tracer.py patches it and fails a traced run without it
+from concurrent.futures import ThreadPoolExecutor  # noqa: F401
 from dataclasses import dataclass, field
 from itertools import product
 
@@ -29,6 +35,7 @@ import numpy as np
 from .pmf import (
     BudgetExceededError,
     Channel,
+    JointBatch,
     JointPmf,
     PmfError,
     VariableId,
@@ -62,6 +69,10 @@ INF = math.inf
 FAMILIES = ("forward-inner", "forward-outer", "backward-inner", "backward-outer")
 
 MARKOV_TOL = 1e-9
+
+#: Most full-joint entries one chunk of lattice points may hold (8 bytes
+#: each).  Bounds the evaluator's working memory; results do not depend on it.
+_CHUNK_ENTRIES = 1 << 19
 
 
 class FamilyError(PmfError):
@@ -179,7 +190,7 @@ class AuxSystem:
         """Re-derive the full joint from base + channels and compare.
 
         For backward-outer systems, additionally checks the Markov chains
-        U - S - X3 and U - T - X3.
+        U - S - X3 and U - T - X3 within MARKOV_TOL.
         """
         rebuilt = self.base
         for ch in self.channels:
@@ -189,12 +200,7 @@ class AuxSystem:
         if float(np.max(np.abs(rebuilt.table - self.full.table))) > tol:
             raise FamilyError(f"full joint deviates from {self.family} factorization")
         if self.family == "backward-outer":
-            for mid in ("S", "T"):
-                residual = cmi(self.full, ("U",), ("X3",), (mid,))
-                if residual > MARKOV_TOL:
-                    raise FamilyError(
-                        f"backward-outer requires U - {mid} - X3; residual {residual}"
-                    )
+            backward_outer_point(self)  # raises on a violated chain
 
 
 def _expect(ch: Channel, from_names, to_names) -> None:
@@ -208,9 +214,77 @@ def _expect(ch: Channel, from_names, to_names) -> None:
 # ---------------------------------------------------------------------------
 # Per-auxiliary rate formulas
 # ---------------------------------------------------------------------------
+#
+# Each formula maps a JointBatch of full joints to per-point arrays
+# (r1_max, r2_max, sum_max), already clamped at zero.
 
 def _clamp(x: float) -> float:
     return x if x > 0.0 else 0.0
+
+
+def _nonneg(x: np.ndarray) -> np.ndarray:
+    """Elementwise `_clamp`."""
+    return np.where(x > 0.0, x, 0.0)
+
+
+def _forward_inner(h: JointBatch) -> tuple:
+    leak1 = h.cmi(("S",), ("X2",), ("T", "U"))
+    leak2 = h.cmi(("T",), ("X1",), ("S", "V"))
+    r1 = h.cmi(("S",), ("X3",), ("T", "U")) - leak1
+    r2 = h.cmi(("T",), ("X3",), ("S", "V")) - leak2
+    rsum = (
+        h.cmi(("S", "T"), ("X3",), ("U", "V"))
+        - leak1
+        - leak2
+        - h.cmi(("S",), ("T",), ("U", "V"))
+    )
+    return _nonneg(r1), _nonneg(r2), _nonneg(rsum)
+
+
+def _forward_outer(h: JointBatch) -> tuple:
+    r1 = h.cmi(("S",), ("T", "X3"), ("U",)) - h.cmi(("S",), ("X2",), ("U",))
+    r2 = h.cmi(("T",), ("S", "X3"), ("V",)) - h.cmi(("T",), ("X1",), ("V",))
+    return _nonneg(r1), _nonneg(r2), np.full(len(h), INF)
+
+
+def _backward_inner(h: JointBatch) -> tuple:
+    r1 = h.cmi(("S",), ("X1",), ("U",)) - h.cmi(("S",), ("X2", "T"), ("U",))
+    r2 = h.cmi(("T",), ("X2",), ("U",)) - h.cmi(("T",), ("X1", "S"), ("U",))
+    return _nonneg(r1), _nonneg(r2), np.full(len(h), INF)
+
+
+def _backward_outer(h: JointBatch) -> tuple:
+    """Valid only where `_markov_residuals` are within tolerance."""
+    r1 = np.minimum(
+        h.cmi(("S",), ("X1",), ("U",)) - h.cmi(("S",), ("X2",), ("U",)),
+        h.cmi(("S",), ("X1",), ("T", "U")) - h.cmi(("S",), ("X2",), ("T", "U")),
+    )
+    r2 = np.minimum(
+        h.cmi(("T",), ("X2",), ("U",)) - h.cmi(("T",), ("X1",), ("U",)),
+        h.cmi(("T",), ("X2",), ("S", "U")) - h.cmi(("T",), ("X1",), ("S", "U")),
+    )
+    return _nonneg(r1), _nonneg(r2), np.full(len(h), INF)
+
+
+_FORMULAS = {
+    "forward-inner": _forward_inner,
+    "forward-outer": _forward_outer,
+    "backward-inner": _backward_inner,
+    "backward-outer": _backward_outer,
+}
+
+
+def _markov_residuals(h: JointBatch) -> dict:
+    """{mid: I(U;X3|mid)} for the chains U - S - X3 and U - T - X3."""
+    return {mid: h.cmi(("U",), ("X3",), (mid,)) for mid in ("S", "T")}
+
+
+def _point(aux: AuxSystem, family: str) -> RateConstraintSet:
+    """The family formula at `aux` alone, as a batch of one."""
+    if aux.family != family:
+        raise FamilyError(f"need {family}, got {aux.family}")
+    r1, r2, rsum = _FORMULAS[family](JointBatch.of(aux.full))
+    return RateConstraintSet(float(r1[0]), float(r2[0]), float(rsum[0]))
 
 
 def forward_inner_point(aux: AuxSystem) -> RateConstraintSet:
@@ -219,30 +293,12 @@ def forward_inner_point(aux: AuxSystem) -> RateConstraintSet:
     r1 <= I(S;X3|T,U) - I(S;X2|T,U), r2 symmetrically, and
     R1+R2 <= I(S,T;X3|U,V) - I(S;X2|T,U) - I(T;X1|S,V) - I(S;T|U,V).
     """
-    if aux.family != "forward-inner":
-        raise FamilyError(f"need forward-inner, got {aux.family}")
-    p = aux.full
-    leak1 = cmi(p, ("S",), ("X2",), ("T", "U"))
-    leak2 = cmi(p, ("T",), ("X1",), ("S", "V"))
-    r1 = cmi(p, ("S",), ("X3",), ("T", "U")) - leak1
-    r2 = cmi(p, ("T",), ("X3",), ("S", "V")) - leak2
-    rsum = (
-        cmi(p, ("S", "T"), ("X3",), ("U", "V"))
-        - leak1
-        - leak2
-        - cmi(p, ("S",), ("T",), ("U", "V"))
-    )
-    return RateConstraintSet(_clamp(r1), _clamp(r2), _clamp(rsum))
+    return _point(aux, "forward-inner")
 
 
 def forward_outer_point(aux: AuxSystem) -> RateConstraintSet:
     """Outer constraints at one forward auxiliary point (no sum bound)."""
-    if aux.family != "forward-outer":
-        raise FamilyError(f"need forward-outer, got {aux.family}")
-    p = aux.full
-    r1 = cmi(p, ("S",), ("T", "X3"), ("U",)) - cmi(p, ("S",), ("X2",), ("U",))
-    r2 = cmi(p, ("T",), ("S", "X3"), ("V",)) - cmi(p, ("T",), ("X1",), ("V",))
-    return RateConstraintSet(_clamp(r1), _clamp(r2), INF)
+    return _point(aux, "forward-outer")
 
 
 def explicit_outer(base: JointPmf) -> RateConstraintSet:
@@ -253,31 +309,16 @@ def explicit_outer(base: JointPmf) -> RateConstraintSet:
 
 
 def backward_inner_point(aux: AuxSystem) -> RateConstraintSet:
-    if aux.family != "backward-inner":
-        raise FamilyError(f"need backward-inner, got {aux.family}")
-    p = aux.full
-    r1 = cmi(p, ("S",), ("X1",), ("U",)) - cmi(p, ("S",), ("X2", "T"), ("U",))
-    r2 = cmi(p, ("T",), ("X2",), ("U",)) - cmi(p, ("T",), ("X1", "S"), ("U",))
-    return RateConstraintSet(_clamp(r1), _clamp(r2), INF)
+    return _point(aux, "backward-inner")
 
 
 def backward_outer_point(aux: AuxSystem, tol: float = MARKOV_TOL) -> RateConstraintSet:
     if aux.family != "backward-outer":
         raise FamilyError(f"need backward-outer, got {aux.family}")
-    p = aux.full
-    for mid in ("S", "T"):
-        residual = cmi(p, ("U",), ("X3",), (mid,))
-        if residual > tol:
-            raise FamilyError(f"chain U - {mid} - X3 violated by {residual}")
-    r1 = min(
-        cmi(p, ("S",), ("X1",), ("U",)) - cmi(p, ("S",), ("X2",), ("U",)),
-        cmi(p, ("S",), ("X1",), ("T", "U")) - cmi(p, ("S",), ("X2",), ("T", "U")),
-    )
-    r2 = min(
-        cmi(p, ("T",), ("X2",), ("U",)) - cmi(p, ("T",), ("X1",), ("U",)),
-        cmi(p, ("T",), ("X2",), ("S", "U")) - cmi(p, ("T",), ("X1",), ("S", "U")),
-    )
-    return RateConstraintSet(_clamp(r1), _clamp(r2), INF)
+    for mid, residual in _markov_residuals(JointBatch.of(aux.full)).items():
+        if residual[0] > tol:
+            raise FamilyError(f"chain U - {mid} - X3 violated by {residual[0]}")
+    return _point(aux, "backward-outer")
 
 
 # ---------------------------------------------------------------------------
@@ -318,12 +359,6 @@ def lattice_channels(from_names, from_cards, to_vars, q: int) -> list:
     return channels
 
 
-def lattice_channel_count(from_cards, to_cards, q: int) -> int:
-    cells = int(np.prod(from_cards))
-    width = int(np.prod(to_cards))
-    return math.comb(q + width - 1, width - 1) ** cells
-
-
 @dataclass(frozen=True)
 class GridSpec:
     """Auxiliary alphabet sizes and the lattice denominator q."""
@@ -349,49 +384,36 @@ class GridSpec:
         return cls(card + 1, card + 1, 2, 2, q)
 
 
-def _grid_channel_lists(base: JointPmf, family: str, grid: GridSpec) -> list:
-    c1 = base.variable("X1").cardinality
-    c2 = base.variable("X2").cardinality
-    c3 = base.variable("X3").cardinality
-    s = VariableId("S", grid.card_s)
-    t = VariableId("T", grid.card_t)
-    u = VariableId("U", grid.card_u)
-    v = VariableId("V", grid.card_v)
+def _family_layers(family: str, grid: GridSpec) -> list:
+    """(from names, to variables) of each auxiliary layer, in extension order."""
+    s, t, u, v = (VariableId(n, c) for n, c in
+                  zip("STUV", (grid.card_s, grid.card_t, grid.card_u, grid.card_v)))
     if family.startswith("forward"):
-        return [
-            lattice_channels(("X1",), (c1,), (s,), grid.q),
-            lattice_channels(("X2",), (c2,), (t,), grid.q),
-            lattice_channels(("S",), (grid.card_s,), (u,), grid.q),
-            lattice_channels(("T",), (grid.card_t,), (v,), grid.q),
-        ]
-    return [
-        lattice_channels(("X3",), (c3,), (s, t), grid.q),
-        lattice_channels(("S", "T"), (grid.card_s, grid.card_t), (u,), grid.q),
-    ]
+        return [(("X1",), (s,)), (("X2",), (t,)), (("S",), (u,)), (("T",), (v,))]
+    return [(("X3",), (s, t)), (("S", "T"), (u,))]
 
 
-def grid_point_count(base: JointPmf, family: str, grid: GridSpec) -> int:
-    c1 = base.variable("X1").cardinality
-    c2 = base.variable("X2").cardinality
-    c3 = base.variable("X3").cardinality
-    if family.startswith("forward"):
-        return (
-            lattice_channel_count((c1,), (grid.card_s,), grid.q)
-            * lattice_channel_count((c2,), (grid.card_t,), grid.q)
-            * lattice_channel_count((grid.card_s,), (grid.card_u,), grid.q)
-            * lattice_channel_count((grid.card_t,), (grid.card_v,), grid.q)
+def _lattice_layers(base: JointPmf, layers, q: int, budget: int | None) -> list:
+    """Each layer's lattice channels, once the lattice fits the entry budget.
+
+    `layers` gives each layer's (from names, to variables) in extension
+    order.  The lattice is refused when its points times the entries of one
+    full joint exceed the budget.
+    """
+    cards = {v.name: v.cardinality for v in base.variables}
+    n_points, entries = 1, base.table.size
+    for from_names, to_vars in layers:
+        width = math.prod(v.cardinality for v in to_vars)
+        n_points *= math.comb(q + width - 1, width - 1) ** math.prod(cards[n] for n in from_names)
+        entries *= width
+        cards.update((v.name, v.cardinality) for v in to_vars)
+    cost = n_points * entries
+    cap = entry_budget(budget)
+    if cost > cap:
+        raise BudgetExceededError(
+            f"grid has {n_points} points ({cost} table entries total), budget {cap}"
         )
-    return (
-        lattice_channel_count((c3,), (grid.card_s, grid.card_t), grid.q)
-        * lattice_channel_count((grid.card_s, grid.card_t), (grid.card_u,), grid.q)
-    )
-
-
-def _full_joint_entries(base: JointPmf, family: str, grid: GridSpec) -> int:
-    n = int(np.prod([v.cardinality for v in base.variables]))
-    if family.startswith("forward"):
-        return n * grid.card_s * grid.card_t * grid.card_u * grid.card_v
-    return n * grid.card_s * grid.card_t * grid.card_u
+    return [lattice_channels(f, [cards[n] for n in f], t, q) for f, t in layers]
 
 
 def _channel_descriptor(ch: Channel) -> dict:
@@ -402,68 +424,73 @@ def _channel_descriptor(ch: Channel) -> dict:
     }
 
 
+def _evaluate_lattice(base: JointPmf, layers, formula) -> tuple:
+    """`formula` applied to every point of the channel lattice `layers`.
+
+    `layers` holds each layer's lattice channels in extension order; a point
+    picks one channel per layer, and points run in lexicographic order of
+    their picks.  A chunk of points at a time, the full joints are built by
+    `JointBatch.extend` and `formula` maps their batch to a tuple of
+    per-point arrays; the arrays are concatenated over the lattice.
+    """
+    counts = tuple(len(layer) for layer in layers)
+    n_points = math.prod(counts)
+    matrices = [np.stack([ch.matrix for ch in layer]) for layer in layers]
+    entries = base.table.size * math.prod(
+        v.cardinality for layer in layers for v in layer[0].to_vars)
+    chunk = max(1, _CHUNK_ENTRIES // entries)
+    parts = []
+    for start in range(0, n_points, chunk):
+        picks = np.unravel_index(np.arange(start, min(start + chunk, n_points)), counts)
+        tables = np.broadcast_to(base.table, (len(picks[0]),) + base.table.shape)
+        h = JointBatch(base.names, tables)
+        for layer, stacked, pick in zip(layers, matrices, picks):
+            h = h.extend(layer[0].from_names, layer[0].to_vars, stacked[pick])
+        parts.append(formula(h))
+    return tuple(np.concatenate(column) for column in zip(*parts))
+
+
 def enumerate_region(base: JointPmf, family: str, grid: GridSpec, *,
                      budget: int | None = None, workers: int = 0,
                      hull: bool = False, tol: float = MARKOV_TOL) -> RateRegion:
     """Union of the family's constraint sets over the whole channel lattice.
 
-    Deterministic for a given grid regardless of `workers`: points are
-    evaluated in lexicographic lattice order and reduced by index.
-    backward-outer lattice points violating either required Markov chain
-    beyond `tol` are skipped; the rejection count is reported in `meta`.
+    Points are evaluated in batches, in lexicographic lattice order (see
+    `_evaluate_lattice`).  `workers` is accepted for compatibility and
+    ignored.  backward-outer lattice points violating either required Markov
+    chain beyond `tol` are skipped; the rejection count is reported in `meta`.
     """
     if family not in FAMILIES:
         raise FamilyError(f"unknown family {family!r}")
-    n_points = grid_point_count(base, family, grid)
-    cost = n_points * _full_joint_entries(base, family, grid)
-    cap = entry_budget(budget)
-    if cost > cap:
-        raise BudgetExceededError(
-            f"grid has {n_points} points ({cost} table entries total), budget {cap}"
-        )
-    lists = _grid_channel_lists(base, family, grid)
-    combos = list(product(*lists))
+    layers = _lattice_layers(base, _family_layers(family, grid), grid.q, budget)
+    formula = _FORMULAS[family]
 
-    def evaluate(chs):
-        if family == "forward-inner":
-            aux = AuxSystem.forward(base, *chs, family=family)
-            return forward_inner_point(aux)
-        if family == "forward-outer":
-            aux = AuxSystem.forward(base, *chs, family=family)
-            return forward_outer_point(aux)
-        aux = AuxSystem.backward(base, *chs, family=family)
-        if family == "backward-inner":
-            return backward_inner_point(aux)
-        try:
-            return backward_outer_point(aux, tol=tol)
-        except FamilyError:
-            return None
+    def evaluate(h):
+        keep = np.ones(len(h), dtype=bool)
+        if family == "backward-outer":
+            for residual in _markov_residuals(h).values():
+                keep &= ~(residual > tol)
+        return (keep,) + formula(h)
 
-    if workers == 0:
-        workers = os.cpu_count() or 1
-    if workers > 1 and len(combos) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(evaluate, combos, chunksize=max(1, len(combos) // (4 * workers))))
-    else:
-        results = [evaluate(c) for c in combos]
-
-    points = []
-    rejected = 0
-    for chs, cset in zip(combos, results):
-        if cset is None:
-            rejected += 1
-            continue
-        points.append(RatePoint(cset, {"channels": [_channel_descriptor(c) for c in chs]}))
+    keep, r1, r2, rsum = _evaluate_lattice(base, layers, evaluate)
+    kept = np.flatnonzero(keep)
+    picks = np.unravel_index(kept, tuple(len(layer) for layer in layers))
+    descriptors = [[_channel_descriptor(ch) for ch in layer] for layer in layers]
+    points = [
+        RatePoint(RateConstraintSet(a, b, c),
+                  {"channels": [d[i] for d, i in zip(descriptors, pick)]})
+        for a, b, c, *pick in zip(r1[kept].tolist(), r2[kept].tolist(), rsum[kept].tolist(),
+                                  *(p.tolist() for p in picks))
+    ]
     frontier = pareto_frontier([p.constraints for p in points])
-    region = RateRegion(
+    return RateRegion(
         points=points,
         frontier=frontier,
         hull=upper_concave_envelope(frontier) if hull else None,
-        meta={"family": family, "evaluated": len(combos), "rejected": rejected,
+        meta={"family": family, "evaluated": len(keep), "rejected": len(keep) - len(kept),
               "grid": {"S": grid.card_s, "T": grid.card_t, "U": grid.card_u,
                        "V": grid.card_v, "q": grid.q}},
     )
-    return region
 
 
 def single_key_capacity(base: JointPmf, direction: str, grid: GridSpec, *,
@@ -477,32 +504,12 @@ def single_key_capacity(base: JointPmf, direction: str, grid: GridSpec, *,
         raise PmfError(f"direction must be forward or backward, got {direction!r}")
     src = "X1" if direction == "forward" else "X3"
     target = "X3" if direction == "forward" else "X1"
-    c_src = base.variable(src).cardinality
     s = VariableId("S", grid.card_s)
     u = VariableId("U", grid.card_u)
-    n_points = (
-        lattice_channel_count((c_src,), (grid.card_s,), grid.q)
-        * lattice_channel_count((grid.card_s,), (grid.card_u,), grid.q)
-    )
-    size = int(np.prod([v.cardinality for v in base.variables])) * grid.card_s * grid.card_u
-    cap = entry_budget(budget)
-    if n_points * size > cap:
-        raise BudgetExceededError(
-            f"grid has {n_points} points ({n_points * size} table entries total), budget {cap}"
-        )
-    s_channels = lattice_channels((src,), (c_src,), (s,), grid.q)
-    u_channels = lattice_channels(("S",), (grid.card_s,), (u,), grid.q)
-    best = 0.0
-    for ch_s in s_channels:
-        extended = base.extend(ch_s)
-        for ch_u in u_channels:
-            full = extended.extend(ch_u)
-            value = _clamp(
-                cmi(full, ("S",), (target,), ("U",)) - cmi(full, ("S",), ("X2",), ("U",))
-            )
-            if value > best:
-                best = value
-    return best
+    layers = _lattice_layers(base, [((src,), (s,)), (("S",), (u,))], grid.q, budget)
+    (values,) = _evaluate_lattice(base, layers, lambda h: (
+        h.cmi(("S",), (target,), ("U",)) - h.cmi(("S",), ("X2",), ("U",)),))
+    return max(0.0, float(values.max()))
 
 
 # ---------------------------------------------------------------------------

@@ -581,7 +581,6 @@ class ExactSide:
 
 def _exact_side(inst: _Instance, user: int) -> ExactSide:
     cfg = inst.config
-    n = cfg.n
     if cfg.direction == "forward":
         return _exact_side_forward(inst, user)
     return _exact_side_backward(inst, user)
@@ -805,7 +804,7 @@ def _mi_first_axis(joint: np.ndarray) -> float:
     return max(0.0, hk + hv - total)
 
 
-def exact_leakage(config: SimConfig, workers: int = 1) -> tuple:
+def exact_leakage(config: SimConfig) -> tuple:
     """Exact (leak_K bits/symbol, uniformity_gap_K, err_K or None).
 
     Averaged over the configured codebook seeds; the underlying joint of
@@ -822,7 +821,7 @@ def exact_leakage(config: SimConfig, workers: int = 1) -> tuple:
     return leak, gap, err
 
 
-def exact_report(config: SimConfig, workers: int = 1) -> SimReport:
+def exact_report(config: SimConfig) -> SimReport:
     """Full SimReport from exact enumeration (both keys)."""
     if config.mode != "exact":
         raise PmfError("exact_report requires mode='exact'")

@@ -298,3 +298,43 @@ def test_case_regions_sandwiched_on_random_chains(rng):
             GridSpec(base.variable("X1").cardinality, base.variable("X2").cardinality, 1, 1, 1))
         gap = region_gap(rect.frontier, inner.constraint_sets)
         assert gap <= 1e-9
+
+
+def test_case3_matches_oracle_formulas(rng):
+    from itertools import product
+
+    from skregion.region import lattice_channels
+    from conftest import oracle_cmi
+
+    grid = GridSpec(2, 2, 2, 1, 1)
+    tol = 1e-9
+    s, t, u = VariableId("S", 2), VariableId("T", 2), VariableId("U", 2)
+    layers = [lattice_channels(("X3",), (2,), (s, t), 1),
+              lattice_channels(("S", "T"), (2, 2), (u,), 1)]
+    for _ in range(2):
+        base = random_chain(rng, order=("X1", "X3", "X2"))
+        chain_rejected = consequence_rejected = 0
+        expected = []
+        for ch_st, ch_u in product(*layers):
+            p = base.extend(ch_st).extend(ch_u)
+            if max(oracle_cmi(p, ["U"], ["X3"], ["S"]), oracle_cmi(p, ["U"], ["X3"], ["T"]),
+                   oracle_cmi(p, ["S"], ["X2", "T"], ["X1"]),
+                   oracle_cmi(p, ["S", "X1"], ["T"], ["X2"])) > tol:
+                chain_rejected += 1
+                continue
+            if max(oracle_cmi(p, ["S"], ["T"], ["X1", "U"]),
+                   oracle_cmi(p, ["S"], ["T"], ["X2", "U"])) > tol:
+                consequence_rejected += 1
+                continue
+            expected.append((
+                max(0.0, oracle_cmi(p, ["S"], ["X1"], ["U"]) - oracle_cmi(p, ["S"], ["X2"], ["U"])),
+                max(0.0, oracle_cmi(p, ["T"], ["X2"], ["U"]) - oracle_cmi(p, ["T"], ["X1"], ["U"])),
+            ))
+        region = case3_region(base, grid, tol)
+        assert region.meta["evaluated"] == len(layers[0]) * len(layers[1])
+        assert region.meta["chain_rejected"] == chain_rejected
+        assert region.meta["consequence_rejected"] == consequence_rejected
+        assert len(region.points) == len(expected)
+        for point, (r1, r2) in zip(region.points, expected):
+            assert point.constraints.r1_max == pytest.approx(r1, abs=1e-12)
+            assert point.constraints.r2_max == pytest.approx(r2, abs=1e-12)

@@ -59,6 +59,8 @@ vars: X1=2 X2=2 X3=2
     "vars: X1=2 X2=2 X3=2\n0 0 0 0.5\n0 0 0 0.5", # duplicate cell
     "vars: X1=2 X2=2 X3=2\n0 0 0 bad",            # non-numeric
     "",                                            # empty
+    "vars: X1=2 X2=2 X3=2\n0 0 0 nan\n1 1 1 1.0",  # not a number
+    "vars: X1=2 X2=2 X3=2\n0 0 0 inf",            # infinite
 ])
 def test_distribution_malformed(text):
     with pytest.raises(DistributionFormatError):
@@ -72,6 +74,41 @@ def test_malformed_file_exit_code(tmp_path, capsys):
                "--bound", "explicit", "--out", str(tmp_path / "out")])
     assert rc == 2
     assert not (tmp_path / "out").exists() or not list((tmp_path / "out").iterdir())
+
+
+NAN_DIST = "vars: X1=2 X2=2 X3=2\n0 0 0 nan\n1 1 1 1.0\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["region", "--direction", "forward", "--bound", "inner"],
+    ["verify"],
+])
+def test_nan_distribution_exit_code(tmp_path, capsys, argv):
+    bad = tmp_path / "nan.dist"
+    bad.write_text(NAN_DIST)
+    out = tmp_path / "out"
+    rc = main(argv + ["--dist", str(bad), "--out", str(out)])
+    assert rc == 2
+    assert "non-finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv,env", [
+    (["region", "--direction", "forward", "--bound", "inner", "--cards", "S=0"], None),
+    (["region", "--direction", "forward", "--bound", "inner", "--grid-q", "0"], None),
+    (["region", "--direction", "forward", "--bound", "explicit"], "abc"),
+    (["verify", "--grid-q", "0"], None),
+    (["simulate", "--direction", "forward", "--n", "0"], None),
+    (["simulate", "--direction", "forward", "--n", "4", "--trials", "0"], None),
+    (["simulate", "--direction", "forward", "--n", "4", "--seeds", "1,x"], None),
+])
+def test_malformed_flag_exit_code(dists, tmp_path, capsys, monkeypatch, argv, env):
+    if env is not None:
+        monkeypatch.setenv("SKREGION_BUDGET", env)
+    rc = main(argv + ["--dist", dists["e3"], "--out", str(tmp_path / "out")])
+    assert rc == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
 
 
 # ---------------------------------------------------------------------------

@@ -212,6 +212,15 @@ def test_normalization_and_negativity_guards():
         JointPmf(vs, [1.2, -0.2])
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_entries_rejected(bad):
+    vs = (VariableId("X", 2),)
+    with pytest.raises(PmfError):
+        JointPmf(vs, [bad, 1.0])
+    with pytest.raises(PmfError):
+        Channel(("X",), (VariableId("Y", 2),), [[bad, 1.0], [0.5, 0.5]])
+
+
 def test_entry_budget_env_override(monkeypatch):
     from skregion.pmf import entry_budget
     monkeypatch.setenv("SKREGION_BUDGET", "1024")

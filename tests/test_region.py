@@ -370,3 +370,121 @@ def test_hull_is_concave_majorant():
     hull = upper_concave_envelope(pts)
     assert hull[0] == (0.0, 1.0) and hull[-1] == (1.0, 0.0)
     assert (0.5, 0.2) not in hull
+
+
+# ---------------------------------------------------------------------------
+# Batched lattice evaluation
+# ---------------------------------------------------------------------------
+
+def _region_snapshot(region):
+    return ([(p.constraints, p.descriptor) for p in region.points],
+            region.meta, region.frontier)
+
+
+@pytest.mark.parametrize("family,base,grid", [
+    ("forward-inner", E3, GridSpec(2, 2, 2, 1, 1)),
+    ("forward-outer", E3, GridSpec(2, 2, 1, 2, 1)),
+    ("backward-inner", random_pmf(np.random.default_rng(1), (2, 2, 2)), GridSpec(2, 2, 2, 1, 1)),
+    ("backward-outer", E6, GridSpec(2, 1, 2, 1, 1)),
+])
+def test_enumerate_independent_of_chunk_boundaries(monkeypatch, family, base, grid):
+    from skregion import region as region_module
+
+    default = _region_snapshot(enumerate_region(base, family, grid))
+    entries = base.table.size * grid.card_s * grid.card_t * grid.card_u
+    if family.startswith("forward"):
+        entries *= grid.card_v
+    # one point per chunk, then 3-point chunks, which end inside every layer
+    for cap in (1, 3 * entries):
+        monkeypatch.setattr(region_module, "_CHUNK_ENTRIES", cap)
+        assert _region_snapshot(enumerate_region(base, family, grid)) == default
+
+
+def test_single_key_and_case3_independent_of_chunk_boundaries(monkeypatch):
+    from skregion import region as region_module
+    from skregion.cases import case3_region
+
+    grid = GridSpec(2, 2, 2, 1, 1)
+    default = ([single_key_capacity(E3, d, grid) for d in ("forward", "backward")],
+               _region_snapshot(case3_region(E3, grid)))
+    for cap in (1, 3 * 8 * 2 * 2 * 2):
+        monkeypatch.setattr(region_module, "_CHUNK_ENTRIES", cap)
+        got = ([single_key_capacity(E3, d, grid) for d in ("forward", "backward")],
+               _region_snapshot(case3_region(E3, grid)))
+        assert got == default
+
+
+def _lattice_joints(base, layers):
+    """(channels, full joint) per lattice point, in lexicographic order, by extend."""
+    from itertools import product
+
+    for chs in product(*layers):
+        full = base
+        for ch in chs:
+            full = full.extend(ch)
+        yield chs, full
+
+
+def _oracle_family(family, p):
+    def cmi(a, b, c=()):
+        return oracle_cmi(p, a, b, c)
+
+    if family == "forward-inner":
+        leak1 = cmi(["S"], ["X2"], ["T", "U"])
+        leak2 = cmi(["T"], ["X1"], ["S", "V"])
+        return (cmi(["S"], ["X3"], ["T", "U"]) - leak1,
+                cmi(["T"], ["X3"], ["S", "V"]) - leak2,
+                cmi(["S", "T"], ["X3"], ["U", "V"]) - leak1 - leak2
+                - cmi(["S"], ["T"], ["U", "V"]))
+    if family == "forward-outer":
+        return (cmi(["S"], ["T", "X3"], ["U"]) - cmi(["S"], ["X2"], ["U"]),
+                cmi(["T"], ["S", "X3"], ["V"]) - cmi(["T"], ["X1"], ["V"]), INF)
+    if family == "backward-inner":
+        return (cmi(["S"], ["X1"], ["U"]) - cmi(["S"], ["X2", "T"], ["U"]),
+                cmi(["T"], ["X2"], ["U"]) - cmi(["T"], ["X1", "S"], ["U"]), INF)
+    return (min(cmi(["S"], ["X1"], ["U"]) - cmi(["S"], ["X2"], ["U"]),
+                cmi(["S"], ["X1"], ["T", "U"]) - cmi(["S"], ["X2"], ["T", "U"])),
+            min(cmi(["T"], ["X2"], ["U"]) - cmi(["T"], ["X1"], ["U"]),
+                cmi(["T"], ["X2"], ["S", "U"]) - cmi(["T"], ["X1"], ["S", "U"])), INF)
+
+
+@pytest.mark.parametrize("family", ["forward-inner", "forward-outer",
+                                    "backward-inner", "backward-outer"])
+def test_enumerate_matches_oracle_formulas(rng, family):
+    from skregion.region import _family_layers, _lattice_layers
+
+    grid = GridSpec(2, 2, 2, 1, 1)
+    for _ in range(2):
+        base = random_pmf(rng, (2, 2, 2))
+        region = enumerate_region(base, family, grid)
+        expected = []
+        for chs, p in _lattice_joints(
+                base, _lattice_layers(base, _family_layers(family, grid), grid.q, None)):
+            if family == "backward-outer" and max(
+                    oracle_cmi(p, ["U"], ["X3"], [mid]) for mid in ("S", "T")) > 1e-9:
+                continue
+            expected.append(([c.matrix.tolist() for c in chs], _oracle_family(family, p)))
+        assert region.meta["evaluated"] - region.meta["rejected"] == len(expected)
+        assert len(region.points) == len(expected)
+        for point, (matrices, rates) in zip(region.points, expected):
+            assert [d["matrix"] for d in point.descriptor["channels"]] == matrices
+            got = point.constraints
+            for value, want in zip((got.r1_max, got.r2_max, got.sum_max), rates):
+                assert value == pytest.approx(max(0.0, want), abs=1e-12)
+
+
+def test_single_key_matches_oracle_formula(rng):
+    from skregion.region import lattice_channels
+
+    grid = GridSpec(3, 1, 2, 1, 1)
+    s, u = VariableId("S", 3), VariableId("U", 2)
+    for _ in range(2):
+        base = random_pmf(rng, (2, 2, 2))
+        for direction, src, target in (("forward", "X1", "X3"), ("backward", "X3", "X1")):
+            layers = [lattice_channels((src,), (2,), (s,), 1),
+                      lattice_channels(("S",), (3,), (u,), 1)]
+            want = max(max(0.0, oracle_cmi(p, ["S"], [target], ["U"])
+                           - oracle_cmi(p, ["S"], ["X2"], ["U"]))
+                       for _, p in _lattice_joints(base, layers))
+            got = single_key_capacity(base, direction, grid)
+            assert got == pytest.approx(want, abs=1e-12)
