@@ -35,6 +35,7 @@ __all__ = [
     "EncodingResult",
     "Codebook",
     "JointTypicalityTest",
+    "SequenceBits",
     "typical_sequences",
     "jointly_typical",
     "conditional_entropy",
@@ -51,6 +52,11 @@ __all__ = [
 ]
 
 COUNT_FUZZ = 1e-9  # absolute guard for count-vs-bound float comparisons
+
+#: Most uint64 words one step of the typicality kernel ANDs together
+#: (counted cells x candidate pairs x words per sequence).  Bounds the
+#: kernel's temporaries; results do not depend on it.
+_KERNEL_WORDS = 1 << 16
 
 
 class CodecError(Exception):
@@ -148,14 +154,55 @@ def typical_sequences(marginal: JointPmf, params: TypicalityParams, *,
     return seqs[mask]
 
 
+def _pack(flags: np.ndarray) -> np.ndarray:
+    """(..., n) booleans as (..., ceil(n / 64)) uint64 bitsets, zero-padded."""
+    packed = np.packbits(flags, axis=-1, bitorder="little")
+    words = -(-flags.shape[-1] // 64)
+    out = np.zeros(flags.shape[:-1] + (8 * words,), dtype=np.uint8)
+    out[..., :packed.shape[-1]] = packed
+    return out.view(np.uint64)
+
+
+class SequenceBits:
+    """Length-n sequences over {0, ..., card-1}, packed once for the typicality kernel.
+
+    `planes[v, i]` is the bitset (one uint64 word per 64 symbols) of the
+    positions where sequence i holds symbol v.
+    """
+
+    def __init__(self, seqs: np.ndarray, card: int):
+        seqs = np.asarray(seqs)
+        symbols = np.arange(card).reshape(-1, 1, 1)
+        self.planes = _pack(seqs[None, :, :] == symbols)
+
+    def __len__(self) -> int:
+        return self.planes.shape[1]
+
+    def __getitem__(self, rows) -> "SequenceBits":
+        """The sequences at `rows` (an index array), still packed."""
+        out = SequenceBits.__new__(SequenceBits)
+        out.planes = self.planes[:, rows]
+        return out
+
+
 class JointTypicalityTest:
-    """Precomputed cell bounds for robust joint typicality against one pmf."""
+    """Precomputed cell bounds for robust joint typicality against one pmf.
+
+    `mask` and `pair_mask` count each joint cell w of a candidate tuple as
+    popcount(bits_a[w_a] & bits_rest[w_rest]): the bitset of the positions
+    where the candidate holds w's symbol, intersected with that of the
+    positions where the other sequences spell the rest of w.  Only cells
+    whose bounds can fail (lo > 0 or hi < n) are counted.  Candidates may be
+    given as (m, n) symbol arrays or as `SequenceBits` packed once by the
+    caller.
+    """
 
     def __init__(self, joint: JointPmf, params: TypicalityParams):
         self.joint = joint
         self.params = params
         self.names = joint.names
         cards = [v.cardinality for v in joint.variables]
+        self.cards = dict(zip(joint.names, cards))
         self.width = int(np.prod(cards))
         strides = []
         acc = 1
@@ -167,12 +214,27 @@ class JointTypicalityTest:
         n, eps = params.n, params.eps
         self.lo = n * p * (1.0 - eps) - COUNT_FUZZ
         self.hi = n * p * (1.0 + eps) + COUNT_FUZZ
+        self.cells = np.flatnonzero((self.lo > 0) | (self.hi < n))
+        self._cell_lo = self.lo[self.cells, None, None]
+        self._cell_hi = self.hi[self.cells, None, None]
+        # each counted cell's symbol of each variable
+        self._symbols = {v: self.cells // self.strides[v] % self.cards[v] for v in self.names}
 
     def _fixed_code(self, fixed: dict) -> np.ndarray:
-        code = np.zeros(self.params.n, dtype=np.int64)
-        for name, seq in fixed.items():
-            code += np.asarray(seq, dtype=np.int64) * self.strides[name]
-        return code
+        if not fixed:
+            return np.zeros(self.params.n, dtype=np.int64)
+        strides = np.array([self.strides[name] for name in fixed])
+        return strides @ np.array(list(fixed.values()), dtype=np.int64)
+
+    def _planes(self, name: str, cands) -> np.ndarray:
+        if not isinstance(cands, SequenceBits):
+            cands = SequenceBits(cands, self.cards[name])
+        return cands.planes
+
+    def _fixed_bits(self, fixed: dict, rest: np.ndarray) -> np.ndarray:
+        """Per counted cell, the bitset of the positions where the `fixed`
+        sequences spell `rest`, the code of the cell's other variables."""
+        return _pack(self._fixed_code(fixed)[None, :] == rest[:, None])
 
     def check(self, seqs: dict) -> bool:
         """Typicality of one complete tuple {variable name: length-n sequence}."""
@@ -184,32 +246,41 @@ class JointTypicalityTest:
         counts = np.bincount(self._fixed_code(seqs), minlength=self.width)
         return bool(np.all((counts >= self.lo) & (counts <= self.hi)))
 
-    def mask(self, cand_name: str, cands: np.ndarray, fixed: dict) -> np.ndarray:
+    def _counts_ok(self, bits_a: np.ndarray, va: np.ndarray, rest: np.ndarray) -> np.ndarray:
+        """ok[i, j]: for every counted cell c, popcount(bits_a[va[c], i] & rest[c, j])
+        lies within c's bounds.  Cells are taken a group at a time."""
+        ma, mb, words = bits_a.shape[1], rest.shape[1], bits_a.shape[2]
+        ok = np.ones((ma, mb), dtype=bool)
+        step = max(1, _KERNEL_WORDS // (ma * mb * words))
+        for start in range(0, len(self.cells), step):
+            part = slice(start, start + step)
+            hits = bits_a[va[part]][:, :, None, :] & rest[part, None, :, :]
+            counts = np.bitwise_count(hits)
+            counts = counts[..., 0] if words == 1 else counts.sum(axis=-1)
+            ok &= np.all((counts >= self._cell_lo[part]) & (counts <= self._cell_hi[part]), axis=0)
+        return ok
+
+    def mask(self, cand_name: str, cands, fixed: dict) -> np.ndarray:
         """Boolean mask over candidate sequences for one free variable."""
         m = len(cands)
         if m == 0:
             return np.zeros(0, dtype=bool)
-        codes = cands.astype(np.int64) * self.strides[cand_name] + self._fixed_code(fixed)
-        offsets = np.arange(m, dtype=np.int64) * self.width
-        flat = (codes + offsets[:, None]).reshape(-1)
-        counts = np.bincount(flat, minlength=m * self.width).reshape(m, self.width)
-        return np.all((counts >= self.lo) & (counts <= self.hi), axis=1)
+        va = self._symbols[cand_name]
+        rest = self.cells - va * self.strides[cand_name]
+        fixed_bits = self._fixed_bits(fixed, rest)[:, None, :]
+        return self._counts_ok(self._planes(cand_name, cands), va, fixed_bits)[:, 0]
 
-    def pair_mask(self, name_a: str, cands_a: np.ndarray,
-                  name_b: str, cands_b: np.ndarray, fixed: dict) -> np.ndarray:
+    def pair_mask(self, name_a: str, cands_a, name_b: str, cands_b,
+                  fixed: dict) -> np.ndarray:
         """Boolean mask of shape (len(cands_a), len(cands_b)) for pairs."""
         ma, mb = len(cands_a), len(cands_b)
         if ma == 0 or mb == 0:
             return np.zeros((ma, mb), dtype=bool)
-        code_a = cands_a.astype(np.int64) * self.strides[name_a]
-        code_b = cands_b.astype(np.int64) * self.strides[name_b] + self._fixed_code(fixed)
-        codes = code_a[:, None, :] + code_b[None, :, :]
-        offsets = np.arange(ma * mb, dtype=np.int64).reshape(ma, mb, 1) * self.width
-        flat = (codes + offsets).reshape(-1)
-        counts = np.bincount(flat, minlength=ma * mb * self.width)
-        counts = counts.reshape(ma * mb, self.width)
-        ok = np.all((counts >= self.lo) & (counts <= self.hi), axis=1)
-        return ok.reshape(ma, mb)
+        va, vb = self._symbols[name_a], self._symbols[name_b]
+        rest = self.cells - va * self.strides[name_a] - vb * self.strides[name_b]
+        fixed_bits = self._fixed_bits(fixed, rest)[:, None, :]
+        rest_bits = self._planes(name_b, cands_b)[vb] & fixed_bits
+        return self._counts_ok(self._planes(name_a, cands_a), va, rest_bits)
 
 
 def jointly_typical(seqs, joint: JointPmf, params: TypicalityParams) -> bool:
@@ -477,6 +548,139 @@ def _uniform_pick(rng, candidates: np.ndarray) -> int:
     return int(candidates[rng.integers(len(candidates))])
 
 
+def _user_vars(user: int) -> tuple:
+    """(codeword variable, source variable) of user 1 or 2."""
+    return ("S", "X1") if user == 1 else ("T", "X2")
+
+
+# The coders below build their typicality tests and packed codebooks once;
+# the public encode/decode functions build one per call.  Masks draw no
+# randomness, so computing them ahead of the draws leaves every draw unchanged.
+
+class _ForwardEncoder:
+    """User 1's or 2's forward encoder.
+
+    `cover_ok[i, a]` says whether cover codeword a is jointly typical with
+    codebook sequence i.
+    """
+
+    def __init__(self, user: int, codebook: Codebook, full: JointPmf,
+                 params: TypicalityParams):
+        self.var, self.src = _user_vars(user)
+        self.codebook = codebook
+        self.n = params.n
+        self.test = JointTypicalityTest(full.marginalize({self.var, self.src}), params)
+        self.sequences = SequenceBits(codebook.sequences, self.test.cards[self.var])
+        cover = codebook.cover_var
+        cover_test = JointTypicalityTest(full.marginalize({self.var, cover}), params)
+        self.cover_ok = cover_test.pair_mask(self.var, self.sequences, cover,
+                                             codebook.u_codebook, {})
+
+    def __call__(self, block: np.ndarray, rng: np.random.Generator) -> EncodingResult:
+        block = np.asarray(block, dtype=np.int8)
+        if len(block) != self.n:
+            raise CodecError(f"block length {len(block)} != n={self.n}")
+        cands = np.flatnonzero(self.test.mask(self.var, self.sequences, {self.src: block}))
+        if len(cands) == 0:
+            raise EncoderNoSequence(
+                f"no {self.var} codeword jointly typical with the {self.src} block")
+        idx = _uniform_pick(rng, cands)
+        cover_cands = np.flatnonzero(self.cover_ok[idx])
+        if len(cover_cands) == 0:
+            raise EncoderNoCover(
+                f"no {self.codebook.cover_var} codeword covers the selected {self.var} sequence")
+        a = _uniform_pick(rng, cover_cands)
+        k, kp, kpp = self.codebook.triple_of(idx)
+        return EncodingResult(k, kp, kpp, a, idx)
+
+
+class _ForwardDecoder:
+    """User 3's joint decoder over the announced columns."""
+
+    def __init__(self, cb1: Codebook, cb2: Codebook, full: JointPmf,
+                 params: TypicalityParams):
+        self.cb1, self.cb2 = cb1, cb2
+        self.test = JointTypicalityTest(full.marginalize({"S", "T", "X3", "U", "V"}), params)
+        self.seqs1 = SequenceBits(cb1.sequences, self.test.cards["S"])
+        self.seqs2 = SequenceBits(cb2.sequences, self.test.cards["T"])
+
+    def __call__(self, x3_block: np.ndarray, indices: tuple) -> tuple:
+        kp, a, lp, b = indices
+        col_s = self.cb1.column(kp)
+        col_t = self.cb2.column(lp)
+        fixed = {"X3": np.asarray(x3_block, dtype=np.int8),
+                 "U": self.cb1.u_codebook[a], "V": self.cb2.u_codebook[b]}
+        ok = self.test.pair_mask("S", self.seqs1[col_s], "T", self.seqs2[col_t], fixed)
+        hits = np.argwhere(ok)
+        if len(hits) == 0:
+            raise DecodeNone("no jointly typical (s, t) pair in the announced columns")
+        if len(hits) > 1:
+            raise DecodeAmbiguous(f"{len(hits)} jointly typical pairs")
+        i, j = hits[0]
+        k_hat = int(self.cb1.triples[col_s[i], 0])
+        l_hat = int(self.cb2.triples[col_t[j], 0])
+        return k_hat, l_hat
+
+
+class _BackwardEncoder:
+    """User 3's backward encoder over the (s, t) codebook pairs."""
+
+    def __init__(self, cb_s: Codebook, cb_t: Codebook, full: JointPmf,
+                 params: TypicalityParams):
+        self.cb_s, self.cb_t = cb_s, cb_t
+        self.pair_test = JointTypicalityTest(full.marginalize({"S", "T", "X3"}), params)
+        self.cover_test = JointTypicalityTest(full.marginalize({"S", "T", "U"}), params)
+        cards = self.cover_test.cards
+        self.seqs_s = SequenceBits(cb_s.sequences, cards["S"])
+        self.seqs_t = SequenceBits(cb_t.sequences, cards["T"])
+        self.seqs_u = SequenceBits(cb_s.u_codebook, cards["U"])
+
+    def pairs(self, x3_block: np.ndarray) -> np.ndarray:
+        """(i, j) rows of the sequence pairs jointly typical with the block, ascending."""
+        return np.argwhere(self.pair_test.pair_mask(
+            "S", self.seqs_s, "T", self.seqs_t, {"X3": x3_block}))
+
+    def covers(self, i: int, j: int) -> np.ndarray:
+        """Indices of the U codewords jointly typical with the pair (i, j)."""
+        fixed = {"S": self.cb_s.sequences[i], "T": self.cb_t.sequences[j]}
+        return np.flatnonzero(self.cover_test.mask("U", self.seqs_u, fixed))
+
+    def __call__(self, x3_block: np.ndarray, rng: np.random.Generator) -> tuple:
+        hits = self.pairs(np.asarray(x3_block, dtype=np.int8))
+        if len(hits) == 0:
+            raise EncoderNoSequence("no (s, t) pair jointly typical with the X3 block")
+        i, j = hits[rng.integers(len(hits))]
+        cover_cands = self.covers(i, j)
+        if len(cover_cands) == 0:
+            raise EncoderNoCover("no U codeword covers the selected (s, t) pair")
+        a = _uniform_pick(rng, cover_cands)
+        ks = self.cb_s.triple_of(int(i))
+        kt = self.cb_t.triple_of(int(j))
+        return (EncodingResult(ks[0], ks[1], ks[2], a, int(i)),
+                EncodingResult(kt[0], kt[1], kt[2], a, int(j)))
+
+
+class _BackwardDecoder:
+    """User 1's or 2's backward decoder over the announced column."""
+
+    def __init__(self, user: int, codebook: Codebook, full: JointPmf,
+                 params: TypicalityParams):
+        self.var, self.src = _user_vars(user)
+        self.codebook = codebook
+        self.test = JointTypicalityTest(full.marginalize({self.var, self.src, "U"}), params)
+        self.sequences = SequenceBits(codebook.sequences, self.test.cards[self.var])
+
+    def __call__(self, block: np.ndarray, col: int, a: int) -> int:
+        members = self.codebook.column(col)
+        fixed = {self.src: np.asarray(block, dtype=np.int8), "U": self.codebook.u_codebook[a]}
+        hits = np.flatnonzero(self.test.mask(self.var, self.sequences[members], fixed))
+        if len(hits) == 0:
+            raise DecodeNone(f"no {self.var} candidate typical with the {self.src} block")
+        if len(hits) > 1:
+            raise DecodeAmbiguous(f"{len(hits)} {self.var} candidates")
+        return int(self.codebook.triples[members[hits[0]], 0])
+
+
 def forward_encode(user: int, block: np.ndarray, codebook: Codebook,
                    full: JointPmf, params: TypicalityParams,
                    rng: np.random.Generator) -> EncodingResult:
@@ -486,25 +690,7 @@ def forward_encode(user: int, block: np.ndarray, codebook: Codebook,
     jointly typical with the block, then a cover codeword index is drawn
     uniformly among those jointly typical with the selected codeword.
     """
-    var, src = ("S", "X1") if user == 1 else ("T", "X2")
-    block = np.asarray(block, dtype=np.int8)
-    if len(block) != params.n:
-        raise CodecError(f"block length {len(block)} != n={params.n}")
-    test = JointTypicalityTest(full.marginalize({var, src}), params)
-    mask = test.mask(var, codebook.sequences, {src: block})
-    cands = np.flatnonzero(mask)
-    if len(cands) == 0:
-        raise EncoderNoSequence(f"no {var} codeword jointly typical with the {src} block")
-    idx = _uniform_pick(rng, cands)
-    seq = codebook.sequences[idx]
-    cover_test = JointTypicalityTest(full.marginalize({var, codebook.cover_var}), params)
-    cover_mask = cover_test.mask(codebook.cover_var, codebook.u_codebook, {var: seq})
-    cover_cands = np.flatnonzero(cover_mask)
-    if len(cover_cands) == 0:
-        raise EncoderNoCover(f"no {codebook.cover_var} codeword covers the selected {var} sequence")
-    a = _uniform_pick(rng, cover_cands)
-    k, kp, kpp = codebook.triple_of(idx)
-    return EncodingResult(k, kp, kpp, a, idx)
+    return _ForwardEncoder(user, codebook, full, params)(block, rng)
 
 
 def forward_decode(x3_block: np.ndarray, indices: tuple, cb1: Codebook,
@@ -516,22 +702,7 @@ def forward_decode(x3_block: np.ndarray, indices: tuple, cb1: Codebook,
     conditional typicality given the covers is realized as full-tuple joint
     typicality.  Raises DecodeNone / DecodeAmbiguous otherwise.
     """
-    kp, a, lp, b = indices
-    x3_block = np.asarray(x3_block, dtype=np.int8)
-    col_s = cb1.column(kp)
-    col_t = cb2.column(lp)
-    test = JointTypicalityTest(full.marginalize({"S", "T", "X3", "U", "V"}), params)
-    fixed = {"X3": x3_block, "U": cb1.u_codebook[a], "V": cb2.u_codebook[b]}
-    ok = test.pair_mask("S", cb1.sequences[col_s], "T", cb2.sequences[col_t], fixed)
-    hits = np.argwhere(ok)
-    if len(hits) == 0:
-        raise DecodeNone("no jointly typical (s, t) pair in the announced columns")
-    if len(hits) > 1:
-        raise DecodeAmbiguous(f"{len(hits)} jointly typical pairs")
-    i, j = hits[0]
-    k_hat = int(cb1.triples[col_s[i], 0])
-    l_hat = int(cb2.triples[col_t[j], 0])
-    return k_hat, l_hat
+    return _ForwardDecoder(cb1, cb2, full, params)(x3_block, indices)
 
 
 def backward_encode(x3_block: np.ndarray, cb_s: Codebook, cb_t: Codebook,
@@ -542,24 +713,7 @@ def backward_encode(x3_block: np.ndarray, cb_s: Codebook, cb_t: Codebook,
     Returns (EncodingResult for s, EncodingResult for t); both share the
     cover index a.
     """
-    x3_block = np.asarray(x3_block, dtype=np.int8)
-    test = JointTypicalityTest(full.marginalize({"S", "T", "X3"}), params)
-    ok = test.pair_mask("S", cb_s.sequences, "T", cb_t.sequences, {"X3": x3_block})
-    hits = np.argwhere(ok)
-    if len(hits) == 0:
-        raise EncoderNoSequence("no (s, t) pair jointly typical with the X3 block")
-    i, j = hits[rng.integers(len(hits))]
-    s_seq, t_seq = cb_s.sequences[i], cb_t.sequences[j]
-    cover_test = JointTypicalityTest(full.marginalize({"S", "T", "U"}), params)
-    cover_mask = cover_test.mask("U", cb_s.u_codebook, {"S": s_seq, "T": t_seq})
-    cover_cands = np.flatnonzero(cover_mask)
-    if len(cover_cands) == 0:
-        raise EncoderNoCover("no U codeword covers the selected (s, t) pair")
-    a = _uniform_pick(rng, cover_cands)
-    ks = cb_s.triple_of(int(i))
-    kt = cb_t.triple_of(int(j))
-    return (EncodingResult(ks[0], ks[1], ks[2], a, int(i)),
-            EncodingResult(kt[0], kt[1], kt[2], a, int(j)))
+    return _BackwardEncoder(cb_s, cb_t, full, params)(x3_block, rng)
 
 
 def backward_decode(user: int, block: np.ndarray, col: int, a: int,
@@ -570,18 +724,7 @@ def backward_decode(user: int, block: np.ndarray, col: int, a: int,
     Accepts the unique column member jointly typical with the user's own
     block and the announced cover codeword.
     """
-    var, src = ("S", "X1") if user == 1 else ("T", "X2")
-    block = np.asarray(block, dtype=np.int8)
-    members = codebook.column(col)
-    test = JointTypicalityTest(full.marginalize({var, src, "U"}), params)
-    mask = test.mask(var, codebook.sequences[members],
-                     {src: block, "U": codebook.u_codebook[a]})
-    hits = np.flatnonzero(mask)
-    if len(hits) == 0:
-        raise DecodeNone(f"no {var} candidate typical with the {src} block")
-    if len(hits) > 1:
-        raise DecodeAmbiguous(f"{len(hits)} {var} candidates")
-    return int(codebook.triples[members[hits[0]], 0])
+    return _BackwardDecoder(user, codebook, full, params)(block, col, a)
 
 
 def wiretap_decode(key: int, col: int, obs_block: np.ndarray, u_seq: np.ndarray,

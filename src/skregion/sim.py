@@ -32,17 +32,17 @@ from .codec import (
     DecodeNone,
     EncoderNoCover,
     EncoderNoSequence,
-    JointTypicalityTest,
+    SequenceBits,
     TypicalityParams,
     backward_binning,
-    backward_decode,
-    backward_encode,
     build_backward_codebooks,
     build_forward_codebooks,
     forward_binning,
-    forward_decode,
-    forward_encode,
     _all_sequences,
+    _BackwardDecoder,
+    _BackwardEncoder,
+    _ForwardDecoder,
+    _ForwardEncoder,
 )
 from .pmf import (
     BudgetExceededError,
@@ -262,7 +262,12 @@ class _Tally:
 
 
 class _Instance:
-    """Codebooks plus cached typicality tests for one codebook seed."""
+    """Codebooks plus everything derived from them once, for one codebook seed.
+
+    Derived values (the coders with their typicality tests and packed
+    codebooks, and exact mode's encoder outcomes and errors) are built on
+    first use through `cached`, so a test may swap a codebook before use.
+    """
 
     def __init__(self, config: SimConfig, seed: int):
         self.config = config
@@ -270,8 +275,7 @@ class _Instance:
         self.full = config.aux.full
         self.enc_params = TypicalityParams(config.n, config.eps.enc)
         self.dec_params = TypicalityParams(config.n, config.eps.dec)
-        self._exact_errs = None
-        self._bwd_outcomes = None
+        self._cache = {}
         if config.direction == "forward":
             self.cb1, self.cb2 = build_forward_codebooks(
                 self.full, self.enc_params, config.rate1, config.rate2, seed,
@@ -280,6 +284,28 @@ class _Instance:
             self.cb1, self.cb2 = build_backward_codebooks(
                 self.full, self.enc_params, config.rate1, config.rate2, seed,
                 eps2=config.eps.cover, budget=config.budget)
+
+    def cached(self, key, compute, *args):
+        """`compute(*args)`, computed once per instance and key."""
+        if key not in self._cache:
+            self._cache[key] = compute(*args)
+        return self._cache[key]
+
+    def coders(self) -> tuple:
+        """(user 1's encoder, user 2's encoder, user 3's decoder) in the forward
+        strategy; (user 3's encoder, user 1's decoder, user 2's decoder) in the
+        backward one."""
+        return self.cached("coders", self._build_coders)
+
+    def _build_coders(self) -> tuple:
+        full, enc, dec = self.full, self.enc_params, self.dec_params
+        if self.config.direction == "forward":
+            return (_ForwardEncoder(1, self.cb1, full, enc),
+                    _ForwardEncoder(2, self.cb2, full, enc),
+                    _ForwardDecoder(self.cb1, self.cb2, full, dec))
+        return (_BackwardEncoder(self.cb1, self.cb2, full, enc),
+                _BackwardDecoder(1, self.cb1, full, dec),
+                _BackwardDecoder(2, self.cb2, full, dec))
 
     def run_trial(self, rng: np.random.Generator, tally: _Tally) -> None:
         cfg = self.config
@@ -291,9 +317,10 @@ class _Instance:
             self._backward_trial(rng, tally, x1, x2, x3)
 
     def _forward_trial(self, rng, tally, x1, x2, x3):
+        encode1, encode2, decode = self.coders()
         err_k = err_l = False
         try:
-            e1 = forward_encode(1, x1, self.cb1, self.full, self.enc_params, rng)
+            e1 = encode1(x1, rng)
             k, kp, a = e1.key, e1.col, e1.cover
         except EncoderNoSequence:
             tally.fails["enc1_no_sequence"] += 1
@@ -304,7 +331,7 @@ class _Instance:
             k, kp, a = int(rng.integers(self.cb1.n_key)), 0, 0
             err_k = True
         try:
-            e2 = forward_encode(2, x2, self.cb2, self.full, self.enc_params, rng)
+            e2 = encode2(x2, rng)
             l, lp, b = e2.key, e2.col, e2.cover
         except EncoderNoSequence:
             tally.fails["enc2_no_sequence"] += 1
@@ -321,8 +348,7 @@ class _Instance:
         tally.l_view[(l, (lp, b, _hash16(x1)))] += 1
 
         try:
-            k_hat, l_hat = forward_decode(
-                x3, (kp, a, lp, b), self.cb1, self.cb2, self.full, self.dec_params)
+            k_hat, l_hat = decode(x3, (kp, a, lp, b))
             err_k = err_k or k_hat != k
             err_l = err_l or l_hat != l
         except DecodeNone:
@@ -335,9 +361,10 @@ class _Instance:
         tally.err_l += err_l
 
     def _backward_trial(self, rng, tally, x1, x2, x3):
+        encode, decode1, decode2 = self.coders()
         failed = False
         try:
-            es, et = backward_encode(x3, self.cb1, self.cb2, self.full, self.enc_params, rng)
+            es, et = encode(x3, rng)
             k, kp, a = es.key, es.col, es.cover
             l, lp = et.key, et.col
         except EncoderNoSequence:
@@ -361,7 +388,7 @@ class _Instance:
             tally.err_l += 1
             return
         try:
-            k_hat = backward_decode(1, x1, kp, a, self.cb1, self.full, self.dec_params)
+            k_hat = decode1(x1, kp, a)
             if k_hat != k:
                 tally.err_k += 1
         except DecodeNone:
@@ -371,7 +398,7 @@ class _Instance:
             tally.fails["decode1_ambiguous"] += 1
             tally.err_k += 1
         try:
-            l_hat = backward_decode(2, x2, lp, a, self.cb2, self.full, self.dec_params)
+            l_hat = decode2(x2, lp, a)
             if l_hat != l:
                 tally.err_l += 1
         except DecodeNone:
@@ -384,6 +411,7 @@ class _Instance:
 
 def _run_seed(config: SimConfig, seed: int, workers: int) -> _Tally:
     inst = _Instance(config, seed)
+    inst.coders()  # built once, before any worker thread uses them
 
     def run_chunk(bounds) -> _Tally:
         lo, hi = bounds
@@ -485,69 +513,70 @@ def _margin_warnings(config: SimConfig) -> list:
 # Exact enumeration
 # ---------------------------------------------------------------------------
 
+#: Most (source block, codeword) pairs one encoder `pair_mask` call covers
+#: in exact mode.  Bounds the memory of its result and temporaries; results
+#: do not depend on it.
+_CHUNK_PAIRS = 1 << 19
+
+
 def _encoder_outcomes_forward(inst: _Instance, user: int) -> tuple:
     """Per source-block outcome distributions plus encoder-failure mass.
 
     Returns (outcomes, fail_weight): outcomes[code] lists ((key, col, cover),
     weight) for the successful encodings of that block (weights summing to
     1 - fail_weight[code]); fail_weight[code] is the probability that the
-    encoder finds no codeword or no cover for the block.
+    encoder finds no codeword or no cover for the block.  The blocks are
+    tested against the whole codebook a chunk of blocks at a time.
     """
     cfg = inst.config
-    cb = inst.cb1 if user == 1 else inst.cb2
-    var, src = ("S", "X1") if user == 1 else ("T", "X2")
-    full = inst.full
-    card = full.variable(src).cardinality
+    enc = inst.coders()[user - 1]
+    cb = enc.codebook
+    card = inst.full.variable(enc.src).cardinality
     blocks = _all_sequences(card, cfg.n, cfg.budget)
-    test = JointTypicalityTest(full.marginalize({var, src}), inst.enc_params)
-    cover_test = JointTypicalityTest(full.marginalize({var, cb.cover_var}), inst.enc_params)
-    cover_cands = [np.flatnonzero(cover_test.mask(cb.cover_var, cb.u_codebook, {var: seq}))
-                   for seq in cb.sequences]
+    step = max(1, _CHUNK_PAIRS // cb.size)
     outcomes = []
     fail = np.zeros(len(blocks))
-    for code, block in enumerate(blocks):
-        cands = np.flatnonzero(test.mask(var, cb.sequences, {src: block}))
-        out = defaultdict(float)
-        if len(cands) == 0:
-            fail[code] = 1.0
-        else:
-            w_seq = 1.0 / len(cands)
-            for idx in cands:
-                covers = cover_cands[idx]
-                if len(covers) == 0:
-                    fail[code] += w_seq
-                    continue
-                k, kp, _ = cb.triple_of(int(idx))
-                wa = w_seq / len(covers)
-                for a in covers:
-                    out[(k, kp, int(a))] += wa
-        outcomes.append(sorted(out.items()))
+    for start in range(0, len(blocks), step):
+        chunk = SequenceBits(blocks[start:start + step], card)
+        typical = enc.test.pair_mask(enc.src, chunk, enc.var, enc.sequences, {})
+        for code, row in enumerate(typical, start):
+            cands = np.flatnonzero(row)
+            out = defaultdict(float)
+            if len(cands) == 0:
+                fail[code] = 1.0
+            else:
+                w_seq = 1.0 / len(cands)
+                for idx in cands:
+                    covers = np.flatnonzero(enc.cover_ok[idx])
+                    if len(covers) == 0:
+                        fail[code] += w_seq
+                        continue
+                    k, kp, _ = cb.triple_of(int(idx))
+                    wa = w_seq / len(covers)
+                    for a in covers:
+                        out[(k, kp, int(a))] += wa
+            outcomes.append(sorted(out.items()))
     return outcomes, fail
 
 
 def _encoder_outcomes_backward(inst: _Instance) -> tuple:
     """Per x3-block distributions [((k, kp, l, lp, a), weight), ...] + failure mass."""
     cfg = inst.config
-    full = inst.full
-    card = full.variable("X3").cardinality
+    card = inst.full.variable("X3").cardinality
     blocks = _all_sequences(card, cfg.n, cfg.budget)
-    pair_test = JointTypicalityTest(full.marginalize({"S", "T", "X3"}), inst.enc_params)
-    cover_test = JointTypicalityTest(full.marginalize({"S", "T", "U"}), inst.enc_params)
+    enc = inst.coders()[0]
     cb_s, cb_t = inst.cb1, inst.cb2
     outcomes = []
     fail = np.zeros(len(blocks))
     for code, block in enumerate(blocks):
-        ok = pair_test.pair_mask("S", cb_s.sequences, "T", cb_t.sequences, {"X3": block})
-        hits = np.argwhere(ok)
+        hits = enc.pairs(block)
         out = defaultdict(float)
         if len(hits) == 0:
             fail[code] = 1.0
         else:
             w_pair = 1.0 / len(hits)
             for i, j in hits:
-                covers = np.flatnonzero(cover_test.mask(
-                    "U", cb_s.u_codebook,
-                    {"S": cb_s.sequences[i], "T": cb_t.sequences[j]}))
+                covers = enc.covers(i, j)
                 if len(covers) == 0:
                     fail[code] += w_pair
                     continue
@@ -558,6 +587,13 @@ def _encoder_outcomes_backward(inst: _Instance) -> tuple:
                     out[(k, kp, l, lp, int(a))] += wa
         outcomes.append(sorted(out.items()))
     return outcomes, fail
+
+
+def _outcomes(inst: _Instance, user: int) -> tuple:
+    """The encoder outcomes of `user` (3 in the backward strategy), computed once."""
+    if user == 3:
+        return inst.cached(("outcomes", 3), _encoder_outcomes_backward, inst)
+    return inst.cached(("outcomes", user), _encoder_outcomes_forward, inst, user)
 
 
 def _pair_block_table(base: JointPmf, first: str, second: str, n: int, budget) -> np.ndarray:
@@ -622,7 +658,7 @@ def exact_view_joint(config: SimConfig, seed: int, user: int) -> np.ndarray:
     if config.direction != "forward":
         raise PmfError("exact_view_joint currently covers the forward strategy")
     inst = _Instance(config, seed)
-    outcomes, fail = _encoder_outcomes_forward(inst, user)
+    outcomes, fail = _outcomes(inst, user)
     return _view_joint_forward(inst, user, outcomes, fail)
 
 
@@ -630,13 +666,15 @@ def _exact_side_forward(inst: _Instance, user: int) -> ExactSide:
     cfg = inst.config
     n = cfg.n
     cb = inst.cb1 if user == 1 else inst.cb2
-    outcomes, fail = _encoder_outcomes_forward(inst, user)
+    outcomes, fail = _outcomes(inst, user)
     joint = _view_joint_forward(inst, user, outcomes, fail)
     leak = _mi_first_axis(joint) / n
     pk = joint.sum(axis=(1, 2, 3))
     h_key = _h(pk)
     gap = max(0.0, (np.log2(cb.n_key) - h_key) / n)
-    err = _exact_errors_forward(inst)[user - 1] if cfg.exact_error else None
+    err = None
+    if cfg.exact_error:
+        err = inst.cached("errors", _exact_errors_forward, inst)[user - 1]
     return ExactSide(leak, gap, h_key / n, np.log2(cb.n_key) / n, err)
 
 
@@ -649,8 +687,6 @@ def _exact_errors_forward(inst: _Instance) -> tuple:
     user 2's typical-set misses and needs the full block triple when those
     occur, all budget-gated.  Unsupported shapes yield (None, None).
     """
-    if getattr(inst, "_exact_errs", None) is not None:
-        return inst._exact_errs
     cfg = inst.config
     full = inst.full
     degenerate = (full.variable("T").cardinality == 1
@@ -659,15 +695,13 @@ def _exact_errors_forward(inst: _Instance) -> tuple:
     cards = [full.variable(v).cardinality for v in ("X1", "X2", "X3")]
     pair_cost = (cards[0] * cards[2]) ** n
     if not degenerate or pair_cost > entry_budget(cfg.budget):
-        inst._exact_errs = (None, None)
-        return inst._exact_errs
+        return None, None
     cb = inst.cb1
-    outcomes1, fail1 = _encoder_outcomes_forward(inst, 1)
-    _, fail2 = _encoder_outcomes_forward(inst, 2)
-    x3_blocks = _all_sequences(cards[2], n, cfg.budget)
+    outcomes1, fail1 = _outcomes(inst, 1)
+    _, fail2 = _outcomes(inst, 2)
+    x3_blocks = SequenceBits(_all_sequences(cards[2], n, cfg.budget), cards[2])
     pair13 = _pair_block_table(cfg.base, "X1", "X3", n, cfg.budget)
-    test = JointTypicalityTest(
-        full.marginalize({"S", "T", "X3", "U", "V"}), inst.dec_params)
+    decoder = inst.coders()[2]
     const_t = inst.cb2.sequences[0]
     const_v = inst.cb2.u_codebook[0]
     decode_cache = {}
@@ -677,7 +711,7 @@ def _exact_errors_forward(inst: _Instance) -> tuple:
         if (kp, a) not in decode_cache:
             members = cb.column(kp)
             fixed = {"T": const_t, "V": const_v, "U": cb.u_codebook[a]}
-            ok = test.pair_mask("S", cb.sequences[members], "X3", x3_blocks, fixed)
+            ok = decoder.test.pair_mask("S", decoder.seqs1[members], "X3", x3_blocks, fixed)
             counts = ok.sum(axis=0)
             result = np.full(len(x3_blocks), -1, dtype=np.int64)
             unique = counts == 1
@@ -707,8 +741,7 @@ def _exact_errors_forward(inst: _Instance) -> tuple:
         err_l = float(np.einsum("abc,b->", triple, fail2))
         weight13 = np.einsum("abc,b->ac", triple, 1.0 - fail2)
         err_l += float((weight13 * dec_fail).sum())
-    inst._exact_errs = (err_k, err_l)
-    return inst._exact_errs
+    return err_k, err_l
 
 
 def _exact_side_backward(inst: _Instance, user: int) -> ExactSide:
@@ -716,7 +749,7 @@ def _exact_side_backward(inst: _Instance, user: int) -> ExactSide:
     n = cfg.n
     cb = inst.cb1 if user == 1 else inst.cb2
     obs = "X2" if user == 1 else "X1"
-    outcomes, fail = _backward_outcomes_cached(inst)
+    outcomes, fail = _outcomes(inst, 3)
     obs_card = inst.full.variable(obs).cardinality
     n_obs = obs_card ** n
     n_cover = len(inst.cb1.u_codebook)
@@ -741,12 +774,6 @@ def _exact_side_backward(inst: _Instance, user: int) -> ExactSide:
     return ExactSide(leak, gap, h_key / n, np.log2(cb.n_key) / n, err)
 
 
-def _backward_outcomes_cached(inst: _Instance) -> tuple:
-    if getattr(inst, "_bwd_outcomes", None) is None:
-        inst._bwd_outcomes = _encoder_outcomes_backward(inst)
-    return inst._bwd_outcomes
-
-
 def _exact_err_backward(inst: _Instance, user: int) -> float | None:
     """Exact key error for one backward decoder.
 
@@ -757,21 +784,22 @@ def _exact_err_backward(inst: _Instance, user: int) -> float | None:
     cfg = inst.config
     n = cfg.n
     cb = inst.cb1 if user == 1 else inst.cb2
-    var, src = ("S", "X1") if user == 1 else ("T", "X2")
+    decoder = inst.coders()[user]
+    src = decoder.src
     src_card = inst.full.variable(src).cardinality
     if (src_card * inst.full.variable("X3").cardinality) ** n > entry_budget(cfg.budget):
         return None
-    outcomes, fail = _backward_outcomes_cached(inst)
-    blocks = _all_sequences(src_card, n, cfg.budget)
+    outcomes, fail = _outcomes(inst, 3)
+    blocks = SequenceBits(_all_sequences(src_card, n, cfg.budget), src_card)
     pair = _pair_block_table(cfg.base, "X3", src, n, cfg.budget)
-    test = JointTypicalityTest(inst.full.marginalize({var, src, "U"}), inst.dec_params)
     decode_cache = {}
 
     def decode_row(col: int, a: int) -> np.ndarray:
         if (col, a) not in decode_cache:
             members = cb.column(col)
             fixed = {"U": inst.cb1.u_codebook[a]}
-            ok = test.pair_mask(var, cb.sequences[members], src, blocks, fixed)
+            ok = decoder.test.pair_mask(decoder.var, decoder.sequences[members], src, blocks,
+                                        fixed)
             counts = ok.sum(axis=0)
             result = np.full(len(blocks), -1, dtype=np.int64)
             unique = counts == 1
