@@ -20,17 +20,24 @@ schedules its trials on; `region` accepts it and ignores it.
 
 Exit codes: 0 ok, 2 malformed input (distribution file, flag or
 SKREGION_BUDGET), 3 budget exceeded, 4 infeasible rates, 5 claimed
-coincidence failed, 6 lemma violation.
+coincidence failed, 6 lemma violation.  Flags are checked before any
+computation and before the output directory is created: `--grid-q`, `--n`
+and `--trials` must be >= 1; `--draws`, `--seed` and each of `--seeds`
+>= 0; `--tol`, `--rate1`, `--rate2` and `--margin` finite and >= 0;
+`--eps-enc` and `--eps-dec` finite and > 0.
+
+Every JSON output is exactly `json.dumps(doc, sort_keys=True, indent=2)`
+text plus a newline, written by `_json_text`.
 """
 
 import argparse
 import hashlib
-import json
 import math
 import os
 import sys
 import tempfile
 from importlib.metadata import PackageNotFoundError, version as pkg_version
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -179,7 +186,101 @@ def _atomic_write(path: str, text: str) -> None:
 
 
 def _json_text(obj) -> str:
-    return json.dumps(obj, sort_keys=True, indent=2, allow_nan=False) + "\n"
+    """`json.dumps(obj, sort_keys=True, indent=2, allow_nan=False)` plus a
+    newline, byte for byte, and raising the same exception types.
+
+    The stdlib writes indented JSON with its pure-Python encoder and renders
+    a shared subtree again at every place it occurs.  `_render` renders each
+    list, tuple or dict once per indent level and reuses its text, so a
+    channel descriptor shared by thousands of region points costs one
+    rendering.  The memo lives for this call only; `obj` keeps every object
+    it contains alive meanwhile, so no id is reused.
+    """
+    out = []
+    _render(obj, "\n", out, {}, set())
+    out.append("\n")
+    return "".join(out)
+
+
+def _scalar_text(obj) -> str | None:
+    """JSON text of None, a bool, an int or a float as the stdlib writes it
+    (int and float subclasses included), or None for any other object."""
+    if obj is None:
+        return "null"
+    if obj is True:
+        return "true"
+    if obj is False:
+        return "false"
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    if isinstance(obj, float):
+        if not math.isfinite(obj):
+            raise ValueError("Out of range float values are not JSON compliant: " + repr(obj))
+        return float.__repr__(obj)
+    return None
+
+
+def _render(obj, newline: str, out: list, memo: dict, active: set) -> None:
+    """Append the JSON text of `obj` to `out` in pieces; `newline` is "\\n"
+    plus the indent of the line `obj` starts on.
+
+    `memo` maps (id, newline) of each finished container to the span of
+    `out` that holds its text, or to that text once a second occurrence
+    has joined the span.  Only shared containers are joined: holding every
+    container's text would keep several copies of the document alive at
+    once.  `active` holds the ids of the containers being rendered, so that
+    a circular reference is detected as the stdlib does.  A module-level
+    function rather than a closure: a closure that calls itself is a
+    reference cycle that would keep the memo alive after the call.
+    """
+    if isinstance(obj, str):
+        out.append(encode_basestring_ascii(obj))
+        return
+    text = _scalar_text(obj)
+    if text is not None:
+        out.append(text)
+        return
+    is_dict = isinstance(obj, dict)
+    if not is_dict and not isinstance(obj, (list, tuple)):
+        raise TypeError(f"Object of type {obj.__class__.__name__} is not JSON serializable")
+    if not obj:
+        out.append("{}" if is_dict else "[]")
+        return
+    key = (id(obj), newline)
+    done = memo.get(key)
+    if done is not None:
+        if not isinstance(done, str):
+            done = memo[key] = "".join(out[done[0]:done[1]])
+        out.append(done)
+        return
+    if key[0] in active:
+        raise ValueError("Circular reference detected")
+    active.add(key[0])
+    start = len(out)
+    inner = newline + "  "
+    comma = "," + inner
+    if is_dict:
+        sep = "{" + inner
+        for k, v in sorted(obj.items()):
+            if not isinstance(k, str):
+                text = _scalar_text(k)
+                if text is None:
+                    raise TypeError("keys must be str, int, float, bool or None, "
+                                    f"not {k.__class__.__name__}")
+                k = text
+            out.append(sep + encode_basestring_ascii(k) + ": ")
+            _render(v, inner, out, memo, active)
+            sep = comma
+        out.append(newline + "}")
+    else:
+        sep = "[" + inner
+        for v in obj:
+            out.append(sep)
+            _render(v, inner, out, memo, active)
+            sep = comma
+        out.append(newline + "]")
+    active.remove(key[0])
+    memo[key] = (start, len(out))
 
 
 def _digest(path: str) -> str:
@@ -228,9 +329,17 @@ def _cset_json(c) -> dict:
 # Subcommands
 # ---------------------------------------------------------------------------
 
-def _at_least_one(value: int, flag: str) -> int:
-    if value < 1:
-        raise InputError(f"{flag} must be >= 1, got {value}")
+def _at_least(value: int, low: int, flag: str) -> int:
+    if value < low:
+        raise InputError(f"{flag} must be >= {low}, got {value}")
+    return value
+
+
+def _finite(value: float, flag: str, *, positive: bool = False) -> float:
+    """`value` if it is finite and >= 0, or > 0 when `positive`."""
+    if not math.isfinite(value) or value < 0.0 or (positive and value == 0.0):
+        raise InputError(f"{flag} must be finite and {'>' if positive else '>='} 0, "
+                         f"got {value!r}")
     return value
 
 
@@ -250,7 +359,7 @@ def cmd_region(args) -> int:
     base = load_distribution(args.dist)
     grid = _parse_cards(args.cards, base)
     grid = GridSpec(grid.card_s, grid.card_t, grid.card_u, grid.card_v,
-                    _at_least_one(args.grid_q, "--grid-q"))
+                    _at_least(args.grid_q, 1, "--grid-q"))
     if args.bound == "explicit":
         cset = explicit_outer(base)
         frontier = pareto_frontier([cset])
@@ -323,8 +432,14 @@ def _default_channels(base: JointPmf, direction: str, rate2: float):
 
 def cmd_simulate(args) -> int:
     base = load_distribution(args.dist)
-    _at_least_one(args.n, "--n")
-    _at_least_one(args.trials, "--trials")
+    _at_least(args.n, 1, "--n")
+    _at_least(args.trials, 1, "--trials")
+    for flag, value in (("--rate1", args.rate1), ("--rate2", args.rate2),
+                        ("--margin", args.margin)):
+        _finite(value, flag)
+    for flag, value in (("--eps-enc", args.eps_enc), ("--eps-dec", args.eps_dec)):
+        if value is not None:
+            _finite(value, flag, positive=True)
     channels = _default_channels(base, args.direction, args.rate2)
     eps_enc = args.eps_enc if args.eps_enc is not None else max(0.25, 2.0 * args.margin)
     eps_dec = args.eps_dec if args.eps_dec is not None else max(3.0, 2.0 * args.margin)
@@ -332,6 +447,8 @@ def cmd_simulate(args) -> int:
         seeds = tuple(int(s) for s in args.seeds.split(","))
     except ValueError:
         raise InputError(f"bad --seeds {args.seeds!r}") from None
+    for seed in seeds:
+        _at_least(seed, 0, "each of --seeds")
     config = SimConfig(
         base, args.direction, channels, args.n, args.rate1, args.rate2,
         args.margin, EpsParams(enc=eps_enc, dec=eps_dec), args.trials, seeds,
@@ -438,7 +555,8 @@ def _case3_check(base, grid_q, tol):
 
 def cmd_verify(args) -> int:
     base = load_distribution(args.dist)
-    _at_least_one(args.grid_q, "--grid-q")
+    _at_least(args.grid_q, 1, "--grid-q")
+    _finite(args.tol, "--tol")
     diag = diagnose(base, args.tol)
     doc = {"schema": 1, "diagnosis": diag.as_dict()}
     failures = []
@@ -473,6 +591,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_lemmas(args) -> int:
+    _at_least(args.draws, 0, "--draws")
+    _at_least(args.seed, 0, "--seed")
     rng = np.random.default_rng(args.seed)
     slacks = []
     for _ in range(args.draws):

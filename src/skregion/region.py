@@ -70,6 +70,12 @@ FAMILIES = ("forward-inner", "forward-outer", "backward-inner", "backward-outer"
 
 MARKOV_TOL = 1e-9
 
+#: `pareto_frontier` treats a run of vertices as flat when their R2 values
+#: differ by at most this.  The run's right corner, sum_max - r2_max, is
+#: rounded, which can leave its R2 up to one ulp of sum_max below the run's.
+#: Far above that rounding and far below the 1e-9 that frontier.csv prints.
+_FLAT_TOL = 1e-12
+
 #: Most full-joint entries one chunk of lattice points may hold (8 bytes
 #: each).  Bounds the evaluator's working memory; results do not depend on it.
 _CHUNK_ENTRIES = 1 << 19
@@ -520,9 +526,9 @@ def pareto_frontier(csets) -> list:
     """Pareto-maximal vertices of the union, sorted by increasing R1.
 
     Every listed pair is achievable and dominated by no other point of the
-    union; R2 is non-increasing along the list.  Between consecutive
-    vertices the exact boundary is the staircase/diagonal implied by the
-    constituent sets.
+    union by more than `_FLAT_TOL`; R2 is non-increasing along the list.
+    Between consecutive vertices the exact boundary is the staircase/diagonal
+    implied by the constituent sets.
     """
     sets = []
     for c in csets:
@@ -560,11 +566,12 @@ def pareto_frontier(csets) -> list:
             verts[-1] = (x, max(verts[-1][1], y))
         else:
             verts.append((x, y))
-    # drop vertices dominated by a later one (y is non-increasing in x, so
-    # only flat runs produce domination: keep the rightmost of each run)
+    # drop vertices dominated by a later one, which lies strictly to the
+    # right (y is non-increasing in x, so only flat runs produce domination:
+    # keep the rightmost of each run, flat within _FLAT_TOL)
     out = []
     for i, (x, y) in enumerate(verts):
-        if any(xj >= x and yj >= y and (xj > x or yj > y) for xj, yj in verts[i + 1:]):
+        if any(yj >= y - _FLAT_TOL for _, yj in verts[i + 1:]):
             continue
         out.append((x, y))
     return out if out else [(0.0, 0.0)]

@@ -1,4 +1,6 @@
+import gzip
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -101,14 +103,28 @@ def test_nan_distribution_exit_code(tmp_path, capsys, argv):
     (["simulate", "--direction", "forward", "--n", "0"], None),
     (["simulate", "--direction", "forward", "--n", "4", "--trials", "0"], None),
     (["simulate", "--direction", "forward", "--n", "4", "--seeds", "1,x"], None),
+    (["verify", "--tol", "nan"], None),
+    (["verify", "--tol", "-1"], None),
+    (["simulate", "--direction", "forward", "--n", "4", "--eps-dec", "nan"], None),
+    (["simulate", "--direction", "forward", "--n", "4", "--eps-enc", "-1"], None),
+    (["simulate", "--direction", "forward", "--n", "4", "--eps-enc", "0"], None),
+    (["simulate", "--direction", "forward", "--n", "4", "--margin", "inf"], None),
+    (["simulate", "--direction", "forward", "--n", "4", "--rate1", "-0.5"], None),
+    (["simulate", "--direction", "forward", "--n", "4", "--rate2", "nan"], None),
+    (["simulate", "--direction", "forward", "--n", "4", "--seeds", "1,-3"], None),
+    (["lemmas", "--draws", "-1"], None),
+    (["lemmas", "--draws", "3", "--seed", "-1"], None),
 ])
 def test_malformed_flag_exit_code(dists, tmp_path, capsys, monkeypatch, argv, env):
     if env is not None:
         monkeypatch.setenv("SKREGION_BUDGET", env)
-    rc = main(argv + ["--dist", dists["e3"], "--out", str(tmp_path / "out")])
+    out = tmp_path / "out"
+    dist = [] if argv[0] == "lemmas" else ["--dist", dists["e3"]]
+    rc = main(argv + dist + ["--out", str(out)])
     assert rc == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: ")
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------------------
@@ -346,7 +362,7 @@ def test_lemmas_rerun_identical(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# Manifests
+# Manifests and JSON text
 # ---------------------------------------------------------------------------
 
 def test_manifest_contents(dists, tmp_path):
@@ -359,3 +375,53 @@ def test_manifest_contents(dists, tmp_path):
     assert doc["subcommand"] == "region"
     assert doc["input_digest"].startswith("sha256:")
     assert "threads" not in doc["flags"]
+
+
+_SMALL_CARDS = ["--grid-q", "1", "--cards", "S=2,T=2,U=1,V=1"]
+
+
+@pytest.mark.parametrize("argv", [
+    *(["region", "--dist", dist, "--direction", direction, "--bound", bound, *_SMALL_CARDS]
+      for dist in ("xor", "e3") for direction in ("forward", "backward")
+      for bound in ("inner", "outer")),
+    ["region", "--dist", "e3", "--direction", "forward", "--bound", "explicit"],
+    ["region", "--dist", "e3", "--direction", "forward", "--bound", "inner", "--hull",
+     *_SMALL_CARDS],
+    ["verify", "--dist", "e3"],
+    ["verify", "--dist", "e6"],
+    ["simulate", "--dist", "e3", "--direction", "forward", "--n", "4", "--rate1", "0.1",
+     "--trials", "20"],
+    ["simulate", "--dist", "e3", "--direction", "forward", "--n", "4", "--rate1", "0.1",
+     "--mode", "exact"],
+    ["simulate", "--dist", "e6", "--direction", "backward", "--n", "4", "--rate1", "0.05",
+     "--trials", "20"],
+    ["lemmas", "--draws", "20", "--seed", "3"],
+], ids=lambda argv: "-".join(a for a in argv if not a.startswith("--")))
+def test_json_outputs_are_canonical(dists, tmp_path, argv):
+    """Every JSON file the CLI writes, manifest included, is exactly the
+    `json.dumps(sort_keys=True, indent=2)` text of its own content."""
+    argv = [dists.get(a, a) for a in argv]
+    out = tmp_path / "o"
+    assert main(argv + ["--out", str(out)]) == 0
+    files = sorted(out.glob("*.json"))
+    assert "manifest.json" in [f.name for f in files] and len(files) == 2
+    for path in files:
+        text = path.read_text()
+        assert text == json.dumps(json.loads(text), sort_keys=True, indent=2,
+                                  allow_nan=False) + "\n", path.name
+
+
+def test_region_e3_matches_benchmark_reference(tmp_path):
+    """The benchmark's region-e3 workload reproduces its stored region.json
+    and frontier.csv byte for byte."""
+    reference = Path(__file__).parents[1] / "perfbench" / "reference" / "region-e3" / "any"
+    dist = tmp_path / "e3.dist"
+    write_distribution(broadcast_source("X3", 0.25, 0.25), str(dist))
+    out = tmp_path / "r"
+    rc = main(["region", "--direction", "forward", "--bound", "inner",
+               "--cards", "S=3,T=3,U=2,V=2", "--grid-q", "1",
+               "--dist", str(dist), "--out", str(out)])
+    assert rc == 0
+    with gzip.open(reference / "region.json.gz", "rb") as fh:
+        assert (out / "region.json").read_bytes() == fh.read()
+    assert (out / "frontier.csv").read_bytes() == (reference / "frontier.csv").read_bytes()

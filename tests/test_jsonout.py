@@ -1,0 +1,183 @@
+"""The CLI's JSON writer against `json.dumps`, the oracle.
+
+`cli._json_text` renders each shared list, tuple or dict once and reuses its
+text.  Its output must equal `json.dumps(obj, sort_keys=True, indent=2,
+allow_nan=False) + "\\n"` byte for byte, and it must raise the same exception
+type wherever `json.dumps` raises.
+"""
+
+import enum
+import gc
+import json
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import skregion.cli as cli
+from skregion.cli import _json_text
+
+
+def _oracle(obj):
+    return json.dumps(obj, sort_keys=True, indent=2, allow_nan=False) + "\n"
+
+
+def _outcome(write, obj):
+    """(text, None) on success, (None, exception type) on failure."""
+    try:
+        return write(obj), None
+    except (TypeError, ValueError) as exc:
+        return None, type(exc)
+
+
+def _assert_matches_oracle(obj):
+    expected = _outcome(_oracle, obj)
+    assert _outcome(_json_text, obj) == expected
+    return expected
+
+
+FLOATS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([0.0, -0.0, 1e-320, 5e-324, 1e300, 0.1]),
+)
+NON_FINITE = st.sampled_from([math.nan, math.inf, -math.inf])
+LEAVES = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.integers(min_value=-(2**200), max_value=2**200),
+    FLOATS,
+    st.text(),  # non-ASCII, surrogates and control characters included
+    st.text(alphabet=st.characters(max_codepoint=0x1f)),
+)
+# each key strategy with the most distinct keys it can give a dict
+KEY_KINDS = (
+    (st.text(max_size=4), 4),
+    (st.integers(-3, 3), 4),
+    (FLOATS, 4),
+    (st.booleans(), 2),
+    (st.none(), 1),
+)
+
+
+def _containers(children, min_size=0):
+    items = st.lists(children, min_size=min_size, max_size=4)
+    same_kind_dicts = [st.dictionaries(keys, children, min_size=min_size, max_size=size)
+                       for keys, size in KEY_KINDS]
+    mixed_keys = st.one_of(*(keys for keys, _ in KEY_KINDS), NON_FINITE)
+    mixed_dicts = st.dictionaries(mixed_keys, children, min_size=min_size, max_size=3)
+    return st.one_of(items, items.map(tuple), *same_kind_dicts, mixed_dicts)
+
+
+@st.composite
+def documents(draw):
+    """A list of random containers whose leaves all come from a small pool
+    of drawn non-empty containers.
+
+    A pool container drawn more than once appears as the same object in
+    several places and at several depths, which exercises the memo.  One
+    document in four may hold non-finite floats, so most are valid.
+    """
+    scalars = draw(st.sampled_from([LEAVES, LEAVES, LEAVES, LEAVES | NON_FINITE]))
+    trees = st.recursive(scalars, _containers, max_leaves=10)
+    pool = draw(st.lists(_containers(trees, min_size=1), min_size=1, max_size=3))
+    shared = st.integers(0, len(pool) - 1).map(lambda i: pool[i])
+    skeleton = st.recursive(shared, _containers, max_leaves=6)
+    return draw(st.lists(skeleton, min_size=2, max_size=4))
+
+
+@settings(max_examples=200, deadline=None)
+@given(documents())
+def test_writer_matches_json_dumps(doc):
+    _assert_matches_oracle(doc)
+
+
+def test_shared_subtree_at_several_depths():
+    shared = {"from": ["X1"], "matrix": [[0.5, 0.5], [1.0, 0.0]], "to": [["S", 2]]}
+    doc = {"a": [shared, shared], "b": {"c": [[shared]], "d": shared}, "e": shared}
+    text, error = _assert_matches_oracle(doc)
+    assert error is None and text.count('"matrix"') == 5
+
+
+def test_shared_subtree_rendered_once_per_level(monkeypatch):
+    strings = []
+    encode = cli.encode_basestring_ascii
+    monkeypatch.setattr(cli, "encode_basestring_ascii",
+                        lambda s: strings.append(s) or encode(s))
+    shared = {"from": ["X1"], "to": [["S", 2]]}
+    doc = [[shared] * 100, [[shared]] * 100]  # at indent levels 2 and 3
+    assert _json_text(doc) == _oracle(doc)
+    assert strings == ["from", "X1", "to", "S"] * 2
+
+
+class _Level(enum.IntEnum):
+    HIGH = 7
+
+
+class _LoudInt(int):
+    def __repr__(self):
+        return "loud"
+
+
+class _LoudStr(str):
+    pass
+
+
+@pytest.mark.parametrize("obj", [
+    {"values": [1, 2.5, -0.0, 10**30, True, None, "é\n \x00"]},
+    [_Level.HIGH, _LoudInt(3), {_LoudInt(4): _LoudStr("x")}],
+    [np.float64(0.1), np.float64(-2.5)],
+    {1: "int", 2.5: "float", False: "bool"},
+    {None: 0},
+    ([], {}, (), [[]], {"e": {}}),
+    "top-level string",
+    3.0,
+])
+def test_writer_valid_cases(obj):
+    text, error = _assert_matches_oracle(obj)
+    assert error is None
+
+
+def _self_containing_list():
+    lst = [1]
+    lst.append([lst])
+    return lst
+
+
+def _self_containing_dict():
+    d = {}
+    d["me"] = {"again": d}
+    return d
+
+
+@pytest.mark.parametrize("obj,error", [
+    ([np.int64(1)], TypeError),
+    ({"flag": np.bool_(True)}, TypeError),
+    ({1, 2}, TypeError),
+    ([{"a": {1, 2}}], TypeError),
+    ({1: 0, "a": 0}, TypeError),
+    ({None: 0, 1: 0}, TypeError),
+    ({(1, 2): 0}, TypeError),
+    ([math.nan], ValueError),
+    ({"x": [1.0, -math.inf]}, ValueError),
+    ({math.inf: 0}, ValueError),
+    (_self_containing_list(), ValueError),
+    (_self_containing_dict(), ValueError),
+])
+def test_writer_rejects_like_json_dumps(obj, error):
+    assert _assert_matches_oracle(obj) == (None, error)
+
+
+def test_writer_leaves_no_reference_cycle():
+    """One call creates no garbage that only the cyclic collector frees:
+    the memo of rendered text must go when the call returns."""
+    shared = {"from": ["X1"], "matrix": [[0.25, 0.75]], "to": [["S", 2]]}
+    doc = {"points": [{"channels": [shared, shared], "i": i} for i in range(50)]}
+    gc.collect()
+    gc.disable()
+    try:
+        _json_text(doc)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from skregion.pmf import BudgetExceededError, Channel, VariableId
 from skregion.region import (
@@ -363,6 +364,38 @@ def test_pareto_monotone_and_maximal():
                 assert not (u >= x and v >= y and (u > x or v > y))
     assert (1.0, 5.0) in front
     assert (3.0, 3.0) in front
+
+
+_RATES = st.one_of(st.floats(0.0, 3.0), st.sampled_from([0.0, 0.5, 1.0, 2.0]))
+_CSETS = st.lists(st.builds(RateConstraintSet, _RATES, _RATES, st.one_of(_RATES, st.just(INF))),
+                  max_size=6)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_CSETS)
+def test_pareto_frontier_properties(sets):
+    """Vertices are sorted and achievable, and no point of the union on the
+    candidate grid (every corner abscissa of every set, the cross terms
+    sum_max - r2_max of any two sets, and the vertices) dominates one."""
+    front = pareto_frontier(sets)
+    xs = [x for x, _ in front]
+    ys = [y for _, y in front]
+    assert all(a < b for a, b in zip(xs, xs[1:]))
+    assert all(a >= b for a, b in zip(ys, ys[1:]))
+    if not sets:
+        assert front == [(0.0, 0.0)]
+        return
+    for x, y in front:
+        assert any(c.contains(x, y, 1e-12) for c in sets), (x, y)
+    grid = {0.0, *xs}
+    for c in sets:
+        grid.add(c.max_r1)
+        grid.update(o.sum_max - c.r2_max for o in sets if o.sum_max < INF)
+    union = [(g, max(c.r2_at(g) for c in sets)) for g in grid if g >= 0.0]
+    for x, y in front:
+        for u, v in union:
+            assert not (u >= x and v >= y and (u > x + 1e-12 or v > y + 1e-12)), \
+                ((x, y), (u, v))
 
 
 def test_hull_is_concave_majorant():
