@@ -560,8 +560,8 @@ def _user_vars(user: int) -> tuple:
 class _ForwardEncoder:
     """User 1's or 2's forward encoder.
 
-    `cover_ok[i, a]` says whether cover codeword a is jointly typical with
-    codebook sequence i.
+    `covers[i]` lists, in increasing order, the cover codewords a that are
+    jointly typical with codebook sequence i; `labels[i]` is its (k, k', k'').
     """
 
     def __init__(self, user: int, codebook: Codebook, full: JointPmf,
@@ -573,8 +573,12 @@ class _ForwardEncoder:
         self.sequences = SequenceBits(codebook.sequences, self.test.cards[self.var])
         cover = codebook.cover_var
         cover_test = JointTypicalityTest(full.marginalize({self.var, cover}), params)
-        self.cover_ok = cover_test.pair_mask(self.var, self.sequences, cover,
-                                             codebook.u_codebook, {})
+        cover_ok = cover_test.pair_mask(self.var, self.sequences, cover,
+                                        codebook.u_codebook, {})
+        seq_of, cover_of = np.nonzero(cover_ok)
+        ends = np.cumsum(np.bincount(seq_of, minlength=codebook.size))
+        self.covers = np.split(cover_of, ends[:-1])
+        self.labels = codebook.triples.tolist()
 
     def __call__(self, block: np.ndarray, rng: np.random.Generator) -> EncodingResult:
         block = np.asarray(block, dtype=np.int8)
@@ -585,12 +589,12 @@ class _ForwardEncoder:
             raise EncoderNoSequence(
                 f"no {self.var} codeword jointly typical with the {self.src} block")
         idx = _uniform_pick(rng, cands)
-        cover_cands = np.flatnonzero(self.cover_ok[idx])
+        cover_cands = self.covers[idx]
         if len(cover_cands) == 0:
             raise EncoderNoCover(
                 f"no {self.codebook.cover_var} codeword covers the selected {self.var} sequence")
         a = _uniform_pick(rng, cover_cands)
-        k, kp, kpp = self.codebook.triple_of(idx)
+        k, kp, kpp = self.labels[idx]
         return EncodingResult(k, kp, kpp, a, idx)
 
 

@@ -347,6 +347,18 @@ def is_markov_chain(pmf: JointPmf, a, b, c, tol: float = 1e-9) -> bool:
     return cond_mutual_information(pmf, a, c, b) <= tol
 
 
+def _check_extension_budget(cards, n: int, budget: int | None = None) -> None:
+    """Refuse an n-fold extension of a table with axis sizes `cards` over the budget."""
+    size = 1
+    for c in cards:
+        size *= c ** n
+        if size > entry_budget(budget):
+            raise BudgetExceededError(
+                f"iid extension would need {math.prod(c ** n for c in cards)} entries, "
+                f"budget is {entry_budget(budget)}"
+            )
+
+
 def iid_extension(pmf: JointPmf, n: int, *, budget: int | None = None) -> JointPmf:
     """n-fold i.i.d. product distribution, one sequence variable per original.
 
@@ -359,14 +371,7 @@ def iid_extension(pmf: JointPmf, n: int, *, budget: int | None = None) -> JointP
     if n == 1:
         return pmf
     cards = [v.cardinality for v in pmf.variables]
-    size = 1
-    for c in cards:
-        size *= c ** n
-        if size > entry_budget(budget):
-            raise BudgetExceededError(
-                f"iid extension would need {math.prod(c ** n for c in cards)} entries, "
-                f"budget is {entry_budget(budget)}"
-            )
+    _check_extension_budget(cards, n, budget)
     k = len(cards)
     full = pmf.table
     for _ in range(n - 1):

@@ -50,6 +50,7 @@ from .pmf import (
     JointPmf,
     PmfError,
     VariableId,
+    _check_extension_budget,
     entry_budget,
     iid_extension,
 )
@@ -547,11 +548,11 @@ def _encoder_outcomes_forward(inst: _Instance, user: int) -> tuple:
             else:
                 w_seq = 1.0 / len(cands)
                 for idx in cands:
-                    covers = np.flatnonzero(enc.cover_ok[idx])
+                    covers = enc.covers[idx]
                     if len(covers) == 0:
                         fail[code] += w_seq
                         continue
-                    k, kp, _ = cb.triple_of(int(idx))
+                    k, kp, _ = enc.labels[idx]
                     wa = w_seq / len(covers)
                     for a in covers:
                         out[(k, kp, int(a))] += wa
@@ -596,14 +597,49 @@ def _outcomes(inst: _Instance, user: int) -> tuple:
     return inst.cached(("outcomes", user), _encoder_outcomes_forward, inst, user)
 
 
-def _pair_block_table(base: JointPmf, first: str, second: str, n: int, budget) -> np.ndarray:
-    """p(first-block, second-block) as a (c1^n, c2^n) array."""
+#: Most entries of a block-pair law that one chunk of its rows holds in
+#: exact mode (a chunk holds at least one row).  Results do not depend on it.
+_CHUNK_ROW_ENTRIES = 1 << 19
+
+
+def _extend_rows(rows: np.ndarray, pair: np.ndarray) -> np.ndarray:
+    """Append one position: entry (r*c1 + x, s*c2 + y) is rows[r, s] * pair[x, y]."""
+    (r, s), (c1, c2) = rows.shape, pair.shape
+    out = np.empty((r, c1, s, c2))
+    # one scalar product per cell of `pair`: long inner loops, unlike a broadcast
+    for x in range(c1):
+        for y in range(c2):
+            np.multiply(rows, pair[x, y], out=out[:, x, :, y])
+    return out.reshape(r * c1, s * c2)
+
+
+def _pair_block_rows(base: JointPmf, first: str, second: str, n: int, budget):
+    """The rows of p(first-block, second-block), a chunk at a time.
+
+    Yields (first row, rows) with rows a (m, c2^n) slice of the (c1^n, c2^n)
+    law, in row order.  Every entry is the left-to-right product over the
+    positions that `iid_extension` forms, so the rows equal its table bit for
+    bit; the table is refused above the same budget.
+    """
     pair = base.marginalize({first, second})
-    ext = iid_extension(pair, n, budget=budget)
-    table = ext.table
-    if ext.names != (first, second):
-        table = table.T
-    return table
+    table = pair.table if pair.names == (first, second) else pair.table.T
+    c1, c2 = table.shape
+    if n > 1:  # as in `iid_extension`, which returns the n = 1 law unchecked
+        _check_extension_budget((c1, c2), n, budget)
+    # each chunk is one prefix of the first `head` positions, extended by the rest
+    max_rows = max(1, _CHUNK_ROW_ENTRIES // c2 ** n)
+    tail = 0
+    while tail < n and c1 ** (tail + 1) <= max_rows:
+        tail += 1
+    head = n - tail
+    for prefix in range(c1 ** head):
+        rows = np.ones((1, 1))
+        for pos in range(head):
+            x = prefix // c1 ** (head - 1 - pos) % c1
+            rows = _extend_rows(rows, table[x:x + 1])
+        for _ in range(tail):
+            rows = _extend_rows(rows, table)
+        yield prefix * c1 ** tail, rows
 
 
 @dataclass
@@ -639,15 +675,15 @@ def _view_joint_forward(inst: "_Instance", user: int, outcomes, fail) -> np.ndar
     cap = entry_budget(cfg.budget)
     if size > cap:
         raise BudgetExceededError(f"exact view table needs {size} entries, budget {cap}")
-    pair = _pair_block_table(cfg.base, src, other, n, cfg.budget)
-    joint = np.zeros((cb.n_key, n_other, cb.n_col, n_cover))
-    for code, outs in enumerate(outcomes):
-        row = pair[code]
-        for (k, kp, a), w in outs:
-            joint[k, :, kp, a] += w * row
-        if fail[code] > 0.0:
-            joint[:, :, 0, 0] += (fail[code] / cb.n_key) * row
-    return joint
+    # cell-major (key, column, cover, block): each update adds one contiguous row
+    joint = np.zeros((cb.n_key, cb.n_col, n_cover, n_other))
+    for start, rows in _pair_block_rows(cfg.base, src, other, n, cfg.budget):
+        for code, row in enumerate(rows, start):
+            for (k, kp, a), w in outcomes[code]:
+                joint[k, kp, a] += w * row
+            if fail[code] > 0.0:
+                joint[:, 0, 0] += (fail[code] / cb.n_key) * row
+    return np.ascontiguousarray(joint.transpose(0, 3, 1, 2))
 
 
 def exact_view_joint(config: SimConfig, seed: int, user: int) -> np.ndarray:
@@ -683,9 +719,10 @@ def _exact_errors_forward(inst: _Instance) -> tuple:
 
     Supported when user 2's auxiliary chain is degenerate (constant T and V
     alphabets), so the joint decoder depends on (k', a, x3) only.  err_K
-    needs the (X1, X3) block pair table; err_L additionally couples to
-    user 2's typical-set misses and needs the full block triple when those
-    occur, all budget-gated.  Unsupported shapes yield (None, None).
+    reads the rows of the (X1, X3) block-pair law; err_L additionally couples
+    to user 2's typical-set misses and needs the dense pair law, or the full
+    block triple when those misses occur, all budget-gated.  Unsupported
+    shapes yield (None, None).
     """
     cfg = inst.config
     full = inst.full
@@ -700,7 +737,6 @@ def _exact_errors_forward(inst: _Instance) -> tuple:
     outcomes1, fail1 = _outcomes(inst, 1)
     _, fail2 = _outcomes(inst, 2)
     x3_blocks = SequenceBits(_all_sequences(cards[2], n, cfg.budget), cards[2])
-    pair13 = _pair_block_table(cfg.base, "X1", "X3", n, cfg.budget)
     decoder = inst.coders()[2]
     const_t = inst.cb2.sequences[0]
     const_v = inst.cb2.u_codebook[0]
@@ -721,22 +757,36 @@ def _exact_errors_forward(inst: _Instance) -> tuple:
             decode_cache[(kp, a)] = result
         return decode_cache[(kp, a)]
 
-    err_k = float(pair13.sum(axis=1) @ fail1)
-    dec_fail = np.zeros((len(outcomes1), len(x3_blocks)))
-    for code, outs in enumerate(outcomes1):
-        row = pair13[code]
-        for (k, kp, a), w in outs:
-            decoded = decode_row(kp, a)
-            err_k += w * float(row[decoded != k].sum())
-            dec_fail[code] += w * (decoded == -1)
-        if fail1[code] > 0.0:
-            dec_fail[code] += fail1[code] * (decode_row(0, 0) == -1)
+    # err_L needs user 1's decode failures per (x1, x3) block pair, and the dense
+    # (X1, X3) law too when user 2's encoder never fails
+    no_fail2 = fail2.max() == 0.0
+    with_l = no_fail2 or int(np.prod(cards)) ** n <= entry_budget(cfg.budget)
+    shape = (len(outcomes1), len(x3_blocks))
+    dec_fail = np.zeros(shape) if with_l else None
+    pair13 = np.empty(shape) if no_fail2 else None
+    row_mass = np.empty(shape[0])
+    terms = []  # added to err_k in block order, after the encoder-failure mass
+    for start, rows in _pair_block_rows(cfg.base, "X1", "X3", n, cfg.budget):
+        row_mass[start:start + len(rows)] = rows.sum(axis=1)
+        if no_fail2:
+            pair13[start:start + len(rows)] = rows
+        for code, row in enumerate(rows, start):
+            for (k, kp, a), w in outcomes1[code]:
+                decoded = decode_row(kp, a)
+                terms.append(w * float(row[decoded != k].sum()))
+                if with_l:
+                    dec_fail[code] += w * (decoded == -1)
+            if with_l and fail1[code] > 0.0:
+                dec_fail[code] += fail1[code] * (decode_row(0, 0) == -1)
+    err_k = float(row_mass @ fail1)
+    for term in terms:
+        err_k += term
 
     # user 2's key: its encoder failures, plus any decode failure
     err_l = None
-    if fail2.max() == 0.0:
+    if no_fail2:
         err_l = float((pair13 * dec_fail).sum())
-    elif int(np.prod(cards)) ** n <= entry_budget(cfg.budget):
+    elif with_l:
         triple = iid_extension(cfg.base, n, budget=cfg.budget).table
         err_l = float(np.einsum("abc,b->", triple, fail2))
         weight13 = np.einsum("abc,b->ac", triple, 1.0 - fail2)
@@ -757,15 +807,16 @@ def _exact_side_backward(inst: _Instance, user: int) -> ExactSide:
     cap = entry_budget(cfg.budget)
     if size > cap:
         raise BudgetExceededError(f"exact view table needs {size} entries, budget {cap}")
-    pair = _pair_block_table(cfg.base, "X3", obs, n, cfg.budget)
-    joint = np.zeros((cb.n_key, n_obs, inst.cb1.n_col, inst.cb2.n_col, n_cover))
-    for code, outs in enumerate(outcomes):
-        row = pair[code]
-        for (k, kp, l, lp, a), w in outs:
-            key = k if user == 1 else l
-            joint[key, :, kp, lp, a] += w * row
-        if fail[code] > 0.0:
-            joint[:, :, 0, 0, 0] += (fail[code] / cb.n_key) * row
+    # cell-major (key, column, column, cover, block), as in `_view_joint_forward`
+    joint = np.zeros((cb.n_key, inst.cb1.n_col, inst.cb2.n_col, n_cover, n_obs))
+    for start, rows in _pair_block_rows(cfg.base, "X3", obs, n, cfg.budget):
+        for code, row in enumerate(rows, start):
+            for (k, kp, l, lp, a), w in outcomes[code]:
+                key = k if user == 1 else l
+                joint[key, kp, lp, a] += w * row
+            if fail[code] > 0.0:
+                joint[:, 0, 0, 0] += (fail[code] / cb.n_key) * row
+    joint = np.ascontiguousarray(joint.transpose(0, 4, 1, 2, 3))
     leak = _mi_first_axis(joint) / n
     pk = joint.sum(axis=tuple(range(1, joint.ndim)))
     h_key = _h(pk)
@@ -791,7 +842,6 @@ def _exact_err_backward(inst: _Instance, user: int) -> float | None:
         return None
     outcomes, fail = _outcomes(inst, 3)
     blocks = SequenceBits(_all_sequences(src_card, n, cfg.budget), src_card)
-    pair = _pair_block_table(cfg.base, "X3", src, n, cfg.budget)
     decode_cache = {}
 
     def decode_row(col: int, a: int) -> np.ndarray:
@@ -809,13 +859,18 @@ def _exact_err_backward(inst: _Instance, user: int) -> float | None:
             decode_cache[(col, a)] = result
         return decode_cache[(col, a)]
 
-    err = float(pair.sum(axis=1) @ fail)
-    for code, outs in enumerate(outcomes):
-        row = pair[code]
-        for (k, kp, l, lp, a), w in outs:
-            key, col = (k, kp) if user == 1 else (l, lp)
-            decoded = decode_row(col, a)
-            err += w * float(row[decoded != key].sum())
+    row_mass = np.empty(len(outcomes))
+    terms = []  # added to err in block order, after the encoder-failure mass
+    for start, rows in _pair_block_rows(cfg.base, "X3", src, n, cfg.budget):
+        row_mass[start:start + len(rows)] = rows.sum(axis=1)
+        for code, row in enumerate(rows, start):
+            for (k, kp, l, lp, a), w in outcomes[code]:
+                key, col = (k, kp) if user == 1 else (l, lp)
+                decoded = decode_row(col, a)
+                terms.append(w * float(row[decoded != key].sum()))
+    err = float(row_mass @ fail)
+    for term in terms:
+        err += term
     return err
 
 

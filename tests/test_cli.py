@@ -425,3 +425,19 @@ def test_region_e3_matches_benchmark_reference(tmp_path):
     with gzip.open(reference / "region.json.gz", "rb") as fh:
         assert (out / "region.json").read_bytes() == fh.read()
     assert (out / "frontier.csv").read_bytes() == (reference / "frontier.csv").read_bytes()
+
+
+def test_simulate_exact_matches_benchmark_reference(tmp_path):
+    """The benchmark's simulate-exact workload (benchmark seed 0 = codebook
+    seed 1) reproduces its stored report.json byte for byte, down to the
+    `-0.0` of a zero key entropy."""
+    reference = (Path(__file__).parents[1] / "perfbench" / "reference" / "simulate-exact"
+                 / "seed-0" / "report.json")
+    dist = tmp_path / "b0.dist"
+    write_distribution(broadcast_source("X3", 0.0, 0.25), str(dist))
+    out = tmp_path / "s"
+    rc = main(["simulate", "--direction", "forward", "--rate1", "0.405639",
+               "--eps-enc", "0.75", "--trials", "1000", "--n", "11", "--mode", "exact",
+               "--dist", str(dist), "--out", str(out), "--seeds", "1"])
+    assert rc == 0
+    assert (out / "report.json").read_bytes() == reference.read_bytes()

@@ -1,4 +1,5 @@
-"""Exact mode: block chunking, outcome reuse and byte identity of reports.
+"""Exact mode: block chunking, outcome reuse, streamed block-pair rows,
+memory and byte identity of reports.
 
 `tests/data/exact_regression.json` holds `to_json_dict()` of the reports
 below as produced by the per-block bincount masks that preceded the bitset
@@ -7,13 +8,17 @@ weak tap, where err_L is computable) are not run by the benchmark.
 """
 
 import json
+import math
+import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import skregion.sim as sim
-from skregion.pmf import Channel
+from skregion.pmf import Channel, JointPmf, VariableId, iid_extension
 from skregion.sim import (
     EpsParams,
     SimConfig,
@@ -21,6 +26,8 @@ from skregion.sim import (
     broadcast_backward_preset,
     broadcast_forward_preset,
     exact_report,
+    exact_view_joint,
+    identity_preset,
     run_trials,
 )
 from skregion.sources import broadcast_source
@@ -89,3 +96,90 @@ def _report(name):
 def test_report_byte_identical_to_recorded(name):
     got = json.dumps(_report(name).to_json_dict(), sort_keys=True)
     assert got == json.dumps(REGRESSION[name], sort_keys=True)
+
+
+@st.composite
+def pair_laws(draw):
+    """A random 2-variable joint with cardinalities 1-3 and some zero cells."""
+    cards = draw(st.lists(st.integers(1, 3), min_size=2, max_size=2))
+    size = math.prod(cards)
+    cell = st.one_of(st.just(0.0), st.floats(1e-3, 1.0))
+    weights = draw(st.lists(cell, min_size=size, max_size=size))
+    weights[draw(st.integers(0, size - 1))] += 1.0  # at least one nonzero cell
+    table = np.array(weights).reshape(cards)
+    return JointPmf((VariableId("A", cards[0]), VariableId("B", cards[1])), table / table.sum())
+
+
+@settings(max_examples=80, deadline=None)
+@given(pair=pair_laws(), n=st.integers(1, 7), entries=st.integers(1, 5000),
+       swap=st.booleans())
+@example(pair=JointPmf((VariableId("A", 3), VariableId("B", 2)),
+                       np.array([[0.1, 0.0], [0.25, 0.15], [0.2, 0.3]])),
+         n=5, entries=1, swap=False)
+def test_pair_block_rows_match_iid_extension(pair, n, entries, swap):
+    first, second = ("B", "A") if swap else ("A", "B")
+    expected = iid_extension(pair, n).table
+    if swap:
+        expected = expected.T
+    with mock.patch.object(sim, "_CHUNK_ROW_ENTRIES", entries):
+        chunks = list(sim._pair_block_rows(pair, first, second, n, None))
+    # contiguous, in order, and no chunk above the entry cap unless it is one row
+    starts = [start for start, _ in chunks]
+    assert starts == list(np.cumsum([0] + [len(rows) for _, rows in chunks[:-1]]))
+    assert all(len(rows) == 1 or rows.size <= entries for _, rows in chunks)
+    got = np.concatenate([rows for _, rows in chunks])
+    assert got.shape == expected.shape
+    assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
+
+
+def test_pair_block_rows_row_sums_independent_of_chunks():
+    # row-wise reductions over a chunk equal those over the whole table
+    base = broadcast_source("X3", 0.25, 0.1)
+    pair = base.marginalize({"X1", "X3"})
+    whole = iid_extension(pair, 9).table.sum(axis=1)
+    for entries in (1, 3 * 512, 1 << 19):
+        with mock.patch.object(sim, "_CHUNK_ROW_ENTRIES", entries):
+            sums = np.concatenate([rows.sum(axis=1) for _, rows in
+                                   sim._pair_block_rows(base, "X1", "X3", 9, None)])
+        assert np.array_equal(sums.view(np.uint64), whole.view(np.uint64))
+
+
+@pytest.mark.parametrize("config", [
+    broadcast_forward_preset(6, seeds=(1,), mode="exact"),
+    _two_key_config(6),
+    broadcast_backward_preset(6, seeds=(1,), mode="exact"),
+    identity_preset(6, seeds=(1,), mode="exact"),
+], ids=["forward-one-key", "forward-two-key", "backward", "identity"])
+def test_exact_report_independent_of_row_chunks(monkeypatch, config):
+    def run():
+        report = json.dumps(exact_report(config).to_json_dict(), sort_keys=True)
+        if config.direction == "backward":
+            return report, []
+        return report, [exact_view_joint(config, 1, user).tobytes() for user in (1, 2)]
+
+    reference = run()
+    # one row per chunk, and 3 or 5 rows, which do not divide the 64 rows
+    for entries in (1, 3 * 64, 5 * 64):
+        monkeypatch.setattr(sim, "_CHUNK_ROW_ENTRIES", entries)
+        assert run() == reference
+
+
+def test_exact_view_joint_is_c_ordered():
+    config = _two_key_config(5)
+    joint = exact_view_joint(config, 1, 1)
+    assert joint.flags.c_contiguous
+    inst = _Instance(config, 1)
+    cb = inst.cb1
+    assert joint.shape == (cb.n_key, 2 ** 5, cb.n_col, len(cb.u_codebook))
+
+
+def test_forward_exact_report_holds_no_dense_block_pair_table():
+    # at n = 11 a (X1, X2) block-pair table alone is 4^11 float64 = 32 MiB
+    config = broadcast_forward_preset(11, seeds=(1,), mode="exact")
+    tracemalloc.start()
+    try:
+        exact_report(config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**20
