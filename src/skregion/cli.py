@@ -11,12 +11,11 @@ verify     diagnose source chains, evaluate the applicable closed-form case
 lemmas     fuzz the chain-split inequality on random joints
 
 Every output directory receives a manifest.json describing the run; outputs
-are deterministic functions of the manifest (worker threads, output paths
-and wall-clock never influence file contents).  Files are written to a
-temporary name and atomically renamed, so failed runs leave no partial
-files.  The SKREGION_BUDGET environment variable overrides the dense-table
-entry budget.  `--threads` only sets how many threads `simulate --mode mc`
-schedules its trials on; `region` accepts it and ignores it.
+are deterministic functions of the manifest (output paths and wall-clock
+never influence file contents).  Files are written to a temporary name and
+atomically renamed, so failed runs leave no partial files.  The
+SKREGION_BUDGET environment variable overrides the dense-table entry budget.
+`region` and `simulate` both accept `--threads` and ignore it.
 
 Exit codes: 0 ok, 2 malformed input (distribution file, flag or
 SKREGION_BUDGET), 3 budget exceeded, 4 infeasible rates, 5 claimed
@@ -63,7 +62,14 @@ from .region import (
     forward_inner_point,
     pareto_frontier,
 )
-from .sim import EpsParams, SimConfig, exact_report, run_trials
+from .sim import (
+    EpsParams,
+    SimConfig,
+    _backward_channels,
+    _forward_channels,
+    exact_report,
+    run_trials,
+)
 from .sources import triple_from_table
 
 EXIT_OK = 0
@@ -405,29 +411,12 @@ def _default_channels(base: JointPmf, direction: str, rate2: float):
 
     A user with no key target (rate 0) gets a constant channel, which keeps
     its side of the protocol degenerate and the exact error enumeration
-    cheap; a keying user gets the identity channel on its source.
+    cheap; a keying user gets the identity channel on its source.  The
+    backward layout keys user 1 only.
     """
-    c1 = base.variable("X1").cardinality
-    c2 = base.variable("X2").cardinality
-    c3 = base.variable("X3").cardinality
     if direction == "forward":
-        ch_s = Channel.identity("X1", c1, "S")
-        if rate2 > 0.0:
-            ch_t = Channel.identity("X2", c2, "T")
-            card_t = c2
-        else:
-            ch_t = Channel.constant("T", "X2", c2)
-            card_t = 1
-        return (
-            ch_s,
-            ch_t,
-            Channel.constant("U", "S", c1),
-            Channel.constant("V", "T", card_t),
-        )
-    eye = np.eye(c3).reshape(c3, c3, 1)
-    ch_st = Channel(("X3",), (VariableId("S", c3), VariableId("T", 1)), eye)
-    ch_u = Channel(("S", "T"), (VariableId("U", 1),), np.ones((c3, 1, 1)))
-    return (ch_st, ch_u)
+        return _forward_channels(base, t_identity=rate2 > 0.0)
+    return _backward_channels(base)
 
 
 def cmd_simulate(args) -> int:
@@ -457,7 +446,7 @@ def cmd_simulate(args) -> int:
     if args.mode == "exact":
         report = exact_report(config)
     else:
-        report = run_trials(config, workers=args.threads or 1)
+        report = run_trials(config)
     os.makedirs(args.out, exist_ok=True)
     _write_manifest(args.out, "simulate", {
         "dist": os.path.basename(args.dist), "direction": args.direction,
@@ -663,8 +652,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=("mc", "exact"), default="mc")
     p.add_argument("--eps-enc", type=float, default=None)
     p.add_argument("--eps-dec", type=float, default=None)
-    p.add_argument("--threads", type=int, default=0,
-                   help="threads for --mode mc trials (0 = 1); ignored by --mode exact")
+    p.add_argument("--threads", type=int, default=0, help="accepted and ignored")
     p.add_argument("--out", default=".")
     p.set_defaults(func=cmd_simulate)
 

@@ -19,10 +19,12 @@ everything else and is omitted (adding an independent view variable changes
 mutual information by < 1e-12, which the tests assert).
 """
 
+import math
 import time
 import zlib
 from collections import Counter, defaultdict
-from concurrent.futures import ThreadPoolExecutor
+# unused here; perfbench/tracer.py patches it and fails a traced run without it
+from concurrent.futures import ThreadPoolExecutor  # noqa: F401
 from dataclasses import dataclass
 
 import numpy as np
@@ -251,15 +253,27 @@ class _Tally:
         self.k_counts = Counter()
         self.l_counts = Counter()
 
-    def merge(self, other: "_Tally") -> None:
-        self.trials += other.trials
-        self.err_k += other.err_k
-        self.err_l += other.err_l
-        self.fails.update(other.fails)
-        self.k_view.update(other.k_view)
-        self.l_view.update(other.l_view)
-        self.k_counts.update(other.k_counts)
-        self.l_counts.update(other.l_counts)
+    def sides(self, inst: "_Instance") -> tuple:
+        """The plug-in estimates of both keys, as (user 1's side, user 2's side)."""
+        n = inst.config.n
+        out = []
+        for cb, err, view, counts in ((inst.cb1, self.err_k, self.k_view, self.k_counts),
+                                      (inst.cb2, self.err_l, self.l_view, self.l_counts)):
+            keyspace = np.log2(cb.n_key) / n
+            h = _entropy_counts(counts)
+            out.append(ExactSide(_plugin_mi(view) / n, max(0.0, keyspace - h / n), h / n,
+                                 keyspace, err / self.trials))
+        return tuple(out)
+
+
+#: The `failures` key suffix of each coder exception a trial counts; the key's
+#: prefix names the coder call (`enc1_`, `decode_`, `decode2_`, ...).
+_FAILURE_KINDS = {
+    EncoderNoSequence: "no_sequence",
+    EncoderNoCover: "no_cover",
+    DecodeNone: "none",
+    DecodeAmbiguous: "ambiguous",
+}
 
 
 class _Instance:
@@ -323,23 +337,15 @@ class _Instance:
         try:
             e1 = encode1(x1, rng)
             k, kp, a = e1.key, e1.col, e1.cover
-        except EncoderNoSequence:
-            tally.fails["enc1_no_sequence"] += 1
-            k, kp, a = int(rng.integers(self.cb1.n_key)), 0, 0
-            err_k = True
-        except EncoderNoCover:
-            tally.fails["enc1_no_cover"] += 1
+        except (EncoderNoSequence, EncoderNoCover) as exc:
+            tally.fails["enc1_" + _FAILURE_KINDS[type(exc)]] += 1
             k, kp, a = int(rng.integers(self.cb1.n_key)), 0, 0
             err_k = True
         try:
             e2 = encode2(x2, rng)
             l, lp, b = e2.key, e2.col, e2.cover
-        except EncoderNoSequence:
-            tally.fails["enc2_no_sequence"] += 1
-            l, lp, b = int(rng.integers(self.cb2.n_key)), 0, 0
-            err_l = True
-        except EncoderNoCover:
-            tally.fails["enc2_no_cover"] += 1
+        except (EncoderNoSequence, EncoderNoCover) as exc:
+            tally.fails["enc2_" + _FAILURE_KINDS[type(exc)]] += 1
             l, lp, b = int(rng.integers(self.cb2.n_key)), 0, 0
             err_l = True
 
@@ -352,11 +358,8 @@ class _Instance:
             k_hat, l_hat = decode(x3, (kp, a, lp, b))
             err_k = err_k or k_hat != k
             err_l = err_l or l_hat != l
-        except DecodeNone:
-            tally.fails["decode_none"] += 1
-            err_k = err_l = True
-        except DecodeAmbiguous:
-            tally.fails["decode_ambiguous"] += 1
+        except (DecodeNone, DecodeAmbiguous) as exc:
+            tally.fails["decode_" + _FAILURE_KINDS[type(exc)]] += 1
             err_k = err_l = True
         tally.err_k += err_k
         tally.err_l += err_l
@@ -368,13 +371,8 @@ class _Instance:
             es, et = encode(x3, rng)
             k, kp, a = es.key, es.col, es.cover
             l, lp = et.key, et.col
-        except EncoderNoSequence:
-            tally.fails["enc3_no_sequence"] += 1
-            k, kp, a = int(rng.integers(self.cb1.n_key)), 0, 0
-            l, lp = int(rng.integers(self.cb2.n_key)), 0
-            failed = True
-        except EncoderNoCover:
-            tally.fails["enc3_no_cover"] += 1
+        except (EncoderNoSequence, EncoderNoCover) as exc:
+            tally.fails["enc3_" + _FAILURE_KINDS[type(exc)]] += 1
             k, kp, a = int(rng.integers(self.cb1.n_key)), 0, 0
             l, lp = int(rng.integers(self.cb2.n_key)), 0
             failed = True
@@ -389,57 +387,22 @@ class _Instance:
             tally.err_l += 1
             return
         try:
-            k_hat = decode1(x1, kp, a)
-            if k_hat != k:
-                tally.err_k += 1
-        except DecodeNone:
-            tally.fails["decode1_none"] += 1
-            tally.err_k += 1
-        except DecodeAmbiguous:
-            tally.fails["decode1_ambiguous"] += 1
+            tally.err_k += decode1(x1, kp, a) != k
+        except (DecodeNone, DecodeAmbiguous) as exc:
+            tally.fails["decode1_" + _FAILURE_KINDS[type(exc)]] += 1
             tally.err_k += 1
         try:
-            l_hat = decode2(x2, lp, a)
-            if l_hat != l:
-                tally.err_l += 1
-        except DecodeNone:
-            tally.fails["decode2_none"] += 1
-            tally.err_l += 1
-        except DecodeAmbiguous:
-            tally.fails["decode2_ambiguous"] += 1
+            tally.err_l += decode2(x2, lp, a) != l
+        except (DecodeNone, DecodeAmbiguous) as exc:
+            tally.fails["decode2_" + _FAILURE_KINDS[type(exc)]] += 1
             tally.err_l += 1
 
 
-def _run_seed(config: SimConfig, seed: int, workers: int) -> _Tally:
-    inst = _Instance(config, seed)
-    inst.coders()  # built once, before any worker thread uses them
-
-    def run_chunk(bounds) -> _Tally:
-        lo, hi = bounds
-        local = _Tally()
-        for t in range(lo, hi):
-            rng = np.random.default_rng(np.random.SeedSequence([config.trial_seed, seed, t]))
-            inst.run_trial(rng, local)
-        return local
-
-    tally = _Tally()
-    if workers > 1 and config.trials > 1:
-        step = max(1, config.trials // (workers * 4))
-        chunks = [(lo, min(lo + step, config.trials)) for lo in range(0, config.trials, step)]
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            for part in pool.map(run_chunk, chunks):
-                tally.merge(part)
-    else:
-        tally.merge(run_chunk((0, config.trials)))
-    return tally
-
-
-def run_trials(config: SimConfig, workers: int = 1) -> SimReport:
+def run_trials(config: SimConfig) -> SimReport:
     """Monte Carlo protocol runs, averaged over the configured codebook seeds.
 
     Deterministic given the seed list: per-trial randomness is derived from
-    (trial_seed, codebook seed, trial index), and accumulation uses integer
-    counters, so results are identical for any worker count.
+    (trial_seed, codebook seed, trial index).
     """
     if config.mode != "mc":
         raise PmfError("run_trials requires mode='mc'")
@@ -447,53 +410,15 @@ def run_trials(config: SimConfig, workers: int = 1) -> SimReport:
     warnings = _margin_warnings(config)
     per_seed = []
     fails = Counter()
-    n = config.n
     for seed in config.codebook_seeds:
-        tally = _run_seed(config, seed, workers)
-        inst_keyspace_k = np.log2(_keyspace(config, seed, 1)) / n
-        inst_keyspace_l = np.log2(_keyspace(config, seed, 2)) / n
-        h_k = _entropy_counts(tally.k_counts)
-        h_l = _entropy_counts(tally.l_counts)
-        per_seed.append({
-            "seed": seed,
-            "err_K": tally.err_k / tally.trials,
-            "err_L": tally.err_l / tally.trials,
-            "leak_K": _plugin_mi(tally.k_view) / n,
-            "leak_L": _plugin_mi(tally.l_view) / n,
-            "uniformity_gap_K": max(0.0, inst_keyspace_k - h_k / n),
-            "uniformity_gap_L": max(0.0, inst_keyspace_l - h_l / n),
-            "h_key_K": h_k / n,
-            "h_key_L": h_l / n,
-            "keyspace_K": inst_keyspace_k,
-            "keyspace_L": inst_keyspace_l,
-        })
+        inst = _Instance(config, seed)
+        tally = _Tally()
+        for t in range(config.trials):
+            rng = np.random.default_rng(np.random.SeedSequence([config.trial_seed, seed, t]))
+            inst.run_trial(rng, tally)
+        per_seed.append(_seed_row(seed, *tally.sides(inst)))
         fails.update(tally.fails)
-
-    def avg(key):
-        return float(np.mean([row[key] for row in per_seed]))
-
-    return SimReport(
-        schema=1, mode="mc", direction=config.direction, n=n,
-        trials=config.trials, seeds=list(config.codebook_seeds),
-        rate1=config.rate1, rate2=config.rate2,
-        err_K=avg("err_K"), err_L=avg("err_L"),
-        leak_K=avg("leak_K"), leak_L=avg("leak_L"),
-        uniformity_gap_K=avg("uniformity_gap_K"),
-        uniformity_gap_L=avg("uniformity_gap_L"),
-        h_key_K=avg("h_key_K"), h_key_L=avg("h_key_L"),
-        keyspace_K=avg("keyspace_K"), keyspace_L=avg("keyspace_L"),
-        per_seed=per_seed, failures=dict(sorted(fails.items())),
-        warnings=warnings, wall_clock=time.perf_counter() - start,
-    )
-
-
-def _keyspace(config: SimConfig, seed: int, user: int) -> int:
-    full = config.aux.full
-    if config.direction == "forward":
-        b1, b2 = forward_binning(full, config.n, config.rate1, config.rate2)
-    else:
-        b1, b2 = backward_binning(full, config.n, config.rate1, config.rate2)
-    return (b1 if user == 1 else b2).n_key
+    return _report(config, per_seed, dict(sorted(fails.items())), warnings, start)
 
 
 def _margin_warnings(config: SimConfig) -> list:
@@ -508,6 +433,44 @@ def _margin_warnings(config: SimConfig) -> list:
             if slack < -1e-12:
                 out.append(f"{label}: reliability condition {cond} violated by {-slack:.6f} bits")
     return out
+
+
+def _seed_row(seed: int, k_side: "ExactSide", l_side: "ExactSide") -> dict:
+    """One `per_seed` entry of a report from both keys' quantities."""
+    row = {"seed": seed}
+    for suffix, side in (("K", k_side), ("L", l_side)):
+        row["err_" + suffix] = side.err
+        row["leak_" + suffix] = side.leak
+        row["uniformity_gap_" + suffix] = side.uniformity_gap
+        row["h_key_" + suffix] = side.h_key
+        row["keyspace_" + suffix] = side.keyspace
+    return row
+
+
+def _report(config: SimConfig, per_seed: list, failures: dict, warnings: list,
+            start: float) -> SimReport:
+    """The report of either mode: each quantity averaged over the seeds'
+    rows, or None if a row lacks it."""
+    def avg(key):
+        vals = [row[key] for row in per_seed]
+        if any(v is None for v in vals):
+            return None
+        return float(np.mean(vals))
+
+    return SimReport(
+        schema=1, mode=config.mode, direction=config.direction, n=config.n,
+        trials=config.trials if config.mode == "mc" else 0,
+        seeds=list(config.codebook_seeds),
+        rate1=config.rate1, rate2=config.rate2,
+        err_K=avg("err_K"), err_L=avg("err_L"),
+        leak_K=avg("leak_K"), leak_L=avg("leak_L"),
+        uniformity_gap_K=avg("uniformity_gap_K"),
+        uniformity_gap_L=avg("uniformity_gap_L"),
+        h_key_K=avg("h_key_K"), h_key_L=avg("h_key_L"),
+        keyspace_K=avg("keyspace_K"), keyspace_L=avg("keyspace_L"),
+        per_seed=per_seed, failures=failures,
+        warnings=warnings, wall_clock=time.perf_counter() - start,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -644,6 +607,9 @@ def _pair_block_rows(base: JointPmf, first: str, second: str, n: int, budget):
 
 @dataclass
 class ExactSide:
+    """One key's quantities for one codebook seed: exact in exact mode,
+    plug-in estimates in Monte Carlo mode."""
+
     leak: float
     uniformity_gap: float
     h_key: float
@@ -651,39 +617,44 @@ class ExactSide:
     err: float | None
 
 
-def _exact_side(inst: _Instance, user: int) -> ExactSide:
-    cfg = inst.config
-    if cfg.direction == "forward":
-        return _exact_side_forward(inst, user)
-    return _exact_side_backward(inst, user)
+def _view_joint(inst: _Instance, user: int) -> np.ndarray:
+    """Exact joint of (key, eavesdropper block, public indices) for `user`'s key.
 
-
-def _view_joint_forward(inst: "_Instance", user: int, outcomes, fail) -> np.ndarray:
-    """Exact joint of (key, eavesdropper block, column index, cover index).
-
-    Encoder-failure mass is spread uniformly over the key axis at the
-    fallback transcript (column 0, cover 0), matching the trial convention.
+    The public indices are (column, cover) in the forward strategy and
+    (column 1, column 2, cover) in the backward one.  Encoder-failure mass
+    is spread uniformly over the key axis at the fallback transcript (every
+    index 0), matching the trial convention.
     """
     cfg = inst.config
     n = cfg.n
     cb = inst.cb1 if user == 1 else inst.cb2
-    src = "X1" if user == 1 else "X2"
     other = "X2" if user == 1 else "X1"
-    n_other = inst.full.variable(other).cardinality ** n
     n_cover = len(cb.u_codebook)
-    size = cb.n_key * n_other * cb.n_col * n_cover
+    if cfg.direction == "forward":
+        src = "X1" if user == 1 else "X2"
+        cells, fail = _outcomes(inst, user)
+        public = (cb.n_col, n_cover)
+    else:
+        src = "X3"
+        outcomes, fail = _outcomes(inst, 3)
+        cells = [[((k if user == 1 else l, kp, lp, a), w) for (k, kp, l, lp, a), w in row]
+                 for row in outcomes]
+        public = (inst.cb1.n_col, inst.cb2.n_col, n_cover)
+    n_other = inst.full.variable(other).cardinality ** n
+    size = cb.n_key * n_other * math.prod(public)
     cap = entry_budget(cfg.budget)
     if size > cap:
         raise BudgetExceededError(f"exact view table needs {size} entries, budget {cap}")
-    # cell-major (key, column, cover, block): each update adds one contiguous row
-    joint = np.zeros((cb.n_key, cb.n_col, n_cover, n_other))
+    # cell-major (key, public indices, block): each update adds one contiguous row
+    joint = np.zeros((cb.n_key, *public, n_other))
+    fallback = (slice(None),) + (0,) * len(public)
     for start, rows in _pair_block_rows(cfg.base, src, other, n, cfg.budget):
         for code, row in enumerate(rows, start):
-            for (k, kp, a), w in outcomes[code]:
-                joint[k, kp, a] += w * row
+            for cell, w in cells[code]:
+                joint[cell] += w * row
             if fail[code] > 0.0:
-                joint[:, 0, 0] += (fail[code] / cb.n_key) * row
-    return np.ascontiguousarray(joint.transpose(0, 3, 1, 2))
+                joint[fallback] += (fail[code] / cb.n_key) * row
+    return np.ascontiguousarray(np.moveaxis(joint, -1, 1))
 
 
 def exact_view_joint(config: SimConfig, seed: int, user: int) -> np.ndarray:
@@ -693,25 +664,51 @@ def exact_view_joint(config: SimConfig, seed: int, user: int) -> np.ndarray:
     """
     if config.direction != "forward":
         raise PmfError("exact_view_joint currently covers the forward strategy")
-    inst = _Instance(config, seed)
-    outcomes, fail = _outcomes(inst, user)
-    return _view_joint_forward(inst, user, outcomes, fail)
+    return _view_joint(_Instance(config, seed), user)
 
 
-def _exact_side_forward(inst: _Instance, user: int) -> ExactSide:
+def _exact_side(inst: _Instance, user: int) -> ExactSide:
     cfg = inst.config
     n = cfg.n
     cb = inst.cb1 if user == 1 else inst.cb2
-    outcomes, fail = _outcomes(inst, user)
-    joint = _view_joint_forward(inst, user, outcomes, fail)
+    joint = _view_joint(inst, user)
     leak = _mi_first_axis(joint) / n
-    pk = joint.sum(axis=(1, 2, 3))
-    h_key = _h(pk)
+    h_key = _h(joint.sum(axis=tuple(range(1, joint.ndim))))
     gap = max(0.0, (np.log2(cb.n_key) - h_key) / n)
     err = None
     if cfg.exact_error:
-        err = inst.cached("errors", _exact_errors_forward, inst)[user - 1]
+        if cfg.direction == "forward":
+            err = inst.cached("errors", _exact_errors_forward, inst)[user - 1]
+        else:
+            err = _exact_err_backward(inst, user)
     return ExactSide(leak, gap, h_key / n, np.log2(cb.n_key) / n, err)
+
+
+def _decode_rows(test, cb, var: str, sequences, obs: str, blocks, fixed_of):
+    """`decode_row(col, a)`: the key decoded from each of the observed `blocks`
+    given column `col` and cover index `a`, or -1 where no candidate or more
+    than one is typical; computed once per (col, a).
+
+    The candidates are `cb`'s sequences of variable `var` in the column, as
+    rows of the packed `sequences`; `fixed_of(a)` gives the test's other
+    fixed sequences.
+    """
+    cache = {}
+
+    def decode_row(col: int, a: int) -> np.ndarray:
+        if (col, a) not in cache:
+            members = cb.column(col)
+            ok = test.pair_mask(var, sequences[members], obs, blocks, fixed_of(a))
+            counts = ok.sum(axis=0)
+            result = np.full(len(blocks), -1, dtype=np.int64)
+            unique = counts == 1
+            if unique.any():
+                which = ok[:, unique].argmax(axis=0)
+                result[unique] = cb.triples[members[which], 0]
+            cache[(col, a)] = result
+        return cache[(col, a)]
+
+    return decode_row
 
 
 def _exact_errors_forward(inst: _Instance) -> tuple:
@@ -740,22 +737,8 @@ def _exact_errors_forward(inst: _Instance) -> tuple:
     decoder = inst.coders()[2]
     const_t = inst.cb2.sequences[0]
     const_v = inst.cb2.u_codebook[0]
-    decode_cache = {}
-
-    def decode_row(kp: int, a: int) -> np.ndarray:
-        # decoded key per x3 block, -1 for none/ambiguous
-        if (kp, a) not in decode_cache:
-            members = cb.column(kp)
-            fixed = {"T": const_t, "V": const_v, "U": cb.u_codebook[a]}
-            ok = decoder.test.pair_mask("S", decoder.seqs1[members], "X3", x3_blocks, fixed)
-            counts = ok.sum(axis=0)
-            result = np.full(len(x3_blocks), -1, dtype=np.int64)
-            unique = counts == 1
-            if unique.any():
-                which = ok[:, unique].argmax(axis=0)
-                result[unique] = cb.triples[members[which], 0]
-            decode_cache[(kp, a)] = result
-        return decode_cache[(kp, a)]
+    decode_row = _decode_rows(decoder.test, cb, "S", decoder.seqs1, "X3", x3_blocks,
+                              lambda a: {"T": const_t, "V": const_v, "U": cb.u_codebook[a]})
 
     # err_L needs user 1's decode failures per (x1, x3) block pair, and the dense
     # (X1, X3) law too when user 2's encoder never fails
@@ -794,37 +777,6 @@ def _exact_errors_forward(inst: _Instance) -> tuple:
     return err_k, err_l
 
 
-def _exact_side_backward(inst: _Instance, user: int) -> ExactSide:
-    cfg = inst.config
-    n = cfg.n
-    cb = inst.cb1 if user == 1 else inst.cb2
-    obs = "X2" if user == 1 else "X1"
-    outcomes, fail = _outcomes(inst, 3)
-    obs_card = inst.full.variable(obs).cardinality
-    n_obs = obs_card ** n
-    n_cover = len(inst.cb1.u_codebook)
-    size = cb.n_key * n_obs * inst.cb1.n_col * inst.cb2.n_col * n_cover
-    cap = entry_budget(cfg.budget)
-    if size > cap:
-        raise BudgetExceededError(f"exact view table needs {size} entries, budget {cap}")
-    # cell-major (key, column, column, cover, block), as in `_view_joint_forward`
-    joint = np.zeros((cb.n_key, inst.cb1.n_col, inst.cb2.n_col, n_cover, n_obs))
-    for start, rows in _pair_block_rows(cfg.base, "X3", obs, n, cfg.budget):
-        for code, row in enumerate(rows, start):
-            for (k, kp, l, lp, a), w in outcomes[code]:
-                key = k if user == 1 else l
-                joint[key, kp, lp, a] += w * row
-            if fail[code] > 0.0:
-                joint[:, 0, 0, 0] += (fail[code] / cb.n_key) * row
-    joint = np.ascontiguousarray(joint.transpose(0, 4, 1, 2, 3))
-    leak = _mi_first_axis(joint) / n
-    pk = joint.sum(axis=tuple(range(1, joint.ndim)))
-    h_key = _h(pk)
-    gap = max(0.0, (np.log2(cb.n_key) - h_key) / n)
-    err = _exact_err_backward(inst, user) if cfg.exact_error else None
-    return ExactSide(leak, gap, h_key / n, np.log2(cb.n_key) / n, err)
-
-
 def _exact_err_backward(inst: _Instance, user: int) -> float | None:
     """Exact key error for one backward decoder.
 
@@ -842,22 +794,8 @@ def _exact_err_backward(inst: _Instance, user: int) -> float | None:
         return None
     outcomes, fail = _outcomes(inst, 3)
     blocks = SequenceBits(_all_sequences(src_card, n, cfg.budget), src_card)
-    decode_cache = {}
-
-    def decode_row(col: int, a: int) -> np.ndarray:
-        if (col, a) not in decode_cache:
-            members = cb.column(col)
-            fixed = {"U": inst.cb1.u_codebook[a]}
-            ok = decoder.test.pair_mask(decoder.var, decoder.sequences[members], src, blocks,
-                                        fixed)
-            counts = ok.sum(axis=0)
-            result = np.full(len(blocks), -1, dtype=np.int64)
-            unique = counts == 1
-            if unique.any():
-                which = ok[:, unique].argmax(axis=0)
-                result[unique] = cb.triples[members[which], 0]
-            decode_cache[(col, a)] = result
-        return decode_cache[(col, a)]
+    decode_row = _decode_rows(decoder.test, cb, decoder.var, decoder.sequences, src, blocks,
+                              lambda a: {"U": inst.cb1.u_codebook[a]})
 
     row_mass = np.empty(len(outcomes))
     terms = []  # added to err in block order, after the encoder-failure mass
@@ -912,38 +850,8 @@ def exact_report(config: SimConfig) -> SimReport:
     per_seed = []
     for seed in config.codebook_seeds:
         inst = _Instance(config, seed)
-        k_side = _exact_side(inst, 1)
-        l_side = _exact_side(inst, 2)
-        per_seed.append({
-            "seed": seed,
-            "err_K": k_side.err, "err_L": l_side.err,
-            "leak_K": k_side.leak, "leak_L": l_side.leak,
-            "uniformity_gap_K": k_side.uniformity_gap,
-            "uniformity_gap_L": l_side.uniformity_gap,
-            "h_key_K": k_side.h_key, "h_key_L": l_side.h_key,
-            "keyspace_K": k_side.keyspace, "keyspace_L": l_side.keyspace,
-        })
-
-    def avg(key):
-        vals = [row[key] for row in per_seed]
-        if any(v is None for v in vals):
-            return None
-        return float(np.mean(vals))
-
-    return SimReport(
-        schema=1, mode="exact", direction=config.direction, n=config.n,
-        trials=0, seeds=list(config.codebook_seeds),
-        rate1=config.rate1, rate2=config.rate2,
-        err_K=avg("err_K"), err_L=avg("err_L"),
-        leak_K=avg("leak_K"), leak_L=avg("leak_L"),
-        uniformity_gap_K=avg("uniformity_gap_K"),
-        uniformity_gap_L=avg("uniformity_gap_L"),
-        h_key_K=avg("h_key_K"), h_key_L=avg("h_key_L"),
-        keyspace_K=avg("keyspace_K"), keyspace_L=avg("keyspace_L"),
-        per_seed=per_seed, failures={},
-        warnings=_margin_warnings(config),
-        wall_clock=time.perf_counter() - start,
-    )
+        per_seed.append(_seed_row(seed, _exact_side(inst, 1), _exact_side(inst, 2)))
+    return _report(config, per_seed, {}, _margin_warnings(config), start)
 
 
 def check_definition1(report: SimReport, eps: float) -> dict:
@@ -976,6 +884,15 @@ def _forward_channels(base: JointPmf, s_identity=True, t_identity=False):
     ch_u = Channel.constant("U", "S", card_s)
     ch_v = Channel.constant("V", "T", card_t)
     return (ch_s, ch_t, ch_u, ch_v)
+
+
+def _backward_channels(base: JointPmf):
+    """S = X3 and constant T and U: only user 1 gets a key."""
+    c3 = base.variable("X3").cardinality
+    eye = np.eye(c3).reshape(c3, c3, 1)
+    ch_st = Channel(("X3",), (VariableId("S", c3), VariableId("T", 1)), eye)
+    ch_u = Channel(("S", "T"), (VariableId("U", 1),), np.ones((c3, 1, 1)))
+    return (ch_st, ch_u)
 
 
 def identity_preset(n: int, *, trials: int = 1000, seeds=(1,), margin: float = 0.5,
@@ -1021,12 +938,8 @@ def broadcast_backward_preset(n: int, *, flip_tap: float = 0.25, trials: int = 1
     key space is trivial by construction.
     """
     base = broadcast_source("X3", 0.0, flip_tap)
-    c3 = base.variable("X3").cardinality
-    eye = np.eye(c3).reshape(c3, c3, 1)
-    ch_st = Channel(("X3",), (VariableId("S", c3), VariableId("T", 1)), eye)
-    ch_u = Channel(("S", "T"), (VariableId("U", 1),), np.ones((c3, 1, 1)))
-    aux = AuxSystem.backward(base, ch_st, ch_u)
-    point = backward_inner_point(aux)
+    aux_channels = _backward_channels(base)
+    point = backward_inner_point(AuxSystem.backward(base, *aux_channels))
     rate1 = margin * point.r1_max
-    return SimConfig(base, "backward", (ch_st, ch_u), n, rate1, 0.0, margin,
+    return SimConfig(base, "backward", aux_channels, n, rate1, 0.0, margin,
                      EpsParams(enc=eps_enc, dec=1.0), trials, tuple(seeds), mode)

@@ -1,4 +1,5 @@
 import gzip
+import importlib.util
 import json
 from pathlib import Path
 
@@ -441,3 +442,37 @@ def test_simulate_exact_matches_benchmark_reference(tmp_path):
                "--dist", str(dist), "--out", str(out), "--seeds", "1"])
     assert rc == 0
     assert (out / "report.json").read_bytes() == reference.read_bytes()
+
+
+def test_simulate_mc_matches_benchmark_reference(tmp_path):
+    """The benchmark's simulate-mc workload (benchmark seed 0 = codebook
+    seeds 1-4) reproduces its stored report.json byte for byte, failure
+    counts included."""
+    reference = (Path(__file__).parents[1] / "perfbench" / "reference" / "simulate-mc"
+                 / "seed-0" / "report.json")
+    dist = tmp_path / "b0.dist"
+    write_distribution(broadcast_source("X3", 0.0, 0.25), str(dist))
+    out = tmp_path / "s"
+    rc = main(["simulate", "--direction", "forward", "--rate1", "0.405639",
+               "--eps-enc", "0.75", "--trials", "1000", "--n", "8",
+               "--dist", str(dist), "--out", str(out), "--seeds", "1,2,3,4"])
+    assert rc == 0
+    assert (out / "report.json").read_bytes() == reference.read_bytes()
+
+
+def test_benchmark_tracer_finds_every_target():
+    """Every function, method and module attribute the benchmark's tracer
+    wraps exists, so a renamed target fails here and not only in a traced
+    benchmark run."""
+    import skregion.cli  # noqa: F401  (the tracer patches loaded modules)
+
+    path = Path(__file__).parents[1] / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    tracer = module.Tracer()
+    try:
+        tracer.install()
+        assert tracer.missing == []
+    finally:
+        tracer.uninstall()

@@ -3,12 +3,20 @@ import math
 import numpy as np
 import pytest
 
-from skregion.codec import Codebook
-from skregion.pmf import Channel, cond_mutual_information as cmi
+from skregion.codec import (
+    Codebook,
+    DecodeAmbiguous,
+    DecodeNone,
+    EncoderNoCover,
+    EncoderNoSequence,
+    EncodingResult,
+)
+from skregion.pmf import Channel, VariableId, cond_mutual_information as cmi
 from skregion.sim import (
     EpsParams,
     SimConfig,
     _Instance,
+    _Tally,
     broadcast_backward_preset,
     broadcast_forward_preset,
     check_definition1,
@@ -111,12 +119,81 @@ def test_broadcast_preset_error_trend_seeded():
     assert errs[8] <= 0.2
 
 
-def test_run_trials_deterministic_across_workers():
-    cfg = broadcast_forward_preset(6, trials=200, seeds=(1, 2))
-    reports = [run_trials(cfg, workers=w) for w in (1, 2, 8)]
-    ref = reports[0].to_json_dict()
-    for rep in reports[1:]:
-        assert rep.to_json_dict() == ref
+def _two_key_config(n: int) -> SimConfig:
+    """Forward strategy on a symmetric source, both users keying at half the
+    inner-bound point."""
+    base = broadcast_source("X3", 0.25, 0.25)
+    channels = _forward_channels(base, t_identity=True)
+    point = forward_inner_point(AuxSystem.forward(base, *channels))
+    rate = 0.5 * point.r1_max
+    return SimConfig(base, "forward", channels, n, rate, rate, 0.5,
+                     EpsParams(enc=1.0, dec=1.0), 1, (1,), "mc")
+
+
+def _backward_two_key_config(n: int) -> SimConfig:
+    """Backward strategy with S = X3 and T a BSC(0.2) copy of X3, both users
+    keying."""
+    base = broadcast_source("X3", 0.1, 0.2)
+    st = np.zeros((2, 2, 2))
+    for x in range(2):
+        st[x, x, x] = 0.8
+        st[x, x, 1 - x] = 0.2
+    ch_st = Channel(("X3",), (VariableId("S", 2), VariableId("T", 2)), st)
+    ch_u = Channel(("S", "T"), (VariableId("U", 1),), np.ones((2, 2, 1)))
+    return SimConfig(base, "backward", (ch_st, ch_u), n, 0.05, 0.05, 0.5,
+                     EpsParams(enc=1.0, dec=1.5), 1, (1,), "mc")
+
+
+_OK = EncodingResult(0, 0, 0, 0, 0)
+_HEALTHY = {
+    "forward": (lambda block, rng: _OK, lambda block, rng: _OK, lambda x3, indices: (0, 0)),
+    "backward": (lambda x3, rng: (_OK, _OK), lambda block, col, a: 0,
+                 lambda block, col, a: 0),
+}
+
+
+@pytest.mark.parametrize("direction, coder, exc, key, errs", [
+    ("forward", 0, EncoderNoSequence, "enc1_no_sequence", (1, 0)),
+    ("forward", 0, EncoderNoCover, "enc1_no_cover", (1, 0)),
+    ("forward", 1, EncoderNoSequence, "enc2_no_sequence", (0, 1)),
+    ("forward", 1, EncoderNoCover, "enc2_no_cover", (0, 1)),
+    ("forward", 2, DecodeNone, "decode_none", (1, 1)),
+    ("forward", 2, DecodeAmbiguous, "decode_ambiguous", (1, 1)),
+    ("backward", 0, EncoderNoSequence, "enc3_no_sequence", (1, 1)),
+    ("backward", 0, EncoderNoCover, "enc3_no_cover", (1, 1)),
+    ("backward", 1, DecodeNone, "decode1_none", (1, 0)),
+    ("backward", 1, DecodeAmbiguous, "decode1_ambiguous", (1, 0)),
+    ("backward", 2, DecodeNone, "decode2_none", (0, 1)),
+    ("backward", 2, DecodeAmbiguous, "decode2_ambiguous", (0, 1)),
+])
+def test_trial_failure_taxonomy(direction, coder, exc, key, errs):
+    # one trial with one failing coder: the failure is counted under its key,
+    # the right keys count as errors, and a failed encoder's fallback keys
+    # are the only draws after the source blocks
+    cfg = _two_key_config(6) if direction == "forward" else _backward_two_key_config(6)
+    inst = _Instance(cfg, 1)
+
+    def failing(*args):
+        raise exc("stub")
+
+    coders = list(_HEALTHY[direction])
+    coders[coder] = failing
+    inst._cache["coders"] = tuple(coders)
+    tally = _Tally()
+    rng = np.random.default_rng(7)
+    inst.run_trial(rng, tally)
+
+    expected = np.random.default_rng(7)
+    sample_sources(cfg.base, cfg.n, expected)
+    keys = [0, 0]  # the healthy stubs' keys
+    if direction == "forward" and coder < 2:
+        keys[coder] = int(expected.integers((inst.cb1, inst.cb2)[coder].n_key))
+    elif direction == "backward" and coder == 0:
+        keys = [int(expected.integers(cb.n_key)) for cb in (inst.cb1, inst.cb2)]
+    assert dict(tally.fails) == {key: 1}
+    assert (tally.trials, tally.err_k, tally.err_l) == (1, *errs)
+    assert (dict(tally.k_counts), dict(tally.l_counts)) == ({keys[0]: 1}, {keys[1]: 1})
+    assert rng.bit_generator.state == expected.bit_generator.state
 
 
 # ---------------------------------------------------------------------------
