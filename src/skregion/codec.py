@@ -194,7 +194,10 @@ class JointTypicalityTest:
     positions where the other sequences spell the rest of w.  Only cells
     whose bounds can fail (lo > 0 or hi < n) are counted.  Candidates may be
     given as (m, n) symbol arrays or as `SequenceBits` packed once by the
-    caller.
+    caller.  Each fixed sequence is one length-n array, or a batch of B of
+    them stacked as (B, n); a batch gives the masks a trailing axis of
+    length B, one mask per batch row, and 1-D values are shared by every
+    row.
     """
 
     def __init__(self, joint: JointPmf, params: TypicalityParams):
@@ -221,10 +224,11 @@ class JointTypicalityTest:
         self._symbols = {v: self.cells // self.strides[v] % self.cards[v] for v in self.names}
 
     def _fixed_code(self, fixed: dict) -> np.ndarray:
-        if not fixed:
-            return np.zeros(self.params.n, dtype=np.int64)
-        strides = np.array([self.strides[name] for name in fixed])
-        return strides @ np.array(list(fixed.values()), dtype=np.int64)
+        """(B, n): per batch row and position, the code of the `fixed` symbols."""
+        code = np.zeros((1, self.params.n), dtype=np.int64)
+        for name, seqs in fixed.items():
+            code = code + self.strides[name] * np.asarray(seqs, dtype=np.int64)
+        return code
 
     def _planes(self, name: str, cands) -> np.ndarray:
         if not isinstance(cands, SequenceBits):
@@ -232,9 +236,10 @@ class JointTypicalityTest:
         return cands.planes
 
     def _fixed_bits(self, fixed: dict, rest: np.ndarray) -> np.ndarray:
-        """Per counted cell, the bitset of the positions where the `fixed`
-        sequences spell `rest`, the code of the cell's other variables."""
-        return _pack(self._fixed_code(fixed)[None, :] == rest[:, None])
+        """(cells, B, words): per counted cell and batch row, the bitset of the
+        positions where the `fixed` sequences spell `rest`, the code of the
+        cell's other variables."""
+        return _pack(self._fixed_code(fixed)[None, :, :] == rest[:, None, None])
 
     def check(self, seqs: dict) -> bool:
         """Typicality of one complete tuple {variable name: length-n sequence}."""
@@ -243,7 +248,7 @@ class JointTypicalityTest:
         lengths = {len(np.asarray(s)) for s in seqs.values()}
         if lengths != {self.params.n}:
             raise CodecError(f"sequence lengths {lengths} != n={self.params.n}")
-        counts = np.bincount(self._fixed_code(seqs), minlength=self.width)
+        counts = np.bincount(self._fixed_code(seqs)[0], minlength=self.width)
         return bool(np.all((counts >= self.lo) & (counts <= self.hi)))
 
     def _counts_ok(self, bits_a: np.ndarray, va: np.ndarray, rest: np.ndarray) -> np.ndarray:
@@ -260,27 +265,40 @@ class JointTypicalityTest:
             ok &= np.all((counts >= self._cell_lo[part]) & (counts <= self._cell_hi[part]), axis=0)
         return ok
 
+    @staticmethod
+    def _unbatched(ok: np.ndarray, fixed: dict) -> np.ndarray:
+        """`ok` without its batch axis when no fixed value is a batch."""
+        if any(np.ndim(seqs) == 2 for seqs in fixed.values()):
+            return ok
+        return ok[..., 0]
+
     def mask(self, cand_name: str, cands, fixed: dict) -> np.ndarray:
-        """Boolean mask over candidate sequences for one free variable."""
-        m = len(cands)
-        if m == 0:
-            return np.zeros(0, dtype=bool)
+        """Boolean mask over candidate sequences for one free variable:
+        (len(cands),), or (len(cands), B) for a batch of fixed sequences."""
         va = self._symbols[cand_name]
         rest = self.cells - va * self.strides[cand_name]
-        fixed_bits = self._fixed_bits(fixed, rest)[:, None, :]
-        return self._counts_ok(self._planes(cand_name, cands), va, fixed_bits)[:, 0]
+        fixed_bits = self._fixed_bits(fixed, rest)
+        if len(cands) == 0:
+            return self._unbatched(np.zeros((0, fixed_bits.shape[1]), dtype=bool), fixed)
+        ok = self._counts_ok(self._planes(cand_name, cands), va, fixed_bits)
+        return self._unbatched(ok, fixed)
 
     def pair_mask(self, name_a: str, cands_a, name_b: str, cands_b,
                   fixed: dict) -> np.ndarray:
-        """Boolean mask of shape (len(cands_a), len(cands_b)) for pairs."""
+        """Boolean mask of shape (len(cands_a), len(cands_b)) for pairs, or
+        (len(cands_a), len(cands_b), B) for a batch of fixed sequences."""
         ma, mb = len(cands_a), len(cands_b)
-        if ma == 0 or mb == 0:
-            return np.zeros((ma, mb), dtype=bool)
         va, vb = self._symbols[name_a], self._symbols[name_b]
         rest = self.cells - va * self.strides[name_a] - vb * self.strides[name_b]
-        fixed_bits = self._fixed_bits(fixed, rest)[:, None, :]
-        rest_bits = self._planes(name_b, cands_b)[vb] & fixed_bits
-        return self._counts_ok(self._planes(name_a, cands_a), va, rest_bits)
+        fixed_bits = self._fixed_bits(fixed, rest)
+        cells, batch, words = fixed_bits.shape
+        if ma == 0 or mb == 0:
+            return self._unbatched(np.zeros((ma, mb, batch), dtype=bool), fixed)
+        # one rest bitset per (candidate b, batch row)
+        rest_bits = self._planes(name_b, cands_b)[vb][:, :, None, :] & fixed_bits[:, None, :, :]
+        ok = self._counts_ok(self._planes(name_a, cands_a), va,
+                             rest_bits.reshape(cells, mb * batch, words))
+        return self._unbatched(ok.reshape(ma, mb, batch), fixed)
 
 
 def jointly_typical(seqs, joint: JointPmf, params: TypicalityParams) -> bool:
@@ -554,8 +572,19 @@ def _user_vars(user: int) -> tuple:
 
 
 # The coders below build their typicality tests and packed codebooks once;
-# the public encode/decode functions build one per call.  Masks draw no
-# randomness, so computing them ahead of the draws leaves every draw unchanged.
+# the public encode/decode functions build one per call.  Each coder has a
+# deterministic stage that tests a batch of trials in one kernel call, and a
+# per-trial stage (`pick`, `resolve`) that draws and raises the protocol
+# failures.  Masks draw no randomness, so computing them ahead of the draws
+# leaves every draw unchanged; `__call__` runs both stages on one trial.
+
+def _by_key(keys) -> dict:
+    """Positions in `keys` grouped by key, as index arrays, in first-seen order."""
+    groups = {}
+    for pos, key in enumerate(keys):
+        groups.setdefault(key, []).append(pos)
+    return {key: np.array(pos) for key, pos in groups.items()}
+
 
 class _ForwardEncoder:
     """User 1's or 2's forward encoder.
@@ -580,11 +609,14 @@ class _ForwardEncoder:
         self.covers = np.split(cover_of, ends[:-1])
         self.labels = codebook.triples.tolist()
 
-    def __call__(self, block: np.ndarray, rng: np.random.Generator) -> EncodingResult:
-        block = np.asarray(block, dtype=np.int8)
-        if len(block) != self.n:
-            raise CodecError(f"block length {len(block)} != n={self.n}")
-        cands = np.flatnonzero(self.test.mask(self.var, self.sequences, {self.src: block}))
+    def typical(self, blocks) -> np.ndarray:
+        """(len(blocks), M): which codebook sequences are jointly typical with
+        each source block."""
+        return self.test.pair_mask(self.src, blocks, self.var, self.sequences, {})
+
+    def pick(self, typical: np.ndarray, rng: np.random.Generator) -> EncodingResult:
+        """Draw a codeword among one block's `typical` row, then its cover."""
+        cands = np.flatnonzero(typical)
         if len(cands) == 0:
             raise EncoderNoSequence(
                 f"no {self.var} codeword jointly typical with the {self.src} block")
@@ -597,6 +629,12 @@ class _ForwardEncoder:
         k, kp, kpp = self.labels[idx]
         return EncodingResult(k, kp, kpp, a, idx)
 
+    def __call__(self, block: np.ndarray, rng: np.random.Generator) -> EncodingResult:
+        block = np.asarray(block, dtype=np.int8)
+        if len(block) != self.n:
+            raise CodecError(f"block length {len(block)} != n={self.n}")
+        return self.pick(self.typical(block[None])[0], rng)
+
 
 class _ForwardDecoder:
     """User 3's joint decoder over the announced columns."""
@@ -608,22 +646,39 @@ class _ForwardDecoder:
         self.seqs1 = SequenceBits(cb1.sequences, self.test.cards["S"])
         self.seqs2 = SequenceBits(cb2.sequences, self.test.cards["T"])
 
-    def __call__(self, x3_block: np.ndarray, indices: tuple) -> tuple:
-        kp, a, lp, b = indices
-        col_s = self.cb1.column(kp)
-        col_t = self.cb2.column(lp)
-        fixed = {"X3": np.asarray(x3_block, dtype=np.int8),
-                 "U": self.cb1.u_codebook[a], "V": self.cb2.u_codebook[b]}
-        ok = self.test.pair_mask("S", self.seqs1[col_s], "T", self.seqs2[col_t], fixed)
-        hits = np.argwhere(ok)
+    def typical(self, x3_blocks: np.ndarray, indices: list) -> list:
+        """Per trial, the (s, t) mask over its announced columns.
+
+        `x3_blocks` is (B, n) and `indices[t]` is trial t's (k', a, l', b).
+        Trials announcing the same columns share one kernel call.
+        """
+        out = [None] * len(indices)
+        for (kp, lp), rows in _by_key([(kp, lp) for kp, _, lp, _ in indices]).items():
+            covers = np.array([indices[t][1::2] for t in rows])
+            fixed = {"X3": x3_blocks[rows], "U": self.cb1.u_codebook[covers[:, 0]],
+                     "V": self.cb2.u_codebook[covers[:, 1]]}
+            ok = self.test.pair_mask("S", self.seqs1[self.cb1.column(kp)],
+                                     "T", self.seqs2[self.cb2.column(lp)], fixed)
+            for g, t in enumerate(rows):
+                out[t] = ok[:, :, g]
+        return out
+
+    def resolve(self, typical: np.ndarray, indices: tuple) -> tuple:
+        """The unique jointly typical pair of one trial's mask, as (k, l)."""
+        kp, _, lp, _ = indices
+        hits = np.argwhere(typical)
         if len(hits) == 0:
             raise DecodeNone("no jointly typical (s, t) pair in the announced columns")
         if len(hits) > 1:
             raise DecodeAmbiguous(f"{len(hits)} jointly typical pairs")
         i, j = hits[0]
-        k_hat = int(self.cb1.triples[col_s[i], 0])
-        l_hat = int(self.cb2.triples[col_t[j], 0])
+        k_hat = int(self.cb1.triples[self.cb1.column(kp)[i], 0])
+        l_hat = int(self.cb2.triples[self.cb2.column(lp)[j], 0])
         return k_hat, l_hat
+
+    def __call__(self, x3_block: np.ndarray, indices: tuple) -> tuple:
+        x3_blocks = np.asarray(x3_block, dtype=np.int8)[None]
+        return self.resolve(self.typical(x3_blocks, [indices])[0], indices)
 
 
 class _BackwardEncoder:
@@ -639,29 +694,41 @@ class _BackwardEncoder:
         self.seqs_t = SequenceBits(cb_t.sequences, cards["T"])
         self.seqs_u = SequenceBits(cb_s.u_codebook, cards["U"])
 
-    def pairs(self, x3_block: np.ndarray) -> np.ndarray:
-        """(i, j) rows of the sequence pairs jointly typical with the block, ascending."""
-        return np.argwhere(self.pair_test.pair_mask(
-            "S", self.seqs_s, "T", self.seqs_t, {"X3": x3_block}))
+    def typical(self, x3_blocks: np.ndarray) -> np.ndarray:
+        """(M_s, M_t, B): which sequence pairs are jointly typical with each of
+        the (B, n) blocks."""
+        return self.pair_test.pair_mask("S", self.seqs_s, "T", self.seqs_t, {"X3": x3_blocks})
 
-    def covers(self, i: int, j: int) -> np.ndarray:
-        """Indices of the U codewords jointly typical with the pair (i, j)."""
-        fixed = {"S": self.cb_s.sequences[i], "T": self.cb_t.sequences[j]}
-        return np.flatnonzero(self.cover_test.mask("U", self.seqs_u, fixed))
-
-    def __call__(self, x3_block: np.ndarray, rng: np.random.Generator) -> tuple:
-        hits = self.pairs(np.asarray(x3_block, dtype=np.int8))
+    def pick_pair(self, typical: np.ndarray, rng: np.random.Generator) -> tuple:
+        """Draw an (i, j) pair among one block's (M_s, M_t) `typical` mask."""
+        hits = np.argwhere(typical)
         if len(hits) == 0:
             raise EncoderNoSequence("no (s, t) pair jointly typical with the X3 block")
         i, j = hits[rng.integers(len(hits))]
-        cover_cands = self.covers(i, j)
+        return int(i), int(j)
+
+    def cover_typical(self, i: np.ndarray, j: np.ndarray) -> np.ndarray:
+        """(N_u, len(i)): which U codewords are jointly typical with each of the
+        sequence pairs (i[g], j[g])."""
+        fixed = {"S": self.cb_s.sequences[i], "T": self.cb_t.sequences[j]}
+        return self.cover_test.mask("U", self.seqs_u, fixed)
+
+    def pick_cover(self, i: int, j: int, covers: np.ndarray,
+                   rng: np.random.Generator) -> tuple:
+        """Draw a cover among the pair's `covers` mask; the two encodings."""
+        cover_cands = np.flatnonzero(covers)
         if len(cover_cands) == 0:
             raise EncoderNoCover("no U codeword covers the selected (s, t) pair")
         a = _uniform_pick(rng, cover_cands)
-        ks = self.cb_s.triple_of(int(i))
-        kt = self.cb_t.triple_of(int(j))
-        return (EncodingResult(ks[0], ks[1], ks[2], a, int(i)),
-                EncodingResult(kt[0], kt[1], kt[2], a, int(j)))
+        ks = self.cb_s.triple_of(i)
+        kt = self.cb_t.triple_of(j)
+        return (EncodingResult(ks[0], ks[1], ks[2], a, i),
+                EncodingResult(kt[0], kt[1], kt[2], a, j))
+
+    def __call__(self, x3_block: np.ndarray, rng: np.random.Generator) -> tuple:
+        x3_blocks = np.asarray(x3_block, dtype=np.int8)[None]
+        i, j = self.pick_pair(self.typical(x3_blocks)[:, :, 0], rng)
+        return self.pick_cover(i, j, self.cover_typical([i], [j])[:, 0], rng)
 
 
 class _BackwardDecoder:
@@ -674,15 +741,33 @@ class _BackwardDecoder:
         self.test = JointTypicalityTest(full.marginalize({self.var, self.src, "U"}), params)
         self.sequences = SequenceBits(codebook.sequences, self.test.cards[self.var])
 
-    def __call__(self, block: np.ndarray, col: int, a: int) -> int:
-        members = self.codebook.column(col)
-        fixed = {self.src: np.asarray(block, dtype=np.int8), "U": self.codebook.u_codebook[a]}
-        hits = np.flatnonzero(self.test.mask(self.var, self.sequences[members], fixed))
+    def typical(self, blocks: np.ndarray, cols: list, covers: list) -> list:
+        """Per trial, the mask over its announced column.
+
+        `blocks` is (B, n); trial t announced column `cols[t]` and cover
+        `covers[t]`.  Trials announcing the same column share one kernel call.
+        """
+        out = [None] * len(cols)
+        for col, rows in _by_key(cols).items():
+            fixed = {self.src: blocks[rows],
+                     "U": self.codebook.u_codebook[np.asarray(covers)[rows]]}
+            ok = self.test.mask(self.var, self.sequences[self.codebook.column(col)], fixed)
+            for g, t in enumerate(rows):
+                out[t] = ok[:, g]
+        return out
+
+    def resolve(self, typical: np.ndarray, col: int) -> int:
+        """The key row of the unique typical member in one trial's mask."""
+        hits = np.flatnonzero(typical)
         if len(hits) == 0:
             raise DecodeNone(f"no {self.var} candidate typical with the {self.src} block")
         if len(hits) > 1:
             raise DecodeAmbiguous(f"{len(hits)} {self.var} candidates")
-        return int(self.codebook.triples[members[hits[0]], 0])
+        return int(self.codebook.triples[self.codebook.column(col)[hits[0]], 0])
+
+    def __call__(self, block: np.ndarray, col: int, a: int) -> int:
+        blocks = np.asarray(block, dtype=np.int8)[None]
+        return self.resolve(self.typical(blocks, [col], [a])[0], col)
 
 
 def forward_encode(user: int, block: np.ndarray, codebook: Codebook,

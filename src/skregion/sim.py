@@ -36,15 +36,14 @@ from .codec import (
     EncoderNoSequence,
     SequenceBits,
     TypicalityParams,
-    backward_binning,
     build_backward_codebooks,
     build_forward_codebooks,
-    forward_binning,
     _all_sequences,
     _BackwardDecoder,
     _BackwardEncoder,
     _ForwardDecoder,
     _ForwardEncoder,
+    _KERNEL_WORDS,
 )
 from .pmf import (
     BudgetExceededError,
@@ -198,12 +197,36 @@ class SimReport:
                 f"leak_K={fmt(self.leak_K)} leak_L={fmt(self.leak_L)}")
 
 
+def _source_cdf(base: JointPmf) -> np.ndarray:
+    """The CDF over the base pmf's flattened cells, built as `Generator.choice`
+    builds it, after the checks `choice` applies to its probabilities."""
+    p = base.table.reshape(-1)
+    total = p.sum()
+    if np.isnan(total):
+        raise ValueError("Probabilities contain NaN")
+    if (p < 0).any():
+        raise ValueError("Probabilities are not non-negative")
+    if abs(total - 1.0) > np.sqrt(np.finfo(np.float64).eps):
+        raise ValueError("Probabilities do not sum to 1")
+    cdf = p.cumsum()
+    cdf /= cdf[-1]
+    return cdf
+
+
+def _draw_sources(base: JointPmf, cdf: np.ndarray, n: int, rngs: list) -> tuple:
+    """One i.i.d. block per source variable and generator, as (len(rngs), n) arrays.
+
+    Each generator draws exactly what `rng.choice(cells, size=n, p=p)` draws,
+    n uniforms looked up in the CDF, and is left in the same state; the
+    lookup is made once for all generators.
+    """
+    cells = cdf.searchsorted(np.stack([rng.random(n) for rng in rngs]), side="right")
+    return tuple(part.astype(np.int8) for part in np.unravel_index(cells, base.table.shape))
+
+
 def sample_sources(base: JointPmf, n: int, rng: np.random.Generator) -> tuple:
     """One i.i.d. block per source variable, drawn jointly from the base pmf."""
-    flat = base.table.reshape(-1)
-    cells = rng.choice(len(flat), size=n, p=flat)
-    idx = np.unravel_index(cells, base.table.shape)
-    return tuple(np.asarray(part, dtype=np.int8) for part in idx)
+    return tuple(part[0] for part in _draw_sources(base, _source_cdf(base), n, [rng]))
 
 
 def _entropy_counts(counter: Counter) -> float:
@@ -322,114 +345,158 @@ class _Instance:
                 _BackwardDecoder(1, self.cb1, full, dec),
                 _BackwardDecoder(2, self.cb2, full, dec))
 
-    def run_trial(self, rng: np.random.Generator, tally: _Tally) -> None:
+    def batch_trials(self) -> int:
+        """Trials per batch: the most for which each kernel call of a batch tests
+        at most `_KERNEL_WORDS` (candidate, trial) pairs, and at least one.
+
+        One trial's kernel call tests at most |cb1| x |cb2| candidates (the
+        backward pair mask; a forward encoder or joint decoder tests fewer) or
+        every cover codeword.  This bounds memory; results do not depend on it.
+        """
+        cands = max(self.cb1.size * self.cb2.size, len(self.cb1.u_codebook))
+        return max(1, _KERNEL_WORDS // cands)
+
+    def run_batch(self, cdf: np.ndarray, rngs: list, tally: _Tally) -> None:
+        """One trial per generator in `rngs`, run in phases over the batch.
+
+        Each phase makes one kernel call for the whole batch (or one per
+        group of trials announcing the same columns) and then replays each
+        trial's draws in its own generator, in the order of a single trial.
+        """
         cfg = self.config
-        x1, x2, x3 = sample_sources(cfg.base, cfg.n, rng)
-        tally.trials += 1
+        x1, x2, x3 = _draw_sources(cfg.base, cdf, cfg.n, rngs)
+        tally.trials += len(rngs)
         if cfg.direction == "forward":
-            self._forward_trial(rng, tally, x1, x2, x3)
+            self._forward_batch(rngs, tally, x1, x2, x3)
         else:
-            self._backward_trial(rng, tally, x1, x2, x3)
+            self._backward_batch(rngs, tally, x1, x2, x3)
 
-    def _forward_trial(self, rng, tally, x1, x2, x3):
+    def _forward_batch(self, rngs, tally, x1, x2, x3):
         encode1, encode2, decode = self.coders()
-        err_k = err_l = False
-        try:
-            e1 = encode1(x1, rng)
-            k, kp, a = e1.key, e1.col, e1.cover
-        except (EncoderNoSequence, EncoderNoCover) as exc:
-            tally.fails["enc1_" + _FAILURE_KINDS[type(exc)]] += 1
-            k, kp, a = int(rng.integers(self.cb1.n_key)), 0, 0
-            err_k = True
-        try:
-            e2 = encode2(x2, rng)
-            l, lp, b = e2.key, e2.col, e2.cover
-        except (EncoderNoSequence, EncoderNoCover) as exc:
-            tally.fails["enc2_" + _FAILURE_KINDS[type(exc)]] += 1
-            l, lp, b = int(rng.integers(self.cb2.n_key)), 0, 0
-            err_l = True
+        typical1, typical2 = encode1.typical(x1), encode2.typical(x2)
+        indices, keys, errs = [], [], []
+        for t, rng in enumerate(rngs):
+            err_k = err_l = False
+            try:
+                e1 = encode1.pick(typical1[t], rng)
+                k, kp, a = e1.key, e1.col, e1.cover
+            except (EncoderNoSequence, EncoderNoCover) as exc:
+                tally.fails["enc1_" + _FAILURE_KINDS[type(exc)]] += 1
+                k, kp, a = int(rng.integers(self.cb1.n_key)), 0, 0
+                err_k = True
+            try:
+                e2 = encode2.pick(typical2[t], rng)
+                l, lp, b = e2.key, e2.col, e2.cover
+            except (EncoderNoSequence, EncoderNoCover) as exc:
+                tally.fails["enc2_" + _FAILURE_KINDS[type(exc)]] += 1
+                l, lp, b = int(rng.integers(self.cb2.n_key)), 0, 0
+                err_l = True
 
-        tally.k_counts[k] += 1
-        tally.l_counts[l] += 1
-        tally.k_view[(k, (kp, a, _hash16(x2)))] += 1
-        tally.l_view[(l, (lp, b, _hash16(x1)))] += 1
+            tally.k_counts[k] += 1
+            tally.l_counts[l] += 1
+            tally.k_view[(k, (kp, a, _hash16(x2[t])))] += 1
+            tally.l_view[(l, (lp, b, _hash16(x1[t])))] += 1
+            indices.append((kp, a, lp, b))
+            keys.append((k, l))
+            errs.append((err_k, err_l))
 
-        try:
-            k_hat, l_hat = decode(x3, (kp, a, lp, b))
-            err_k = err_k or k_hat != k
-            err_l = err_l or l_hat != l
-        except (DecodeNone, DecodeAmbiguous) as exc:
-            tally.fails["decode_" + _FAILURE_KINDS[type(exc)]] += 1
-            err_k = err_l = True
-        tally.err_k += err_k
-        tally.err_l += err_l
+        for typical, index, (k, l), (err_k, err_l) in zip(
+                decode.typical(x3, indices), indices, keys, errs):
+            try:
+                k_hat, l_hat = decode.resolve(typical, index)
+                err_k = err_k or k_hat != k
+                err_l = err_l or l_hat != l
+            except (DecodeNone, DecodeAmbiguous) as exc:
+                tally.fails["decode_" + _FAILURE_KINDS[type(exc)]] += 1
+                err_k = err_l = True
+            tally.err_k += err_k
+            tally.err_l += err_l
 
-    def _backward_trial(self, rng, tally, x1, x2, x3):
+    def _backward_batch(self, rngs, tally, x1, x2, x3):
         encode, decode1, decode2 = self.coders()
-        failed = False
-        try:
-            es, et = encode(x3, rng)
-            k, kp, a = es.key, es.col, es.cover
-            l, lp = et.key, et.col
-        except (EncoderNoSequence, EncoderNoCover) as exc:
-            tally.fails["enc3_" + _FAILURE_KINDS[type(exc)]] += 1
-            k, kp, a = int(rng.integers(self.cb1.n_key)), 0, 0
-            l, lp = int(rng.integers(self.cb2.n_key)), 0
-            failed = True
+        # per trial ((k, k'), (l, l'), a), or None after an encoder failure
+        encoded = [None] * len(rngs)
+        typical = encode.typical(x3)
+        pairs = {}
+        for t, rng in enumerate(rngs):
+            try:
+                pairs[t] = encode.pick_pair(typical[:, :, t], rng)
+            except EncoderNoSequence as exc:
+                tally.fails["enc3_" + _FAILURE_KINDS[type(exc)]] += 1
+        if pairs:
+            cover_ok = encode.cover_typical(*np.array(list(pairs.values())).T)
+            for g, (t, (i, j)) in enumerate(pairs.items()):
+                try:
+                    es, et = encode.pick_cover(i, j, cover_ok[:, g], rngs[t])
+                    encoded[t] = ((es.key, es.col), (et.key, et.col), es.cover)
+                except EncoderNoCover as exc:
+                    tally.fails["enc3_" + _FAILURE_KINDS[type(exc)]] += 1
 
-        tally.k_counts[k] += 1
-        tally.l_counts[l] += 1
-        tally.k_view[(k, (kp, lp, a, _hash16(x2)))] += 1
-        tally.l_view[(l, (kp, lp, a, _hash16(x1)))] += 1
+        for t, rng in enumerate(rngs):
+            if encoded[t] is None:
+                # user 3's keys come from its private randomness, and both err
+                k, kp = int(rng.integers(self.cb1.n_key)), 0
+                l, lp = int(rng.integers(self.cb2.n_key)), 0
+                a = 0
+                tally.err_k += 1
+                tally.err_l += 1
+            else:
+                (k, kp), (l, lp), a = encoded[t]
+            tally.k_counts[k] += 1
+            tally.l_counts[l] += 1
+            tally.k_view[(k, (kp, lp, a, _hash16(x2[t])))] += 1
+            tally.l_view[(l, (kp, lp, a, _hash16(x1[t])))] += 1
 
-        if failed:
-            tally.err_k += 1
-            tally.err_l += 1
-            return
-        try:
-            tally.err_k += decode1(x1, kp, a) != k
-        except (DecodeNone, DecodeAmbiguous) as exc:
-            tally.fails["decode1_" + _FAILURE_KINDS[type(exc)]] += 1
-            tally.err_k += 1
-        try:
-            tally.err_l += decode2(x2, lp, a) != l
-        except (DecodeNone, DecodeAmbiguous) as exc:
-            tally.fails["decode2_" + _FAILURE_KINDS[type(exc)]] += 1
-            tally.err_l += 1
+        # the decoders run on the transcripts of successful encodings only
+        live = [t for t, sent in enumerate(encoded) if sent is not None]
+        covers = [encoded[t][2] for t in live]
+        for user, decode, blocks in ((1, decode1, x1), (2, decode2, x2)):
+            sent = [encoded[t][user - 1] for t in live]  # (key, column) per live trial
+            cols = [col for _, col in sent]
+            errors = 0
+            for (key, col), typical in zip(sent, decode.typical(blocks[live], cols, covers)):
+                try:
+                    errors += decode.resolve(typical, col) != key
+                except (DecodeNone, DecodeAmbiguous) as exc:
+                    tally.fails[f"decode{user}_" + _FAILURE_KINDS[type(exc)]] += 1
+                    errors += 1
+            if user == 1:
+                tally.err_k += errors
+            else:
+                tally.err_l += errors
 
 
 def run_trials(config: SimConfig) -> SimReport:
     """Monte Carlo protocol runs, averaged over the configured codebook seeds.
 
     Deterministic given the seed list: per-trial randomness is derived from
-    (trial_seed, codebook seed, trial index).
+    (trial_seed, codebook seed, trial index), and trials run in batches of
+    `_Instance.batch_trials` that leave each trial's draws unchanged.
     """
     if config.mode != "mc":
         raise PmfError("run_trials requires mode='mc'")
     start = time.perf_counter()
-    warnings = _margin_warnings(config)
+    cdf = _source_cdf(config.base)
     per_seed = []
     fails = Counter()
     for seed in config.codebook_seeds:
         inst = _Instance(config, seed)
         tally = _Tally()
-        for t in range(config.trials):
-            rng = np.random.default_rng(np.random.SeedSequence([config.trial_seed, seed, t]))
-            inst.run_trial(rng, tally)
+        step = inst.batch_trials()
+        for first in range(0, config.trials, step):
+            rngs = [np.random.default_rng(np.random.SeedSequence([config.trial_seed, seed, t]))
+                    for t in range(first, min(first + step, config.trials))]
+            inst.run_batch(cdf, rngs, tally)
         per_seed.append(_seed_row(seed, *tally.sides(inst)))
         fails.update(tally.fails)
-    return _report(config, per_seed, dict(sorted(fails.items())), warnings, start)
+    return _report(config, per_seed, dict(sorted(fails.items())), _margin_warnings(inst), start)
 
 
-def _margin_warnings(config: SimConfig) -> list:
-    full = config.aux.full
-    if config.direction == "forward":
-        b1, b2 = forward_binning(full, config.n, config.rate1, config.rate2)
-    else:
-        b1, b2 = backward_binning(full, config.n, config.rate1, config.rate2)
+def _margin_warnings(inst: _Instance) -> list:
+    """The reliability conditions that the instance's binning violates."""
     out = []
-    for label, b in (("user 1", b1), ("user 2", b2)):
-        for cond, slack in b.margins.items():
+    for label, cb in (("user 1", inst.cb1), ("user 2", inst.cb2)):
+        for cond, slack in cb.rates.margins.items():
             if slack < -1e-12:
                 out.append(f"{label}: reliability condition {cond} violated by {-slack:.6f} bits")
     return out
@@ -502,7 +569,7 @@ def _encoder_outcomes_forward(inst: _Instance, user: int) -> tuple:
     fail = np.zeros(len(blocks))
     for start in range(0, len(blocks), step):
         chunk = SequenceBits(blocks[start:start + step], card)
-        typical = enc.test.pair_mask(enc.src, chunk, enc.var, enc.sequences, {})
+        typical = enc.typical(chunk)
         for code, row in enumerate(typical, start):
             cands = np.flatnonzero(row)
             out = defaultdict(float)
@@ -524,32 +591,45 @@ def _encoder_outcomes_forward(inst: _Instance, user: int) -> tuple:
 
 
 def _encoder_outcomes_backward(inst: _Instance) -> tuple:
-    """Per x3-block distributions [((k, kp, l, lp, a), weight), ...] + failure mass."""
+    """Per x3-block distributions [((k, kp, l, lp, a), weight), ...] + failure mass.
+
+    The blocks are tested against every (s, t) pair a chunk of blocks at a
+    time, and the covers of each pair hit are tested once.
+    """
     cfg = inst.config
     card = inst.full.variable("X3").cardinality
     blocks = _all_sequences(card, cfg.n, cfg.budget)
     enc = inst.coders()[0]
     cb_s, cb_t = inst.cb1, inst.cb2
+    step = max(1, _CHUNK_PAIRS // (cb_s.size * cb_t.size))
+    covers = {}  # (i, j) -> its cover indices, for every pair hit so far
     outcomes = []
     fail = np.zeros(len(blocks))
-    for code, block in enumerate(blocks):
-        hits = enc.pairs(block)
-        out = defaultdict(float)
-        if len(hits) == 0:
-            fail[code] = 1.0
-        else:
-            w_pair = 1.0 / len(hits)
-            for i, j in hits:
-                covers = enc.covers(i, j)
-                if len(covers) == 0:
-                    fail[code] += w_pair
-                    continue
-                k, kp, _ = cb_s.triple_of(int(i))
-                l, lp, _ = cb_t.triple_of(int(j))
-                wa = w_pair / len(covers)
-                for a in covers:
-                    out[(k, kp, l, lp, int(a))] += wa
-        outcomes.append(sorted(out.items()))
+    for start in range(0, len(blocks), step):
+        typical = enc.typical(blocks[start:start + step])
+        hit_rows = [np.argwhere(typical[:, :, c]) for c in range(typical.shape[2])]
+        new = sorted({(int(i), int(j)) for hits in hit_rows for i, j in hits} - covers.keys())
+        if new:
+            cover_ok = enc.cover_typical(*np.array(new).T)
+            for g, pair in enumerate(new):
+                covers[pair] = np.flatnonzero(cover_ok[:, g])
+        for code, hits in enumerate(hit_rows, start):
+            out = defaultdict(float)
+            if len(hits) == 0:
+                fail[code] = 1.0
+            else:
+                w_pair = 1.0 / len(hits)
+                for i, j in hits:
+                    cover = covers[(int(i), int(j))]
+                    if len(cover) == 0:
+                        fail[code] += w_pair
+                        continue
+                    k, kp, _ = cb_s.triple_of(int(i))
+                    l, lp, _ = cb_t.triple_of(int(j))
+                    wa = w_pair / len(cover)
+                    for a in cover:
+                        out[(k, kp, l, lp, int(a))] += wa
+            outcomes.append(sorted(out.items()))
     return outcomes, fail
 
 
@@ -813,8 +893,11 @@ def _exact_err_backward(inst: _Instance, user: int) -> float | None:
 
 
 def _h(p: np.ndarray) -> float:
-    p = p[p > 0]
-    return float(-(p * np.log2(p)).sum())
+    """Entropy in bits of the 1-D array `p`, summed in one contiguous reduction."""
+    q = p if (p > 0).all() else p[p > 0]  # no copy when every cell is positive
+    lg = np.log2(q)
+    lg *= q
+    return float(-lg.sum())
 
 
 def _mi_first_axis(joint: np.ndarray) -> float:
@@ -851,7 +934,7 @@ def exact_report(config: SimConfig) -> SimReport:
     for seed in config.codebook_seeds:
         inst = _Instance(config, seed)
         per_seed.append(_seed_row(seed, _exact_side(inst, 1), _exact_side(inst, 2)))
-    return _report(config, per_seed, {}, _margin_warnings(config), start)
+    return _report(config, per_seed, {}, _margin_warnings(inst), start)
 
 
 def check_definition1(report: SimReport, eps: float) -> dict:

@@ -1,7 +1,9 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from skregion.codec import (
     Codebook,
@@ -11,12 +13,15 @@ from skregion.codec import (
     EncoderNoSequence,
     EncodingResult,
 )
-from skregion.pmf import Channel, VariableId, cond_mutual_information as cmi
+from skregion import codec
+from skregion.pmf import Channel, JointPmf, VariableId, cond_mutual_information as cmi
 from skregion.sim import (
     EpsParams,
     SimConfig,
     _Instance,
     _Tally,
+    _draw_sources,
+    _source_cdf,
     broadcast_backward_preset,
     broadcast_forward_preset,
     check_definition1,
@@ -76,6 +81,32 @@ def test_sample_sources_e6_plugin_cmi_small():
     assert cmi(emp, ("X1",), ("X3",), ("X2",)) < 5e-3
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.integers(0, 4), min_size=1, max_size=12).filter(any),
+       st.integers(1, 64), st.integers(0, 2**32 - 1))
+def test_draw_sources_matches_generator_choice(weights, n, seed):
+    # the batched lookup draws exactly what `Generator.choice` draws, leaves
+    # the generator in the same state, and keeps each generator's stream
+    p = np.array(weights, dtype=float) / sum(weights)
+    base = JointPmf((VariableId("X", len(p)),), p)
+    rngs = [np.random.default_rng([seed, t]) for t in range(3)]
+    (cells,) = _draw_sources(base, _source_cdf(base), n, rngs)
+    for t, rng in enumerate(rngs):
+        expected = np.random.default_rng([seed, t])
+        assert np.array_equal(cells[t], expected.choice(len(p), size=n, p=p))
+        assert rng.bit_generator.state == expected.bit_generator.state
+
+
+def test_source_cdf_rejects_what_choice_rejects():
+    rng = np.random.default_rng(0)
+    for p in ([0.5, 0.6], [1.2, -0.2], [0.5, np.nan]):
+        base = SimpleNamespace(table=np.array(p))
+        with pytest.raises(ValueError):
+            rng.choice(2, p=base.table)
+        with pytest.raises(ValueError):
+            _source_cdf(base)
+
+
 # ---------------------------------------------------------------------------
 # Monte Carlo reports
 # ---------------------------------------------------------------------------
@@ -88,8 +119,8 @@ def test_identity_preset_err_zero_and_uniform():
     assert rep.uniformity_gap_K <= 1.0 / 8 + 1e-9
 
 
-def test_rates_above_point_drive_error_up():
-    # 2x the achievable point: reliability warnings plus error toward 1
+def _over_rate_config(n: int, trials: int) -> SimConfig:
+    """Forward strategy at twice the inner-bound key rate: reliability warnings."""
     t = np.zeros((2, 2, 2))
     for x3 in (0, 1):
         for x1 in (0, 1):
@@ -99,11 +130,15 @@ def test_rates_above_point_drive_error_up():
     base = triple_from_table(t)
     channels = _forward_channels(base)
     point = forward_inner_point(AuxSystem.forward(base, *channels))
+    return SimConfig(base, "forward", channels, n, 2.0 * point.r1_max, 0.0,
+                     0.5, EpsParams(enc=1.0, dec=1.0), trials, (1,), "mc")
+
+
+def test_rates_above_point_drive_error_up():
+    # 2x the achievable point: reliability warnings plus error toward 1
     errs = {}
     for n in (4, 8):
-        cfg = SimConfig(base, "forward", channels, n, 2.0 * point.r1_max, 0.0,
-                        0.5, EpsParams(enc=1.0, dec=1.0), 400, (1,), "mc")
-        rep = run_trials(cfg)
+        rep = run_trials(_over_rate_config(n, 400))
         assert rep.warnings, "over-rate run must carry reliability warnings"
         errs[n] = rep.err_K
     assert errs[8] > errs[4]
@@ -145,11 +180,29 @@ def _backward_two_key_config(n: int) -> SimConfig:
 
 
 _OK = EncodingResult(0, 0, 0, 0, 0)
-_HEALTHY = {
-    "forward": (lambda block, rng: _OK, lambda block, rng: _OK, lambda x3, indices: (0, 0)),
-    "backward": (lambda x3, rng: (_OK, _OK), lambda block, col, a: 0,
-                 lambda block, col, a: 0),
-}
+
+
+def _healthy_coders(direction: str) -> list:
+    """Stub coders whose batched stages return placeholders and whose
+    per-trial stages succeed with key 0."""
+    if direction == "forward":
+        encoder = SimpleNamespace(typical=lambda blocks: [None] * len(blocks),
+                                  pick=lambda typical, rng: _OK)
+        decoder = SimpleNamespace(typical=lambda x3, indices: [None] * len(indices),
+                                  resolve=lambda typical, indices: (0, 0))
+        return [encoder, SimpleNamespace(**vars(encoder)), decoder]
+    encoder = SimpleNamespace(typical=lambda x3: np.zeros((1, 1, len(x3))),
+                              pick_pair=lambda typical, rng: (0, 0),
+                              cover_typical=lambda i, j: np.zeros((1, len(i))),
+                              pick_cover=lambda i, j, covers, rng: (_OK, _OK))
+    decoder = SimpleNamespace(typical=lambda blocks, cols, covers: [None] * len(cols),
+                              resolve=lambda typical, col: 0)
+    return [encoder, decoder, SimpleNamespace(**vars(decoder))]
+
+
+# the per-trial stage that raises each failure
+_FAILING_STAGE = {EncoderNoSequence: ("pick", "pick_pair"), EncoderNoCover: ("pick", "pick_cover"),
+                  DecodeNone: ("resolve",), DecodeAmbiguous: ("resolve",)}
 
 
 @pytest.mark.parametrize("direction, coder, exc, key, errs", [
@@ -176,12 +229,14 @@ def test_trial_failure_taxonomy(direction, coder, exc, key, errs):
     def failing(*args):
         raise exc("stub")
 
-    coders = list(_HEALTHY[direction])
-    coders[coder] = failing
+    coders = _healthy_coders(direction)
+    for stage in _FAILING_STAGE[exc]:
+        if hasattr(coders[coder], stage):
+            setattr(coders[coder], stage, failing)
     inst._cache["coders"] = tuple(coders)
     tally = _Tally()
     rng = np.random.default_rng(7)
-    inst.run_trial(rng, tally)
+    inst.run_batch(_source_cdf(cfg.base), [rng], tally)
 
     expected = np.random.default_rng(7)
     sample_sources(cfg.base, cfg.n, expected)
@@ -194,6 +249,49 @@ def test_trial_failure_taxonomy(direction, coder, exc, key, errs):
     assert (tally.trials, tally.err_k, tally.err_l) == (1, *errs)
     assert (dict(tally.k_counts), dict(tally.l_counts)) == ({keys[0]: 1}, {keys[1]: 1})
     assert rng.bit_generator.state == expected.bit_generator.state
+
+
+def _with_trials(cfg: SimConfig, trials: int, seeds=(1, 2)) -> SimConfig:
+    cfg.trials, cfg.codebook_seeds = trials, seeds
+    return cfg
+
+
+@pytest.mark.parametrize("make, failures", [
+    (lambda: broadcast_forward_preset(6, trials=40, seeds=(1, 2)), True),
+    (lambda: _with_trials(_two_key_config(6), 40), True),
+    (lambda: _with_trials(_backward_two_key_config(6), 40), True),
+    (lambda: identity_preset(6, trials=40, seeds=(1, 2)), False),
+    (lambda: _over_rate_config(6, 40), True),
+], ids=["forward", "forward-two-key", "backward-two-key", "identity", "over-rate"])
+def test_mc_report_independent_of_batch_size(monkeypatch, make, failures):
+    # trials run in batches; a batch size changes no draw and no tally
+    reference = run_trials(make()).to_json_dict()
+    assert bool(reference["failures"]) == failures
+    for size in (1, 3, 7):
+        monkeypatch.setattr(_Instance, "batch_trials", lambda self, size=size: size)
+        assert run_trials(make()).to_json_dict() == reference
+
+
+def test_mc_kernel_calls_per_batch(monkeypatch):
+    # one encoder kernel call per user and one decoder call per announced
+    # column pair in each batch, never a call per trial
+    cfg = broadcast_forward_preset(8, trials=1000, seeds=(1,))
+    inst = _Instance(cfg, 1)
+    # a batch holds the most trials for which trials x candidates stays within
+    # the kernel's word bound; user 1's codebook is the largest candidate set
+    batches = -(-cfg.trials // (codec._KERNEL_WORDS // inst.cb1.size))
+    calls = []
+    for name in ("mask", "pair_mask"):
+        method = getattr(codec.JointTypicalityTest, name)
+
+        def counted(self, *args, method=method):
+            calls.append(1)
+            return method(self, *args)
+        monkeypatch.setattr(codec.JointTypicalityTest, name, counted)
+    run_trials(cfg)
+    cover_tables = 2  # the encoders' cover tables, built once per codebook seed
+    assert batches > 1
+    assert len(calls) <= cover_tables + batches * (2 + inst.cb1.n_col * inst.cb2.n_col)
 
 
 # ---------------------------------------------------------------------------

@@ -113,3 +113,26 @@ def test_kernel_grouping_does_not_change_masks(monkeypatch, kernel_words):
     assert np.array_equal(test.pair_mask("A", a, "B", b, {"C": c}), reference[0])
     assert np.array_equal(test.mask("A", a, {"B": b[0], "C": c}), reference[1])
     assert reference[0].any()
+
+
+@settings(max_examples=100, deadline=None)
+@given(kernel_cases())
+def test_batched_fixed_matches_per_row_calls(case):
+    # fixed sequences stacked as (B, n) give one mask per row on a trailing
+    # axis; a 1-D fixed value is shared by every row
+    joint, params, seed = case
+    rng = np.random.default_rng(seed)
+    test = JointTypicalityTest(joint, params)
+    tuples = _tuples(joint, params.n, rng, 4)
+    a, b, c = tuples[:, 0], tuples[:, 1], tuples[:, 2]
+
+    got = test.pair_mask("A", a, "B", SequenceBits(b, joint.table.shape[1]), {"C": c})
+    expected = np.stack([test.pair_mask("A", a, "B", b, {"C": row}) for row in c], axis=-1)
+    assert got.shape == (4, 4, 4) and np.array_equal(got, expected)
+
+    got = test.mask("A", a, {"B": b[0], "C": c})
+    expected = np.stack([test.mask("A", a, {"B": b[0], "C": row}) for row in c], axis=-1)
+    assert got.shape == (4, 4) and np.array_equal(got, expected)
+
+    got = test.mask("A", a[:0], {"B": b, "C": c})
+    assert got.shape == (0, 4)
