@@ -43,6 +43,9 @@ __all__ = [
 
 CHAIN_TOL = 1e-9
 
+#: `region_gap` probes each frontier edge at this many equal steps.
+_EDGE_SAMPLES = 16
+
 
 class ChainViolatedError(PmfError):
     def __init__(self, chain: str, residual: float):
@@ -182,19 +185,19 @@ def _point_gap(px: float, py: float, csets) -> float:
     return best
 
 
-def region_gap(outer_frontier, inner_csets, samples_per_edge: int = 16) -> float:
+def region_gap(outer_frontier, inner_csets) -> float:
     """Max one-sided gap from the outer frontier into the inner union.
 
-    Probes every outer vertex plus evenly spaced points along frontier
-    edges; each probe measures how far it must move down-left (Chebyshev)
-    to enter the inner region.
+    Probes every outer vertex plus 15 evenly spaced points along each
+    frontier edge; each probe measures how far it must move down-left
+    (Chebyshev) to enter the inner region.
     """
     if not inner_csets:
         inner_csets = [RateConstraintSet(0.0, 0.0, INF)]
     probes = list(outer_frontier)
     for (x0, y0), (x1, y1) in zip(outer_frontier, outer_frontier[1:]):
-        for j in range(1, samples_per_edge):
-            f = j / samples_per_edge
+        for j in range(1, _EDGE_SAMPLES):
+            f = j / _EDGE_SAMPLES
             probes.append((x0 + f * (x1 - x0), y0 + f * (y1 - y0)))
     return max(_point_gap(px, py, inner_csets) for px, py in probes)
 

@@ -503,12 +503,8 @@ def _case2_check(base, grid_q, tol):
     rect = region2.points[0].constraints
     c1 = base.variable("X1").cardinality
     c2 = base.variable("X2").cardinality
-    aux = AuxSystem.forward(
-        base,
-        Channel.identity("X1", c1, "S"), Channel.identity("X2", c2, "T"),
-        Channel.constant("U", "S", c1), Channel.constant("V", "T", c2),
-    )
-    corner = forward_inner_point(aux)
+    channels = _forward_channels(base, t_identity=True)  # S = X1, T = X2, constant U and V
+    corner = forward_inner_point(AuxSystem.forward(base, *channels))
     corner_err = max(abs(corner.r1_max - rect.r1_max), abs(corner.r2_max - rect.r2_max))
     grid = GridSpec(c1, c2, 1, 1, grid_q)
     inner = enumerate_region(base, "forward-inner", grid)

@@ -53,6 +53,9 @@ __all__ = [
 
 COUNT_FUZZ = 1e-9  # absolute guard for count-vs-bound float comparisons
 
+#: Rate slack of the cover codewords over the mutual information they cover.
+COVER_SLACK = 0.05
+
 #: Most uint64 words one step of the typicality kernel ANDs together
 #: (counted cells x candidate pairs x words per sequence).  Bounds the
 #: kernel's temporaries; results do not depend on it.
@@ -335,8 +338,7 @@ def _bin_count(n: int, rate: float) -> int:
     return max(1, math.ceil(2.0 ** (n * rate) - COUNT_FUZZ))
 
 
-def forward_binning(full: JointPmf, n: int, rate1: float, rate2: float,
-                    eps1: float = 0.0) -> tuple:
+def forward_binning(full: JointPmf, n: int, rate1: float, rate2: float) -> tuple:
     """Binning parameters for both forward codebooks.
 
     R'_1 = H(S|X2,U) - R1 and R'_2 = H(T|X1,V) - R2; negative public rates
@@ -361,17 +363,14 @@ def forward_binning(full: JointPmf, n: int, rate1: float, rate2: float,
           "R'1+R'2 >= H(S,T|X3,U,V)": rc1 + rc2 - need_sum}
     m2 = {"R'2 >= H(T|X3,S,V)": rc2 - need2,
           "R'1+R'2 >= H(S,T|X3,U,V)": rc1 + rc2 - need_sum}
-    cell1 = float(np.clip(
-        conditional_entropy(full, ("S",), ()) - rate1 - rc1, 0.0, None)) + eps1
-    cell2 = float(np.clip(
-        conditional_entropy(full, ("T",), ()) - rate2 - rc2, 0.0, None)) + eps1
+    cell1 = float(np.clip(conditional_entropy(full, ("S",), ()) - rate1 - rc1, 0.0, None))
+    cell2 = float(np.clip(conditional_entropy(full, ("T",), ()) - rate2 - rc2, 0.0, None))
     b1 = BinningParams(rate1, max(0.0, rc1), cell1, _bin_count(n, rate1), _bin_count(n, max(0.0, rc1)), m1)
     b2 = BinningParams(rate2, max(0.0, rc2), cell2, _bin_count(n, rate2), _bin_count(n, max(0.0, rc2)), m2)
     return b1, b2
 
 
-def backward_binning(full: JointPmf, n: int, rate1: float, rate2: float,
-                     eps1: float = 0.0) -> tuple:
+def backward_binning(full: JointPmf, n: int, rate1: float, rate2: float) -> tuple:
     """Binning parameters for the backward codebooks held by user 3.
 
     R'_1 = H(S|X2,T,U) - R1 and R'_2 = H(T|X1,S,U) - R2; margins against
@@ -389,8 +388,8 @@ def backward_binning(full: JointPmf, n: int, rate1: float, rate2: float,
         )
     m1 = {"R'1 >= H(S|X1,U)": rc1 - conditional_entropy(full, ("S",), ("X1", "U"))}
     m2 = {"R'2 >= H(T|X2,U)": rc2 - conditional_entropy(full, ("T",), ("X2", "U"))}
-    cell1 = float(np.clip(full.entropy(("S",)) - rate1 - rc1, 0.0, None)) + eps1
-    cell2 = float(np.clip(full.entropy(("T",)) - rate2 - rc2, 0.0, None)) + eps1
+    cell1 = float(np.clip(full.entropy(("S",)) - rate1 - rc1, 0.0, None))
+    cell2 = float(np.clip(full.entropy(("T",)) - rate2 - rc2, 0.0, None))
     b1 = BinningParams(rate1, max(0.0, rc1), cell1, _bin_count(n, rate1), _bin_count(n, max(0.0, rc1)), m1)
     b2 = BinningParams(rate2, max(0.0, rc2), cell2, _bin_count(n, rate2), _bin_count(n, max(0.0, rc2)), m2)
     return b1, b2
@@ -417,7 +416,6 @@ class Codebook:
     def __post_init__(self):
         self._cols = {}
         self._cells = {}
-        self._lookup = {seq.tobytes(): i for i, seq in enumerate(self.sequences)}
 
     @property
     def size(self) -> int:
@@ -444,9 +442,6 @@ class Codebook:
                 (self.triples[:, 0] == key) & (self.triples[:, 1] == col)
             )
         return self._cells[(key, col)]
-
-    def index_of(self, seq: np.ndarray) -> int:
-        return self._lookup[np.asarray(seq, dtype=np.int8).tobytes()]
 
     def triple_of(self, idx: int) -> tuple:
         k, kp, kpp = self.triples[idx]
@@ -480,73 +475,65 @@ def _assign_bins(m: int, n_key: int, n_col: int, rng: np.random.Generator) -> np
     return triples
 
 
-def _draw_cover(marginal: JointPmf, count: int, n: int, rng) -> np.ndarray:
-    p = marginal.table.reshape(-1)
-    card = marginal.variables[0].cardinality
-    return rng.choice(card, size=(count, n), p=p).astype(np.int8)
+def _stream(seed: int, index: int) -> np.random.Generator:
+    """Codebook construction's generator number `index` for `seed`."""
+    return np.random.default_rng(np.random.SeedSequence([seed, index]))
 
 
-def _build_one(full, var, source_var, cover_var, params, binning, eps2, rng, budget):
+def _binned_typical_set(full: JointPmf, var: str, params: TypicalityParams,
+                        binning: BinningParams, rng, budget) -> tuple:
+    """(sequences, triples): `var`'s typical set, refused when empty, and its bins."""
     seqs = typical_sequences(full.marginalize({var}), params, budget=budget)
     if len(seqs) == 0:
-        raise InfeasibleRatesError(f"typical set of {var} is empty at n={params.n}, eps={params.eps}")
-    triples = _assign_bins(len(seqs), binning.n_key, binning.n_col, rng)
-    cover_rate = (
-        full.entropy((var,)) + full.entropy((cover_var,)) - full.entropy((var, cover_var))
-    ) + eps2
-    n_cover = _bin_count(params.n, max(0.0, cover_rate))
-    u_cb = _draw_cover(full.marginalize({cover_var}), n_cover, params.n, rng)
-    return Codebook(var, cover_var, seqs, triples, binning.n_key, binning.n_col,
-                    u_cb, binning, 0)
+        raise InfeasibleRatesError(
+            f"typical set of {var} is empty at n={params.n}, eps={params.eps}")
+    return seqs, _assign_bins(len(seqs), binning.n_key, binning.n_col, rng)
+
+
+def _draw_covers(full: JointPmf, keyed: tuple, cover_var: str, n: int, rng) -> np.ndarray:
+    """(count, n) int8 cover codewords drawn i.i.d. from `cover_var`'s marginal,
+    at rate I(keyed; cover) + COVER_SLACK."""
+    rate = (full.entropy(keyed) + full.entropy((cover_var,))
+            - full.entropy(keyed + (cover_var,))) + COVER_SLACK
+    marginal = full.marginalize({cover_var})
+    card = marginal.variables[0].cardinality
+    return rng.choice(card, size=(_bin_count(n, max(0.0, rate)), n),
+                      p=marginal.table.reshape(-1)).astype(np.int8)
 
 
 def build_forward_codebooks(full: JointPmf, params: TypicalityParams,
                             rate1: float, rate2: float, seed: int, *,
-                            eps1: float = 0.0, eps2: float = 0.05,
                             budget=None) -> tuple:
     """Codebooks of users 1 (over S, covered by U) and 2 (over T, covered by V).
 
-    Deterministic function of `seed`.
+    Deterministic function of `seed`: each codebook deals its bins and then
+    draws its covers from its own generator.
     """
-    b1, b2 = forward_binning(full, params.n, rate1, rate2, eps1)
-    rng = np.random.default_rng(np.random.SeedSequence([seed, 1]))
-    cb1 = _build_one(full, "S", "X1", "U", params, b1, eps2, rng, budget)
-    rng = np.random.default_rng(np.random.SeedSequence([seed, 2]))
-    cb2 = _build_one(full, "T", "X2", "V", params, b2, eps2, rng, budget)
-    cb1.seed = cb2.seed = seed
-    return cb1, cb2
+    b1, b2 = forward_binning(full, params.n, rate1, rate2)
+    codebooks = []
+    for index, (var, cover_var, binning) in enumerate((("S", "U", b1), ("T", "V", b2)), 1):
+        rng = _stream(seed, index)
+        seqs, triples = _binned_typical_set(full, var, params, binning, rng, budget)
+        covers = _draw_covers(full, (var,), cover_var, params.n, rng)
+        codebooks.append(Codebook(var, cover_var, seqs, triples, binning.n_key, binning.n_col,
+                                  covers, binning, seed))
+    return tuple(codebooks)
 
 
 def build_backward_codebooks(full: JointPmf, params: TypicalityParams,
                              rate1: float, rate2: float, seed: int, *,
-                             eps1: float = 0.0, eps2: float = 0.05,
                              budget=None) -> tuple:
     """User 3's codebooks over S (for user 1's key) and T (user 2's key).
 
     Both are covered by the single U codeword list, which is drawn at rate
-    I(S,T;U) + eps2 and stored on the S codebook (the T codebook carries a
-    reference to the same array).
+    I(S,T;U) + COVER_SLACK and stored on both codebooks (one shared array).
     """
-    b1, b2 = backward_binning(full, params.n, rate1, rate2, eps1)
-    rng = np.random.default_rng(np.random.SeedSequence([seed, 1]))
-    seqs_s = typical_sequences(full.marginalize({"S"}), params, budget=budget)
-    if len(seqs_s) == 0:
-        raise InfeasibleRatesError(f"typical set of S is empty at n={params.n}")
-    triples_s = _assign_bins(len(seqs_s), b1.n_key, b1.n_col, rng)
-    rng2 = np.random.default_rng(np.random.SeedSequence([seed, 2]))
-    seqs_t = typical_sequences(full.marginalize({"T"}), params, budget=budget)
-    if len(seqs_t) == 0:
-        raise InfeasibleRatesError(f"typical set of T is empty at n={params.n}")
-    triples_t = _assign_bins(len(seqs_t), b2.n_key, b2.n_col, rng2)
-    cover_rate = (
-        full.entropy(("S", "T")) + full.entropy(("U",)) - full.entropy(("S", "T", "U"))
-    ) + eps2
-    rng3 = np.random.default_rng(np.random.SeedSequence([seed, 3]))
-    u_cb = _draw_cover(full.marginalize({"U"}), _bin_count(params.n, max(0.0, cover_rate)),
-                       params.n, rng3)
-    cb_s = Codebook("S", "U", seqs_s, triples_s, b1.n_key, b1.n_col, u_cb, b1, seed)
-    cb_t = Codebook("T", "U", seqs_t, triples_t, b2.n_key, b2.n_col, u_cb, b2, seed)
-    return cb_s, cb_t
+    b1, b2 = backward_binning(full, params.n, rate1, rate2)
+    s_bins = _binned_typical_set(full, "S", params, b1, _stream(seed, 1), budget)
+    t_bins = _binned_typical_set(full, "T", params, b2, _stream(seed, 2), budget)
+    covers = _draw_covers(full, ("S", "T"), "U", params.n, _stream(seed, 3))
+    return (Codebook("S", "U", *s_bins, b1.n_key, b1.n_col, covers, b1, seed),
+            Codebook("T", "U", *t_bins, b2.n_key, b2.n_col, covers, b2, seed))
 
 
 # ---------------------------------------------------------------------------
@@ -817,15 +804,16 @@ def backward_decode(user: int, block: np.ndarray, col: int, a: int,
 
 
 def wiretap_decode(key: int, col: int, obs_block: np.ndarray, u_seq: np.ndarray,
-                   codebook: Codebook, full: JointPmf, params: TypicalityParams,
-                   obs_var: str = "X2") -> int:
+                   codebook: Codebook, full: JointPmf, params: TypicalityParams) -> int:
     """The eavesdropper resolves the residual index inside a known cell.
 
     Given (k, k'), its own observation block, and the cover codeword, returns
-    the unique k'' whose sequence is jointly typical with both.  This
-    succeeding with high probability is exactly what caps the residual
-    equivocation of the key.
+    the unique k'' whose sequence is jointly typical with both.  The
+    eavesdropper on user 1's key (an S codebook) observes X2, the one on
+    user 2's key (a T codebook) X1.  This succeeding with high probability
+    is exactly what caps the residual equivocation of the key.
     """
+    obs_var = "X2" if codebook.var == "S" else "X1"
     obs_block = np.asarray(obs_block, dtype=np.int8)
     members = codebook.cell(key, col)
     test = JointTypicalityTest(

@@ -74,20 +74,16 @@ __all__ = [
 ]
 
 
+#: First entry of every Monte Carlo trial's seed, (TRIAL_SEED, codebook seed, trial).
+TRIAL_SEED = 2024
+
+
 @dataclass(frozen=True)
 class EpsParams:
-    """Tolerance ladder: enc for codebooks/encoders, dec for decoders,
-    cover for the cover-codeword rate slack, wiretap for the adversary."""
+    """Typicality tolerances: enc for codebooks and encoders, dec for decoders."""
 
     enc: float = 1.0
     dec: float = 1.0
-    cover: float = 0.05
-    wiretap: float = 1.0
-
-    @classmethod
-    def from_margin(cls, margin: float) -> "EpsParams":
-        e = max(0.5, 2.0 * margin)
-        return cls(enc=e, dec=e, cover=0.05, wiretap=e)
 
 
 @dataclass
@@ -105,8 +101,6 @@ class SimConfig:
     trials: int
     codebook_seeds: tuple
     mode: str = "mc"               # "mc" | "exact"
-    trial_seed: int = 2024
-    exact_error: bool = True
     budget: int | None = None
 
     def __post_init__(self):
@@ -303,7 +297,7 @@ class _Instance:
     """Codebooks plus everything derived from them once, for one codebook seed.
 
     Derived values (the coders with their typicality tests and packed
-    codebooks, and exact mode's encoder outcomes and errors) are built on
+    codebooks, and exact mode's encoder outcomes and key decoders) are built on
     first use through `cached`, so a test may swap a codebook before use.
     """
 
@@ -314,14 +308,10 @@ class _Instance:
         self.enc_params = TypicalityParams(config.n, config.eps.enc)
         self.dec_params = TypicalityParams(config.n, config.eps.dec)
         self._cache = {}
-        if config.direction == "forward":
-            self.cb1, self.cb2 = build_forward_codebooks(
-                self.full, self.enc_params, config.rate1, config.rate2, seed,
-                eps2=config.eps.cover, budget=config.budget)
-        else:
-            self.cb1, self.cb2 = build_backward_codebooks(
-                self.full, self.enc_params, config.rate1, config.rate2, seed,
-                eps2=config.eps.cover, budget=config.budget)
+        build = (build_forward_codebooks if config.direction == "forward"
+                 else build_backward_codebooks)
+        self.cb1, self.cb2 = build(self.full, self.enc_params, config.rate1, config.rate2,
+                                   seed, budget=config.budget)
 
     def cached(self, key, compute, *args):
         """`compute(*args)`, computed once per instance and key."""
@@ -470,7 +460,7 @@ def run_trials(config: SimConfig) -> SimReport:
     """Monte Carlo protocol runs, averaged over the configured codebook seeds.
 
     Deterministic given the seed list: per-trial randomness is derived from
-    (trial_seed, codebook seed, trial index), and trials run in batches of
+    (TRIAL_SEED, codebook seed, trial index), and trials run in batches of
     `_Instance.batch_trials` that leave each trial's draws unchanged.
     """
     if config.mode != "mc":
@@ -484,7 +474,7 @@ def run_trials(config: SimConfig) -> SimReport:
         tally = _Tally()
         step = inst.batch_trials()
         for first in range(0, config.trials, step):
-            rngs = [np.random.default_rng(np.random.SeedSequence([config.trial_seed, seed, t]))
+            rngs = [np.random.default_rng(np.random.SeedSequence([TRIAL_SEED, seed, t]))
                     for t in range(first, min(first + step, config.trials))]
             inst.run_batch(cdf, rngs, tally)
         per_seed.append(_seed_row(seed, *tally.sides(inst)))
@@ -550,92 +540,88 @@ def _report(config: SimConfig, per_seed: list, failures: dict, warnings: list,
 _CHUNK_PAIRS = 1 << 19
 
 
-def _encoder_outcomes_forward(inst: _Instance, user: int) -> tuple:
-    """Per source-block outcome distributions plus encoder-failure mass.
+def _weigh_outcomes(block_hits, covers_of, label_of) -> tuple:
+    """Per-block encoder outcome distributions plus encoder-failure mass.
 
-    Returns (outcomes, fail_weight): outcomes[code] lists ((key, col, cover),
-    weight) for the successful encodings of that block (weights summing to
-    1 - fail_weight[code]); fail_weight[code] is the probability that the
-    encoder finds no codeword or no cover for the block.  The blocks are
-    tested against the whole codebook a chunk of blocks at a time.
+    `block_hits` yields each block's typical hits, in block order.  The
+    encoder draws a hit uniformly, then a cover uniformly among
+    `covers_of(hit)`, and announces `label_of(hit)`.  Returns (outcomes,
+    fail): outcomes[code] lists ((*label, cover), weight) for the successful
+    encodings of block `code`, in sorted order, with weights summing to
+    1 - fail[code]; fail[code] is the probability that the encoder finds no
+    hit, or a hit with no cover.
+    """
+    outcomes, fail = [], []
+    for hits in block_hits:
+        out = defaultdict(float)
+        missed = 0.0 if len(hits) else 1.0
+        for hit in hits:
+            covers = covers_of(hit)
+            if len(covers) == 0:
+                missed += 1.0 / len(hits)
+                continue
+            wa = 1.0 / len(hits) / len(covers)
+            label = label_of(hit)
+            for a in covers:
+                out[(*label, int(a))] += wa
+        outcomes.append(sorted(out.items()))
+        fail.append(missed)
+    return outcomes, np.array(fail)
+
+
+def _encoder_outcomes_forward(inst: _Instance, user: int) -> tuple:
+    """`_weigh_outcomes` of `user`'s encoder over its source blocks, with
+    outcome labels (k, k').
+
+    The blocks are tested against the whole codebook a chunk of blocks at a
+    time; a hit is a codeword index.
     """
     cfg = inst.config
     enc = inst.coders()[user - 1]
-    cb = enc.codebook
     card = inst.full.variable(enc.src).cardinality
     blocks = _all_sequences(card, cfg.n, cfg.budget)
-    step = max(1, _CHUNK_PAIRS // cb.size)
-    outcomes = []
-    fail = np.zeros(len(blocks))
-    for start in range(0, len(blocks), step):
-        chunk = SequenceBits(blocks[start:start + step], card)
-        typical = enc.typical(chunk)
-        for code, row in enumerate(typical, start):
-            cands = np.flatnonzero(row)
-            out = defaultdict(float)
-            if len(cands) == 0:
-                fail[code] = 1.0
-            else:
-                w_seq = 1.0 / len(cands)
-                for idx in cands:
-                    covers = enc.covers[idx]
-                    if len(covers) == 0:
-                        fail[code] += w_seq
-                        continue
-                    k, kp, _ = enc.labels[idx]
-                    wa = w_seq / len(covers)
-                    for a in covers:
-                        out[(k, kp, int(a))] += wa
-            outcomes.append(sorted(out.items()))
-    return outcomes, fail
+    step = max(1, _CHUNK_PAIRS // enc.codebook.size)
+    block_hits = (np.flatnonzero(row) for i in range(0, len(blocks), step)
+                  for row in enc.typical(SequenceBits(blocks[i:i + step], card)))
+    return _weigh_outcomes(block_hits, enc.covers.__getitem__, lambda idx: enc.labels[idx][:2])
 
 
 def _encoder_outcomes_backward(inst: _Instance) -> tuple:
-    """Per x3-block distributions [((k, kp, l, lp, a), weight), ...] + failure mass.
+    """`_weigh_outcomes` of user 3's encoder over its x3 blocks, with outcome
+    labels (k, k', l, l').
 
     The blocks are tested against every (s, t) pair a chunk of blocks at a
-    time, and the covers of each pair hit are tested once.
+    time; a hit is a pair (i, j), and the covers of each pair are tested
+    once, when a chunk first hits it.
     """
     cfg = inst.config
     card = inst.full.variable("X3").cardinality
     blocks = _all_sequences(card, cfg.n, cfg.budget)
     enc = inst.coders()[0]
-    cb_s, cb_t = inst.cb1, inst.cb2
-    step = max(1, _CHUNK_PAIRS // (cb_s.size * cb_t.size))
+    step = max(1, _CHUNK_PAIRS // (inst.cb1.size * inst.cb2.size))
     covers = {}  # (i, j) -> its cover indices, for every pair hit so far
-    outcomes = []
-    fail = np.zeros(len(blocks))
-    for start in range(0, len(blocks), step):
-        typical = enc.typical(blocks[start:start + step])
-        hit_rows = [np.argwhere(typical[:, :, c]) for c in range(typical.shape[2])]
-        new = sorted({(int(i), int(j)) for hits in hit_rows for i, j in hits} - covers.keys())
-        if new:
-            cover_ok = enc.cover_typical(*np.array(new).T)
-            for g, pair in enumerate(new):
-                covers[pair] = np.flatnonzero(cover_ok[:, g])
-        for code, hits in enumerate(hit_rows, start):
-            out = defaultdict(float)
-            if len(hits) == 0:
-                fail[code] = 1.0
-            else:
-                w_pair = 1.0 / len(hits)
-                for i, j in hits:
-                    cover = covers[(int(i), int(j))]
-                    if len(cover) == 0:
-                        fail[code] += w_pair
-                        continue
-                    k, kp, _ = cb_s.triple_of(int(i))
-                    l, lp, _ = cb_t.triple_of(int(j))
-                    wa = w_pair / len(cover)
-                    for a in cover:
-                        out[(k, kp, l, lp, int(a))] += wa
-            outcomes.append(sorted(out.items()))
-    return outcomes, fail
+    labels_s, labels_t = (cb.triples[:, :2].tolist() for cb in (inst.cb1, inst.cb2))
+
+    def block_hits():
+        for start in range(0, len(blocks), step):
+            typical = enc.typical(blocks[start:start + step])
+            hit_rows = [list(map(tuple, np.argwhere(typical[:, :, c]).tolist()))
+                        for c in range(typical.shape[2])]
+            new = sorted({pair for hits in hit_rows for pair in hits} - covers.keys())
+            if new:
+                cover_ok = enc.cover_typical(*np.array(new).T)
+                for g, pair in enumerate(new):
+                    covers[pair] = np.flatnonzero(cover_ok[:, g])
+            yield from hit_rows
+
+    return _weigh_outcomes(block_hits(), covers.__getitem__,
+                           lambda pair: (*labels_s[pair[0]], *labels_t[pair[1]]))
 
 
 def _outcomes(inst: _Instance, user: int) -> tuple:
-    """The encoder outcomes of `user` (3 in the backward strategy), computed once."""
-    if user == 3:
+    """The outcomes of the encoder that draws `user`'s key (user 3's in the
+    backward strategy), computed once."""
+    if inst.config.direction == "backward":
         return inst.cached(("outcomes", 3), _encoder_outcomes_backward, inst)
     return inst.cached(("outcomes", user), _encoder_outcomes_forward, inst, user)
 
@@ -710,15 +696,14 @@ def _view_joint(inst: _Instance, user: int) -> np.ndarray:
     cb = inst.cb1 if user == 1 else inst.cb2
     other = "X2" if user == 1 else "X1"
     n_cover = len(cb.u_codebook)
+    cells, fail = _outcomes(inst, user)
     if cfg.direction == "forward":
         src = "X1" if user == 1 else "X2"
-        cells, fail = _outcomes(inst, user)
         public = (cb.n_col, n_cover)
     else:
         src = "X3"
-        outcomes, fail = _outcomes(inst, 3)
         cells = [[((k if user == 1 else l, kp, lp, a), w) for (k, kp, l, lp, a), w in row]
-                 for row in outcomes]
+                 for row in cells]
         public = (inst.cb1.n_col, inst.cb2.n_col, n_cover)
     n_other = inst.full.variable(other).cardinality ** n
     size = cb.n_key * n_other * math.prod(public)
@@ -755,13 +740,7 @@ def _exact_side(inst: _Instance, user: int) -> ExactSide:
     leak = _mi_first_axis(joint) / n
     h_key = _h(joint.sum(axis=tuple(range(1, joint.ndim))))
     gap = max(0.0, (np.log2(cb.n_key) - h_key) / n)
-    err = None
-    if cfg.exact_error:
-        if cfg.direction == "forward":
-            err = inst.cached("errors", _exact_errors_forward, inst)[user - 1]
-        else:
-            err = _exact_err_backward(inst, user)
-    return ExactSide(leak, gap, h_key / n, np.log2(cb.n_key) / n, err)
+    return ExactSide(leak, gap, h_key / n, np.log2(cb.n_key) / n, _exact_key_error(inst, user))
 
 
 def _decode_rows(test, cb, var: str, sequences, obs: str, blocks, fixed_of):
@@ -791,105 +770,105 @@ def _decode_rows(test, cb, var: str, sequences, obs: str, blocks, fixed_of):
     return decode_row
 
 
-def _exact_errors_forward(inst: _Instance) -> tuple:
-    """Exact (err_K, err_L) for the forward strategy.
+def _key_decoder(inst: _Instance, user: int):
+    """(encoder source, decoder observation, `_decode_rows` decoder) of
+    `user`'s key, or None where exact mode does not compute its error.
 
-    Supported when user 2's auxiliary chain is degenerate (constant T and V
-    alphabets), so the joint decoder depends on (k', a, x3) only.  err_K
-    reads the rows of the (X1, X3) block-pair law; err_L additionally couples
-    to user 2's typical-set misses and needs the dense pair law, or the full
-    block triple when those misses occur, all budget-gated.  Unsupported
-    shapes yield (None, None).
+    Forward, user 3's joint decoder of user 1's key, which needs constant T
+    and V so that it depends on (k', a, x3) only; backward, user's own
+    decoder.  Either way the error reads the rows of the (encoder source,
+    decoder observation) block-pair law, which must fit the budget.
     """
     cfg = inst.config
     full = inst.full
-    degenerate = (full.variable("T").cardinality == 1
-                  and full.variable("V").cardinality == 1)
-    n = cfg.n
-    cards = [full.variable(v).cardinality for v in ("X1", "X2", "X3")]
-    pair_cost = (cards[0] * cards[2]) ** n
-    if not degenerate or pair_cost > entry_budget(cfg.budget):
-        return None, None
-    cb = inst.cb1
-    outcomes1, fail1 = _outcomes(inst, 1)
-    _, fail2 = _outcomes(inst, 2)
-    x3_blocks = SequenceBits(_all_sequences(cards[2], n, cfg.budget), cards[2])
-    decoder = inst.coders()[2]
-    const_t = inst.cb2.sequences[0]
-    const_v = inst.cb2.u_codebook[0]
-    decode_row = _decode_rows(decoder.test, cb, "S", decoder.seqs1, "X3", x3_blocks,
-                              lambda a: {"T": const_t, "V": const_v, "U": cb.u_codebook[a]})
-
-    # err_L needs user 1's decode failures per (x1, x3) block pair, and the dense
-    # (X1, X3) law too when user 2's encoder never fails
-    no_fail2 = fail2.max() == 0.0
-    with_l = no_fail2 or int(np.prod(cards)) ** n <= entry_budget(cfg.budget)
-    shape = (len(outcomes1), len(x3_blocks))
-    dec_fail = np.zeros(shape) if with_l else None
-    pair13 = np.empty(shape) if no_fail2 else None
-    row_mass = np.empty(shape[0])
-    terms = []  # added to err_k in block order, after the encoder-failure mass
-    for start, rows in _pair_block_rows(cfg.base, "X1", "X3", n, cfg.budget):
-        row_mass[start:start + len(rows)] = rows.sum(axis=1)
-        if no_fail2:
-            pair13[start:start + len(rows)] = rows
-        for code, row in enumerate(rows, start):
-            for (k, kp, a), w in outcomes1[code]:
-                decoded = decode_row(kp, a)
-                terms.append(w * float(row[decoded != k].sum()))
-                if with_l:
-                    dec_fail[code] += w * (decoded == -1)
-            if with_l and fail1[code] > 0.0:
-                dec_fail[code] += fail1[code] * (decode_row(0, 0) == -1)
-    err_k = float(row_mass @ fail1)
-    for term in terms:
-        err_k += term
-
-    # user 2's key: its encoder failures, plus any decode failure
-    err_l = None
-    if no_fail2:
-        err_l = float((pair13 * dec_fail).sum())
-    elif with_l:
-        triple = iid_extension(cfg.base, n, budget=cfg.budget).table
-        err_l = float(np.einsum("abc,b->", triple, fail2))
-        weight13 = np.einsum("abc,b->ac", triple, 1.0 - fail2)
-        err_l += float((weight13 * dec_fail).sum())
-    return err_k, err_l
+    if cfg.direction == "forward":
+        if full.variable("T").cardinality > 1 or full.variable("V").cardinality > 1:
+            return None
+        decoder = inst.coders()[2]
+        src, obs, var, sequences = "X1", "X3", "S", decoder.seqs1
+        cb = inst.cb1
+        const = {"T": inst.cb2.sequences[0], "V": inst.cb2.u_codebook[0]}
+    else:
+        decoder = inst.coders()[user]
+        src, obs, var, sequences = "X3", decoder.src, decoder.var, decoder.sequences
+        cb = decoder.codebook
+        const = {}
+    card = full.variable(obs).cardinality
+    if (full.variable(src).cardinality * card) ** cfg.n > entry_budget(cfg.budget):
+        return None
+    blocks = SequenceBits(_all_sequences(card, cfg.n, cfg.budget), card)
+    return src, obs, _decode_rows(decoder.test, cb, var, sequences, obs, blocks,
+                                  lambda a: {**const, "U": cb.u_codebook[a]})
 
 
-def _exact_err_backward(inst: _Instance, user: int) -> float | None:
-    """Exact key error for one backward decoder.
+def _exact_key_error(inst: _Instance, user: int) -> float | None:
+    """Exact probability that `user`'s key is decoded wrongly, or None.
 
-    User 3's encoder failures (fallback transcript) count fully against both
-    keys; otherwise the per-user decode depends only on (column, cover, own
-    block), so a block pair table suffices.
+    Encoder failures (the fallback transcript) count fully against the key;
+    otherwise the decode depends only on the announced (column, cover) and
+    the decoder's own block, so the (encoder source, decoder observation)
+    block-pair law suffices.  This covers forward err_K and both backward
+    errors; forward err_L is `_exact_err_l_forward`.
     """
     cfg = inst.config
-    n = cfg.n
-    cb = inst.cb1 if user == 1 else inst.cb2
-    decoder = inst.coders()[user]
-    src = decoder.src
-    src_card = inst.full.variable(src).cardinality
-    if (src_card * inst.full.variable("X3").cardinality) ** n > entry_budget(cfg.budget):
+    if cfg.direction == "forward" and user == 2:
+        return _exact_err_l_forward(inst)
+    decoder = inst.cached(("decoder", user), _key_decoder, inst, user)
+    if decoder is None:
         return None
-    outcomes, fail = _outcomes(inst, 3)
-    blocks = SequenceBits(_all_sequences(src_card, n, cfg.budget), src_card)
-    decode_row = _decode_rows(decoder.test, cb, decoder.var, decoder.sequences, src, blocks,
-                              lambda a: {"U": inst.cb1.u_codebook[a]})
-
+    src, obs, decode_row = decoder
+    outcomes, fail = _outcomes(inst, user)
+    pos = 2 * (user - 1)  # the (key, column) labels of `user` in an outcome
     row_mass = np.empty(len(outcomes))
     terms = []  # added to err in block order, after the encoder-failure mass
-    for start, rows in _pair_block_rows(cfg.base, "X3", src, n, cfg.budget):
+    for start, rows in _pair_block_rows(cfg.base, src, obs, cfg.n, cfg.budget):
         row_mass[start:start + len(rows)] = rows.sum(axis=1)
         for code, row in enumerate(rows, start):
-            for (k, kp, l, lp, a), w in outcomes[code]:
-                key, col = (k, kp) if user == 1 else (l, lp)
-                decoded = decode_row(col, a)
-                terms.append(w * float(row[decoded != key].sum()))
+            for cell, w in outcomes[code]:
+                decoded = decode_row(cell[pos + 1], cell[-1])
+                terms.append(w * float(row[decoded != cell[pos]].sum()))
     err = float(row_mass @ fail)
     for term in terms:
         err += term
     return err
+
+
+def _exact_err_l_forward(inst: _Instance) -> float | None:
+    """Exact forward err_L: user 2's encoder failures, plus user 1's decode
+    failures where user 2's encoder succeeds.
+
+    It reuses err_K's decoder (so T and V are constant).  The decode
+    failures per (x1, x3) block pair need no rows; weighting them needs the
+    dense (X1, X3) law when user 2's encoder never fails, or else the full
+    block triple, which is skipped (None) above the budget.
+    """
+    cfg = inst.config
+    n = cfg.n
+    decoder = inst.cached(("decoder", 1), _key_decoder, inst, 1)
+    if decoder is None:
+        return None
+    _, fail2 = _outcomes(inst, 2)
+    no_fail2 = fail2.max() == 0.0
+    cards = [inst.full.variable(v).cardinality for v in ("X1", "X2", "X3")]
+    if not no_fail2 and math.prod(cards) ** n > entry_budget(cfg.budget):
+        return None
+    _, _, decode_row = decoder
+    outcomes1, fail1 = _outcomes(inst, 1)
+    dec_fail = np.zeros((len(outcomes1), cards[2] ** n))
+    for code, cells in enumerate(outcomes1):
+        for (k, kp, a), w in cells:
+            dec_fail[code] += w * (decode_row(kp, a) == -1)
+        if fail1[code] > 0.0:
+            dec_fail[code] += fail1[code] * (decode_row(0, 0) == -1)
+    if no_fail2:
+        pair13 = np.concatenate([rows for _, rows in
+                                 _pair_block_rows(cfg.base, "X1", "X3", n, cfg.budget)])
+        return float((pair13 * dec_fail).sum())
+    triple = iid_extension(cfg.base, n, budget=cfg.budget).table
+    err_l = float(np.einsum("abc,b->", triple, fail2))
+    weight13 = np.einsum("abc,b->ac", triple, 1.0 - fail2)
+    err_l += float((weight13 * dec_fail).sum())
+    return err_l
 
 
 def _h(p: np.ndarray) -> float:
@@ -957,14 +936,14 @@ def check_definition1(report: SimReport, eps: float) -> dict:
 # Presets
 # ---------------------------------------------------------------------------
 
-def _forward_channels(base: JointPmf, s_identity=True, t_identity=False):
+def _forward_channels(base: JointPmf, t_identity=False):
+    """S = X1, T = X2 or constant, and constant U and V."""
     c1 = base.variable("X1").cardinality
     c2 = base.variable("X2").cardinality
-    ch_s = Channel.identity("X1", c1, "S") if s_identity else Channel.constant("S", "X1", c1)
+    ch_s = Channel.identity("X1", c1, "S")
     ch_t = Channel.identity("X2", c2, "T") if t_identity else Channel.constant("T", "X2", c2)
-    card_s = c1 if s_identity else 1
     card_t = c2 if t_identity else 1
-    ch_u = Channel.constant("U", "S", card_s)
+    ch_u = Channel.constant("U", "S", c1)
     ch_v = Channel.constant("V", "T", card_t)
     return (ch_s, ch_t, ch_u, ch_v)
 

@@ -20,6 +20,7 @@ from skregion.codec import (
     typical_sequences,
     wiretap_decode,
 )
+from skregion import codec
 from skregion.pmf import Channel, JointPmf, VariableId
 from skregion.region import AuxSystem
 from skregion.sim import _Instance, broadcast_backward_preset, broadcast_forward_preset, sample_sources
@@ -227,11 +228,16 @@ def test_encoder_selection_uniform_chi_square():
     params = TypicalityParams(8, 2.0)
     cb1, _ = build_forward_codebooks(aux.full, params, 0.05, 0.0, seed=8)
     block = np.array([0, 1, 0, 1, 0, 1, 0, 1], dtype=np.int8)
+    # one coder for every draw; the public function runs the same coder
+    encoder = codec._ForwardEncoder(1, cb1, aux.full, params)
+    assert (forward_encode(1, block, cb1, aux.full, params, np.random.default_rng(77))
+            == encoder(block, np.random.default_rng(77)))
+    typical = encoder.typical(block[None])[0]
     rng = np.random.default_rng(77)
     draws = 10000
     counts = {}
     for _ in range(draws):
-        res = forward_encode(1, block, cb1, aux.full, params, rng)
+        res = encoder.pick(typical, rng)
         counts[res.seq_index] = counts.get(res.seq_index, 0) + 1
     m = len(counts)
     assert m > 1

@@ -45,25 +45,55 @@ def _two_key_config(n):
                      EpsParams(enc=0.75, dec=1.0), 1, (1,), "exact")
 
 
+def _live_t_backward_config(n):
+    # user 3 keys both users: S = X3 and T a BSC(0.25) copy of X3, so both
+    # backward codebooks hold a nontrivial key
+    base = broadcast_source("X3", 0.25, 0.25)
+    table = np.zeros((2, 2, 2))
+    for x in range(2):
+        table[x, x, x] = 0.75
+        table[x, x, 1 - x] = 0.25
+    channels = (Channel(("X3",), (VariableId("S", 2), VariableId("T", 2)), table),
+                Channel(("S", "T"), (VariableId("U", 1),), np.ones((2, 2, 1))))
+    return SimConfig(base, "backward", channels, n, 0.1, 0.1, 0.5,
+                     EpsParams(enc=0.75, dec=1.0), 1, (1,), "exact")
+
+
+def _encoder_outcomes(inst, user):
+    """The outcomes of `user`'s encoder (3: user 3's backward encoder)."""
+    if user == 3:
+        return sim._encoder_outcomes_backward(inst)
+    return sim._encoder_outcomes_forward(inst, user)
+
+
 @pytest.mark.parametrize("config", [
     broadcast_forward_preset(6, seeds=(1,), mode="exact"),
     _two_key_config(6),
-], ids=["one-key", "two-key"])
+    broadcast_backward_preset(6, seeds=(1,), mode="exact"),
+    _live_t_backward_config(6),
+], ids=["one-key", "two-key", "backward", "backward-live-t"])
 def test_encoder_outcomes_independent_of_block_chunks(monkeypatch, config):
-    reference = {}
-    for user in (1, 2):
-        reference[user] = sim._encoder_outcomes_forward(_Instance(config, 1), user)
     inst = _Instance(config, 1)
-    size = {user: inst.coders()[user - 1].codebook.size for user in (1, 2)}
+    users = (3,) if config.direction == "backward" else (1, 2)
+    reference = {user: _encoder_outcomes(inst, user) for user in users}
+    for outcomes, fail in reference.values():
+        assert len(outcomes) == len(fail) == 64
+        for cells, missed in zip(outcomes, fail):
+            assert abs(sum(w for _, w in cells) + missed - 1.0) < 1e-12
+    # candidates one encoder kernel call tests per block
+    per_block = {1: inst.cb1.size, 2: inst.cb2.size, 3: inst.cb1.size * inst.cb2.size}
     # 1 block per chunk, and 5 or 7 blocks, which do not divide the 64 blocks
     for blocks_per_chunk in (1, 5, 7):
-        for user in (1, 2):
-            monkeypatch.setattr(sim, "_CHUNK_PAIRS", blocks_per_chunk * size[user])
-            outcomes, fail = sim._encoder_outcomes_forward(_Instance(config, 1), user)
-            ref_outcomes, ref_fail = reference[user]
-            assert outcomes == ref_outcomes
-            assert np.array_equal(fail, ref_fail)
-    assert any(reference[2][0]), "user 2's encoder never succeeds: a vacuous comparison"
+        for user in users:
+            monkeypatch.setattr(sim, "_CHUNK_PAIRS", blocks_per_chunk * per_block[user])
+            outcomes, fail = _encoder_outcomes(_Instance(config, 1), user)
+            assert outcomes == reference[user][0]
+            assert np.array_equal(fail, reference[user][1])
+    for user in users:
+        assert any(reference[user][0]), f"user {user}'s encoder never succeeds: a vacuous comparison"
+    if users == (3,):
+        # every T key is announced, so the live-T case compares T labels too
+        assert len({cell[2] for cells in reference[3][0] for cell, _ in cells}) == inst.cb2.n_key
 
 
 def test_exact_report_computes_each_users_outcomes_once(monkeypatch):
