@@ -37,12 +37,12 @@ for n in (4, 6, 8):
 # --- exact leakage ---------------------------------------------------------
 print("\nexact per-symbol leakage to the tapped leg:")
 for n in (4, 8):
-    cfg = broadcast_forward_preset(n, seeds=(1,), mode="exact")
+    cfg = broadcast_forward_preset(n, seeds=(1,))
     leak, gap, err = exact_leakage(cfg)
     print(f"  n={n}:  leak_K={leak:.4f} bits/symbol  err_K={err:.4f}")
 
 # --- the six achievability conditions at a fixed tolerance -----------------
-cfg = broadcast_forward_preset(8, seeds=(1,), mode="exact")
+cfg = broadcast_forward_preset(8, seeds=(1,))
 rep = exact_report(cfg)
 print("\nachievability checks at eps = 0.1:")
 for name, ok in check_definition1(rep, 0.1).items():

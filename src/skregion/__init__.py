@@ -29,7 +29,6 @@ from .region import (
     pareto_frontier,
 )
 from .codec import (
-    BinningParams,
     Codebook,
     TypicalityParams,
     build_backward_codebooks,

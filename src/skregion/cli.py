@@ -351,7 +351,7 @@ def _finite(value: float, flag: str, *, positive: bool = False) -> float:
 
 def _parse_cards(text: str | None, base: JointPmf) -> GridSpec:
     if text is None:
-        return GridSpec.default_inner(base, 1)
+        return GridSpec.default_inner(base)
     spec = {}
     for tok in text.split(","):
         key, _, val = tok.strip().partition("=")
@@ -440,8 +440,7 @@ def cmd_simulate(args) -> int:
         _at_least(seed, 0, "each of --seeds")
     config = SimConfig(
         base, args.direction, channels, args.n, args.rate1, args.rate2,
-        args.margin, EpsParams(enc=eps_enc, dec=eps_dec), args.trials, seeds,
-        args.mode,
+        EpsParams(enc=eps_enc, dec=eps_dec), args.trials, seeds,
     )
     if args.mode == "exact":
         report = exact_report(config)

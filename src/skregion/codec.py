@@ -31,7 +31,6 @@ __all__ = [
     "WiretapNone",
     "WiretapAmbiguous",
     "TypicalityParams",
-    "BinningParams",
     "EncodingResult",
     "Codebook",
     "JointTypicalityTest",
@@ -39,8 +38,6 @@ __all__ = [
     "typical_sequences",
     "jointly_typical",
     "conditional_entropy",
-    "forward_binning",
-    "backward_binning",
     "build_forward_codebooks",
     "build_backward_codebooks",
     "forward_encode",
@@ -316,83 +313,51 @@ def jointly_typical(seqs, joint: JointPmf, params: TypicalityParams) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Binning parameters
+# Binning
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class BinningParams:
-    """Rates and integer bin counts for one key-carrying codebook."""
-
-    rate_key: float    # R, the secret key rate (bits/symbol)
-    rate_col: float    # R', the public column-index rate
-    rate_cell: float   # R'', the residual rate absorbed inside a cell
-    n_key: int
-    n_col: int
-    margins: dict      # reliability slack per condition (may be negative)
-
-    def reliability_ok(self) -> bool:
-        return all(v > 0.0 for v in self.margins.values())
+#: The random-binning rule of each strategy.  Per key: its codeword, the
+#: wiretapper side of its public rate R'_i = H(codeword | wiretapper side) - R_i,
+#: and the decoder side of its reliability condition R'_i >= H(codeword |
+#: decoder side).  Then the decoder side of the condition
+#: R'_1 + R'_2 >= H(S,T | side) that both keys carry, or None.
+_BINNING = {
+    "forward": ((("S", ("X2", "U"), ("X3", "T", "U")),
+                 ("T", ("X1", "V"), ("X3", "S", "V"))),
+                ("X3", "U", "V")),
+    "backward": ((("S", ("X2", "T", "U"), ("X1", "U")),
+                  ("T", ("X1", "S", "U"), ("X2", "U"))),
+                 None),
+}
 
 
 def _bin_count(n: int, rate: float) -> int:
     return max(1, math.ceil(2.0 ** (n * rate) - COUNT_FUZZ))
 
 
-def forward_binning(full: JointPmf, n: int, rate1: float, rate2: float) -> tuple:
-    """Binning parameters for both forward codebooks.
+def _binning(full: JointPmf, direction: str, n: int, rates: tuple) -> list:
+    """Per key, (n_key, n_col, margins) under `direction`'s binning rule.
 
-    R'_1 = H(S|X2,U) - R1 and R'_2 = H(T|X1,V) - R2; negative public rates
-    are structurally infeasible.  Reliability margins (R'_1 vs H(S|X3,T,U),
-    R'_2 vs H(T|X3,S,V), and their sum vs H(S,T|X3,U,V)) are recorded but not
-    enforced: a run at unreliable rates is a legitimate experiment.
+    A negative public rate is structurally infeasible.  The margins map each
+    reliability condition to its slack (may be negative); they are recorded
+    but not enforced: a run at unreliable rates is a legitimate experiment.
     """
-    rc1 = conditional_entropy(full, ("S",), ("X2", "U")) - rate1
-    rc2 = conditional_entropy(full, ("T",), ("X1", "V")) - rate2
-    if rc1 < -1e-12:
-        raise InfeasibleRatesError(
-            f"public rate R'1 = H(S|X2,U) - R1 = {rc1:.6f} is negative"
-        )
-    if rc2 < -1e-12:
-        raise InfeasibleRatesError(
-            f"public rate R'2 = H(T|X1,V) - R2 = {rc2:.6f} is negative"
-        )
-    need1 = conditional_entropy(full, ("S",), ("X3", "T", "U"))
-    need2 = conditional_entropy(full, ("T",), ("X3", "S", "V"))
-    need_sum = conditional_entropy(full, ("S", "T"), ("X3", "U", "V"))
-    m1 = {"R'1 >= H(S|X3,T,U)": rc1 - need1,
-          "R'1+R'2 >= H(S,T|X3,U,V)": rc1 + rc2 - need_sum}
-    m2 = {"R'2 >= H(T|X3,S,V)": rc2 - need2,
-          "R'1+R'2 >= H(S,T|X3,U,V)": rc1 + rc2 - need_sum}
-    cell1 = float(np.clip(conditional_entropy(full, ("S",), ()) - rate1 - rc1, 0.0, None))
-    cell2 = float(np.clip(conditional_entropy(full, ("T",), ()) - rate2 - rc2, 0.0, None))
-    b1 = BinningParams(rate1, max(0.0, rc1), cell1, _bin_count(n, rate1), _bin_count(n, max(0.0, rc1)), m1)
-    b2 = BinningParams(rate2, max(0.0, rc2), cell2, _bin_count(n, rate2), _bin_count(n, max(0.0, rc2)), m2)
-    return b1, b2
-
-
-def backward_binning(full: JointPmf, n: int, rate1: float, rate2: float) -> tuple:
-    """Binning parameters for the backward codebooks held by user 3.
-
-    R'_1 = H(S|X2,T,U) - R1 and R'_2 = H(T|X1,S,U) - R2; margins against
-    the decoding requirements H(S|X1,U) and H(T|X2,U).
-    """
-    rc1 = conditional_entropy(full, ("S",), ("X2", "T", "U")) - rate1
-    rc2 = conditional_entropy(full, ("T",), ("X1", "S", "U")) - rate2
-    if rc1 < -1e-12:
-        raise InfeasibleRatesError(
-            f"public rate R'1 = H(S|X2,T,U) - R1 = {rc1:.6f} is negative"
-        )
-    if rc2 < -1e-12:
-        raise InfeasibleRatesError(
-            f"public rate R'2 = H(T|X1,S,U) - R2 = {rc2:.6f} is negative"
-        )
-    m1 = {"R'1 >= H(S|X1,U)": rc1 - conditional_entropy(full, ("S",), ("X1", "U"))}
-    m2 = {"R'2 >= H(T|X2,U)": rc2 - conditional_entropy(full, ("T",), ("X2", "U"))}
-    cell1 = float(np.clip(full.entropy(("S",)) - rate1 - rc1, 0.0, None))
-    cell2 = float(np.clip(full.entropy(("T",)) - rate2 - rc2, 0.0, None))
-    b1 = BinningParams(rate1, max(0.0, rc1), cell1, _bin_count(n, rate1), _bin_count(n, max(0.0, rc1)), m1)
-    b2 = BinningParams(rate2, max(0.0, rc2), cell2, _bin_count(n, rate2), _bin_count(n, max(0.0, rc2)), m2)
-    return b1, b2
+    keys, joint_side = _BINNING[direction]
+    public = []
+    for i, ((var, tap, _), rate) in enumerate(zip(keys, rates), 1):
+        rc = conditional_entropy(full, (var,), tap) - rate
+        if rc < -1e-12:
+            raise InfeasibleRatesError(
+                f"public rate R'{i} = H({var}|{','.join(tap)}) - R{i} = {rc:.6f} is negative")
+        public.append(rc)
+    shared = {}
+    if joint_side is not None:
+        shared[f"R'1+R'2 >= H(S,T|{','.join(joint_side)})"] = (
+            (public[0] + public[1]) - conditional_entropy(full, ("S", "T"), joint_side))
+    return [(_bin_count(n, rate), _bin_count(n, max(0.0, rc)),
+             {f"R'{i} >= H({var}|{','.join(side)})": rc - conditional_entropy(full, (var,), side),
+              **shared})
+            for i, ((var, _, side), rate, rc) in enumerate(zip(keys, rates, public), 1)]
 
 
 # ---------------------------------------------------------------------------
@@ -410,7 +375,7 @@ class Codebook:
     n_key: int
     n_col: int
     u_codebook: np.ndarray  # (Na, n) int8 cover codewords
-    rates: BinningParams
+    margins: dict           # reliability slack per condition (may be negative)
     seed: int
 
     def __post_init__(self):
@@ -481,13 +446,13 @@ def _stream(seed: int, index: int) -> np.random.Generator:
 
 
 def _binned_typical_set(full: JointPmf, var: str, params: TypicalityParams,
-                        binning: BinningParams, rng, budget) -> tuple:
+                        n_key: int, n_col: int, rng, budget) -> tuple:
     """(sequences, triples): `var`'s typical set, refused when empty, and its bins."""
     seqs = typical_sequences(full.marginalize({var}), params, budget=budget)
     if len(seqs) == 0:
         raise InfeasibleRatesError(
             f"typical set of {var} is empty at n={params.n}, eps={params.eps}")
-    return seqs, _assign_bins(len(seqs), binning.n_key, binning.n_col, rng)
+    return seqs, _assign_bins(len(seqs), n_key, n_col, rng)
 
 
 def _draw_covers(full: JointPmf, keyed: tuple, cover_var: str, n: int, rng) -> np.ndarray:
@@ -509,14 +474,14 @@ def build_forward_codebooks(full: JointPmf, params: TypicalityParams,
     Deterministic function of `seed`: each codebook deals its bins and then
     draws its covers from its own generator.
     """
-    b1, b2 = forward_binning(full, params.n, rate1, rate2)
+    bins = _binning(full, "forward", params.n, (rate1, rate2))
     codebooks = []
-    for index, (var, cover_var, binning) in enumerate((("S", "U", b1), ("T", "V", b2)), 1):
+    for index, (var, cover_var, (n_key, n_col, margins)) in enumerate(zip("ST", "UV", bins), 1):
         rng = _stream(seed, index)
-        seqs, triples = _binned_typical_set(full, var, params, binning, rng, budget)
+        seqs, triples = _binned_typical_set(full, var, params, n_key, n_col, rng, budget)
         covers = _draw_covers(full, (var,), cover_var, params.n, rng)
-        codebooks.append(Codebook(var, cover_var, seqs, triples, binning.n_key, binning.n_col,
-                                  covers, binning, seed))
+        codebooks.append(Codebook(var, cover_var, seqs, triples, n_key, n_col, covers,
+                                  margins, seed))
     return tuple(codebooks)
 
 
@@ -528,12 +493,12 @@ def build_backward_codebooks(full: JointPmf, params: TypicalityParams,
     Both are covered by the single U codeword list, which is drawn at rate
     I(S,T;U) + COVER_SLACK and stored on both codebooks (one shared array).
     """
-    b1, b2 = backward_binning(full, params.n, rate1, rate2)
-    s_bins = _binned_typical_set(full, "S", params, b1, _stream(seed, 1), budget)
-    t_bins = _binned_typical_set(full, "T", params, b2, _stream(seed, 2), budget)
+    bins = _binning(full, "backward", params.n, (rate1, rate2))
+    typical = [_binned_typical_set(full, var, params, n_key, n_col, _stream(seed, index), budget)
+               for index, (var, (n_key, n_col, _)) in enumerate(zip("ST", bins), 1)]
     covers = _draw_covers(full, ("S", "T"), "U", params.n, _stream(seed, 3))
-    return (Codebook("S", "U", *s_bins, b1.n_key, b1.n_col, covers, b1, seed),
-            Codebook("T", "U", *t_bins, b2.n_key, b2.n_col, covers, b2, seed))
+    return tuple(Codebook(var, "U", seqs, triples, n_key, n_col, covers, margins, seed)
+                 for var, (seqs, triples), (n_key, n_col, margins) in zip("ST", typical, bins))
 
 
 # ---------------------------------------------------------------------------

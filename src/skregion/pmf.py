@@ -172,11 +172,6 @@ class JointPmf:
         """Joint entropy in bits of the given variable subset (all if None)."""
         return float(JointBatch.of(self).entropy(self.names if names is None else names)[0])
 
-    def prob(self, assignment: dict) -> float:
-        """Probability of a full assignment {name: symbol index}."""
-        idx = tuple(assignment[v.name] for v in self.variables)
-        return float(self.table[idx])
-
     def __repr__(self):
         spec = ",".join(f"{v.name}={v.cardinality}" for v in self.variables)
         return f"JointPmf({spec})"
@@ -342,9 +337,9 @@ def mutual_information(pmf: JointPmf, a, b) -> float:
     return cond_mutual_information(pmf, a, b, ())
 
 
-def is_markov_chain(pmf: JointPmf, a, b, c, tol: float = 1e-9) -> bool:
-    """True iff A - B - C holds, i.e. I(A; C | B) <= tol."""
-    return cond_mutual_information(pmf, a, c, b) <= tol
+def is_markov_chain(pmf: JointPmf, a, b, c) -> bool:
+    """True iff A - B - C holds, i.e. I(A; C | B) <= 1e-9."""
+    return cond_mutual_information(pmf, a, c, b) <= 1e-9
 
 
 def _check_extension_budget(cards, n: int, budget: int | None = None) -> None:

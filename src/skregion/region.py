@@ -192,8 +192,8 @@ class AuxSystem:
         full = base.extend(ch_st).extend(ch_u)
         return cls(base, (ch_st, ch_u), family, full)
 
-    def validate(self, tol: float = 1e-9) -> None:
-        """Re-derive the full joint from base + channels and compare.
+    def validate(self) -> None:
+        """Re-derive the full joint from base + channels and compare within 1e-9.
 
         For backward-outer systems, additionally checks the Markov chains
         U - S - X3 and U - T - X3 within MARKOV_TOL.
@@ -203,7 +203,7 @@ class AuxSystem:
             rebuilt = rebuilt.extend(ch)
         if rebuilt.names != self.full.names:
             raise FamilyError(f"variable mismatch: {rebuilt.names} vs {self.full.names}")
-        if float(np.max(np.abs(rebuilt.table - self.full.table))) > tol:
+        if float(np.max(np.abs(rebuilt.table - self.full.table))) > 1e-9:
             raise FamilyError(f"full joint deviates from {self.family} factorization")
         if self.family == "backward-outer":
             backward_outer_point(self)  # raises on a violated chain
@@ -318,11 +318,11 @@ def backward_inner_point(aux: AuxSystem) -> RateConstraintSet:
     return _point(aux, "backward-inner")
 
 
-def backward_outer_point(aux: AuxSystem, tol: float = MARKOV_TOL) -> RateConstraintSet:
+def backward_outer_point(aux: AuxSystem) -> RateConstraintSet:
     if aux.family != "backward-outer":
         raise FamilyError(f"need backward-outer, got {aux.family}")
     for mid, residual in _markov_residuals(JointBatch.of(aux.full)).items():
-        if residual[0] > tol:
+        if residual[0] > MARKOV_TOL:
             raise FamilyError(f"chain U - {mid} - X3 violated by {residual[0]}")
     return _point(aux, "backward-outer")
 
@@ -384,10 +384,10 @@ class GridSpec:
             raise PmfError("q must be >= 1")
 
     @classmethod
-    def default_inner(cls, base: JointPmf, q: int = 1) -> "GridSpec":
+    def default_inner(cls, base: JointPmf) -> "GridSpec":
         # |S| = |T| = alphabet size + 1, |U| = |V| = 2 keeps grids tractable
         card = max(v.cardinality for v in base.variables)
-        return cls(card + 1, card + 1, 2, 2, q)
+        return cls(card + 1, card + 1, 2, 2, 1)
 
 
 def _family_layers(family: str, grid: GridSpec) -> list:
@@ -458,13 +458,14 @@ def _evaluate_lattice(base: JointPmf, layers, formula) -> tuple:
 
 def enumerate_region(base: JointPmf, family: str, grid: GridSpec, *,
                      budget: int | None = None, workers: int = 0,
-                     hull: bool = False, tol: float = MARKOV_TOL) -> RateRegion:
+                     hull: bool = False) -> RateRegion:
     """Union of the family's constraint sets over the whole channel lattice.
 
     Points are evaluated in batches, in lexicographic lattice order (see
     `_evaluate_lattice`).  `workers` is accepted for compatibility and
     ignored.  backward-outer lattice points violating either required Markov
-    chain beyond `tol` are skipped; the rejection count is reported in `meta`.
+    chain beyond `MARKOV_TOL` are skipped; the rejection count is reported in
+    `meta`.
     """
     if family not in FAMILIES:
         raise FamilyError(f"unknown family {family!r}")
@@ -475,7 +476,7 @@ def enumerate_region(base: JointPmf, family: str, grid: GridSpec, *,
         keep = np.ones(len(h), dtype=bool)
         if family == "backward-outer":
             for residual in _markov_residuals(h).values():
-                keep &= ~(residual > tol)
+                keep &= ~(residual > MARKOV_TOL)
         return (keep,) + formula(h)
 
     keep, r1, r2, rsum = _evaluate_lattice(base, layers, evaluate)

@@ -88,7 +88,11 @@ class EpsParams:
 
 @dataclass
 class SimConfig:
-    """Everything needed to reproduce a protocol experiment bit-exactly."""
+    """What a protocol run reads, enough to reproduce it bit-exactly.
+
+    The same config serves both modes: `run_trials` reads `trials`, exact
+    mode ignores it.
+    """
 
     base: JointPmf
     direction: str                 # "forward" | "backward"
@@ -96,18 +100,14 @@ class SimConfig:
     n: int
     rate1: float
     rate2: float
-    margin: float
     eps: EpsParams
     trials: int
     codebook_seeds: tuple
-    mode: str = "mc"               # "mc" | "exact"
     budget: int | None = None
 
     def __post_init__(self):
         if self.direction not in ("forward", "backward"):
             raise PmfError(f"direction must be forward|backward, got {self.direction!r}")
-        if self.mode not in ("mc", "exact"):
-            raise PmfError(f"mode must be mc|exact, got {self.mode!r}")
         if self.trials < 1:
             raise PmfError("trials must be >= 1")
         if not self.codebook_seeds:
@@ -122,11 +122,6 @@ class SimConfig:
             else:
                 self._aux = AuxSystem.backward(self.base, *self.channels)
         return self._aux
-
-    def inner_bound_point(self):
-        if self.direction == "forward":
-            return forward_inner_point(self.aux)
-        return backward_inner_point(self.aux)
 
 
 @dataclass
@@ -463,8 +458,6 @@ def run_trials(config: SimConfig) -> SimReport:
     (TRIAL_SEED, codebook seed, trial index), and trials run in batches of
     `_Instance.batch_trials` that leave each trial's draws unchanged.
     """
-    if config.mode != "mc":
-        raise PmfError("run_trials requires mode='mc'")
     start = time.perf_counter()
     cdf = _source_cdf(config.base)
     per_seed = []
@@ -479,14 +472,15 @@ def run_trials(config: SimConfig) -> SimReport:
             inst.run_batch(cdf, rngs, tally)
         per_seed.append(_seed_row(seed, *tally.sides(inst)))
         fails.update(tally.fails)
-    return _report(config, per_seed, dict(sorted(fails.items())), _margin_warnings(inst), start)
+    return _report(config, "mc", per_seed, dict(sorted(fails.items())), _margin_warnings(inst),
+                   start)
 
 
 def _margin_warnings(inst: _Instance) -> list:
     """The reliability conditions that the instance's binning violates."""
     out = []
     for label, cb in (("user 1", inst.cb1), ("user 2", inst.cb2)):
-        for cond, slack in cb.rates.margins.items():
+        for cond, slack in cb.margins.items():
             if slack < -1e-12:
                 out.append(f"{label}: reliability condition {cond} violated by {-slack:.6f} bits")
     return out
@@ -504,10 +498,10 @@ def _seed_row(seed: int, k_side: "ExactSide", l_side: "ExactSide") -> dict:
     return row
 
 
-def _report(config: SimConfig, per_seed: list, failures: dict, warnings: list,
+def _report(config: SimConfig, mode: str, per_seed: list, failures: dict, warnings: list,
             start: float) -> SimReport:
-    """The report of either mode: each quantity averaged over the seeds'
-    rows, or None if a row lacks it."""
+    """The report of `mode` ("mc" or "exact"): each quantity averaged over the
+    seeds' rows, or None if a row lacks it."""
     def avg(key):
         vals = [row[key] for row in per_seed]
         if any(v is None for v in vals):
@@ -515,8 +509,8 @@ def _report(config: SimConfig, per_seed: list, failures: dict, warnings: list,
         return float(np.mean(vals))
 
     return SimReport(
-        schema=1, mode=config.mode, direction=config.direction, n=config.n,
-        trials=config.trials if config.mode == "mc" else 0,
+        schema=1, mode=mode, direction=config.direction, n=config.n,
+        trials=config.trials if mode == "mc" else 0,
         seeds=list(config.codebook_seeds),
         rate1=config.rate1, rate2=config.rate2,
         err_K=avg("err_K"), err_L=avg("err_L"),
@@ -894,8 +888,6 @@ def exact_leakage(config: SimConfig) -> tuple:
     (K, eavesdropper view) is computed by enumerating all source blocks and
     averaging the encoder's selection distribution over its randomness.
     """
-    if config.mode != "exact":
-        raise PmfError("exact_leakage requires mode='exact'")
     sides = [_exact_side(_Instance(config, seed), 1) for seed in config.codebook_seeds]
     leak = float(np.mean([s.leak for s in sides]))
     gap = float(np.mean([s.uniformity_gap for s in sides]))
@@ -906,14 +898,12 @@ def exact_leakage(config: SimConfig) -> tuple:
 
 def exact_report(config: SimConfig) -> SimReport:
     """Full SimReport from exact enumeration (both keys)."""
-    if config.mode != "exact":
-        raise PmfError("exact_report requires mode='exact'")
     start = time.perf_counter()
     per_seed = []
     for seed in config.codebook_seeds:
         inst = _Instance(config, seed)
         per_seed.append(_seed_row(seed, _exact_side(inst, 1), _exact_side(inst, 2)))
-    return _report(config, per_seed, {}, _margin_warnings(inst), start)
+    return _report(config, "exact", per_seed, {}, _margin_warnings(inst), start)
 
 
 def check_definition1(report: SimReport, eps: float) -> dict:
@@ -957,8 +947,7 @@ def _backward_channels(base: JointPmf):
     return (ch_st, ch_u)
 
 
-def identity_preset(n: int, *, trials: int = 1000, seeds=(1,), margin: float = 0.5,
-                    mode: str = "mc") -> SimConfig:
+def identity_preset(n: int, *, trials: int = 1000, seeds=(1,), margin: float = 0.5) -> SimConfig:
     """Noiseless sanity configuration: X1 = X3, independent X2, S = X1.
 
     Every sequence is typical (eps = 1 on a uniform bit), so the encoder
@@ -967,12 +956,12 @@ def identity_preset(n: int, *, trials: int = 1000, seeds=(1,), margin: float = 0
     base = identity_source()
     aux_channels = _forward_channels(base)
     rate1 = margin * 1.0  # inner-bound point r1 = I(X1;X3) = 1 bit
-    return SimConfig(base, "forward", aux_channels, n, rate1, 0.0, margin,
-                     EpsParams(enc=1.0, dec=1.0), trials, tuple(seeds), mode)
+    return SimConfig(base, "forward", aux_channels, n, rate1, 0.0,
+                     EpsParams(enc=1.0, dec=1.0), trials, tuple(seeds))
 
 
 def broadcast_forward_preset(n: int, *, flip_tap: float = 0.25, trials: int = 1000,
-                             seeds=(1,), margin: float = 0.5, mode: str = "mc",
+                             seeds=(1,), margin: float = 0.5,
                              eps_enc: float = 0.75) -> SimConfig:
     """Forward demo on the broadcast chain arranged with user 3 at the center.
 
@@ -987,12 +976,12 @@ def broadcast_forward_preset(n: int, *, flip_tap: float = 0.25, trials: int = 10
     aux = AuxSystem.forward(base, *aux_channels)
     point = forward_inner_point(aux)
     rate1 = margin * point.r1_max
-    return SimConfig(base, "forward", aux_channels, n, rate1, 0.0, margin,
-                     EpsParams(enc=eps_enc, dec=1.0), trials, tuple(seeds), mode)
+    return SimConfig(base, "forward", aux_channels, n, rate1, 0.0,
+                     EpsParams(enc=eps_enc, dec=1.0), trials, tuple(seeds))
 
 
 def broadcast_backward_preset(n: int, *, flip_tap: float = 0.25, trials: int = 1000,
-                              seeds=(1,), margin: float = 0.5, mode: str = "mc",
+                              seeds=(1,), margin: float = 0.5,
                               eps_enc: float = 0.75) -> SimConfig:
     """Backward demo: user 3 holds the center, S = X3, T constant.
 
@@ -1003,5 +992,5 @@ def broadcast_backward_preset(n: int, *, flip_tap: float = 0.25, trials: int = 1
     aux_channels = _backward_channels(base)
     point = backward_inner_point(AuxSystem.backward(base, *aux_channels))
     rate1 = margin * point.r1_max
-    return SimConfig(base, "backward", aux_channels, n, rate1, 0.0, margin,
-                     EpsParams(enc=eps_enc, dec=1.0), trials, tuple(seeds), mode)
+    return SimConfig(base, "backward", aux_channels, n, rate1, 0.0,
+                     EpsParams(enc=eps_enc, dec=1.0), trials, tuple(seeds))

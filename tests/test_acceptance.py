@@ -195,7 +195,7 @@ def test_c10_exact_secrecy():
     with criterion(10, "exact leakage and uniformity"):
         leak = {}
         for n in (4, 8):
-            cfg = broadcast_forward_preset(n, seeds=(1,), mode="exact")
+            cfg = broadcast_forward_preset(n, seeds=(1,))
             leak[n], gap, _ = exact_leakage(cfg)
             assert gap <= 1.0 / n + 0.05
         assert leak[8] <= 0.1

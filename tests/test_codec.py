@@ -271,7 +271,7 @@ def test_decode_ambiguous_with_duplicate_sequences():
     # adversarial codebook: the same sequence appears twice in column 0
     seqs = np.stack([block, block])
     triples = np.array([[0, 0, 0], [1, 0, 0]])
-    dup = Codebook("S", "U", seqs, triples, 2, 1, cb1.u_codebook[:1], cb1.rates, 0)
+    dup = Codebook("S", "U", seqs, triples, 2, 1, cb1.u_codebook[:1], cb1.margins, 0)
     with pytest.raises(DecodeAmbiguous):
         forward_decode(block, (0, 0, 0, 0), dup, cb2, aux.full, params)
 

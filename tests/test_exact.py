@@ -41,8 +41,8 @@ def _two_key_config(n):
     base = broadcast_source("X3", 0.25, 0.25)
     channels = (Channel.identity("X1", 2, "S"), Channel.identity("X2", 2, "T"),
                 Channel.constant("U", "S", 2), Channel.constant("V", "T", 2))
-    return SimConfig(base, "forward", channels, n, 0.07, 0.07, 0.5,
-                     EpsParams(enc=0.75, dec=1.0), 1, (1,), "exact")
+    return SimConfig(base, "forward", channels, n, 0.07, 0.07,
+                     EpsParams(enc=0.75, dec=1.0), 1, (1,))
 
 
 def _live_t_backward_config(n):
@@ -55,8 +55,8 @@ def _live_t_backward_config(n):
         table[x, x, 1 - x] = 0.25
     channels = (Channel(("X3",), (VariableId("S", 2), VariableId("T", 2)), table),
                 Channel(("S", "T"), (VariableId("U", 1),), np.ones((2, 2, 1))))
-    return SimConfig(base, "backward", channels, n, 0.1, 0.1, 0.5,
-                     EpsParams(enc=0.75, dec=1.0), 1, (1,), "exact")
+    return SimConfig(base, "backward", channels, n, 0.1, 0.1,
+                     EpsParams(enc=0.75, dec=1.0), 1, (1,))
 
 
 def _encoder_outcomes(inst, user):
@@ -67,9 +67,9 @@ def _encoder_outcomes(inst, user):
 
 
 @pytest.mark.parametrize("config", [
-    broadcast_forward_preset(6, seeds=(1,), mode="exact"),
+    broadcast_forward_preset(6, seeds=(1,)),
     _two_key_config(6),
-    broadcast_backward_preset(6, seeds=(1,), mode="exact"),
+    broadcast_backward_preset(6, seeds=(1,)),
     _live_t_backward_config(6),
 ], ids=["one-key", "two-key", "backward", "backward-live-t"])
 def test_encoder_outcomes_independent_of_block_chunks(monkeypatch, config):
@@ -105,7 +105,7 @@ def test_exact_report_computes_each_users_outcomes_once(monkeypatch):
         return original(inst, user)
 
     monkeypatch.setattr(sim, "_encoder_outcomes_forward", counting)
-    config = broadcast_forward_preset(6, flip_tap=0.1, seeds=(1, 2), mode="exact")
+    config = broadcast_forward_preset(6, flip_tap=0.1, seeds=(1, 2))
     report = exact_report(config)
     assert report.err_L is not None  # the error path needs both users' outcomes
     assert sorted(calls) == [(1, 1), (1, 2), (2, 1), (2, 2)]
@@ -115,11 +115,11 @@ def _report(name):
     kind, _, n = name.rpartition("-n")
     n = int(n)
     if kind == "backward-exact":
-        return exact_report(broadcast_backward_preset(n, seeds=(1, 2), mode="exact"))
+        return exact_report(broadcast_backward_preset(n, seeds=(1, 2)))
     if kind == "backward-mc":
         return run_trials(broadcast_backward_preset(n, trials=200, seeds=(1, 2)))
     assert kind == "forward-exact-tap0.1"
-    return exact_report(broadcast_forward_preset(n, flip_tap=0.1, seeds=(1, 2), mode="exact"))
+    return exact_report(broadcast_forward_preset(n, flip_tap=0.1, seeds=(1, 2)))
 
 
 @pytest.mark.parametrize("name", sorted(REGRESSION))
@@ -175,10 +175,10 @@ def test_pair_block_rows_row_sums_independent_of_chunks():
 
 
 @pytest.mark.parametrize("config", [
-    broadcast_forward_preset(6, seeds=(1,), mode="exact"),
+    broadcast_forward_preset(6, seeds=(1,)),
     _two_key_config(6),
-    broadcast_backward_preset(6, seeds=(1,), mode="exact"),
-    identity_preset(6, seeds=(1,), mode="exact"),
+    broadcast_backward_preset(6, seeds=(1,)),
+    identity_preset(6, seeds=(1,)),
 ], ids=["forward-one-key", "forward-two-key", "backward", "identity"])
 def test_exact_report_independent_of_row_chunks(monkeypatch, config):
     def run():
@@ -205,7 +205,7 @@ def test_exact_view_joint_is_c_ordered():
 
 def test_forward_exact_report_holds_no_dense_block_pair_table():
     # at n = 11 a (X1, X2) block-pair table alone is 4^11 float64 = 32 MiB
-    config = broadcast_forward_preset(11, seeds=(1,), mode="exact")
+    config = broadcast_forward_preset(11, seeds=(1,))
     tracemalloc.start()
     try:
         exact_report(config)

@@ -12,6 +12,7 @@ from skregion.codec import (
     EncoderNoCover,
     EncoderNoSequence,
     EncodingResult,
+    InfeasibleRatesError,
 )
 from skregion import codec
 from skregion.pmf import Channel, JointPmf, VariableId, cond_mutual_information as cmi
@@ -131,7 +132,7 @@ def _over_rate_config(n: int, trials: int) -> SimConfig:
     channels = _forward_channels(base)
     point = forward_inner_point(AuxSystem.forward(base, *channels))
     return SimConfig(base, "forward", channels, n, 2.0 * point.r1_max, 0.0,
-                     0.5, EpsParams(enc=1.0, dec=1.0), trials, (1,), "mc")
+                     EpsParams(enc=1.0, dec=1.0), trials, (1,))
 
 
 def test_rates_above_point_drive_error_up():
@@ -161,8 +162,8 @@ def _two_key_config(n: int) -> SimConfig:
     channels = _forward_channels(base, t_identity=True)
     point = forward_inner_point(AuxSystem.forward(base, *channels))
     rate = 0.5 * point.r1_max
-    return SimConfig(base, "forward", channels, n, rate, rate, 0.5,
-                     EpsParams(enc=1.0, dec=1.0), 1, (1,), "mc")
+    return SimConfig(base, "forward", channels, n, rate, rate,
+                     EpsParams(enc=1.0, dec=1.0), 1, (1,))
 
 
 def _backward_two_key_config(n: int) -> SimConfig:
@@ -175,8 +176,42 @@ def _backward_two_key_config(n: int) -> SimConfig:
         st[x, x, 1 - x] = 0.2
     ch_st = Channel(("X3",), (VariableId("S", 2), VariableId("T", 2)), st)
     ch_u = Channel(("S", "T"), (VariableId("U", 1),), np.ones((2, 2, 1)))
-    return SimConfig(base, "backward", (ch_st, ch_u), n, 0.05, 0.05, 0.5,
-                     EpsParams(enc=1.0, dec=1.5), 1, (1,), "mc")
+    return SimConfig(base, "backward", (ch_st, ch_u), n, 0.05, 0.05,
+                     EpsParams(enc=1.0, dec=1.5), 1, (1,))
+
+
+_VIOLATED = "user {}: reliability condition {} violated by {} bits"
+
+
+@pytest.mark.parametrize("make, rates, expected", [
+    (_two_key_config, (0.5, 0.5), [
+        _VIOLATED.format(1, "R'1 >= H(S|X3,T,U)", "0.356844"),
+        _VIOLATED.format(1, "R'1+R'2 >= H(S,T|X3,U,V)", "0.713688"),
+        _VIOLATED.format(2, "R'2 >= H(T|X3,S,V)", "0.356844"),
+        _VIOLATED.format(2, "R'1+R'2 >= H(S,T|X3,U,V)", "0.713688"),
+    ]),
+    (_backward_two_key_config, (0.5, 0.5), [
+        _VIOLATED.format(1, "R'1 >= H(S|X1,U)", "0.429521"),
+        _VIOLATED.format(2, "R'2 >= H(T|X2,U)", "0.682453"),
+    ]),
+    (_two_key_config, (1.0, 0.2), "public rate R'1 = H(S|X2,U) - R1 = -0.045566 is negative"),
+    (_two_key_config, (0.1, 1.0), "public rate R'2 = H(T|X1,V) - R2 = -0.045566 is negative"),
+    (_backward_two_key_config, (1.0, 0.2),
+     "public rate R'1 = H(S|X2,T,U) - R1 = -0.460525 is negative"),
+    (_backward_two_key_config, (0.1, 1.0),
+     "public rate R'2 = H(T|X1,S,U) - R2 = -0.278072 is negative"),
+], ids=["forward-warnings", "backward-warnings", "forward-r1", "forward-r2",
+        "backward-r1", "backward-r2"])
+def test_binning_text(make, rates, expected):
+    # each strategy's public rates and reliability conditions, as a run reports them
+    config = make(6)
+    config.rate1, config.rate2 = rates
+    if isinstance(expected, list):
+        assert run_trials(config).warnings == expected
+    else:
+        with pytest.raises(InfeasibleRatesError) as info:
+            run_trials(config)
+        assert str(info.value) == expected
 
 
 _OK = EncodingResult(0, 0, 0, 0, 0)
@@ -301,14 +336,14 @@ def test_mc_kernel_calls_per_batch(monkeypatch):
 def test_exact_leakage_resolving_wiretapper_near_zero():
     # weak tap: singleton residual cells, so the wiretapper resolves the
     # sequence and almost nothing is left to leak about the key
-    cfg = broadcast_forward_preset(8, flip_tap=0.45, seeds=(1,), mode="exact")
+    cfg = broadcast_forward_preset(8, flip_tap=0.45, seeds=(1,))
     leak, gap, err = exact_leakage(cfg)
     assert leak < 0.03
     assert gap <= 1.0 / 8 + 1e-9
 
 
 def test_exact_leakage_independent_tap_zero():
-    cfg = identity_preset(8, seeds=(1,), mode="exact")
+    cfg = identity_preset(8, seeds=(1,))
     leak, gap, err = exact_leakage(cfg)
     assert leak == 0.0
     assert err == 0.0
@@ -317,7 +352,7 @@ def test_exact_leakage_independent_tap_zero():
 def test_exact_leakage_nothing_public_independent_x2():
     # R1 = H(S|X2,U): the public column rate is zero, nothing is announced;
     # leakage reduces to I(K; X2^n)/n which vanishes for an independent tap
-    cfg = identity_preset(8, seeds=(1,), mode="exact")
+    cfg = identity_preset(8, seeds=(1,))
     cfg.rate1 = 1.0
     leak, gap, err = exact_leakage(cfg)
     assert leak == pytest.approx(0.0, abs=1e-12)
@@ -326,7 +361,7 @@ def test_exact_leakage_nothing_public_independent_x2():
 def test_exact_leakage_decreases_with_n():
     values = {}
     for n in (4, 8):
-        cfg = broadcast_forward_preset(n, seeds=(1,), mode="exact")
+        cfg = broadcast_forward_preset(n, seeds=(1,))
         values[n], _, _ = exact_leakage(cfg)
     assert values[8] < values[4]
     assert values[8] <= 0.1
@@ -334,7 +369,7 @@ def test_exact_leakage_decreases_with_n():
 
 def test_exact_err_matches_typical_set_miss_probability():
     # noiseless key leg: the only error is an atypical source block
-    cfg = broadcast_forward_preset(8, seeds=(1,), mode="exact")
+    cfg = broadcast_forward_preset(8, seeds=(1,))
     _, _, err = exact_leakage(cfg)
     assert err == pytest.approx(2.0 / 256.0, abs=1e-12)
 
@@ -342,7 +377,7 @@ def test_exact_err_matches_typical_set_miss_probability():
 def test_oversized_key_rate_fails_leakage_check():
     # key rate at the full conditional entropy: the wiretapper's information
     # about S is no longer absorbed by the residual index
-    cfg = broadcast_forward_preset(8, seeds=(1,), mode="exact")
+    cfg = broadcast_forward_preset(8, seeds=(1,))
     full = cfg.aux.full
     h_s_given_x2 = full.entropy({"S", "X2"}) - full.entropy({"X2"})
     cfg.rate1 = h_s_given_x2
@@ -353,22 +388,22 @@ def test_oversized_key_rate_fails_leakage_check():
 
 
 def test_check_definition1_identity_all_pass():
-    cfg = identity_preset(8, seeds=(1,), mode="exact")
+    cfg = identity_preset(8, seeds=(1,))
     rep = exact_report(cfg)
     checks = check_definition1(rep, 0.05)
     assert all(checks.values()), checks
 
 
 def test_h_key_bounded_by_rate_plus_rounding():
-    for cfg in (identity_preset(8, seeds=(1,), mode="exact"),
-                broadcast_forward_preset(6, seeds=(2,), mode="exact")):
+    for cfg in (identity_preset(8, seeds=(1,)),
+                broadcast_forward_preset(6, seeds=(2,))):
         rep = exact_report(cfg)
         assert rep.h_key_K <= cfg.rate1 + 1.0 / cfg.n + 1e-9
         assert rep.keyspace_K <= cfg.rate1 + 1.0 / cfg.n + 1e-9
 
 
 def test_exact_backward_report():
-    cfg = broadcast_backward_preset(8, seeds=(1,), mode="exact")
+    cfg = broadcast_backward_preset(8, seeds=(1,))
     rep = exact_report(cfg)
     # the only failure mode is user 3's typical-set miss, which hits both keys
     assert rep.err_K == pytest.approx(2.0 / 256.0, abs=1e-12)
@@ -390,11 +425,11 @@ def test_mc_leakage_agrees_with_exact_within_tolerance():
     mc = run_trials(broadcast_forward_preset(n, trials=trials, seeds=seeds))
     diffs = []
     for row, seed in zip(mc.per_seed, seeds):
-        cfg = broadcast_forward_preset(n, seeds=(seed,), mode="exact")
+        cfg = broadcast_forward_preset(n, seeds=(seed,))
         exact_val, _, _ = exact_leakage(cfg)
         diffs.append(row["leak_K"] - exact_val)
     diffs = np.array(diffs)
-    joint = exact_view_joint(broadcast_forward_preset(n, seeds=(1,), mode="exact"), 1, 1)
+    joint = exact_view_joint(broadcast_forward_preset(n, seeds=(1,)), 1, 1)
     cells = int((joint > 0).sum())
     bias_bound = cells / (2.0 * trials * math.log(2)) / n
     se = diffs.std(ddof=1) / math.sqrt(len(diffs))
@@ -402,7 +437,7 @@ def test_mc_leakage_agrees_with_exact_within_tolerance():
 
 
 def test_leak_monotone_under_view_restriction():
-    cfg = broadcast_forward_preset(6, seeds=(1,), mode="exact")
+    cfg = broadcast_forward_preset(6, seeds=(1,))
     joint = exact_view_joint(cfg, 1, 1)  # axes: key, block, column, cover
 
     def mi_against(axes_to_keep):
@@ -422,7 +457,7 @@ def test_leak_monotone_under_view_restriction():
 def test_independent_view_variable_changes_nothing():
     # the adversary's private randomness is independent: appending an
     # independent uniform axis to the view leaves the MI unchanged
-    cfg = broadcast_forward_preset(6, seeds=(1,), mode="exact")
+    cfg = broadcast_forward_preset(6, seeds=(1,))
     joint = exact_view_joint(cfg, 1, 1)
     flat = joint.reshape(joint.shape[0], -1)
     extended = np.stack([flat / 2.0, flat / 2.0], axis=-1)
@@ -448,13 +483,13 @@ def test_user_swap_symmetry_exact():
     )
     point = forward_inner_point(AuxSystem.forward(base, *channels))
     rate = 0.5 * point.r1_max
-    cfg = SimConfig(base, "forward", channels, 6, rate, rate, 0.5,
-                    EpsParams(enc=1.0, dec=1.0), 1, (1,), "exact")
+    cfg = SimConfig(base, "forward", channels, 6, rate, rate,
+                    EpsParams(enc=1.0, dec=1.0), 1, (1,))
     inst = _Instance(cfg, 1)
     # mirror user 1's codebook onto user 2 (same shuffle, renamed variables)
     inst.cb2 = Codebook("T", "V", inst.cb1.sequences.copy(), inst.cb1.triples.copy(),
                         inst.cb1.n_key, inst.cb1.n_col, inst.cb1.u_codebook.copy(),
-                        inst.cb1.rates, inst.cb1.seed)
+                        inst.cb1.margins, inst.cb1.seed)
     from skregion.sim import _exact_side
     k_side = _exact_side(inst, 1)
     l_side = _exact_side(inst, 2)
