@@ -22,8 +22,8 @@ SKREGION_BUDGET), 3 budget exceeded, 4 infeasible rates, 5 claimed
 coincidence failed, 6 lemma violation.  Flags are checked before any
 computation and before the output directory is created: `--grid-q`, `--n`
 and `--trials` must be >= 1; `--draws`, `--seed` and each of `--seeds`
->= 0; `--tol`, `--rate1`, `--rate2` and `--margin` finite and >= 0;
-`--eps-enc` and `--eps-dec` finite and > 0.
+>= 0, and no seed may repeat in `--seeds`; `--tol`, `--rate1`, `--rate2`
+and `--margin` finite and >= 0; `--eps-enc` and `--eps-dec` finite and > 0.
 
 Every JSON output is exactly `json.dumps(doc, sort_keys=True, indent=2)`
 text plus a newline, written by `_json_text`.
@@ -438,6 +438,8 @@ def cmd_simulate(args) -> int:
         raise InputError(f"bad --seeds {args.seeds!r}") from None
     for seed in seeds:
         _at_least(seed, 0, "each of --seeds")
+    if len(set(seeds)) < len(seeds):
+        raise InputError(f"--seeds repeats a seed: {args.seeds!r}")
     config = SimConfig(
         base, args.direction, channels, args.n, args.rate1, args.rate2,
         EpsParams(enc=eps_enc, dec=eps_dec), args.trials, seeds,
@@ -643,7 +645,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rate2", type=float, default=0.0)
     p.add_argument("--margin", type=float, default=0.5)
     p.add_argument("--trials", type=int, default=1000)
-    p.add_argument("--seeds", default="1", help="comma-separated codebook seeds")
+    p.add_argument("--seeds", default="1", help="comma-separated distinct codebook seeds")
     p.add_argument("--mode", choices=("mc", "exact"), default="mc")
     p.add_argument("--eps-enc", type=float, default=None)
     p.add_argument("--eps-dec", type=float, default=None)

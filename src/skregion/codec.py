@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._lanes import GeneratorLanes
 from .pmf import BudgetExceededError, JointPmf, PmfError, entry_budget
 
 __all__ = [
@@ -514,35 +515,85 @@ class EncodingResult:
     seq_index: int
 
 
-def _uniform_pick(rng, candidates: np.ndarray) -> int:
-    return int(candidates[rng.integers(len(candidates))])
-
-
 def _user_vars(user: int) -> tuple:
     """(codeword variable, source variable) of user 1 or 2."""
     return ("S", "X1") if user == 1 else ("T", "X2")
 
 
 # The coders below build their typicality tests and packed codebooks once;
-# the public encode/decode functions build one per call.  Each coder has a
-# deterministic stage that tests a batch of trials in one kernel call, and a
-# per-trial stage (`pick`, `resolve`) that draws and raises the protocol
-# failures.  Masks draw no randomness, so computing them ahead of the draws
-# leaves every draw unchanged; `__call__` runs both stages on one trial.
+# the public encode/decode functions build one per call.  Each coder runs a
+# batch of trials in array stages: `typical` tests every trial in one kernel
+# call, `pick` draws each trial's codeword and cover from its lane of a
+# `_lanes` stream, and `resolve` tests and decodes the trials in groups that
+# announce the same columns.  Masks draw no randomness, so testing ahead of
+# the draws leaves every lane's draws in the order of a single trial.  The
+# stages return a per-trial outcome code in place of raising; `__call__`
+# runs them on a batch of one, draws from the caller's generator, and
+# raises the failure of its code.
 
-def _by_key(keys) -> dict:
-    """Positions in `keys` grouped by key, as index arrays, in first-seen order."""
-    groups = {}
-    for pos, key in enumerate(keys):
-        groups.setdefault(key, []).append(pos)
-    return {key: np.array(pos) for key, pos in groups.items()}
+#: Outcome codes of the batched stages: OK, or the index in `FAILURES` of the
+#: protocol failure that a single-trial call raises.
+OK, NO_SEQUENCE, NO_COVER, NONE, AMBIGUOUS = range(5)
+FAILURES = (None, EncoderNoSequence, EncoderNoCover, DecodeNone, DecodeAmbiguous)
+
+_FAILURE_TEXTS = (None, "no jointly typical {}", "no cover codeword covers the selected {}",
+                  "no jointly typical {}", "more than one jointly typical {}")
+
+_ONE = np.zeros(1, dtype=np.intp)  # the lane of a single-trial call
+
+
+def _raise_failure(status: np.ndarray, what: str) -> None:
+    """Raise the protocol failure of a single trial's outcome code."""
+    code = int(status[0])
+    if code != OK:
+        raise FAILURES[code](_FAILURE_TEXTS[code].format(what))
+
+
+def _draw(counts: np.ndarray, starts: np.ndarray, values: np.ndarray, lanes,
+          rows: np.ndarray) -> np.ndarray:
+    """Per trial i, values[starts[i] + r] for r drawn by `integers(counts[i])`
+    from lane rows[i], or -1 (and no draw) where counts[i] is 0."""
+    out = np.full(len(counts), -1, dtype=np.int64)
+    found = counts > 0
+    if found.any():
+        out[found] = values[starts[found] + lanes.integers(counts[found], rows[found])]
+    return out
+
+
+def _draw_hits(hits: np.ndarray, lanes, rows: np.ndarray) -> np.ndarray:
+    """Per row i of the (B, M) `hits`, a uniform draw from lane rows[i] among
+    its True columns, or -1 where it has none."""
+    counts = hits.sum(axis=1)
+    return _draw(counts, np.cumsum(counts) - counts, np.nonzero(hits)[1], lanes, rows)
+
+
+def _unique_hits(hits: np.ndarray) -> tuple:
+    """(status, row) per column of the (M, B) `hits`, candidates by trials:
+    OK and the row of its one True entry, else NONE or AMBIGUOUS and 0."""
+    counts = hits.sum(axis=0)
+    unique = counts == 1
+    status = np.where(unique, OK, np.where(counts == 0, NONE, AMBIGUOUS))
+    row = np.zeros(len(counts), dtype=np.int64)
+    if unique.any():
+        row[unique] = hits[:, unique].argmax(axis=0)
+    return status, row
+
+
+def _groups(codes: np.ndarray):
+    """(code, rows) for each distinct value of the 1-D `codes`, rows increasing."""
+    order = np.argsort(codes, kind="stable")
+    bounds = np.flatnonzero(np.diff(codes[order])) + 1
+    for rows in np.split(order, bounds):
+        if len(rows):
+            yield int(codes[rows[0]]), rows
 
 
 class _ForwardEncoder:
     """User 1's or 2's forward encoder.
 
-    `covers[i]` lists, in increasing order, the cover codewords a that are
-    jointly typical with codebook sequence i; `labels[i]` is its (k, k', k'').
+    The cover codewords a that are jointly typical with codebook sequence i
+    are `cover_idx[cover_start[i]:cover_start[i + 1]]` in increasing order,
+    also listed as `covers[i]`; `labels[i]` is its (k, k', k'').
     """
 
     def __init__(self, user: int, codebook: Codebook, full: JointPmf,
@@ -556,9 +607,10 @@ class _ForwardEncoder:
         cover_test = JointTypicalityTest(full.marginalize({self.var, cover}), params)
         cover_ok = cover_test.pair_mask(self.var, self.sequences, cover,
                                         codebook.u_codebook, {})
-        seq_of, cover_of = np.nonzero(cover_ok)
-        ends = np.cumsum(np.bincount(seq_of, minlength=codebook.size))
-        self.covers = np.split(cover_of, ends[:-1])
+        seq_of, self.cover_idx = np.nonzero(cover_ok)
+        self.cover_start = np.concatenate(
+            ([0], np.cumsum(np.bincount(seq_of, minlength=codebook.size))))
+        self.covers = np.split(self.cover_idx, self.cover_start[1:-1])
         self.labels = codebook.triples.tolist()
 
     def typical(self, blocks) -> np.ndarray:
@@ -566,26 +618,25 @@ class _ForwardEncoder:
         each source block."""
         return self.test.pair_mask(self.src, blocks, self.var, self.sequences, {})
 
-    def pick(self, typical: np.ndarray, rng: np.random.Generator) -> EncodingResult:
-        """Draw a codeword among one block's `typical` row, then its cover."""
-        cands = np.flatnonzero(typical)
-        if len(cands) == 0:
-            raise EncoderNoSequence(
-                f"no {self.var} codeword jointly typical with the {self.src} block")
-        idx = _uniform_pick(rng, cands)
-        cover_cands = self.covers[idx]
-        if len(cover_cands) == 0:
-            raise EncoderNoCover(
-                f"no {self.codebook.cover_var} codeword covers the selected {self.var} sequence")
-        a = _uniform_pick(rng, cover_cands)
-        k, kp, kpp = self.labels[idx]
-        return EncodingResult(k, kp, kpp, a, idx)
+    def pick(self, typical: np.ndarray, lanes, rows: np.ndarray) -> tuple:
+        """(status, seq, cover) per row of the (B, M) `typical`: lane rows[i]
+        draws a codeword among row i's hits, then a cover among its covers."""
+        seq = _draw_hits(typical, lanes, rows)
+        found = seq >= 0
+        at = np.where(found, seq, 0)
+        counts = np.where(found, self.cover_start[at + 1] - self.cover_start[at], 0)
+        cover = _draw(counts, self.cover_start[at], self.cover_idx, lanes, rows)
+        status = np.where(~found, NO_SEQUENCE, np.where(cover < 0, NO_COVER, OK))
+        return status, seq, cover
 
     def __call__(self, block: np.ndarray, rng: np.random.Generator) -> EncodingResult:
         block = np.asarray(block, dtype=np.int8)
         if len(block) != self.n:
             raise CodecError(f"block length {len(block)} != n={self.n}")
-        return self.pick(self.typical(block[None])[0], rng)
+        status, seq, cover = self.pick(self.typical(block[None]), GeneratorLanes([rng]), _ONE)
+        _raise_failure(status, f"{self.var} codeword")
+        k, kp, kpp = self.labels[seq[0]]
+        return EncodingResult(k, kp, kpp, int(cover[0]), int(seq[0]))
 
 
 class _ForwardDecoder:
@@ -598,39 +649,32 @@ class _ForwardDecoder:
         self.seqs1 = SequenceBits(cb1.sequences, self.test.cards["S"])
         self.seqs2 = SequenceBits(cb2.sequences, self.test.cards["T"])
 
-    def typical(self, x3_blocks: np.ndarray, indices: list) -> list:
-        """Per trial, the (s, t) mask over its announced columns.
+    def resolve(self, x3_blocks: np.ndarray, kp, a, lp, b) -> tuple:
+        """(status, k, l) per trial: the keys of the unique jointly typical
+        (s, t) pair in its announced columns.
 
-        `x3_blocks` is (B, n) and `indices[t]` is trial t's (k', a, l', b).
-        Trials announcing the same columns share one kernel call.
+        Trial i announced (kp[i], a[i], lp[i], b[i]) with block x3_blocks[i];
+        trials announcing the same columns share one kernel call.
         """
-        out = [None] * len(indices)
-        for (kp, lp), rows in _by_key([(kp, lp) for kp, _, lp, _ in indices]).items():
-            covers = np.array([indices[t][1::2] for t in rows])
-            fixed = {"X3": x3_blocks[rows], "U": self.cb1.u_codebook[covers[:, 0]],
-                     "V": self.cb2.u_codebook[covers[:, 1]]}
-            ok = self.test.pair_mask("S", self.seqs1[self.cb1.column(kp)],
-                                     "T", self.seqs2[self.cb2.column(lp)], fixed)
-            for g, t in enumerate(rows):
-                out[t] = ok[:, :, g]
-        return out
-
-    def resolve(self, typical: np.ndarray, indices: tuple) -> tuple:
-        """The unique jointly typical pair of one trial's mask, as (k, l)."""
-        kp, _, lp, _ = indices
-        hits = np.argwhere(typical)
-        if len(hits) == 0:
-            raise DecodeNone("no jointly typical (s, t) pair in the announced columns")
-        if len(hits) > 1:
-            raise DecodeAmbiguous(f"{len(hits)} jointly typical pairs")
-        i, j = hits[0]
-        k_hat = int(self.cb1.triples[self.cb1.column(kp)[i], 0])
-        l_hat = int(self.cb2.triples[self.cb2.column(lp)[j], 0])
-        return k_hat, l_hat
+        status = np.zeros(len(kp), dtype=np.int64)
+        k_hat, l_hat = np.zeros_like(status), np.zeros_like(status)
+        for code, rows in _groups(np.asarray(kp) * self.cb2.n_col + lp):
+            c1, c2 = divmod(code, self.cb2.n_col)
+            col1, col2 = self.cb1.column(c1), self.cb2.column(c2)
+            fixed = {"X3": x3_blocks[rows], "U": self.cb1.u_codebook[a[rows]],
+                     "V": self.cb2.u_codebook[b[rows]]}
+            ok = self.test.pair_mask("S", self.seqs1[col1], "T", self.seqs2[col2], fixed)
+            status[rows], flat = _unique_hits(ok.reshape(-1, len(rows)))
+            i, j = np.divmod(flat, len(col2))
+            k_hat[rows] = self.cb1.triples[col1[i], 0]
+            l_hat[rows] = self.cb2.triples[col2[j], 0]
+        return status, k_hat, l_hat
 
     def __call__(self, x3_block: np.ndarray, indices: tuple) -> tuple:
         x3_blocks = np.asarray(x3_block, dtype=np.int8)[None]
-        return self.resolve(self.typical(x3_blocks, [indices])[0], indices)
+        status, k_hat, l_hat = self.resolve(x3_blocks, *(np.array([v]) for v in indices))
+        _raise_failure(status, "(s, t) pair in the announced columns")
+        return int(k_hat[0]), int(l_hat[0])
 
 
 class _BackwardEncoder:
@@ -651,36 +695,34 @@ class _BackwardEncoder:
         the (B, n) blocks."""
         return self.pair_test.pair_mask("S", self.seqs_s, "T", self.seqs_t, {"X3": x3_blocks})
 
-    def pick_pair(self, typical: np.ndarray, rng: np.random.Generator) -> tuple:
-        """Draw an (i, j) pair among one block's (M_s, M_t) `typical` mask."""
-        hits = np.argwhere(typical)
-        if len(hits) == 0:
-            raise EncoderNoSequence("no (s, t) pair jointly typical with the X3 block")
-        i, j = hits[rng.integers(len(hits))]
-        return int(i), int(j)
-
     def cover_typical(self, i: np.ndarray, j: np.ndarray) -> np.ndarray:
         """(N_u, len(i)): which U codewords are jointly typical with each of the
         sequence pairs (i[g], j[g])."""
         fixed = {"S": self.cb_s.sequences[i], "T": self.cb_t.sequences[j]}
         return self.cover_test.mask("U", self.seqs_u, fixed)
 
-    def pick_cover(self, i: int, j: int, covers: np.ndarray,
-                   rng: np.random.Generator) -> tuple:
-        """Draw a cover among the pair's `covers` mask; the two encodings."""
-        cover_cands = np.flatnonzero(covers)
-        if len(cover_cands) == 0:
-            raise EncoderNoCover("no U codeword covers the selected (s, t) pair")
-        a = _uniform_pick(rng, cover_cands)
-        ks = self.cb_s.triple_of(i)
-        kt = self.cb_t.triple_of(j)
-        return (EncodingResult(ks[0], ks[1], ks[2], a, i),
-                EncodingResult(kt[0], kt[1], kt[2], a, j))
+    def pick(self, typical: np.ndarray, lanes, rows: np.ndarray) -> tuple:
+        """(status, i, j, cover) per block of the (M_s, M_t, B) `typical`: lane
+        rows[g] draws an (i, j) pair among block g's hits, then a cover among
+        the pair's covers, tested in one kernel call for the batch."""
+        m_s, m_t, batch = typical.shape
+        pair = _draw_hits(typical.reshape(m_s * m_t, batch).T, lanes, rows)
+        i, j = np.divmod(pair, m_t)
+        found = np.flatnonzero(pair >= 0)
+        cover = np.full(batch, -1, dtype=np.int64)
+        if len(found):
+            cover_ok = self.cover_typical(i[found], j[found])
+            cover[found] = _draw_hits(cover_ok.T, lanes, rows[found])
+        status = np.where(pair < 0, NO_SEQUENCE, np.where(cover < 0, NO_COVER, OK))
+        return status, i, j, cover
 
     def __call__(self, x3_block: np.ndarray, rng: np.random.Generator) -> tuple:
         x3_blocks = np.asarray(x3_block, dtype=np.int8)[None]
-        i, j = self.pick_pair(self.typical(x3_blocks)[:, :, 0], rng)
-        return self.pick_cover(i, j, self.cover_typical([i], [j])[:, 0], rng)
+        status, i, j, cover = self.pick(self.typical(x3_blocks), GeneratorLanes([rng]), _ONE)
+        _raise_failure(status, "(s, t) pair")
+        ks, kt, a = self.cb_s.triple_of(i[0]), self.cb_t.triple_of(j[0]), int(cover[0])
+        return (EncodingResult(ks[0], ks[1], ks[2], a, int(i[0])),
+                EncodingResult(kt[0], kt[1], kt[2], a, int(j[0])))
 
 
 class _BackwardDecoder:
@@ -693,33 +735,28 @@ class _BackwardDecoder:
         self.test = JointTypicalityTest(full.marginalize({self.var, self.src, "U"}), params)
         self.sequences = SequenceBits(codebook.sequences, self.test.cards[self.var])
 
-    def typical(self, blocks: np.ndarray, cols: list, covers: list) -> list:
-        """Per trial, the mask over its announced column.
+    def resolve(self, blocks: np.ndarray, cols, covers) -> tuple:
+        """(status, key) per trial: the key row of the unique typical member of
+        its announced column.
 
-        `blocks` is (B, n); trial t announced column `cols[t]` and cover
-        `covers[t]`.  Trials announcing the same column share one kernel call.
+        Trial i announced column cols[i] and cover covers[i] with block
+        blocks[i]; trials announcing the same column share one kernel call.
         """
-        out = [None] * len(cols)
-        for col, rows in _by_key(cols).items():
-            fixed = {self.src: blocks[rows],
-                     "U": self.codebook.u_codebook[np.asarray(covers)[rows]]}
-            ok = self.test.mask(self.var, self.sequences[self.codebook.column(col)], fixed)
-            for g, t in enumerate(rows):
-                out[t] = ok[:, g]
-        return out
-
-    def resolve(self, typical: np.ndarray, col: int) -> int:
-        """The key row of the unique typical member in one trial's mask."""
-        hits = np.flatnonzero(typical)
-        if len(hits) == 0:
-            raise DecodeNone(f"no {self.var} candidate typical with the {self.src} block")
-        if len(hits) > 1:
-            raise DecodeAmbiguous(f"{len(hits)} {self.var} candidates")
-        return int(self.codebook.triples[self.codebook.column(col)[hits[0]], 0])
+        status = np.zeros(len(cols), dtype=np.int64)
+        key = np.zeros_like(status)
+        for col, rows in _groups(np.asarray(cols)):
+            members = self.codebook.column(col)
+            fixed = {self.src: blocks[rows], "U": self.codebook.u_codebook[covers[rows]]}
+            ok = self.test.mask(self.var, self.sequences[members], fixed)
+            status[rows], which = _unique_hits(ok)
+            key[rows] = self.codebook.triples[members[which], 0]
+        return status, key
 
     def __call__(self, block: np.ndarray, col: int, a: int) -> int:
         blocks = np.asarray(block, dtype=np.int8)[None]
-        return self.resolve(self.typical(blocks, [col], [a])[0], col)
+        status, key = self.resolve(blocks, np.array([col]), np.array([a]))
+        _raise_failure(status, f"{self.var} candidate in the announced column")
+        return int(key[0])
 
 
 def forward_encode(user: int, block: np.ndarray, codebook: Codebook,

@@ -21,7 +21,6 @@ mutual information by < 1e-12, which the tests assert).
 
 import math
 import time
-import zlib
 from collections import Counter, defaultdict
 # unused here; perfbench/tracer.py patches it and fails a traced run without it
 from concurrent.futures import ThreadPoolExecutor  # noqa: F401
@@ -29,11 +28,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._lanes import GeneratorLanes, PCG64Lanes
 from .codec import (
-    DecodeAmbiguous,
-    DecodeNone,
-    EncoderNoCover,
-    EncoderNoSequence,
+    AMBIGUOUS,
+    FAILURES,
+    NO_COVER,
+    NO_SEQUENCE,
+    NONE,
+    OK,
     SequenceBits,
     TypicalityParams,
     build_backward_codebooks,
@@ -44,6 +46,7 @@ from .codec import (
     _ForwardDecoder,
     _ForwardEncoder,
     _KERNEL_WORDS,
+    _unique_hits,
 )
 from .pmf import (
     BudgetExceededError,
@@ -202,20 +205,21 @@ def _source_cdf(base: JointPmf) -> np.ndarray:
     return cdf
 
 
-def _draw_sources(base: JointPmf, cdf: np.ndarray, n: int, rngs: list) -> tuple:
-    """One i.i.d. block per source variable and generator, as (len(rngs), n) arrays.
+def _draw_sources(base: JointPmf, cdf: np.ndarray, n: int, lanes) -> tuple:
+    """One i.i.d. block per source variable and lane, as (len(lanes), n) arrays.
 
-    Each generator draws exactly what `rng.choice(cells, size=n, p=p)` draws,
-    n uniforms looked up in the CDF, and is left in the same state; the
-    lookup is made once for all generators.
+    Each lane draws exactly what `rng.choice(cells, size=n, p=p)` draws, n
+    uniforms looked up in the CDF, and is left in the same state; the lookup
+    is made once for all lanes.
     """
-    cells = cdf.searchsorted(np.stack([rng.random(n) for rng in rngs]), side="right")
+    cells = cdf.searchsorted(lanes.random(n), side="right")
     return tuple(part.astype(np.int8) for part in np.unravel_index(cells, base.table.shape))
 
 
 def sample_sources(base: JointPmf, n: int, rng: np.random.Generator) -> tuple:
     """One i.i.d. block per source variable, drawn jointly from the base pmf."""
-    return tuple(part[0] for part in _draw_sources(base, _source_cdf(base), n, [rng]))
+    return tuple(part[0] for part in
+                 _draw_sources(base, _source_cdf(base), n, GeneratorLanes([rng])))
 
 
 def _entropy_counts(counter: Counter) -> float:
@@ -244,8 +248,25 @@ def _plugin_mi(pairs: Counter) -> float:
     return float(max(0.0, mi))
 
 
-def _hash16(block: np.ndarray) -> int:
-    return zlib.crc32(np.asarray(block, dtype=np.int8).tobytes()) & 0xFFFF
+def _crc32_table() -> np.ndarray:
+    """zlib's CRC-32 byte table (reflected polynomial 0xEDB88320)."""
+    crc = np.arange(256, dtype=np.uint32)
+    for _ in range(8):
+        crc = np.where(crc & 1, (crc >> 1) ^ np.uint32(0xEDB88320), crc >> 1)
+    return crc
+
+
+_CRC32_TABLE = _crc32_table()
+
+
+def _hash16(blocks: np.ndarray) -> np.ndarray:
+    """Per row of the (B, n) int8 `blocks`, the low 16 bits of `zlib.crc32`
+    of its bytes, one table lookup per position for the whole batch."""
+    data = np.asarray(blocks, dtype=np.int8).view(np.uint8)
+    crc = np.full(len(data), 0xFFFFFFFF, dtype=np.uint32)
+    for byte in data.T:
+        crc = _CRC32_TABLE[(crc ^ byte) & 0xFF] ^ (crc >> 8)
+    return ~crc & 0xFFFF
 
 
 # ---------------------------------------------------------------------------
@@ -277,15 +298,51 @@ class _Tally:
                                  keyspace, err / self.trials))
         return tuple(out)
 
+    def record(self, k, l, k_public: tuple, l_public: tuple) -> None:
+        """One batch's keys and views, added in trial order.
 
-#: The `failures` key suffix of each coder exception a trial counts; the key's
-#: prefix names the coder call (`enc1_`, `decode_`, `decode2_`, ...).
-_FAILURE_KINDS = {
-    EncoderNoSequence: "no_sequence",
-    EncoderNoCover: "no_cover",
-    DecodeNone: "none",
-    DecodeAmbiguous: "ambiguous",
-}
+        A view is (key, public indices): `k_public` and `l_public` are tuples
+        of per-trial arrays, the indices each key's eavesdropper sees.  Trial
+        order keeps each counter's first-seen order, which fixes the order in
+        which the estimates add.
+        """
+        k, l = k.tolist(), l.tolist()
+        self.k_counts.update(k)
+        self.l_counts.update(l)
+        self.k_view.update(zip(k, zip(*(p.tolist() for p in k_public))))
+        self.l_view.update(zip(l, zip(*(p.tolist() for p in l_public))))
+
+    def count_failures(self, prefix: str, status: np.ndarray) -> None:
+        """Count a stage's per-trial outcome codes under `prefix` + kind."""
+        for code, count in enumerate(np.bincount(status, minlength=len(FAILURES)).tolist()):
+            if code != OK and count:
+                self.fails[prefix + _FAILURE_KINDS[code]] += count
+
+
+#: The `failures` key suffix of each outcome code a trial counts; the key's
+#: prefix names the coder stage (`enc1_`, `decode_`, `decode2_`, ...).
+_FAILURE_KINDS = {NO_SEQUENCE: "no_sequence", NO_COVER: "no_cover", NONE: "none",
+                  AMBIGUOUS: "ambiguous"}
+
+
+def _announce(lanes, status: np.ndarray, codebooks: tuple, seqs: tuple, cover) -> tuple:
+    """(keys, columns, cover, failed) of one encoder's batch of picks.
+
+    Per codebook, the key and column of the picked sequence.  Where the
+    encoder failed, column and cover are 0 and each codebook's key is drawn
+    from the trial's lane, in codebook order: the encoder's private
+    randomness.
+    """
+    failed = status != OK
+    rows = np.flatnonzero(failed)
+    keys, cols = [], []
+    for cb, seq in zip(codebooks, seqs):
+        label = cb.triples[np.where(failed, 0, seq)]
+        key = label[:, 0]
+        key[rows] = lanes.integers(np.full(len(rows), cb.n_key), rows)
+        keys.append(key)
+        cols.append(np.where(failed, 0, label[:, 1]))
+    return keys, cols, np.where(failed, 0, cover), failed
 
 
 class _Instance:
@@ -341,110 +398,55 @@ class _Instance:
         cands = max(self.cb1.size * self.cb2.size, len(self.cb1.u_codebook))
         return max(1, _KERNEL_WORDS // cands)
 
-    def run_batch(self, cdf: np.ndarray, rngs: list, tally: _Tally) -> None:
-        """One trial per generator in `rngs`, run in phases over the batch.
+    def run_batch(self, cdf: np.ndarray, lanes, tally: _Tally) -> None:
+        """One trial per lane of `lanes`, run in array stages over the batch.
 
-        Each phase makes one kernel call for the whole batch (or one per
-        group of trials announcing the same columns) and then replays each
-        trial's draws in its own generator, in the order of a single trial.
+        Each stage makes one kernel call for the whole batch (or one per
+        group of trials announcing the same columns) and then draws from
+        every trial's lane at once; each lane draws in the order of a single
+        trial.
         """
         cfg = self.config
-        x1, x2, x3 = _draw_sources(cfg.base, cdf, cfg.n, rngs)
-        tally.trials += len(rngs)
+        x1, x2, x3 = _draw_sources(cfg.base, cdf, cfg.n, lanes)
+        tally.trials += len(lanes)
         if cfg.direction == "forward":
-            self._forward_batch(rngs, tally, x1, x2, x3)
+            self._forward_batch(lanes, tally, x1, x2, x3)
         else:
-            self._backward_batch(rngs, tally, x1, x2, x3)
+            self._backward_batch(lanes, tally, x1, x2, x3)
 
-    def _forward_batch(self, rngs, tally, x1, x2, x3):
+    def _forward_batch(self, lanes, tally, x1, x2, x3):
         encode1, encode2, decode = self.coders()
-        typical1, typical2 = encode1.typical(x1), encode2.typical(x2)
-        indices, keys, errs = [], [], []
-        for t, rng in enumerate(rngs):
-            err_k = err_l = False
-            try:
-                e1 = encode1.pick(typical1[t], rng)
-                k, kp, a = e1.key, e1.col, e1.cover
-            except (EncoderNoSequence, EncoderNoCover) as exc:
-                tally.fails["enc1_" + _FAILURE_KINDS[type(exc)]] += 1
-                k, kp, a = int(rng.integers(self.cb1.n_key)), 0, 0
-                err_k = True
-            try:
-                e2 = encode2.pick(typical2[t], rng)
-                l, lp, b = e2.key, e2.col, e2.cover
-            except (EncoderNoSequence, EncoderNoCover) as exc:
-                tally.fails["enc2_" + _FAILURE_KINDS[type(exc)]] += 1
-                l, lp, b = int(rng.integers(self.cb2.n_key)), 0, 0
-                err_l = True
+        rows = np.arange(len(x1))
+        sent = []
+        for user, encode, cb, blocks in ((1, encode1, self.cb1, x1), (2, encode2, self.cb2, x2)):
+            status, seq, cover = encode.pick(encode.typical(blocks), lanes, rows)
+            tally.count_failures(f"enc{user}_", status)
+            sent.append(_announce(lanes, status, (cb,), (seq,), cover))
+        ((k,), (kp,), a, failed_k), ((l,), (lp,), b, failed_l) = sent
+        tally.record(k, l, (kp, a, _hash16(x2)), (lp, b, _hash16(x1)))
 
-            tally.k_counts[k] += 1
-            tally.l_counts[l] += 1
-            tally.k_view[(k, (kp, a, _hash16(x2[t])))] += 1
-            tally.l_view[(l, (lp, b, _hash16(x1[t])))] += 1
-            indices.append((kp, a, lp, b))
-            keys.append((k, l))
-            errs.append((err_k, err_l))
+        status, k_hat, l_hat = decode.resolve(x3, kp, a, lp, b)
+        tally.count_failures("decode_", status)
+        wrong = status != OK
+        tally.err_k += int((failed_k | wrong | (k_hat != k)).sum())
+        tally.err_l += int((failed_l | wrong | (l_hat != l)).sum())
 
-        for typical, index, (k, l), (err_k, err_l) in zip(
-                decode.typical(x3, indices), indices, keys, errs):
-            try:
-                k_hat, l_hat = decode.resolve(typical, index)
-                err_k = err_k or k_hat != k
-                err_l = err_l or l_hat != l
-            except (DecodeNone, DecodeAmbiguous) as exc:
-                tally.fails["decode_" + _FAILURE_KINDS[type(exc)]] += 1
-                err_k = err_l = True
-            tally.err_k += err_k
-            tally.err_l += err_l
-
-    def _backward_batch(self, rngs, tally, x1, x2, x3):
+    def _backward_batch(self, lanes, tally, x1, x2, x3):
         encode, decode1, decode2 = self.coders()
-        # per trial ((k, k'), (l, l'), a), or None after an encoder failure
-        encoded = [None] * len(rngs)
-        typical = encode.typical(x3)
-        pairs = {}
-        for t, rng in enumerate(rngs):
-            try:
-                pairs[t] = encode.pick_pair(typical[:, :, t], rng)
-            except EncoderNoSequence as exc:
-                tally.fails["enc3_" + _FAILURE_KINDS[type(exc)]] += 1
-        if pairs:
-            cover_ok = encode.cover_typical(*np.array(list(pairs.values())).T)
-            for g, (t, (i, j)) in enumerate(pairs.items()):
-                try:
-                    es, et = encode.pick_cover(i, j, cover_ok[:, g], rngs[t])
-                    encoded[t] = ((es.key, es.col), (et.key, et.col), es.cover)
-                except EncoderNoCover as exc:
-                    tally.fails["enc3_" + _FAILURE_KINDS[type(exc)]] += 1
-
-        for t, rng in enumerate(rngs):
-            if encoded[t] is None:
-                # user 3's keys come from its private randomness, and both err
-                k, kp = int(rng.integers(self.cb1.n_key)), 0
-                l, lp = int(rng.integers(self.cb2.n_key)), 0
-                a = 0
-                tally.err_k += 1
-                tally.err_l += 1
-            else:
-                (k, kp), (l, lp), a = encoded[t]
-            tally.k_counts[k] += 1
-            tally.l_counts[l] += 1
-            tally.k_view[(k, (kp, lp, a, _hash16(x2[t])))] += 1
-            tally.l_view[(l, (kp, lp, a, _hash16(x1[t])))] += 1
+        status, i, j, cover = encode.pick(encode.typical(x3), lanes, np.arange(len(x3)))
+        tally.count_failures("enc3_", status)
+        # a failed encoding draws both keys from user 3's private randomness, and both err
+        (k, l), (kp, lp), a, failed = _announce(lanes, status, (self.cb1, self.cb2), (i, j), cover)
+        tally.record(k, l, (kp, lp, a, _hash16(x2)), (kp, lp, a, _hash16(x1)))
+        tally.err_k += int(failed.sum())
+        tally.err_l += int(failed.sum())
 
         # the decoders run on the transcripts of successful encodings only
-        live = [t for t, sent in enumerate(encoded) if sent is not None]
-        covers = [encoded[t][2] for t in live]
-        for user, decode, blocks in ((1, decode1, x1), (2, decode2, x2)):
-            sent = [encoded[t][user - 1] for t in live]  # (key, column) per live trial
-            cols = [col for _, col in sent]
-            errors = 0
-            for (key, col), typical in zip(sent, decode.typical(blocks[live], cols, covers)):
-                try:
-                    errors += decode.resolve(typical, col) != key
-                except (DecodeNone, DecodeAmbiguous) as exc:
-                    tally.fails[f"decode{user}_" + _FAILURE_KINDS[type(exc)]] += 1
-                    errors += 1
+        live = ~failed
+        for user, decode, blocks, key, col in ((1, decode1, x1, k, kp), (2, decode2, x2, l, lp)):
+            status, key_hat = decode.resolve(blocks[live], col[live], a[live])
+            tally.count_failures(f"decode{user}_", status)
+            errors = int(((status != OK) | (key_hat != key[live])).sum())
             if user == 1:
                 tally.err_k += errors
             else:
@@ -454,9 +456,11 @@ class _Instance:
 def run_trials(config: SimConfig) -> SimReport:
     """Monte Carlo protocol runs, averaged over the configured codebook seeds.
 
-    Deterministic given the seed list: per-trial randomness is derived from
-    (TRIAL_SEED, codebook seed, trial index), and trials run in batches of
-    `_Instance.batch_trials` that leave each trial's draws unchanged.
+    Deterministic given the seed list: trial t of codebook seed `seed` draws
+    from the stream of `np.random.default_rng(SeedSequence([TRIAL_SEED,
+    seed, t]))`.  Trials run in batches of `_Instance.batch_trials`, whose
+    streams `PCG64Lanes` replays as arrays; batching leaves every trial's
+    draws unchanged.
     """
     start = time.perf_counter()
     cdf = _source_cdf(config.base)
@@ -467,9 +471,8 @@ def run_trials(config: SimConfig) -> SimReport:
         tally = _Tally()
         step = inst.batch_trials()
         for first in range(0, config.trials, step):
-            rngs = [np.random.default_rng(np.random.SeedSequence([TRIAL_SEED, seed, t]))
-                    for t in range(first, min(first + step, config.trials))]
-            inst.run_batch(cdf, rngs, tally)
+            lanes = PCG64Lanes((TRIAL_SEED, seed), range(first, min(first + step, config.trials)))
+            inst.run_batch(cdf, lanes, tally)
         per_seed.append(_seed_row(seed, *tally.sides(inst)))
         fails.update(tally.fails)
     return _report(config, "mc", per_seed, dict(sorted(fails.items())), _margin_warnings(inst),
@@ -752,13 +755,8 @@ def _decode_rows(test, cb, var: str, sequences, obs: str, blocks, fixed_of):
         if (col, a) not in cache:
             members = cb.column(col)
             ok = test.pair_mask(var, sequences[members], obs, blocks, fixed_of(a))
-            counts = ok.sum(axis=0)
-            result = np.full(len(blocks), -1, dtype=np.int64)
-            unique = counts == 1
-            if unique.any():
-                which = ok[:, unique].argmax(axis=0)
-                result[unique] = cb.triples[members[which], 0]
-            cache[(col, a)] = result
+            status, which = _unique_hits(ok)
+            cache[(col, a)] = np.where(status == OK, cb.triples[members[which], 0], -1)
         return cache[(col, a)]
 
     return decode_row

@@ -113,6 +113,7 @@ def test_nan_distribution_exit_code(tmp_path, capsys, argv):
     (["simulate", "--direction", "forward", "--n", "4", "--rate1", "-0.5"], None),
     (["simulate", "--direction", "forward", "--n", "4", "--rate2", "nan"], None),
     (["simulate", "--direction", "forward", "--n", "4", "--seeds", "1,-3"], None),
+    (["simulate", "--direction", "forward", "--n", "4", "--seeds", "1,2,1"], None),
     (["lemmas", "--draws", "-1"], None),
     (["lemmas", "--draws", "3", "--seed", "-1"], None),
 ])

@@ -21,6 +21,7 @@ from skregion.codec import (
     wiretap_decode,
 )
 from skregion import codec
+from skregion._lanes import GeneratorLanes
 from skregion.pmf import Channel, JointPmf, VariableId
 from skregion.region import AuxSystem
 from skregion.sim import _Instance, broadcast_backward_preset, broadcast_forward_preset, sample_sources
@@ -232,13 +233,14 @@ def test_encoder_selection_uniform_chi_square():
     encoder = codec._ForwardEncoder(1, cb1, aux.full, params)
     assert (forward_encode(1, block, cb1, aux.full, params, np.random.default_rng(77))
             == encoder(block, np.random.default_rng(77)))
-    typical = encoder.typical(block[None])[0]
-    rng = np.random.default_rng(77)
+    typical = encoder.typical(block[None])
+    lane = GeneratorLanes([np.random.default_rng(77)])
     draws = 10000
     counts = {}
     for _ in range(draws):
-        res = encoder.pick(typical, rng)
-        counts[res.seq_index] = counts.get(res.seq_index, 0) + 1
+        status, seq, _ = encoder.pick(typical, lane, np.zeros(1, dtype=np.intp))
+        assert status[0] == codec.OK
+        counts[int(seq[0])] = counts.get(int(seq[0]), 0) + 1
     m = len(counts)
     assert m > 1
     expected = draws / m

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from skregion.pmf import (
     BudgetExceededError,
     Channel,
+    JointBatch,
     JointPmf,
     PmfError,
     VariableId,
@@ -228,3 +230,42 @@ def test_entry_budget_env_override(monkeypatch):
     assert entry_budget(2048) == 2048
     monkeypatch.delenv("SKREGION_BUDGET")
     assert entry_budget() == 1 << 26
+
+
+# Tolerance of the identity property tests below, in bits: each side is a
+# signed sum of a few float64 entropies of at most 2^16 terms, whose
+# rounding stays many orders of magnitude below it.
+IDENTITY_TOL = 1e-9
+
+
+@st.composite
+def joint_tables(draw, names, batch=1):
+    """`batch` random joint tables over `names`, cardinalities 1-3, with zero cells."""
+    cards = draw(st.lists(st.integers(1, 3), min_size=len(names), max_size=len(names)))
+    size = batch * int(np.prod(cards))
+    weights = draw(st.lists(st.integers(0, 6), min_size=size, max_size=size)
+                   .filter(lambda w: all(sum(w[i::batch]) for i in range(batch))))
+    tables = np.array(weights, dtype=float).reshape(*cards, batch)
+    tables = np.moveaxis(tables / tables.sum(axis=tuple(range(len(names)))), -1, 0)
+    return tables
+
+
+@settings(max_examples=60, deadline=None)
+@given(joint_tables(("A", "B", "C")), st.integers(1, 4))
+def test_iid_extension_entropy_is_n_times_base(tables, n):
+    # n i.i.d. copies carry n times the entropy, jointly and per variable
+    names = ("A", "B", "C")
+    base = JointPmf(tuple(VariableId(v, c) for v, c in zip(names, tables.shape[1:])), tables[0])
+    ext = iid_extension(base, n)
+    for subset in ({"A", "B", "C"}, {"A"}, {"B", "C"}):
+        assert abs(ext.entropy(subset) - n * base.entropy(subset)) <= IDENTITY_TOL
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 4).flatmap(lambda batch: joint_tables(("A", "B", "C", "D"), batch)))
+def test_cmi_chain_rule_through_joint_batch(tables):
+    # I(A; B,C | D) = I(A; B | D) + I(A; C | B,D), per table of a batch
+    joint = JointBatch(("A", "B", "C", "D"), tables)
+    whole = joint.cmi({"A"}, {"B", "C"}, {"D"})
+    parts = joint.cmi({"A"}, {"B"}, {"D"}) + joint.cmi({"A"}, {"C"}, {"B", "D"})
+    assert np.all(np.abs(whole - parts) <= IDENTITY_TOL)

@@ -1,4 +1,6 @@
+import json
 import math
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -11,13 +13,14 @@ from skregion.codec import (
     DecodeNone,
     EncoderNoCover,
     EncoderNoSequence,
-    EncodingResult,
     InfeasibleRatesError,
 )
 from skregion import codec
+from skregion._lanes import GeneratorLanes, PCG64Lanes
 from skregion.pmf import Channel, JointPmf, VariableId, cond_mutual_information as cmi
 from skregion.sim import (
     EpsParams,
+    TRIAL_SEED,
     SimConfig,
     _Instance,
     _Tally,
@@ -91,7 +94,7 @@ def test_draw_sources_matches_generator_choice(weights, n, seed):
     p = np.array(weights, dtype=float) / sum(weights)
     base = JointPmf((VariableId("X", len(p)),), p)
     rngs = [np.random.default_rng([seed, t]) for t in range(3)]
-    (cells,) = _draw_sources(base, _source_cdf(base), n, rngs)
+    (cells,) = _draw_sources(base, _source_cdf(base), n, GeneratorLanes(rngs))
     for t, rng in enumerate(rngs):
         expected = np.random.default_rng([seed, t])
         assert np.array_equal(cells[t], expected.choice(len(p), size=n, p=p))
@@ -214,30 +217,32 @@ def test_binning_text(make, rates, expected):
         assert str(info.value) == expected
 
 
-_OK = EncodingResult(0, 0, 0, 0, 0)
+def _healthy_coders(inst: _Instance) -> tuple:
+    """Stub coders whose typicality stages return placeholders and whose
+    pick and resolve stages succeed on every trial: each encoder picks
+    codebook sequence 0 and cover 0, and each decoder returns the keys of
+    sequence 0.  Returns (coders, the keys of sequence 0)."""
+    keys = [int(cb.triples[0, 0]) for cb in (inst.cb1, inst.cb2)]
+
+    def zeros(count, value=0):
+        return np.full(count, value, dtype=np.int64)
+
+    if inst.config.direction == "forward":
+        encoder = SimpleNamespace(typical=lambda blocks: np.zeros((len(blocks), 1), dtype=bool),
+                                  pick=lambda typical, lanes, rows: (zeros(len(rows)),) * 3)
+        decoder = SimpleNamespace(resolve=lambda x3, kp, a, lp, b: (
+            zeros(len(kp)), zeros(len(kp), keys[0]), zeros(len(kp), keys[1])))
+        return [encoder, SimpleNamespace(**vars(encoder)), decoder], keys
+    encoder = SimpleNamespace(typical=lambda x3: np.zeros((1, 1, len(x3)), dtype=bool),
+                              pick=lambda typical, lanes, rows: (zeros(len(rows)),) * 4)
+    decoders = [SimpleNamespace(resolve=lambda blocks, cols, covers, key=key: (
+        zeros(len(cols)), zeros(len(cols), key))) for key in keys]
+    return [encoder, *decoders], keys
 
 
-def _healthy_coders(direction: str) -> list:
-    """Stub coders whose batched stages return placeholders and whose
-    per-trial stages succeed with key 0."""
-    if direction == "forward":
-        encoder = SimpleNamespace(typical=lambda blocks: [None] * len(blocks),
-                                  pick=lambda typical, rng: _OK)
-        decoder = SimpleNamespace(typical=lambda x3, indices: [None] * len(indices),
-                                  resolve=lambda typical, indices: (0, 0))
-        return [encoder, SimpleNamespace(**vars(encoder)), decoder]
-    encoder = SimpleNamespace(typical=lambda x3: np.zeros((1, 1, len(x3))),
-                              pick_pair=lambda typical, rng: (0, 0),
-                              cover_typical=lambda i, j: np.zeros((1, len(i))),
-                              pick_cover=lambda i, j, covers, rng: (_OK, _OK))
-    decoder = SimpleNamespace(typical=lambda blocks, cols, covers: [None] * len(cols),
-                              resolve=lambda typical, col: 0)
-    return [encoder, decoder, SimpleNamespace(**vars(decoder))]
-
-
-# the per-trial stage that raises each failure
-_FAILING_STAGE = {EncoderNoSequence: ("pick", "pick_pair"), EncoderNoCover: ("pick", "pick_cover"),
-                  DecodeNone: ("resolve",), DecodeAmbiguous: ("resolve",)}
+# the batched stage that reports each failure
+_FAILING_STAGE = {EncoderNoSequence: "pick", EncoderNoCover: "pick",
+                  DecodeNone: "resolve", DecodeAmbiguous: "resolve"}
 
 
 @pytest.mark.parametrize("direction, coder, exc, key, errs", [
@@ -261,21 +266,22 @@ def test_trial_failure_taxonomy(direction, coder, exc, key, errs):
     cfg = _two_key_config(6) if direction == "forward" else _backward_two_key_config(6)
     inst = _Instance(cfg, 1)
 
-    def failing(*args):
-        raise exc("stub")
+    coders, keys = _healthy_coders(inst)
+    healthy = getattr(coders[coder], _FAILING_STAGE[exc])
 
-    coders = _healthy_coders(direction)
-    for stage in _FAILING_STAGE[exc]:
-        if hasattr(coders[coder], stage):
-            setattr(coders[coder], stage, failing)
+    def failing(*args):
+        # every trial fails, without a draw
+        status, *rest = healthy(*args)
+        return (np.full_like(status, codec.FAILURES.index(exc)), *rest)
+
+    setattr(coders[coder], _FAILING_STAGE[exc], failing)
     inst._cache["coders"] = tuple(coders)
     tally = _Tally()
-    rng = np.random.default_rng(7)
-    inst.run_batch(_source_cdf(cfg.base), [rng], tally)
+    lanes = PCG64Lanes((TRIAL_SEED, 1), [0])
+    inst.run_batch(_source_cdf(cfg.base), lanes, tally)
 
-    expected = np.random.default_rng(7)
+    expected = np.random.default_rng(np.random.SeedSequence([TRIAL_SEED, 1, 0]))
     sample_sources(cfg.base, cfg.n, expected)
-    keys = [0, 0]  # the healthy stubs' keys
     if direction == "forward" and coder < 2:
         keys[coder] = int(expected.integers((inst.cb1, inst.cb2)[coder].n_key))
     elif direction == "backward" and coder == 0:
@@ -283,7 +289,7 @@ def test_trial_failure_taxonomy(direction, coder, exc, key, errs):
     assert dict(tally.fails) == {key: 1}
     assert (tally.trials, tally.err_k, tally.err_l) == (1, *errs)
     assert (dict(tally.k_counts), dict(tally.l_counts)) == ({keys[0]: 1}, {keys[1]: 1})
-    assert rng.bit_generator.state == expected.bit_generator.state
+    assert lanes.state(0) == expected.bit_generator.state
 
 
 def _with_trials(cfg: SimConfig, trials: int, seeds=(1, 2)) -> SimConfig:
@@ -305,6 +311,54 @@ def test_mc_report_independent_of_batch_size(monkeypatch, make, failures):
     for size in (1, 3, 7):
         monkeypatch.setattr(_Instance, "batch_trials", lambda self, size=size: size)
         assert run_trials(make()).to_json_dict() == reference
+
+
+def _covered_config(direction: str, trials: int, seeds: tuple) -> SimConfig:
+    """Two keys whose cover codewords (a BSC(p) of the codeword) can miss:
+    every encoder failure kind occurs."""
+    if direction == "forward":
+        channels = (Channel.identity("X1", 2, "S"), Channel.identity("X2", 2, "T"),
+                    Channel.bsc("S", "U", 0.3), Channel.bsc("T", "V", 0.3))
+        return SimConfig(broadcast_source("X3", 0.25, 0.25), "forward", channels, 6, 0.05, 0.05,
+                         EpsParams(enc=0.75, dec=1.0), trials, seeds)
+    cfg = _backward_two_key_config(6)
+    u = np.zeros((2, 2, 2))
+    for s in range(2):
+        u[s, :, s], u[s, :, 1 - s] = 0.9, 0.1
+    ch_u = Channel(("S", "T"), (VariableId("U", 2),), u)
+    return SimConfig(cfg.base, "backward", (cfg.channels[0], ch_u), 6, 0.05, 0.05,
+                     cfg.eps, trials, seeds)
+
+
+def mc_regression_configs() -> dict:
+    """The Monte Carlo runs pinned in `tests/data/mc_regression.json`.
+
+    The file holds `run_trials(cfg).to_json_dict()` of each, as produced by
+    one `Generator` per trial before the lane stream replaced them.  Their
+    trial counts cross a batch boundary, and seeds of 2^32 and more give the
+    trial seeds multi-word entropy.
+    """
+    big = (1, 2**32 + 5)
+    return {
+        "forward-two-key": _with_trials(_two_key_config(6), 60, big),
+        "forward-covers": _covered_config("forward", 60, big),
+        "over-rate": _over_rate_config(6, 1100),
+        "identity": identity_preset(6, trials=1100, seeds=big),
+        "broadcast-backward": broadcast_backward_preset(6, trials=1100, seeds=(1, 2)),
+        "backward-two-key": _with_trials(_backward_two_key_config(6), 60, big),
+        "backward-covers": _covered_config("backward", 60, (3, 2**64 + 1)),
+    }
+
+
+MC_REGRESSION = json.loads(
+    (Path(__file__).parent / "data" / "mc_regression.json").read_text(encoding="utf-8"))
+
+
+@pytest.mark.parametrize("name", sorted(MC_REGRESSION))
+def test_mc_report_byte_identical_to_recorded(name):
+    # the recorded reports pin every draw and tally of both strategies
+    got = run_trials(mc_regression_configs()[name]).to_json_dict()
+    assert json.dumps(got, sort_keys=True) == json.dumps(MC_REGRESSION[name], sort_keys=True)
 
 
 def test_mc_kernel_calls_per_batch(monkeypatch):
