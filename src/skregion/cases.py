@@ -43,6 +43,11 @@ __all__ = [
 
 CHAIN_TOL = 1e-9
 
+#: `case3_region` rejects a point on its conditional-independence consequence
+#: only above max(tol, this): a `tol` tighter than this tightens the chain
+#: checks without rejecting points for the roundoff of the consequence's CMIs.
+_CONSEQUENCE_FLOOR = 1e-9
+
 #: `region_gap` probes each frontier edge at this many equal steps.
 _EDGE_SAMPLES = 16
 
@@ -146,7 +151,7 @@ def case3_region(base: JointPmf, grid: GridSpec, tol: float = CHAIN_TOL,
             h.cmi(("S",), ("X2", "T"), ("X1",)),
             h.cmi(("S", "X1"), ("T",), ("X2",)),
         )])
-        threshold = max(tol, 1e-9)
+        threshold = max(tol, _CONSEQUENCE_FLOOR)
         consequence_ok = ~(
             (h.cmi(("S",), ("T",), ("X1", "U")) > threshold)
             | (h.cmi(("S",), ("T",), ("X2", "U")) > threshold)

@@ -36,6 +36,10 @@ NEG_MI_TOLERANCE = 1e-12
 
 NORMALIZATION_TOL = 1e-9
 
+#: Entries down to -NEGATIVE_PROB_TOL are roundoff from forming a table or a
+#: channel matrix and are set to 0; a lower entry is refused as invalid input.
+NEGATIVE_PROB_TOL = 1e-12
+
 
 class PmfError(Exception):
     """Base error for this module."""
@@ -107,7 +111,7 @@ class JointPmf:
         total = float(arr.sum())
         if not math.isfinite(total):
             raise PmfError("non-finite probability in table")
-        if arr.size and arr.min() < -1e-12:
+        if arr.size and arr.min() < -NEGATIVE_PROB_TOL:
             raise PmfError(f"negative probability {arr.min()} in table")
         if abs(total - 1.0) > NORMALIZATION_TOL:
             raise PmfError(f"table sums to {total}, not 1 within {NORMALIZATION_TOL}")
@@ -259,6 +263,34 @@ class JointBatch:
         return np.where(value < 0.0, 0.0, value)
 
 
+def _stochastic_array(matrix, cond_rank: int, to_shape: tuple) -> np.ndarray:
+    """`matrix` as a read-only float64 array of conditional distributions.
+
+    The trailing axes, of shape `to_shape`, hold p(to | ...) for each cell of
+    the `cond_rank` axes before them.  Each such slice must be finite, no
+    entry below -`NEGATIVE_PROB_TOL`, and sum to 1 within
+    `NORMALIZATION_TOL`; entries below zero become 0.  This is the rule for
+    one `Channel` matrix (`cond_rank` = its from-variable count) and, with
+    one more leading axis, for a stack of them.
+    """
+    arr = np.asarray(matrix, dtype=np.float64)
+    if arr.shape[len(arr.shape) - len(to_shape):] != to_shape:
+        raise PmfError(f"matrix trailing shape {arr.shape} does not match to-vars {to_shape}")
+    if len(arr.shape) != len(to_shape) + cond_rank:
+        raise PmfError("matrix rank does not match from/to variable counts")
+    if arr.size and arr.min() < -NEGATIVE_PROB_TOL:
+        raise PmfError("negative conditional probability")
+    to_axes = tuple(range(cond_rank, arr.ndim))
+    rows = arr.sum(axis=to_axes) if to_axes else arr
+    if not np.isfinite(rows).all():
+        raise PmfError("non-finite conditional probability")
+    if np.max(np.abs(rows - 1.0)) > NORMALIZATION_TOL:
+        raise PmfError("conditional rows must sum to 1 within 1e-9")
+    arr = np.where(arr < 0.0, 0.0, arr)
+    arr.setflags(write=False)
+    return arr
+
+
 class Channel:
     """Conditional distribution p(to | from) as a dense stochastic array.
 
@@ -271,22 +303,7 @@ class Channel:
     def __init__(self, from_names, to_vars, matrix):
         from_names = tuple(from_names)
         to_vars = tuple(to_vars)
-        arr = np.asarray(matrix, dtype=np.float64)
-        to_shape = tuple(v.cardinality for v in to_vars)
-        if arr.shape[len(arr.shape) - len(to_shape):] != to_shape:
-            raise PmfError(f"matrix trailing shape {arr.shape} does not match to-vars {to_shape}")
-        if len(arr.shape) != len(to_shape) + len(from_names):
-            raise PmfError("matrix rank does not match from/to variable counts")
-        if arr.size and arr.min() < -1e-12:
-            raise PmfError("negative conditional probability")
-        to_axes = tuple(range(len(from_names), arr.ndim))
-        rows = arr.sum(axis=to_axes) if to_axes else arr
-        if not np.isfinite(rows).all():
-            raise PmfError("non-finite conditional probability")
-        if np.max(np.abs(rows - 1.0)) > NORMALIZATION_TOL:
-            raise PmfError("conditional rows must sum to 1 within 1e-9")
-        arr = np.where(arr < 0.0, 0.0, arr)
-        arr.setflags(write=False)
+        arr = _stochastic_array(matrix, len(from_names), tuple(v.cardinality for v in to_vars))
         object.__setattr__(self, "from_names", from_names)
         object.__setattr__(self, "to_vars", to_vars)
         object.__setattr__(self, "matrix", arr)

@@ -18,17 +18,20 @@ backward-outer  backward factorization restricted to channels satisfying the
                 chains U - S - X3 and U - T - X3 (enforced by rejection).
 
 Each family's formula is written once, over a `JointBatch` of full joints.
-`_evaluate_lattice` evaluates a lattice a chunk of points at a time for
+A lattice is a list of layers, one per auxiliary channel: `lattice_channels`
+returns a layer's every lattice channel as one stacked, once-validated
+matrix array (`LatticeLayer`), not as `Channel` objects.  `_evaluate_lattice`
+evaluates a lattice a chunk of points at a time from those stacks for
 `enumerate_region`, `single_key_capacity` and `cases.case3_region`; the
-per-point evaluators (`forward_inner_point`, ...) use a batch of one, and a
-lattice point's values equal its per-point values bit for bit.
+per-point evaluators (`forward_inner_point`, ...) take `Channel`s and use a
+batch of one, and a lattice point's values equal its per-point values bit
+for bit.
 """
 
 import math
 # unused here; perfbench/tracer.py patches it and fails a traced run without it
 from concurrent.futures import ThreadPoolExecutor  # noqa: F401
 from dataclasses import dataclass, field
-from itertools import product
 
 import numpy as np
 
@@ -39,6 +42,7 @@ from .pmf import (
     JointPmf,
     PmfError,
     VariableId,
+    _stochastic_array,
     cond_mutual_information as cmi,
     entry_budget,
 )
@@ -62,6 +66,7 @@ __all__ = [
     "upper_concave_envelope",
     "lattice_rows",
     "lattice_channels",
+    "LatticeLayer",
 ]
 
 INF = math.inf
@@ -351,18 +356,38 @@ def lattice_rows(m: int, q: int) -> list:
     return [np.array(row, dtype=np.float64) / q for row in out]
 
 
-def lattice_channels(from_names, from_cards, to_vars, q: int) -> list:
-    """Every channel whose conditional rows live on the 1/q simplex lattice."""
-    to_vars = tuple(to_vars)
-    cells = int(np.prod(from_cards))
-    width = int(np.prod([v.cardinality for v in to_vars]))
-    rows = lattice_rows(width, q)
-    shape = tuple(from_cards) + tuple(v.cardinality for v in to_vars)
-    channels = []
-    for combo in product(range(len(rows)), repeat=cells):
-        mat = np.stack([rows[i] for i in combo]).reshape(shape)
-        channels.append(Channel(tuple(from_names), to_vars, mat))
-    return channels
+@dataclass(frozen=True, eq=False)
+class LatticeLayer:
+    """Every lattice channel p(to | from) of one auxiliary layer, stacked.
+
+    `matrices[i]` is the i-th channel's matrix, of shape (from
+    cardinalities..., to cardinalities...): the matrix a `Channel` over
+    `from_names` and `to_vars` would hold.  The stack is read-only.
+    """
+
+    from_names: tuple
+    to_vars: tuple
+    matrices: np.ndarray
+
+
+def lattice_channels(from_names, from_cards, to_vars, q: int) -> LatticeLayer:
+    """Every channel whose conditional rows live on the 1/q simplex lattice.
+
+    With `rows = lattice_rows(width, q)` over the to-alphabet, channel i
+    gives the j-th conditioning cell (C order over `from_cards`) the row
+    `rows[combos[i][j]]`, where `combos` runs through
+    `itertools.product(range(len(rows)), repeat=cells)` in order.  The
+    (count, *from_cards, *to_cards) stack is validated once, by the rule
+    `Channel` applies to one matrix.
+    """
+    from_names, to_vars = tuple(from_names), tuple(to_vars)
+    to_shape = tuple(v.cardinality for v in to_vars)
+    cells = math.prod(from_cards)
+    rows = np.stack(lattice_rows(math.prod(to_shape), q))
+    combos = np.indices((len(rows),) * cells).reshape(cells, -1).T
+    stack = rows[combos].reshape((len(combos),) + tuple(from_cards) + to_shape)
+    return LatticeLayer(from_names, to_vars,
+                        _stochastic_array(stack, 1 + len(from_names), to_shape))
 
 
 @dataclass(frozen=True)
@@ -400,7 +425,7 @@ def _family_layers(family: str, grid: GridSpec) -> list:
 
 
 def _lattice_layers(base: JointPmf, layers, q: int, budget: int | None) -> list:
-    """Each layer's lattice channels, once the lattice fits the entry budget.
+    """Each layer's `LatticeLayer`, once the lattice fits the entry budget.
 
     `layers` gives each layer's (from names, to variables) in extension
     order.  The lattice is refused when its points times the entries of one
@@ -422,36 +447,40 @@ def _lattice_layers(base: JointPmf, layers, q: int, budget: int | None) -> list:
     return [lattice_channels(f, [cards[n] for n in f], t, q) for f, t in layers]
 
 
-def _channel_descriptor(ch: Channel) -> dict:
-    return {
-        "from": list(ch.from_names),
-        "to": [[v.name, v.cardinality] for v in ch.to_vars],
-        "matrix": ch.matrix.tolist(),
-    }
+def _channel_descriptors(layer: LatticeLayer) -> list:
+    """The `region.json` descriptor of each lattice channel of `layer`.
+
+    Every point that picks a channel shares its one descriptor, which the
+    JSON writer then renders once.
+    """
+    return [{"from": list(layer.from_names),
+             "to": [[v.name, v.cardinality] for v in layer.to_vars],
+             "matrix": matrix}
+            for matrix in layer.matrices.tolist()]
 
 
 def _evaluate_lattice(base: JointPmf, layers, formula) -> tuple:
     """`formula` applied to every point of the channel lattice `layers`.
 
-    `layers` holds each layer's lattice channels in extension order; a point
-    picks one channel per layer, and points run in lexicographic order of
-    their picks.  A chunk of points at a time, the full joints are built by
-    `JointBatch.extend` and `formula` maps their batch to a tuple of
-    per-point arrays; the arrays are concatenated over the lattice.
+    `layers` holds each layer's `LatticeLayer` in extension order; a point
+    picks one channel (one row of the stack) per layer, and points run in
+    lexicographic order of their picks.  A chunk of points at a time, each
+    layer's picked matrices are gathered from its stack, the full joints are
+    built by `JointBatch.extend`, and `formula` maps their batch to a tuple
+    of per-point arrays; the arrays are concatenated over the lattice.
     """
-    counts = tuple(len(layer) for layer in layers)
+    counts = tuple(len(layer.matrices) for layer in layers)
     n_points = math.prod(counts)
-    matrices = [np.stack([ch.matrix for ch in layer]) for layer in layers]
     entries = base.table.size * math.prod(
-        v.cardinality for layer in layers for v in layer[0].to_vars)
+        v.cardinality for layer in layers for v in layer.to_vars)
     chunk = max(1, _CHUNK_ENTRIES // entries)
     parts = []
     for start in range(0, n_points, chunk):
         picks = np.unravel_index(np.arange(start, min(start + chunk, n_points)), counts)
         tables = np.broadcast_to(base.table, (len(picks[0]),) + base.table.shape)
         h = JointBatch(base.names, tables)
-        for layer, stacked, pick in zip(layers, matrices, picks):
-            h = h.extend(layer[0].from_names, layer[0].to_vars, stacked[pick])
+        for layer, pick in zip(layers, picks):
+            h = h.extend(layer.from_names, layer.to_vars, layer.matrices[pick])
         parts.append(formula(h))
     return tuple(np.concatenate(column) for column in zip(*parts))
 
@@ -481,8 +510,8 @@ def enumerate_region(base: JointPmf, family: str, grid: GridSpec, *,
 
     keep, r1, r2, rsum = _evaluate_lattice(base, layers, evaluate)
     kept = np.flatnonzero(keep)
-    picks = np.unravel_index(kept, tuple(len(layer) for layer in layers))
-    descriptors = [[_channel_descriptor(ch) for ch in layer] for layer in layers]
+    picks = np.unravel_index(kept, tuple(len(layer.matrices) for layer in layers))
+    descriptors = [_channel_descriptors(layer) for layer in layers]
     points = [
         RatePoint(RateConstraintSet(a, b, c),
                   {"channels": [d[i] for d, i in zip(descriptors, pick)]})

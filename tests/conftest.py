@@ -28,6 +28,14 @@ def oracle_cmi(pmf, a, b, c=()) -> float:
             - oracle_entropy(pmf, a + b + c) - oracle_entropy(pmf, c))
 
 
+def lattice_channel_objects(layer) -> list:
+    """One `Channel` per matrix of a stacked `LatticeLayer`, in stack order:
+    the per-channel view of a lattice layer that the oracle tests iterate."""
+    from skregion.pmf import Channel
+
+    return [Channel(layer.from_names, layer.to_vars, m) for m in layer.matrices]
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240809)

@@ -304,13 +304,13 @@ def test_case3_matches_oracle_formulas(rng):
     from itertools import product
 
     from skregion.region import lattice_channels
-    from conftest import oracle_cmi
+    from conftest import lattice_channel_objects, oracle_cmi
 
     grid = GridSpec(2, 2, 2, 1, 1)
     tol = 1e-9
     s, t, u = VariableId("S", 2), VariableId("T", 2), VariableId("U", 2)
-    layers = [lattice_channels(("X3",), (2,), (s, t), 1),
-              lattice_channels(("S", "T"), (2, 2), (u,), 1)]
+    layers = [lattice_channel_objects(lattice_channels(("X3",), (2,), (s, t), 1)),
+              lattice_channel_objects(lattice_channels(("S", "T"), (2, 2), (u,), 1))]
     for _ in range(2):
         base = random_chain(rng, order=("X1", "X3", "X2"))
         chain_rejected = consequence_rejected = 0

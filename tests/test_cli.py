@@ -429,6 +429,19 @@ def test_region_e3_matches_benchmark_reference(tmp_path):
     assert (out / "frontier.csv").read_bytes() == (reference / "frontier.csv").read_bytes()
 
 
+def test_verify_e3_matches_benchmark_reference(tmp_path):
+    """The benchmark's verify-e3 workload reproduces its stored verify.json
+    byte for byte."""
+    reference = (Path(__file__).parents[1] / "perfbench" / "reference" / "verify-e3"
+                 / "any" / "verify.json")
+    dist = tmp_path / "e3.dist"
+    write_distribution(broadcast_source("X3", 0.25, 0.25), str(dist))
+    out = tmp_path / "v"
+    rc = main(["verify", "--grid-q", "5", "--dist", str(dist), "--out", str(out)])
+    assert rc == 0
+    assert (out / "verify.json").read_bytes() == reference.read_bytes()
+
+
 def test_simulate_exact_matches_benchmark_reference(tmp_path):
     """The benchmark's simulate-exact workload (benchmark seed 0 = codebook
     seed 1) reproduces its stored report.json byte for byte, down to the

@@ -1,8 +1,11 @@
+import math
+from itertools import product
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from skregion.pmf import BudgetExceededError, Channel, VariableId
+from skregion.pmf import BudgetExceededError, Channel, PmfError, VariableId
 from skregion.region import (
     INF,
     AuxSystem,
@@ -16,6 +19,8 @@ from skregion.region import (
     explicit_outer,
     forward_inner_point,
     forward_outer_point,
+    lattice_channels,
+    lattice_rows,
     pareto_frontier,
     upper_concave_envelope,
 )
@@ -26,7 +31,7 @@ from skregion.sources import (
     random_pmf,
     xor_source,
 )
-from conftest import oracle_cmi
+from conftest import lattice_channel_objects, oracle_cmi
 
 E3 = broadcast_source("X3", 0.25, 0.25)
 E6 = broadcast_source("X2", 0.25, 0.25)
@@ -448,10 +453,9 @@ def test_single_key_and_case3_independent_of_chunk_boundaries(monkeypatch):
 
 
 def _lattice_joints(base, layers):
-    """(channels, full joint) per lattice point, in lexicographic order, by extend."""
-    from itertools import product
-
-    for chs in product(*layers):
+    """(channels, full joint) per lattice point, in lexicographic order, by
+    extend through one `Channel` per row of each layer's stack."""
+    for chs in product(*map(lattice_channel_objects, layers)):
         full = base
         for ch in chs:
             full = full.extend(ch)
@@ -507,8 +511,6 @@ def test_enumerate_matches_oracle_formulas(rng, family):
 
 
 def test_single_key_matches_oracle_formula(rng):
-    from skregion.region import lattice_channels
-
     grid = GridSpec(3, 1, 2, 1, 1)
     s, u = VariableId("S", 3), VariableId("U", 2)
     for _ in range(2):
@@ -521,3 +523,73 @@ def test_single_key_matches_oracle_formula(rng):
                        for _, p in _lattice_joints(base, layers))
             got = single_key_capacity(base, direction, grid)
             assert got == pytest.approx(want, abs=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# Stacked lattice layers
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("m, q", [(1, 1), (1, 3), (2, 1), (2, 4), (3, 2), (4, 5)])
+def test_lattice_rows_are_the_ordered_compositions(m, q):
+    rows = lattice_rows(m, q)
+    assert len(rows) == math.comb(q + m - 1, m - 1)
+    parts = []
+    for row in rows:
+        assert row.dtype == np.float64 and row.shape == (m,)
+        assert row.sum() == pytest.approx(1.0, abs=1e-12)
+        parts.append(tuple(round(x * q) for x in row))
+        assert np.array_equal(row, np.array(parts[-1], dtype=np.float64) / q)
+    assert parts == sorted(c for c in product(range(q + 1), repeat=m) if sum(c) == q)
+
+
+@pytest.mark.parametrize("m, q", [(0, 1), (2, 0), (-1, 3), (3, -2)])
+def test_lattice_rows_reject_empty_rows_and_denominators(m, q):
+    with pytest.raises(PmfError):
+        lattice_rows(m, q)
+
+
+@pytest.mark.parametrize("from_cards, to_cards, q", [
+    ((2,), (2, 2), 5),  # verify's case-3 layer X3 -> (S, T)
+    ((2, 2), (1,), 1),
+    ((2, 2), (1,), 2),
+    ((3,), (2,), 1),
+    ((3,), (2,), 2),
+    ((2, 2), (2,), 2),
+    ((2,), (3,), 3),
+])
+def test_lattice_channels_stack_matches_channel_matrices(from_cards, to_cards, q):
+    """Row i of a layer's stack is, bit for bit, the matrix of the `Channel`
+    built from the i-th `product` combination of `lattice_rows` rows."""
+    from_names = tuple(f"A{i}" for i in range(len(from_cards)))
+    to_vars = tuple(VariableId(f"B{i}", c) for i, c in enumerate(to_cards))
+    layer = lattice_channels(from_names, from_cards, to_vars, q)
+    width, cells = math.prod(to_cards), math.prod(from_cards)
+    rows = lattice_rows(width, q)
+    expected = [
+        Channel(from_names, to_vars,
+                np.stack([rows[i] for i in combo]).reshape(from_cards + to_cards)).matrix
+        for combo in product(range(len(rows)), repeat=cells)
+    ]
+    assert layer.from_names == from_names and layer.to_vars == to_vars
+    assert layer.matrices.dtype == np.float64 and not layer.matrices.flags.writeable
+    assert layer.matrices.shape == (len(expected),) + from_cards + to_cards
+    # the count `_lattice_layers` charges against the entry budget
+    assert len(layer.matrices) == math.comb(q + width - 1, width - 1) ** cells
+    for got, want in zip(layer.matrices, expected):
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+def test_lattice_evaluation_builds_no_channel_objects(monkeypatch):
+    """Lattice channels stay rows of their layer's stack: enumerating a
+    region, a single-key capacity or the case-3 region constructs no
+    `Channel`."""
+    from skregion.cases import case3_region
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a Channel was built")
+
+    monkeypatch.setattr(Channel, "__init__", refuse)
+    enumerate_region(E3, "backward-outer", GridSpec(2, 2, 2, 1, 1))
+    enumerate_region(E3, "forward-inner", GridSpec(2, 2, 2, 1, 1))
+    single_key_capacity(E3, "forward", GridSpec(3, 1, 2, 1, 1))
+    case3_region(E3, GridSpec(2, 2, 1, 1, 2))
