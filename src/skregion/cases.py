@@ -129,8 +129,7 @@ def case2_region(base: JointPmf, tol: float = CHAIN_TOL) -> RateRegion:
     return _single_point_region(cset, "case2")
 
 
-def case3_region(base: JointPmf, grid: GridSpec, tol: float = CHAIN_TOL,
-                 budget=None) -> RateRegion:
+def case3_region(base: JointPmf, grid: GridSpec, tol: float = CHAIN_TOL) -> RateRegion:
     """Grid lower bound of the backward region for X1 - X3 - X2 chains.
 
     Lattice points must satisfy U - S - X3, U - T - X3 and S - X1 - X2 - T
@@ -138,12 +137,12 @@ def case3_region(base: JointPmf, grid: GridSpec, tol: float = CHAIN_TOL,
     consequence I(S;T|X1,U) = I(S;T|X2,U) = 0 is checked on every accepted
     point; violations are rejected and counted separately.  The maximum is a
     lower bound of the case region: no analytic construction is attempted.
-    A lattice above the entry `budget` is refused, as in `enumerate_region`.
+    A lattice above the entry budget is refused, as in `enumerate_region`.
     """
     residual = cmi(base, ("X1",), ("X2",), ("X3",))
     if residual > tol:
         raise ChainViolatedError("X1-X3-X2", residual)
-    layers = _lattice_layers(base, _family_layers("backward-inner", grid), grid.q, budget)
+    layers = _lattice_layers(base, _family_layers("backward-inner", grid), grid.q)
 
     def evaluate(h):
         chains_ok = np.logical_and.reduce([value <= tol for value in (

@@ -14,7 +14,7 @@ Every output directory receives a manifest.json describing the run; outputs
 are deterministic functions of the manifest (output paths and wall-clock
 never influence file contents).  Files are written to a temporary name and
 atomically renamed, so failed runs leave no partial files.  The
-SKREGION_BUDGET environment variable overrides the dense-table entry budget.
+SKREGION_BUDGET environment variable sets the dense-table entry budget.
 `region` and `simulate` both accept `--threads` and ignore it.
 
 Exit codes: 0 ok, 2 malformed input (distribution file, flag or
@@ -22,8 +22,9 @@ SKREGION_BUDGET), 3 budget exceeded, 4 infeasible rates, 5 claimed
 coincidence failed, 6 lemma violation.  Flags are checked before any
 computation and before the output directory is created: `--grid-q`, `--n`
 and `--trials` must be >= 1; `--draws`, `--seed` and each of `--seeds`
->= 0, and no seed may repeat in `--seeds`; `--tol`, `--rate1`, `--rate2`
-and `--margin` finite and >= 0; `--eps-enc` and `--eps-dec` finite and > 0.
+>= 0, and no seed may repeat in `--seeds` nor a name in `--cards`; `--tol`,
+`--rate1`, `--rate2` and `--margin` finite and >= 0; `--eps-enc` and
+`--eps-dec` finite and > 0.
 
 Every JSON output is exactly `json.dumps(doc, sort_keys=True, indent=2)`
 text plus a newline, written by `_json_text`.
@@ -60,6 +61,7 @@ from .region import (
     enumerate_region,
     explicit_outer,
     forward_inner_point,
+    lattice_constraint_sets,
     pareto_frontier,
 )
 from .sim import (
@@ -363,6 +365,8 @@ def _parse_cards(text: str | None, base: JointPmf) -> GridSpec:
         key, _, val = tok.strip().partition("=")
         if key not in ("S", "T", "U", "V") or not val.isdigit() or int(val) < 1:
             raise InputError(f"bad --cards entry {tok!r}")
+        if key in spec:
+            raise InputError(f"--cards repeats {key}: {text!r}")
         spec[key] = int(val)
     return GridSpec(spec.get("S", 2), spec.get("T", 2), spec.get("U", 1), spec.get("V", 1), 1)
 
@@ -485,9 +489,9 @@ def _case1_check(base, grid_q, tol, swapped=False):
     segment_r2 = region1.points[0].constraints.r2_max
     c3 = work.variable("X3").cardinality
     grid = GridSpec(1, c3, 1, 1, grid_q)
-    inner = enumerate_region(work, "backward-inner", grid)
+    inner = lattice_constraint_sets(work, "backward-inner", grid)
     outer = explicit_outer(work)
-    gap = region_gap(pareto_frontier([outer]), inner.constraint_sets)
+    gap = region_gap(pareto_frontier([outer]), inner)
     # the deterministic T = X3 point must attain the segment height exactly
     eye = np.eye(c3).reshape(c3, 1, c3)
     ch_st = Channel(("X3",), (VariableId("S", 1), VariableId("T", c3)), eye)
@@ -514,8 +518,8 @@ def _case2_check(base, grid_q, tol):
     corner = forward_inner_point(AuxSystem.forward(base, *channels))
     corner_err = max(abs(corner.r1_max - rect.r1_max), abs(corner.r2_max - rect.r2_max))
     grid = GridSpec(c1, c2, 1, 1, grid_q)
-    inner = enumerate_region(base, "forward-inner", grid)
-    gap = region_gap(pareto_frontier([rect]), inner.constraint_sets)
+    inner = lattice_constraint_sets(base, "forward-inner", grid)
+    gap = region_gap(pareto_frontier([rect]), inner)
     passed = corner_err <= _CLOSED_FORM_TOL and gap <= tol
     return {
         "applicable": True,

@@ -120,11 +120,11 @@ def conditional_entropy(pmf: JointPmf, a, c=()) -> float:
     return pmf.entropy(a | c) - pmf.entropy(c)
 
 
-def _all_sequences(card: int, n: int, budget=None) -> np.ndarray:
+def _all_sequences(card: int, n: int) -> np.ndarray:
     total = card ** n
-    if total > entry_budget(budget):
+    if total > entry_budget():
         raise BudgetExceededError(
-            f"{card}^{n} = {total} sequences exceeds budget {entry_budget(budget)}"
+            f"{card}^{n} = {total} sequences exceeds budget {entry_budget()}"
         )
     codes = np.arange(total, dtype=np.int64)
     seqs = np.empty((total, n), dtype=np.int8)
@@ -134,8 +134,7 @@ def _all_sequences(card: int, n: int, budget=None) -> np.ndarray:
     return seqs
 
 
-def typical_sequences(marginal: JointPmf, params: TypicalityParams, *,
-                      budget=None) -> np.ndarray:
+def typical_sequences(marginal: JointPmf, params: TypicalityParams) -> np.ndarray:
     """All robustly typical length-n sequences of a single variable.
 
     Returned as an (M, n) int8 array in lexicographic order.
@@ -145,7 +144,7 @@ def typical_sequences(marginal: JointPmf, params: TypicalityParams, *,
     card = marginal.variables[0].cardinality
     p = marginal.table
     n, eps = params.n, params.eps
-    seqs = _all_sequences(card, n, budget)
+    seqs = _all_sequences(card, n)
     lo = n * p * (1.0 - eps) - COUNT_FUZZ
     hi = n * p * (1.0 + eps) + COUNT_FUZZ
     mask = np.ones(len(seqs), dtype=bool)
@@ -447,9 +446,9 @@ def _stream(seed: int, index: int) -> np.random.Generator:
 
 
 def _binned_typical_set(full: JointPmf, var: str, params: TypicalityParams,
-                        n_key: int, n_col: int, rng, budget) -> tuple:
+                        n_key: int, n_col: int, rng) -> tuple:
     """(sequences, triples): `var`'s typical set, refused when empty, and its bins."""
-    seqs = typical_sequences(full.marginalize({var}), params, budget=budget)
+    seqs = typical_sequences(full.marginalize({var}), params)
     if len(seqs) == 0:
         raise InfeasibleRatesError(
             f"typical set of {var} is empty at n={params.n}, eps={params.eps}")
@@ -468,8 +467,7 @@ def _draw_covers(full: JointPmf, keyed: tuple, cover_var: str, n: int, rng) -> n
 
 
 def build_forward_codebooks(full: JointPmf, params: TypicalityParams,
-                            rate1: float, rate2: float, seed: int, *,
-                            budget=None) -> tuple:
+                            rate1: float, rate2: float, seed: int) -> tuple:
     """Codebooks of users 1 (over S, covered by U) and 2 (over T, covered by V).
 
     Deterministic function of `seed`: each codebook deals its bins and then
@@ -479,7 +477,7 @@ def build_forward_codebooks(full: JointPmf, params: TypicalityParams,
     codebooks = []
     for index, (var, cover_var, (n_key, n_col, margins)) in enumerate(zip("ST", "UV", bins), 1):
         rng = _stream(seed, index)
-        seqs, triples = _binned_typical_set(full, var, params, n_key, n_col, rng, budget)
+        seqs, triples = _binned_typical_set(full, var, params, n_key, n_col, rng)
         covers = _draw_covers(full, (var,), cover_var, params.n, rng)
         codebooks.append(Codebook(var, cover_var, seqs, triples, n_key, n_col, covers,
                                   margins, seed))
@@ -487,15 +485,14 @@ def build_forward_codebooks(full: JointPmf, params: TypicalityParams,
 
 
 def build_backward_codebooks(full: JointPmf, params: TypicalityParams,
-                             rate1: float, rate2: float, seed: int, *,
-                             budget=None) -> tuple:
+                             rate1: float, rate2: float, seed: int) -> tuple:
     """User 3's codebooks over S (for user 1's key) and T (user 2's key).
 
     Both are covered by the single U codeword list, which is drawn at rate
     I(S,T;U) + COVER_SLACK and stored on both codebooks (one shared array).
     """
     bins = _binning(full, "backward", params.n, (rate1, rate2))
-    typical = [_binned_typical_set(full, var, params, n_key, n_col, _stream(seed, index), budget)
+    typical = [_binned_typical_set(full, var, params, n_key, n_col, _stream(seed, index))
                for index, (var, (n_key, n_col, _)) in enumerate(zip("ST", bins), 1)]
     covers = _draw_covers(full, ("S", "T"), "U", params.n, _stream(seed, 3))
     return tuple(Codebook(var, "U", seqs, triples, n_key, n_col, covers, margins, seed)

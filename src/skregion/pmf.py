@@ -53,14 +53,9 @@ class ConsistencyError(PmfError):
     """An internally computed quantity violated a hard invariant."""
 
 
-def entry_budget(override: int | None = None) -> int:
-    """Current dense-table entry budget.
-
-    The SKREGION_BUDGET environment variable overrides the built-in default;
-    an explicit `override` argument wins over both.
-    """
-    if override is not None:
-        return int(override)
+def entry_budget() -> int:
+    """Current dense-table entry budget: the SKREGION_BUDGET environment
+    variable if set, else `DEFAULT_ENTRY_BUDGET`.  Every size gate reads it."""
     env = os.environ.get("SKREGION_BUDGET")
     if env:
         return int(env)
@@ -95,7 +90,7 @@ class JointPmf:
 
     __slots__ = ("variables", "table")
 
-    def __init__(self, variables, table, *, budget: int | None = None):
+    def __init__(self, variables, table):
         variables = tuple(variables)
         names = [v.name for v in variables]
         if len(set(names)) != len(names):
@@ -104,9 +99,9 @@ class JointPmf:
         shape = tuple(v.cardinality for v in variables)
         if arr.shape != shape:
             raise PmfError(f"table shape {arr.shape} does not match cardinalities {shape}")
-        if arr.size > entry_budget(budget):
+        if arr.size > entry_budget():
             raise BudgetExceededError(
-                f"table with {arr.size} entries exceeds budget {entry_budget(budget)}"
+                f"table with {arr.size} entries exceeds budget {entry_budget()}"
             )
         total = float(arr.sum())
         if not math.isfinite(total):
@@ -359,19 +354,19 @@ def is_markov_chain(pmf: JointPmf, a, b, c) -> bool:
     return cond_mutual_information(pmf, a, c, b) <= 1e-9
 
 
-def _check_extension_budget(cards, n: int, budget: int | None = None) -> None:
+def _check_extension_budget(cards, n: int) -> None:
     """Refuse an n-fold extension of a table with axis sizes `cards` over the budget."""
     size = 1
     for c in cards:
         size *= c ** n
-        if size > entry_budget(budget):
+        if size > entry_budget():
             raise BudgetExceededError(
                 f"iid extension would need {math.prod(c ** n for c in cards)} entries, "
-                f"budget is {entry_budget(budget)}"
+                f"budget is {entry_budget()}"
             )
 
 
-def iid_extension(pmf: JointPmf, n: int, *, budget: int | None = None) -> JointPmf:
+def iid_extension(pmf: JointPmf, n: int) -> JointPmf:
     """n-fold i.i.d. product distribution, one sequence variable per original.
 
     Each variable keeps its name and gets cardinality ``card ** n``; a symbol
@@ -383,7 +378,7 @@ def iid_extension(pmf: JointPmf, n: int, *, budget: int | None = None) -> JointP
     if n == 1:
         return pmf
     cards = [v.cardinality for v in pmf.variables]
-    _check_extension_budget(cards, n, budget)
+    _check_extension_budget(cards, n)
     k = len(cards)
     full = pmf.table
     for _ in range(n - 1):
@@ -392,4 +387,4 @@ def iid_extension(pmf: JointPmf, n: int, *, budget: int | None = None) -> JointP
     perm = [copy * k + j for j in range(k) for copy in range(n)]
     full = full.transpose(perm).reshape([c ** n for c in cards])
     variables = tuple(VariableId(v.name, v.cardinality ** n) for v in pmf.variables)
-    return JointPmf(variables, full, budget=budget)
+    return JointPmf(variables, full)

@@ -61,6 +61,7 @@ __all__ = [
     "backward_inner_point",
     "backward_outer_point",
     "enumerate_region",
+    "lattice_constraint_sets",
     "single_key_capacity",
     "pareto_frontier",
     "upper_concave_envelope",
@@ -424,12 +425,12 @@ def _family_layers(family: str, grid: GridSpec) -> list:
     return [(("X3",), (s, t)), (("S", "T"), (u,))]
 
 
-def _lattice_layers(base: JointPmf, layers, q: int, budget: int | None) -> list:
-    """Each layer's `LatticeLayer`, once the lattice fits the entry budget.
+def _lattice_layers(base: JointPmf, layers, q: int) -> list:
+    """Each layer's `LatticeLayer`, once the lattice fits `entry_budget()`.
 
     `layers` gives each layer's (from names, to variables) in extension
     order.  The lattice is refused when its points times the entries of one
-    full joint exceed the budget.
+    full joint exceed that budget.
     """
     cards = {v.name: v.cardinality for v in base.variables}
     n_points, entries = 1, base.table.size
@@ -439,7 +440,7 @@ def _lattice_layers(base: JointPmf, layers, q: int, budget: int | None) -> list:
         entries *= width
         cards.update((v.name, v.cardinality) for v in to_vars)
     cost = n_points * entries
-    cap = entry_budget(budget)
+    cap = entry_budget()
     if cost > cap:
         raise BudgetExceededError(
             f"grid has {n_points} points ({cost} table entries total), budget {cap}"
@@ -485,20 +486,18 @@ def _evaluate_lattice(base: JointPmf, layers, formula) -> tuple:
     return tuple(np.concatenate(column) for column in zip(*parts))
 
 
-def enumerate_region(base: JointPmf, family: str, grid: GridSpec, *,
-                     budget: int | None = None, workers: int = 0,
-                     hull: bool = False) -> RateRegion:
-    """Union of the family's constraint sets over the whole channel lattice.
+def _kept_lattice(base: JointPmf, family: str, grid: GridSpec) -> tuple:
+    """(layers, evaluated, kept, csets) of the family over the channel lattice.
 
     Points are evaluated in batches, in lexicographic lattice order (see
-    `_evaluate_lattice`).  `workers` is accepted for compatibility and
-    ignored.  backward-outer lattice points violating either required Markov
-    chain beyond `MARKOV_TOL` are skipped; the rejection count is reported in
-    `meta`.
+    `_evaluate_lattice`); `evaluated` counts them.  backward-outer lattice
+    points violating either required Markov chain beyond `MARKOV_TOL` are
+    skipped; `kept` holds the lattice indices of the rest and `csets` their
+    constraint sets, in lattice order.
     """
     if family not in FAMILIES:
         raise FamilyError(f"unknown family {family!r}")
-    layers = _lattice_layers(base, _family_layers(family, grid), grid.q, budget)
+    layers = _lattice_layers(base, _family_layers(family, grid), grid.q)
     formula = _FORMULAS[family]
 
     def evaluate(h):
@@ -510,27 +509,44 @@ def enumerate_region(base: JointPmf, family: str, grid: GridSpec, *,
 
     keep, r1, r2, rsum = _evaluate_lattice(base, layers, evaluate)
     kept = np.flatnonzero(keep)
+    csets = [RateConstraintSet(a, b, c) for a, b, c in
+             zip(r1[kept].tolist(), r2[kept].tolist(), rsum[kept].tolist())]
+    return layers, len(keep), kept, csets
+
+
+def lattice_constraint_sets(base: JointPmf, family: str, grid: GridSpec) -> list:
+    """`enumerate_region(base, family, grid).constraint_sets`, without the
+    channel descriptors and frontier that only a region's points need."""
+    return _kept_lattice(base, family, grid)[3]
+
+
+def enumerate_region(base: JointPmf, family: str, grid: GridSpec, *,
+                     workers: int = 0,
+                     hull: bool = False) -> RateRegion:
+    """Union of the family's constraint sets over the whole channel lattice.
+
+    Each kept lattice point (see `_kept_lattice`) carries the channels it
+    picks.  `workers` is accepted for compatibility and ignored.  The count
+    of backward-outer points skipped for a Markov chain violation is
+    reported in `meta`.
+    """
+    layers, evaluated, kept, csets = _kept_lattice(base, family, grid)
     picks = np.unravel_index(kept, tuple(len(layer.matrices) for layer in layers))
     descriptors = [_channel_descriptors(layer) for layer in layers]
-    points = [
-        RatePoint(RateConstraintSet(a, b, c),
-                  {"channels": [d[i] for d, i in zip(descriptors, pick)]})
-        for a, b, c, *pick in zip(r1[kept].tolist(), r2[kept].tolist(), rsum[kept].tolist(),
-                                  *(p.tolist() for p in picks))
-    ]
-    frontier = pareto_frontier([p.constraints for p in points])
+    points = [RatePoint(cset, {"channels": [d[i] for d, i in zip(descriptors, pick)]})
+              for cset, *pick in zip(csets, *(p.tolist() for p in picks))]
+    frontier = pareto_frontier(csets)
     return RateRegion(
         points=points,
         frontier=frontier,
         hull=upper_concave_envelope(frontier) if hull else None,
-        meta={"family": family, "evaluated": len(keep), "rejected": len(keep) - len(kept),
+        meta={"family": family, "evaluated": evaluated, "rejected": evaluated - len(kept),
               "grid": {"S": grid.card_s, "T": grid.card_t, "U": grid.card_u,
                        "V": grid.card_v, "q": grid.q}},
     )
 
 
-def single_key_capacity(base: JointPmf, direction: str, grid: GridSpec, *,
-                       budget: int | None = None) -> float:
+def single_key_capacity(base: JointPmf, direction: str, grid: GridSpec) -> float:
     """Single-key capacity bound with the other user reduced to wiretapping.
 
     forward: max over p(s|x1), p(u|s) of I(S;X3|U) - I(S;X2|U) (clamped);
@@ -542,7 +558,7 @@ def single_key_capacity(base: JointPmf, direction: str, grid: GridSpec, *,
     target = "X3" if direction == "forward" else "X1"
     s = VariableId("S", grid.card_s)
     u = VariableId("U", grid.card_u)
-    layers = _lattice_layers(base, [((src,), (s,)), (("S",), (u,))], grid.q, budget)
+    layers = _lattice_layers(base, [((src,), (s,)), (("S",), (u,))], grid.q)
     (values,) = _evaluate_lattice(base, layers, lambda h: (
         h.cmi(("S",), (target,), ("U",)) - h.cmi(("S",), ("X2",), ("U",)),))
     return max(0.0, float(values.max()))

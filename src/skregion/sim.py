@@ -24,7 +24,7 @@ import time
 from collections import Counter, defaultdict
 # unused here; perfbench/tracer.py patches it and fails a traced run without it
 from concurrent.futures import ThreadPoolExecutor  # noqa: F401
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -106,7 +106,6 @@ class SimConfig:
     eps: EpsParams
     trials: int
     codebook_seeds: tuple
-    budget: int | None = None
 
     def __post_init__(self):
         if self.direction not in ("forward", "backward"):
@@ -154,33 +153,9 @@ class SimReport:
     warnings: list
     wall_clock: float = 0.0
 
-    def to_json_dict(self, include_timing: bool = False) -> dict:
-        out = {
-            "schema": self.schema,
-            "mode": self.mode,
-            "direction": self.direction,
-            "n": self.n,
-            "trials": self.trials,
-            "seeds": list(self.seeds),
-            "rate1": self.rate1,
-            "rate2": self.rate2,
-            "err_K": self.err_K,
-            "err_L": self.err_L,
-            "leak_K": self.leak_K,
-            "leak_L": self.leak_L,
-            "uniformity_gap_K": self.uniformity_gap_K,
-            "uniformity_gap_L": self.uniformity_gap_L,
-            "h_key_K": self.h_key_K,
-            "h_key_L": self.h_key_L,
-            "keyspace_K": self.keyspace_K,
-            "keyspace_L": self.keyspace_L,
-            "per_seed": self.per_seed,
-            "failures": self.failures,
-            "warnings": self.warnings,
-        }
-        if include_timing:
-            out["wall_clock"] = self.wall_clock
-        return out
+    def to_json_dict(self) -> dict:
+        """Every field but `wall_clock`, which no output file holds."""
+        return {f.name: getattr(self, f.name) for f in fields(self) if f.name != "wall_clock"}
 
     def summary_line(self) -> str:
         def fmt(x):
@@ -362,8 +337,7 @@ class _Instance:
         self._cache = {}
         build = (build_forward_codebooks if config.direction == "forward"
                  else build_backward_codebooks)
-        self.cb1, self.cb2 = build(self.full, self.enc_params, config.rate1, config.rate2,
-                                   seed, budget=config.budget)
+        self.cb1, self.cb2 = build(self.full, self.enc_params, config.rate1, config.rate2, seed)
 
     def cached(self, key, compute, *args):
         """`compute(*args)`, computed once per instance and key."""
@@ -493,11 +467,7 @@ def _seed_row(seed: int, k_side: "ExactSide", l_side: "ExactSide") -> dict:
     """One `per_seed` entry of a report from both keys' quantities."""
     row = {"seed": seed}
     for suffix, side in (("K", k_side), ("L", l_side)):
-        row["err_" + suffix] = side.err
-        row["leak_" + suffix] = side.leak
-        row["uniformity_gap_" + suffix] = side.uniformity_gap
-        row["h_key_" + suffix] = side.h_key
-        row["keyspace_" + suffix] = side.keyspace
+        row.update((f"{q}_{suffix}", getattr(side, q)) for q in _QUANTITIES)
     return row
 
 
@@ -516,12 +486,7 @@ def _report(config: SimConfig, mode: str, per_seed: list, failures: dict, warnin
         trials=config.trials if mode == "mc" else 0,
         seeds=list(config.codebook_seeds),
         rate1=config.rate1, rate2=config.rate2,
-        err_K=avg("err_K"), err_L=avg("err_L"),
-        leak_K=avg("leak_K"), leak_L=avg("leak_L"),
-        uniformity_gap_K=avg("uniformity_gap_K"),
-        uniformity_gap_L=avg("uniformity_gap_L"),
-        h_key_K=avg("h_key_K"), h_key_L=avg("h_key_L"),
-        keyspace_K=avg("keyspace_K"), keyspace_L=avg("keyspace_L"),
+        **{f"{q}_{suffix}": avg(f"{q}_{suffix}") for q in _QUANTITIES for suffix in "KL"},
         per_seed=per_seed, failures=failures,
         warnings=warnings, wall_clock=time.perf_counter() - start,
     )
@@ -576,7 +541,7 @@ def _encoder_outcomes_forward(inst: _Instance, user: int) -> tuple:
     cfg = inst.config
     enc = inst.coders()[user - 1]
     card = inst.full.variable(enc.src).cardinality
-    blocks = _all_sequences(card, cfg.n, cfg.budget)
+    blocks = _all_sequences(card, cfg.n)
     step = max(1, _CHUNK_PAIRS // enc.codebook.size)
     block_hits = (np.flatnonzero(row) for i in range(0, len(blocks), step)
                   for row in enc.typical(SequenceBits(blocks[i:i + step], card)))
@@ -593,7 +558,7 @@ def _encoder_outcomes_backward(inst: _Instance) -> tuple:
     """
     cfg = inst.config
     card = inst.full.variable("X3").cardinality
-    blocks = _all_sequences(card, cfg.n, cfg.budget)
+    blocks = _all_sequences(card, cfg.n)
     enc = inst.coders()[0]
     step = max(1, _CHUNK_PAIRS // (inst.cb1.size * inst.cb2.size))
     covers = {}  # (i, j) -> its cover indices, for every pair hit so far
@@ -639,19 +604,19 @@ def _extend_rows(rows: np.ndarray, pair: np.ndarray) -> np.ndarray:
     return out.reshape(r * c1, s * c2)
 
 
-def _pair_block_rows(base: JointPmf, first: str, second: str, n: int, budget):
+def _pair_block_rows(base: JointPmf, first: str, second: str, n: int):
     """The rows of p(first-block, second-block), a chunk at a time.
 
     Yields (first row, rows) with rows a (m, c2^n) slice of the (c1^n, c2^n)
     law, in row order.  Every entry is the left-to-right product over the
     positions that `iid_extension` forms, so the rows equal its table bit for
-    bit; the table is refused above the same budget.
+    bit; the table is refused above `entry_budget()`, as there.
     """
     pair = base.marginalize({first, second})
     table = pair.table if pair.names == (first, second) else pair.table.T
     c1, c2 = table.shape
     if n > 1:  # as in `iid_extension`, which returns the n = 1 law unchecked
-        _check_extension_budget((c1, c2), n, budget)
+        _check_extension_budget((c1, c2), n)
     # each chunk is one prefix of the first `head` positions, extended by the rest
     max_rows = max(1, _CHUNK_ROW_ENTRIES // c2 ** n)
     tail = 0
@@ -680,6 +645,11 @@ class ExactSide:
     err: float | None
 
 
+#: The per-key quantities: `ExactSide`'s fields, reported as `<name>_K` and
+#: `<name>_L` in each `per_seed` row and, averaged, as `SimReport` fields.
+_QUANTITIES = tuple(f.name for f in fields(ExactSide))
+
+
 def _view_joint(inst: _Instance, user: int) -> np.ndarray:
     """Exact joint of (key, eavesdropper block, public indices) for `user`'s key.
 
@@ -704,13 +674,13 @@ def _view_joint(inst: _Instance, user: int) -> np.ndarray:
         public = (inst.cb1.n_col, inst.cb2.n_col, n_cover)
     n_other = inst.full.variable(other).cardinality ** n
     size = cb.n_key * n_other * math.prod(public)
-    cap = entry_budget(cfg.budget)
+    cap = entry_budget()
     if size > cap:
         raise BudgetExceededError(f"exact view table needs {size} entries, budget {cap}")
     # cell-major (key, public indices, block): each update adds one contiguous row
     joint = np.zeros((cb.n_key, *public, n_other))
     fallback = (slice(None),) + (0,) * len(public)
-    for start, rows in _pair_block_rows(cfg.base, src, other, n, cfg.budget):
+    for start, rows in _pair_block_rows(cfg.base, src, other, n):
         for code, row in enumerate(rows, start):
             for cell, w in cells[code]:
                 joint[cell] += w * row
@@ -769,7 +739,8 @@ def _key_decoder(inst: _Instance, user: int):
     Forward, user 3's joint decoder of user 1's key, which needs constant T
     and V so that it depends on (k', a, x3) only; backward, user's own
     decoder.  Either way the error reads the rows of the (encoder source,
-    decoder observation) block-pair law, which must fit the budget.
+    decoder observation) block-pair law; None when that law exceeds
+    `entry_budget()`.
     """
     cfg = inst.config
     full = inst.full
@@ -786,9 +757,9 @@ def _key_decoder(inst: _Instance, user: int):
         cb = decoder.codebook
         const = {}
     card = full.variable(obs).cardinality
-    if (full.variable(src).cardinality * card) ** cfg.n > entry_budget(cfg.budget):
+    if (full.variable(src).cardinality * card) ** cfg.n > entry_budget():
         return None
-    blocks = SequenceBits(_all_sequences(card, cfg.n, cfg.budget), card)
+    blocks = SequenceBits(_all_sequences(card, cfg.n), card)
     return src, obs, _decode_rows(decoder.test, cb, var, sequences, obs, blocks,
                                   lambda a: {**const, "U": cb.u_codebook[a]})
 
@@ -813,7 +784,7 @@ def _exact_key_error(inst: _Instance, user: int) -> float | None:
     pos = 2 * (user - 1)  # the (key, column) labels of `user` in an outcome
     row_mass = np.empty(len(outcomes))
     terms = []  # added to err in block order, after the encoder-failure mass
-    for start, rows in _pair_block_rows(cfg.base, src, obs, cfg.n, cfg.budget):
+    for start, rows in _pair_block_rows(cfg.base, src, obs, cfg.n):
         row_mass[start:start + len(rows)] = rows.sum(axis=1)
         for code, row in enumerate(rows, start):
             for cell, w in outcomes[code]:
@@ -832,7 +803,7 @@ def _exact_err_l_forward(inst: _Instance) -> float | None:
     It reuses err_K's decoder (so T and V are constant).  The decode
     failures per (x1, x3) block pair need no rows; weighting them needs the
     dense (X1, X3) law when user 2's encoder never fails, or else the full
-    block triple, which is skipped (None) above the budget.
+    block triple, which is skipped (None) above `entry_budget()`.
     """
     cfg = inst.config
     n = cfg.n
@@ -842,7 +813,7 @@ def _exact_err_l_forward(inst: _Instance) -> float | None:
     _, fail2 = _outcomes(inst, 2)
     no_fail2 = fail2.max() == 0.0
     cards = [inst.full.variable(v).cardinality for v in ("X1", "X2", "X3")]
-    if not no_fail2 and math.prod(cards) ** n > entry_budget(cfg.budget):
+    if not no_fail2 and math.prod(cards) ** n > entry_budget():
         return None
     _, _, decode_row = decoder
     outcomes1, fail1 = _outcomes(inst, 1)
@@ -854,9 +825,9 @@ def _exact_err_l_forward(inst: _Instance) -> float | None:
             dec_fail[code] += fail1[code] * (decode_row(0, 0) == -1)
     if no_fail2:
         pair13 = np.concatenate([rows for _, rows in
-                                 _pair_block_rows(cfg.base, "X1", "X3", n, cfg.budget)])
+                                 _pair_block_rows(cfg.base, "X1", "X3", n)])
         return float((pair13 * dec_fail).sum())
-    triple = iid_extension(cfg.base, n, budget=cfg.budget).table
+    triple = iid_extension(cfg.base, n).table
     err_l = float(np.einsum("abc,b->", triple, fail2))
     weight13 = np.einsum("abc,b->ac", triple, 1.0 - fail2)
     err_l += float((weight13 * dec_fail).sum())

@@ -116,6 +116,7 @@ def test_nan_distribution_exit_code(tmp_path, capsys, argv):
     (["simulate", "--direction", "forward", "--n", "4", "--seeds", "1,2,1"], None),
     (["lemmas", "--draws", "-1"], None),
     (["lemmas", "--draws", "3", "--seed", "-1"], None),
+    (["region", "--direction", "forward", "--bound", "inner", "--cards", "S=2,S=3"], None),
 ])
 def test_malformed_flag_exit_code(dists, tmp_path, capsys, monkeypatch, argv, env):
     if env is not None:

@@ -152,7 +152,7 @@ def test_pair_block_rows_match_iid_extension(pair, n, entries, swap):
     if swap:
         expected = expected.T
     with mock.patch.object(sim, "_CHUNK_ROW_ENTRIES", entries):
-        chunks = list(sim._pair_block_rows(pair, first, second, n, None))
+        chunks = list(sim._pair_block_rows(pair, first, second, n))
     # contiguous, in order, and no chunk above the entry cap unless it is one row
     starts = [start for start, _ in chunks]
     assert starts == list(np.cumsum([0] + [len(rows) for _, rows in chunks[:-1]]))
@@ -170,7 +170,7 @@ def test_pair_block_rows_row_sums_independent_of_chunks():
     for entries in (1, 3 * 512, 1 << 19):
         with mock.patch.object(sim, "_CHUNK_ROW_ENTRIES", entries):
             sums = np.concatenate([rows.sum(axis=1) for _, rows in
-                                   sim._pair_block_rows(base, "X1", "X3", 9, None)])
+                                   sim._pair_block_rows(base, "X1", "X3", 9)])
         assert np.array_equal(sums.view(np.uint64), whole.view(np.uint64))
 
 

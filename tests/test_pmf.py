@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from skregion.cases import case3_region
+from skregion.codec import TypicalityParams, build_forward_codebooks
 from skregion.pmf import (
     BudgetExceededError,
     Channel,
@@ -14,6 +16,8 @@ from skregion.pmf import (
     is_markov_chain,
     mutual_information,
 )
+from skregion.region import GridSpec, enumerate_region, single_key_capacity
+from skregion.sim import broadcast_forward_preset, exact_report
 from skregion.sources import broadcast_source, independent_source, random_pmf, xor_source
 from conftest import oracle_cmi
 
@@ -227,9 +231,37 @@ def test_entry_budget_env_override(monkeypatch):
     from skregion.pmf import entry_budget
     monkeypatch.setenv("SKREGION_BUDGET", "1024")
     assert entry_budget() == 1024
-    assert entry_budget(2048) == 2048
     monkeypatch.delenv("SKREGION_BUDGET")
     assert entry_budget() == 1 << 26
+
+
+_E3 = broadcast_source("X3", 0.25, 0.25)
+_FWD = broadcast_forward_preset(6, seeds=(1,))
+
+
+# (budget, call, message fragment): `call` runs under the default budget and
+# is refused by one gate, named by the fragment, at the lower `budget` alone
+@pytest.mark.parametrize("budget, call, fragment", [
+    pytest.param(1000, lambda: enumerate_region(
+        _E3, "forward-inner", GridSpec(2, 2, 1, 1, 2)), "points", id="enumerate_region"),
+    pytest.param(100, lambda: single_key_capacity(
+        _E3, "forward", GridSpec(2, 1, 1, 1, 2)), "points", id="single_key_capacity"),
+    pytest.param(100, lambda: case3_region(_E3, GridSpec(2, 2, 1, 1, 1)), "points",
+                 id="case3_region"),
+    pytest.param(100, lambda: iid_extension(_E3, 3), "iid extension", id="iid_extension"),
+    pytest.param(32, lambda: build_forward_codebooks(
+        _FWD.aux.full, TypicalityParams(6, 0.75), _FWD.rate1, 0.0, 1), "sequences",
+        id="typical_sequences"),
+    pytest.param(256, lambda: exact_report(broadcast_forward_preset(4)), "exact view table",
+                 id="exact_view_table"),
+])
+def test_env_budget_alone_refuses_each_gate(budget, call, fragment, monkeypatch):
+    monkeypatch.delenv("SKREGION_BUDGET", raising=False)
+    call()
+    monkeypatch.setenv("SKREGION_BUDGET", str(budget))
+    with pytest.raises(BudgetExceededError, match="budget") as exc:
+        call()
+    assert fragment in str(exc.value)
 
 
 # Tolerance of the identity property tests below, in bits: each side is a

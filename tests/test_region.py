@@ -227,9 +227,10 @@ def test_enumerate_e6_backward_inner_deterministic_point():
     assert max_r2 == pytest.approx(CMI_VALUE, abs=1e-9)
 
 
-def test_enumerate_budget_exceeded_reports_points():
+def test_enumerate_budget_exceeded_reports_points(monkeypatch):
+    monkeypatch.setenv("SKREGION_BUDGET", "1000")
     with pytest.raises(BudgetExceededError) as exc:
-        enumerate_region(E3, "forward-inner", GridSpec(3, 3, 3, 3, 6), budget=1000)
+        enumerate_region(E3, "forward-inner", GridSpec(3, 3, 3, 3, 6))
     assert "points" in str(exc.value)
 
 
@@ -496,7 +497,7 @@ def test_enumerate_matches_oracle_formulas(rng, family):
         region = enumerate_region(base, family, grid)
         expected = []
         for chs, p in _lattice_joints(
-                base, _lattice_layers(base, _family_layers(family, grid), grid.q, None)):
+                base, _lattice_layers(base, _family_layers(family, grid), grid.q)):
             if family == "backward-outer" and max(
                     oracle_cmi(p, ["U"], ["X3"], [mid]) for mid in ("S", "T")) > 1e-9:
                 continue
