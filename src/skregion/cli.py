@@ -623,7 +623,7 @@ def _check_budget_env() -> None:
     try:
         entry_budget()
     except ValueError:
-        raise InputError("SKREGION_BUDGET must be an integer, got "
+        raise InputError("SKREGION_BUDGET must be a positive integer, got "
                          f"{os.environ['SKREGION_BUDGET']!r}") from None
 
 

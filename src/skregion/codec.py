@@ -589,8 +589,8 @@ class _ForwardEncoder:
     """User 1's or 2's forward encoder.
 
     The cover codewords a that are jointly typical with codebook sequence i
-    are `cover_idx[cover_start[i]:cover_start[i + 1]]` in increasing order,
-    also listed as `covers[i]`; `labels[i]` is its (k, k', k'').
+    are `cover_idx[cover_start[i]:cover_start[i + 1]]` in increasing order;
+    `labels[i]` is its (k, k', k'').
     """
 
     def __init__(self, user: int, codebook: Codebook, full: JointPmf,
@@ -607,7 +607,6 @@ class _ForwardEncoder:
         seq_of, self.cover_idx = np.nonzero(cover_ok)
         self.cover_start = np.concatenate(
             ([0], np.cumsum(np.bincount(seq_of, minlength=codebook.size))))
-        self.covers = np.split(self.cover_idx, self.cover_start[1:-1])
         self.labels = codebook.triples.tolist()
 
     def typical(self, blocks) -> np.ndarray:

@@ -55,9 +55,16 @@ class ConsistencyError(PmfError):
 
 def entry_budget() -> int:
     """Current dense-table entry budget: the SKREGION_BUDGET environment
-    variable if set, else `DEFAULT_ENTRY_BUDGET`.  Every size gate reads it."""
+    variable if set, else `DEFAULT_ENTRY_BUDGET`.  Every size gate reads it.
+
+    The variable must be a positive decimal integer written in ASCII digits
+    alone; anything else (a sign, a space, an underscore, zero) raises
+    ValueError.
+    """
     env = os.environ.get("SKREGION_BUDGET")
     if env:
+        if not (env.isascii() and env.isdigit()) or int(env) == 0:
+            raise ValueError(f"SKREGION_BUDGET must be a positive integer, got {env!r}")
         return int(env)
     return DEFAULT_ENTRY_BUDGET
 

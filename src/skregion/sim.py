@@ -21,7 +21,7 @@ mutual information by < 1e-12, which the tests assert).
 
 import math
 import time
-from collections import Counter, defaultdict
+from collections import Counter
 # unused here; perfbench/tracer.py patches it and fails a traced run without it
 from concurrent.futures import ThreadPoolExecutor  # noqa: F401
 from dataclasses import dataclass, fields
@@ -502,33 +502,75 @@ def _report(config: SimConfig, mode: str, per_seed: list, failures: dict, warnin
 _CHUNK_PAIRS = 1 << 19
 
 
-def _weigh_outcomes(block_hits, covers_of, label_of) -> tuple:
+@dataclass(frozen=True)
+class _OutcomeTable:
+    """An encoder's successful outcomes, block by block.
+
+    The cells of block b are rows start[b]:start[b + 1], in increasing order
+    of (*labels, cover): the announced labels and cover index, with `weight`
+    the probability of announcing them given the block.
+    """
+
+    start: np.ndarray    # (blocks + 1,) offsets
+    labels: np.ndarray   # (cells, L)
+    cover: np.ndarray    # (cells,)
+    weight: np.ndarray   # (cells,)
+
+    def __len__(self) -> int:
+        return len(self.start) - 1
+
+    def blocks(self) -> np.ndarray:
+        """The block of each cell."""
+        return np.repeat(np.arange(len(self)), np.diff(self.start))
+
+
+def _weigh_outcomes(chunks, dims: tuple) -> tuple:
     """Per-block encoder outcome distributions plus encoder-failure mass.
 
-    `block_hits` yields each block's typical hits, in block order.  The
-    encoder draws a hit uniformly, then a cover uniformly among
-    `covers_of(hit)`, and announces `label_of(hit)`.  Returns (outcomes,
-    fail): outcomes[code] lists ((*label, cover), weight) for the successful
-    encodings of block `code`, in sorted order, with weights summing to
-    1 - fail[code]; fail[code] is the probability that the encoder finds no
-    hit, or a hit with no cover.
+    `chunks` yields consecutive chunks of blocks, in block order, as
+    (blocks, hit_block, labels, n_covers, covers): the chunk's block count;
+    per typical hit, in block order and each block's hit order, its block
+    within the chunk, its label row and its number of covers; and the
+    covers of every hit, hit after hit, each hit's in increasing order.  The
+    encoder draws a hit uniformly, then a cover uniformly among the hit's
+    covers, and announces (*label, cover), whose columns `dims` bounds.
+
+    Returns (table, fail): the `_OutcomeTable` of the successful encodings,
+    whose weights in block b sum to 1 - fail[b], the probability that the
+    encoder finds no hit, or a hit with no cover.  Every weight and missed
+    mass is summed from 0.0 in hit, then cover order (`np.add.at` applies
+    repeated indices in turn), as a loop over each block's hits sums it.
     """
-    outcomes, fail = [], []
-    for hits in block_hits:
-        out = defaultdict(float)
-        missed = 0.0 if len(hits) else 1.0
-        for hit in hits:
-            covers = covers_of(hit)
-            if len(covers) == 0:
-                missed += 1.0 / len(hits)
-                continue
-            wa = 1.0 / len(hits) / len(covers)
-            label = label_of(hit)
-            for a in covers:
-                out[(*label, int(a))] += wa
-        outcomes.append(sorted(out.items()))
-        fail.append(missed)
-    return outcomes, np.array(fail)
+    counts, labels, covers, weights, fails = [], [], [], [], []
+    for blocks, hit_block, hit_labels, n_covers, hit_covers in chunks:
+        n_hits = np.bincount(hit_block, minlength=blocks)
+        missed = np.zeros(blocks)
+        lost = hit_block[n_covers == 0]
+        np.add.at(missed, lost, 1.0 / n_hits[lost])
+        missed[n_hits == 0] = 1.0
+        # one entry per (hit, cover), merged into cells sorted as (block, *label, cover)
+        block = np.repeat(hit_block, n_covers)
+        label = np.repeat(hit_labels, n_covers, axis=0)
+        share = 1.0 / n_hits[block] / np.repeat(n_covers, n_covers)
+        key = np.ravel_multi_index((block, *label.T, hit_covers), (blocks, *dims))
+        _, first, cell_of = np.unique(key, return_index=True, return_inverse=True)
+        weight = np.zeros(len(first))
+        np.add.at(weight, cell_of, share)
+        counts.append(np.bincount(block[first], minlength=blocks))
+        labels.append(label[first])
+        covers.append(hit_covers[first])
+        weights.append(weight)
+        fails.append(missed)
+    start = np.concatenate(([0], np.cumsum(np.concatenate(counts))))
+    table = _OutcomeTable(start, np.concatenate(labels), np.concatenate(covers),
+                          np.concatenate(weights))
+    return table, np.concatenate(fails)
+
+
+def _spans(first: np.ndarray, count: np.ndarray) -> np.ndarray:
+    """The ranges first[h]:first[h] + count[h], concatenated in order."""
+    ends = np.cumsum(count)
+    return np.repeat(first - ends + count, count) + np.arange(count.sum())
 
 
 def _encoder_outcomes_forward(inst: _Instance, user: int) -> tuple:
@@ -536,16 +578,24 @@ def _encoder_outcomes_forward(inst: _Instance, user: int) -> tuple:
     outcome labels (k, k').
 
     The blocks are tested against the whole codebook a chunk of blocks at a
-    time; a hit is a codeword index.
+    time; a hit is a codeword index, whose covers the encoder lists.
     """
     cfg = inst.config
     enc = inst.coders()[user - 1]
+    cb = enc.codebook
     card = inst.full.variable(enc.src).cardinality
     blocks = _all_sequences(card, cfg.n)
-    step = max(1, _CHUNK_PAIRS // enc.codebook.size)
-    block_hits = (np.flatnonzero(row) for i in range(0, len(blocks), step)
-                  for row in enc.typical(SequenceBits(blocks[i:i + step], card)))
-    return _weigh_outcomes(block_hits, enc.covers.__getitem__, lambda idx: enc.labels[idx][:2])
+    step = max(1, _CHUNK_PAIRS // cb.size)
+    n_covers = np.diff(enc.cover_start)
+
+    def chunks():
+        for i in range(0, len(blocks), step):
+            typical = enc.typical(SequenceBits(blocks[i:i + step], card))
+            hit_block, hit = np.divmod(np.flatnonzero(typical), cb.size)
+            covers = enc.cover_idx[_spans(enc.cover_start[hit], n_covers[hit])]
+            yield len(typical), hit_block, cb.triples[hit, :2], n_covers[hit], covers
+
+    return _weigh_outcomes(chunks(), (cb.n_key, cb.n_col, len(cb.u_codebook)))
 
 
 def _encoder_outcomes_backward(inst: _Instance) -> tuple:
@@ -560,24 +610,31 @@ def _encoder_outcomes_backward(inst: _Instance) -> tuple:
     card = inst.full.variable("X3").cardinality
     blocks = _all_sequences(card, cfg.n)
     enc = inst.coders()[0]
-    step = max(1, _CHUNK_PAIRS // (inst.cb1.size * inst.cb2.size))
-    covers = {}  # (i, j) -> its cover indices, for every pair hit so far
-    labels_s, labels_t = (cb.triples[:, :2].tolist() for cb in (inst.cb1, inst.cb2))
+    cb1, cb2 = inst.cb1, inst.cb2
+    step = max(1, _CHUNK_PAIRS // (cb1.size * cb2.size))
+    slot = np.full(cb1.size * cb2.size, -1)  # pair i * M_t + j -> its row of `cover_ok`
+    cover_ok = np.zeros((0, len(cb1.u_codebook)), dtype=bool)
 
-    def block_hits():
+    def chunks():
+        nonlocal cover_ok
         for start in range(0, len(blocks), step):
             typical = enc.typical(blocks[start:start + step])
-            hit_rows = [list(map(tuple, np.argwhere(typical[:, :, c]).tolist()))
-                        for c in range(typical.shape[2])]
-            new = sorted({pair for hits in hit_rows for pair in hits} - covers.keys())
-            if new:
-                cover_ok = enc.cover_typical(*np.array(new).T)
-                for g, pair in enumerate(new):
-                    covers[pair] = np.flatnonzero(cover_ok[:, g])
-            yield from hit_rows
+            # hits in block order, each block's (i, j) pairs in row-major order
+            pair, hit_block = np.divmod(np.flatnonzero(typical), typical.shape[2])
+            order = np.argsort(hit_block, kind="stable")
+            pair, hit_block = pair[order], hit_block[order]
+            i, j = np.divmod(pair, cb2.size)
+            new = np.unique(pair[slot[pair] < 0])
+            if len(new):
+                slot[new] = np.arange(len(cover_ok), len(cover_ok) + len(new))
+                tested = enc.cover_typical(*np.divmod(new, cb2.size))
+                cover_ok = np.concatenate((cover_ok, tested.T))
+            ok = cover_ok[slot[pair]]
+            labels = np.column_stack((cb1.triples[i, :2], cb2.triples[j, :2]))
+            yield typical.shape[2], hit_block, labels, ok.sum(axis=1), np.nonzero(ok)[1]
 
-    return _weigh_outcomes(block_hits(), covers.__getitem__,
-                           lambda pair: (*labels_s[pair[0]], *labels_t[pair[1]]))
+    return _weigh_outcomes(chunks(),
+                           (cb1.n_key, cb1.n_col, cb2.n_key, cb2.n_col, len(cb1.u_codebook)))
 
 
 def _outcomes(inst: _Instance, user: int) -> tuple:
@@ -633,6 +690,46 @@ def _pair_block_rows(base: JointPmf, first: str, second: str, n: int):
         yield prefix * c1 ** tail, rows
 
 
+def _fold_rows(out, target: np.ndarray, coef: np.ndarray, source: np.ndarray,
+               rows: np.ndarray) -> None:
+    """out[target[u]] += coef[u] * rows[source[u]] for u = 0, 1, ... in turn,
+    `out` being a sequence of arrays (views) that a row broadcasts to.
+
+    One full-width product and sum per update, in place: every array of
+    `out` receives its updates in the order given.  Gathering, stacking and
+    scattering the rows to vectorize the updates moves each row several
+    times, and measured slower than these in-place row operations.
+    """
+    for t, c, s in zip(target.tolist(), coef.tolist(), source.tolist()):
+        out[t] += c * rows[s]
+
+
+def _masked_row_sums(rows: np.ndarray, source: np.ndarray, masks: np.ndarray,
+                     kept: np.ndarray, mask_of: np.ndarray) -> np.ndarray:
+    """rows[source[u]][masks[mask_of[u]]].sum() for every u, bit for bit;
+    mask g keeps kept[g] entries.
+
+    A row with at most one nonzero entry sums to that entry where the mask
+    keeps it and to 0.0 where it does not, in any order, so it is looked up.
+    The other rows whose masks keep the same number of entries are gathered
+    into one contiguous (rows, kept) array and summed along its last axis,
+    which numpy sums pairwise per row exactly as it sums the 1-D gather; a
+    gather holds at most `_CHUNK_ROW_ENTRIES` entries (at least one row).
+    """
+    at = rows.argmax(axis=1)[source]  # entries are >= 0: the nonzero one, if one
+    sums = np.where(masks[mask_of, at], rows[source, at], 0.0)
+    dense = np.flatnonzero(np.count_nonzero(rows, axis=1)[source] > 1)
+    size_of = kept[mask_of[dense]]
+    per = max(1, _CHUNK_ROW_ENTRIES // rows.shape[1])
+    for size in np.unique(size_of).tolist():
+        same = dense[size_of == size]
+        for lo in range(0, len(same), per):
+            u = same[lo:lo + per]
+            picked = rows[source[u]][masks[mask_of[u]]]
+            sums[u] = picked.reshape(len(u), size).sum(axis=1)
+    return sums
+
+
 @dataclass
 class ExactSide:
     """One key's quantities for one codebook seed: exact in exact mode,
@@ -663,30 +760,44 @@ def _view_joint(inst: _Instance, user: int) -> np.ndarray:
     cb = inst.cb1 if user == 1 else inst.cb2
     other = "X2" if user == 1 else "X1"
     n_cover = len(cb.u_codebook)
-    cells, fail = _outcomes(inst, user)
+    table, fail = _outcomes(inst, user)
     if cfg.direction == "forward":
         src = "X1" if user == 1 else "X2"
         public = (cb.n_col, n_cover)
+        index = (table.labels[:, 0], table.labels[:, 1], table.cover)
     else:
         src = "X3"
-        cells = [[((k if user == 1 else l, kp, lp, a), w) for (k, kp, l, lp, a), w in row]
-                 for row in cells]
         public = (inst.cb1.n_col, inst.cb2.n_col, n_cover)
+        index = (table.labels[:, 0 if user == 1 else 2], table.labels[:, 1], table.labels[:, 3],
+                 table.cover)
     n_other = inst.full.variable(other).cardinality ** n
     size = cb.n_key * n_other * math.prod(public)
     cap = entry_budget()
     if size > cap:
         raise BudgetExceededError(f"exact view table needs {size} entries, budget {cap}")
-    # cell-major (key, public indices, block): each update adds one contiguous row
+    # cell-major (key, public indices, block): each update adds one row
     joint = np.zeros((cb.n_key, *public, n_other))
-    fallback = (slice(None),) + (0,) * len(public)
+    n_cells = cb.n_key * math.prod(public)
+    # targets: each cell's row, then the fallback transcript (every key at index 0)
+    targets = [*joint.reshape(n_cells, n_other), joint[(slice(None),) + (0,) * len(public)]]
+    failed = np.flatnonzero(fail > 0.0)
+    block, target, coef = _in_block_order(
+        (table.blocks(), failed),
+        (np.ravel_multi_index(index, (cb.n_key, *public)), np.full(len(failed), n_cells)),
+        (table.weight, fail[failed] / cb.n_key))
     for start, rows in _pair_block_rows(cfg.base, src, other, n):
-        for code, row in enumerate(rows, start):
-            for cell, w in cells[code]:
-                joint[cell] += w * row
-            if fail[code] > 0.0:
-                joint[fallback] += (fail[code] / cb.n_key) * row
+        lo, hi = np.searchsorted(block, (start, start + len(rows)))
+        _fold_rows(targets, target[lo:hi], coef[lo:hi], block[lo:hi] - start, rows)
     return np.ascontiguousarray(np.moveaxis(joint, -1, 1))
+
+
+def _in_block_order(block: tuple, *columns: tuple) -> tuple:
+    """(block, *columns) of a table's cell updates followed by its fallback
+    updates, each part in block order, merged into block order with each
+    block's cell updates first."""
+    block = np.concatenate(block)
+    order = np.argsort(block, kind="stable")
+    return (block[order], *(np.concatenate(column)[order] for column in columns))
 
 
 def exact_view_joint(config: SimConfig, seed: int, user: int) -> np.ndarray:
@@ -764,6 +875,18 @@ def _key_decoder(inst: _Instance, user: int):
                                   lambda a: {**const, "U": cb.u_codebook[a]})
 
 
+def _decoded_rows(decode_row, width: int, col: np.ndarray, cover: np.ndarray) -> tuple:
+    """(decoded, decoded_of): `decode_row(c, a)`, of width `width`, for each
+    distinct announced (c, a) = (col[u], cover[u]) in increasing order, and
+    the row of each u."""
+    stride = int(cover.max(initial=0)) + 1
+    pairs, decoded_of = np.unique(col * stride + cover, return_inverse=True)
+    decoded = np.empty((len(pairs), width), dtype=np.int64)
+    for g, (c, a) in enumerate(zip(*(part.tolist() for part in np.divmod(pairs, stride)))):
+        decoded[g] = decode_row(c, a)
+    return decoded, decoded_of
+
+
 def _exact_key_error(inst: _Instance, user: int) -> float | None:
     """Exact probability that `user`'s key is decoded wrongly, or None.
 
@@ -780,20 +903,31 @@ def _exact_key_error(inst: _Instance, user: int) -> float | None:
     if decoder is None:
         return None
     src, obs, decode_row = decoder
-    outcomes, fail = _outcomes(inst, user)
+    table, fail = _outcomes(inst, user)
     pos = 2 * (user - 1)  # the (key, column) labels of `user` in an outcome
-    row_mass = np.empty(len(outcomes))
-    terms = []  # added to err in block order, after the encoder-failure mass
+    # one mask per (column, cover, key) announced: where the decoded key differs
+    col, cover, key = table.labels[:, pos + 1], table.cover, table.labels[:, pos]
+    cb = inst.cb1 if user == 1 else inst.cb2
+    _, first, group_of = np.unique(
+        np.ravel_multi_index((col, cover, key), (cb.n_col, len(cb.u_codebook), cb.n_key)),
+        return_index=True, return_inverse=True)
+    width = inst.full.variable(obs).cardinality ** cfg.n
+    decoded, decoded_of = _decoded_rows(decode_row, width, col[first], cover[first])
+    wrong = np.empty((len(first), width), dtype=bool)
+    bounds = np.searchsorted(decoded_of, np.arange(len(decoded) + 1))  # adjacent groups
+    for row, lo, hi in zip(decoded, bounds[:-1].tolist(), bounds[1:].tolist()):
+        np.not_equal(row, key[first[lo:hi], None], out=wrong[lo:hi])
+    kept = wrong.sum(axis=1)
+    block = table.blocks()
+    row_mass = np.empty(len(table))
+    terms = np.empty(len(block))
     for start, rows in _pair_block_rows(cfg.base, src, obs, cfg.n):
         row_mass[start:start + len(rows)] = rows.sum(axis=1)
-        for code, row in enumerate(rows, start):
-            for cell, w in outcomes[code]:
-                decoded = decode_row(cell[pos + 1], cell[-1])
-                terms.append(w * float(row[decoded != cell[pos]].sum()))
-    err = float(row_mass @ fail)
-    for term in terms:
-        err += term
-    return err
+        lo, hi = table.start[start], table.start[start + len(rows)]
+        terms[lo:hi] = table.weight[lo:hi] * _masked_row_sums(
+            rows, block[lo:hi] - start, wrong, kept, group_of[lo:hi])
+    # added one at a time in block order, after the encoder-failure mass
+    return float(np.add.accumulate(np.concatenate(([row_mass @ fail], terms)))[-1])
 
 
 def _exact_err_l_forward(inst: _Instance) -> float | None:
@@ -815,14 +949,7 @@ def _exact_err_l_forward(inst: _Instance) -> float | None:
     cards = [inst.full.variable(v).cardinality for v in ("X1", "X2", "X3")]
     if not no_fail2 and math.prod(cards) ** n > entry_budget():
         return None
-    _, _, decode_row = decoder
-    outcomes1, fail1 = _outcomes(inst, 1)
-    dec_fail = np.zeros((len(outcomes1), cards[2] ** n))
-    for code, cells in enumerate(outcomes1):
-        for (k, kp, a), w in cells:
-            dec_fail[code] += w * (decode_row(kp, a) == -1)
-        if fail1[code] > 0.0:
-            dec_fail[code] += fail1[code] * (decode_row(0, 0) == -1)
+    dec_fail = _decode_failures(inst, decoder[2])
     if no_fail2:
         pair13 = np.concatenate([rows for _, rows in
                                  _pair_block_rows(cfg.base, "X1", "X3", n)])
@@ -832,6 +959,23 @@ def _exact_err_l_forward(inst: _Instance) -> float | None:
     weight13 = np.einsum("abc,b->ac", triple, 1.0 - fail2)
     err_l += float((weight13 * dec_fail).sum())
     return err_l
+
+
+def _decode_failures(inst: _Instance, decode_row) -> np.ndarray:
+    """(x1 block, x3 block): the probability that user 3's decode of user 1's
+    key fails (no or several candidates) given the block pair, over user 1's
+    encoder outcomes, its fallback transcript included."""
+    table, fail = _outcomes(inst, 1)
+    failed = np.flatnonzero(fail > 0.0)
+    zero = np.zeros(len(failed), dtype=np.int64)
+    block, coef, col, cover = _in_block_order(
+        (table.blocks(), failed), (table.weight, fail[failed]),
+        (table.labels[:, 1], zero), (table.cover, zero))
+    width = inst.full.variable("X3").cardinality ** inst.config.n
+    decoded, decoded_of = _decoded_rows(decode_row, width, col, cover)
+    dec_fail = np.zeros((len(table), width))
+    _fold_rows(dec_fail, block, coef, decoded_of, (decoded == -1).astype(float))
+    return dec_fail
 
 
 def _h(p: np.ndarray) -> float:

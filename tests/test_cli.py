@@ -117,6 +117,10 @@ def test_nan_distribution_exit_code(tmp_path, capsys, argv):
     (["lemmas", "--draws", "-1"], None),
     (["lemmas", "--draws", "3", "--seed", "-1"], None),
     (["region", "--direction", "forward", "--bound", "inner", "--cards", "S=2,S=3"], None),
+    (["region", "--direction", "forward", "--bound", "explicit"], "0"),
+    (["region", "--direction", "forward", "--bound", "explicit"], "-5"),
+    (["region", "--direction", "forward", "--bound", "explicit"], " 12"),
+    (["region", "--direction", "forward", "--bound", "explicit"], "1_000"),
 ])
 def test_malformed_flag_exit_code(dists, tmp_path, capsys, monkeypatch, argv, env):
     if env is not None:

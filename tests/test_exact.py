@@ -1,5 +1,6 @@
-"""Exact mode: block chunking, outcome reuse, streamed block-pair rows,
-memory and byte identity of reports.
+"""Exact mode: block chunking, outcome reuse, the array stages against the
+Python oracles of `conftest`, streamed block-pair rows, memory and byte
+identity of reports.
 
 `tests/data/exact_regression.json` holds `to_json_dict()` of the reports
 below as produced by the per-block bincount masks that preceded the bitset
@@ -18,6 +19,13 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import skregion.sim as sim
+from conftest import (
+    oracle_decode_failures,
+    oracle_key_error,
+    oracle_view_joint,
+    oracle_weigh_outcomes,
+)
+from skregion.codec import SequenceBits, _all_sequences
 from skregion.pmf import Channel, JointPmf, VariableId, iid_extension
 from skregion.sim import (
     EpsParams,
@@ -76,24 +84,167 @@ def test_encoder_outcomes_independent_of_block_chunks(monkeypatch, config):
     inst = _Instance(config, 1)
     users = (3,) if config.direction == "backward" else (1, 2)
     reference = {user: _encoder_outcomes(inst, user) for user in users}
-    for outcomes, fail in reference.values():
-        assert len(outcomes) == len(fail) == 64
-        for cells, missed in zip(outcomes, fail):
-            assert abs(sum(w for _, w in cells) + missed - 1.0) < 1e-12
+    for table, fail in reference.values():
+        assert len(table) == len(fail) == 64
+        mass = np.bincount(table.blocks(), table.weight, minlength=len(table))
+        assert np.all(np.abs(mass + fail - 1.0) < 1e-12)
     # candidates one encoder kernel call tests per block
     per_block = {1: inst.cb1.size, 2: inst.cb2.size, 3: inst.cb1.size * inst.cb2.size}
     # 1 block per chunk, and 5 or 7 blocks, which do not divide the 64 blocks
     for blocks_per_chunk in (1, 5, 7):
         for user in users:
             monkeypatch.setattr(sim, "_CHUNK_PAIRS", blocks_per_chunk * per_block[user])
-            outcomes, fail = _encoder_outcomes(_Instance(config, 1), user)
-            assert outcomes == reference[user][0]
+            table, fail = _encoder_outcomes(_Instance(config, 1), user)
+            assert _as_lists(table) == _as_lists(reference[user][0])
             assert np.array_equal(fail, reference[user][1])
     for user in users:
-        assert any(reference[user][0]), f"user {user}'s encoder never succeeds: a vacuous comparison"
+        assert len(reference[user][0].weight), f"user {user}'s encoder never succeeds: a vacuous comparison"
     if users == (3,):
         # every T key is announced, so the live-T case compares T labels too
-        assert len({cell[2] for cells in reference[3][0] for cell, _ in cells}) == inst.cb2.n_key
+        assert len(np.unique(reference[3][0].labels[:, 2])) == inst.cb2.n_key
+
+
+def _oracle_outcomes(inst, user):
+    """`oracle_weigh_outcomes` of `user`'s encoder (3: user 3's backward
+    encoder), every block tested in one kernel call and each pair's covers
+    in a call of their own."""
+    n = inst.config.n
+    if user == 3:
+        enc = inst.coders()[0]
+        typical = enc.typical(_all_sequences(inst.full.variable("X3").cardinality, n))
+        hits = [list(map(tuple, np.argwhere(typical[:, :, c]).tolist()))
+                for c in range(typical.shape[2])]
+        labels_s, labels_t = (cb.triples[:, :2].tolist() for cb in (inst.cb1, inst.cb2))
+        return oracle_weigh_outcomes(
+            hits, lambda pair: np.flatnonzero(enc.cover_typical(*np.array([pair]).T)[:, 0]),
+            lambda pair: (*labels_s[pair[0]], *labels_t[pair[1]]))
+    enc = inst.coders()[user - 1]
+    card = inst.full.variable(enc.src).cardinality
+    typical = enc.typical(SequenceBits(_all_sequences(card, n), card))
+    return oracle_weigh_outcomes(
+        (np.flatnonzero(row) for row in typical),
+        lambda idx: enc.cover_idx[enc.cover_start[idx]:enc.cover_start[idx + 1]],
+        lambda idx: enc.labels[idx][:2])
+
+
+def _as_lists(table) -> list:
+    """An `_OutcomeTable` as per-block lists of ((*labels, cover), weight)."""
+    cells = [(*labels, cover) for labels, cover in zip(table.labels.tolist(), table.cover.tolist())]
+    pairs = list(zip(cells, table.weight.tolist()))
+    return [pairs[lo:hi] for lo, hi in zip(table.start[:-1].tolist(), table.start[1:].tolist())]
+
+
+def _oracle_stages(config) -> dict:
+    """Each exact-mode stage of seed 1 computed by the Python oracles:
+    outcomes, view joints, key errors with their terms, decode failures."""
+    inst = _Instance(config, 1)
+    n, base = config.n, config.base
+    forward = config.direction == "forward"
+    owners = (1, 2) if forward else (3,)
+    out = {"outcomes": {u: _oracle_outcomes(inst, u) for u in owners}}
+    out["view"] = {}
+    for user in (1, 2):
+        cb = inst.cb1 if user == 1 else inst.cb2
+        other = "X2" if user == 1 else "X1"
+        n_other = inst.full.variable(other).cardinality ** n
+        if forward:
+            cells, fail = out["outcomes"][user]
+            src, public = ("X1" if user == 1 else "X2"), (cb.n_col, len(cb.u_codebook))
+        else:
+            cells, fail = out["outcomes"][3]
+            cells = [[((k if user == 1 else l, kp, lp, a), w) for (k, kp, l, lp, a), w in row]
+                     for row in cells]
+            src, public = "X3", (inst.cb1.n_col, inst.cb2.n_col, len(cb.u_codebook))
+        joint = oracle_view_joint(cells, fail, sim._pair_block_rows(base, src, other, n),
+                                  (cb.n_key, *public, n_other))
+        out["view"][user] = np.moveaxis(joint, -1, 1)
+    out["error"], out["dec_fail"] = {}, None
+    for user in ((1,) if forward else (1, 2)):
+        decoder = inst.cached(("decoder", user), sim._key_decoder, inst, user)
+        if decoder is None:
+            continue
+        src, obs, decode_row = decoder
+        cells, fail = out["outcomes"][user if forward else 3]
+        out["error"][user] = oracle_key_error(
+            cells, fail, sim._pair_block_rows(base, src, obs, n), decode_row, 2 * (user - 1))
+        if forward:
+            width = inst.full.variable("X3").cardinality ** n
+            out["dec_fail"] = oracle_decode_failures(cells, fail, decode_row, width)
+    return out
+
+
+def _check_stages(config, expected) -> None:
+    """The array stages of a fresh instance equal the oracles' bit for bit."""
+    inst = _Instance(config, 1)
+    for user, (cells, fail) in expected["outcomes"].items():
+        table, got_fail = _encoder_outcomes(inst, user)
+        assert _as_lists(table) == cells
+        assert np.array_equal(got_fail, fail)
+    for user, joint in expected["view"].items():
+        assert np.array_equal(sim._view_joint(inst, user), joint)
+    for user, (err, _) in expected["error"].items():
+        assert sim._exact_key_error(inst, user) == err
+    if expected["dec_fail"] is not None:
+        decode_row = inst.cached(("decoder", 1), sim._key_decoder, inst, 1)[2]
+        assert np.array_equal(sim._decode_failures(inst, decode_row), expected["dec_fail"])
+
+
+_STAGE_CONFIGS = {
+    "one-key": broadcast_forward_preset(6, seeds=(1,)),
+    "two-key": _two_key_config(6),
+    "backward": broadcast_backward_preset(6, seeds=(1,)),
+    "backward-live-t": _live_t_backward_config(6),
+    "forward-tap0.1": broadcast_forward_preset(6, flip_tap=0.1, seeds=(1,)),
+}
+
+
+@pytest.fixture(scope="module")
+def oracle_stages():
+    return {name: _oracle_stages(config) for name, config in _STAGE_CONFIGS.items()}
+
+
+@pytest.mark.parametrize("name", sorted(_STAGE_CONFIGS))
+def test_array_stages_equal_python_oracles(oracle_stages, name):
+    expected = oracle_stages[name]
+    _check_stages(_STAGE_CONFIGS[name], expected)
+    # not vacuous: encoder-failure mass reaches the fallback transcript
+    assert any((fail > 0.0).any() for _, fail in expected["outcomes"].values())
+
+
+def test_python_oracles_see_decode_misses(oracle_stages):
+    # the compared key errors and decode failures are not all zero: some
+    # decode misses the key where the block pair has mass (the live-T
+    # backward config), and some decode fails outright (both forward
+    # configs with constant T)
+    terms = [term for stages in oracle_stages.values()
+             for _, user_terms in stages["error"].values() for term in user_terms]
+    assert any(term > 0.0 for term in terms)
+    for name in ("one-key", "forward-tap0.1"):
+        assert (oracle_stages[name]["dec_fail"] > 0.0).any()
+
+
+def test_masked_row_sums_match_one_dimensional_sums(monkeypatch, rng):
+    # rows with 0, 1 and many nonzero entries, masks keeping 0 to all of them
+    rows = rng.random((12, 40)) * (rng.random((12, 40)) < 0.6)
+    rows[:3] = 0.0
+    rows[1, 7] = rows[2, 39] = 0.25
+    masks = rng.random((9, 40)) < np.linspace(0.0, 1.0, 9)[:, None]
+    source = rng.integers(0, 12, 200)
+    mask_of = rng.integers(0, 9, 200)
+    expected = [rows[s][masks[g]].sum() for s, g in zip(source, mask_of)]
+    for entries in (1, 3 * 40, 1 << 19):  # gathers of 1 row, 3 rows, all rows
+        monkeypatch.setattr(sim, "_CHUNK_ROW_ENTRIES", entries)
+        got = sim._masked_row_sums(rows, source, masks, masks.sum(axis=1), mask_of)
+        assert got.tolist() == expected
+
+
+@pytest.mark.parametrize("rows_per_bound", [1, 3, 5])
+def test_array_stages_independent_of_temporary_bound(monkeypatch, oracle_stages, rows_per_bound):
+    # 64 rows of 64 entries per block-pair law at n = 6: a bound of 1 row,
+    # and of 3 or 5 rows, which do not divide them
+    monkeypatch.setattr(sim, "_CHUNK_ROW_ENTRIES", rows_per_bound * 64)
+    for name, config in _STAGE_CONFIGS.items():
+        _check_stages(config, oracle_stages[name])
 
 
 def test_exact_report_computes_each_users_outcomes_once(monkeypatch):
