@@ -560,8 +560,9 @@ def _draw(counts: np.ndarray, starts: np.ndarray, values: np.ndarray, lanes,
 def _draw_hits(hits: np.ndarray, lanes, rows: np.ndarray) -> np.ndarray:
     """Per row i of the (B, M) `hits`, a uniform draw from lane rows[i] among
     its True columns, or -1 where it has none."""
-    counts = hits.sum(axis=1)
-    return _draw(counts, np.cumsum(counts) - counts, np.nonzero(hits)[1], lanes, rows)
+    row, col = np.divmod(np.flatnonzero(hits), hits.shape[1])
+    counts = np.bincount(row, minlength=len(hits))
+    return _draw(counts, np.cumsum(counts) - counts, col, lanes, rows)
 
 
 def _unique_hits(hits: np.ndarray) -> tuple:

@@ -7,6 +7,7 @@ information measures are in bits (log base 2) and use the convention
 is a pure function, so values can be shared and evaluated concurrently.
 """
 
+import itertools
 import math
 import os
 from dataclasses import dataclass
@@ -67,6 +68,54 @@ def entry_budget() -> int:
             raise ValueError(f"SKREGION_BUDGET must be a positive integer, got {env!r}")
         return int(env)
     return DEFAULT_ENTRY_BUDGET
+
+
+def _chain(terms) -> np.ndarray:
+    """0.0 + terms[0] + terms[1] + ..., added left to right into a new array."""
+    terms = iter(terms)
+    out = next(terms) + 0.0
+    for term in terms:
+        out += term
+    return out
+
+
+def _marginal(t: np.ndarray, drop) -> np.ndarray:
+    """`np.sum(t, axis=drop)`, bit for bit, in a few long vector operations.
+
+    numpy iterates over the axes of size > 1 in memory order.  The trailing
+    run of summed axes is one inner loop per output cell, numpy's pairwise
+    sum (left to right below 8 terms), and the other summed axes are folded
+    onto a zeroed output left to right, in lexicographic order.  A short run
+    thus costs one tiny inner loop per output cell; here each of those
+    additions is one add over a whole slice, and only a run of 8 or more
+    terms goes to numpy's reduction, alone.  `t` must be dense in some axis
+    order, as every table the library holds is (C order, or a transpose of
+    it copied by `np.where`).  `tests/test_pmf.py` holds this to `np.sum`
+    bit for bit.
+    """
+    drop = set(drop)
+    axes = sorted((a for a in range(t.ndim) if t.shape[a] > 1), key=lambda a: -t.strides[a])
+    v = t.transpose(axes + [a for a in range(t.ndim) if t.shape[a] == 1]).reshape(
+        [t.shape[a] for a in axes])
+    summed = [a in drop for a in axes]
+    r = len(axes)
+    while r and summed[r - 1]:
+        r -= 1
+    run = r < len(axes)
+    if run:  # the trailing run, flattened: numpy's inner loop
+        flat = v.reshape(v.shape[:r] + (-1,))
+        if flat.shape[-1] >= 8:
+            v = np.add.reduce(flat, axis=-1)
+        else:
+            v = _chain(flat[..., i] for i in range(flat.shape[-1]))
+    lead = [i for i in range(r) if summed[i]]
+    rest = [i for i in range(r) if not summed[i]]
+    if lead or not run:  # without a run, a copy even when nothing is summed
+        w = v.transpose(lead + rest)
+        v = _chain(w[i] for i in itertools.product(*map(range, w.shape[:len(lead)])))
+    kept = [axes[i] for i in rest]  # v's axes, in memory order
+    v = v.transpose([kept.index(a) for a in sorted(kept)])
+    return v.reshape([n for a, n in enumerate(t.shape) if a not in drop])
 
 
 @dataclass(frozen=True)
@@ -150,7 +199,7 @@ class JointPmf:
             raise PmfError(f"unknown variable(s) {sorted(unknown)}; have {self.names}")
         kept = tuple(v for v in self.variables if v.name in keep)
         drop = tuple(i for i, v in enumerate(self.variables) if v.name not in keep)
-        out = np.sum(self.table, axis=drop) if drop else self.table
+        out = _marginal(self.table, drop) if drop else self.table
         return JointPmf(kept, out)
 
     def extend(self, channel: "Channel") -> "JointPmf":
@@ -235,7 +284,7 @@ class JointBatch:
             raise PmfError(f"unknown variable(s) {sorted(unknown)}; have {self.names}")
         if key:
             drop = tuple(i + 1 for i, n in enumerate(self.names) if n not in key)
-            t = np.sum(self.tables, axis=drop) if drop else self.tables
+            t = _marginal(self.tables, drop) if drop else self.tables
             t = t.reshape(len(t), -1)
             with np.errstate(divide="ignore", invalid="ignore"):
                 x = np.where(t > 0.0, t * np.log2(np.where(t > 0.0, t, 1.0)), 0.0)

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,6 +13,7 @@ from skregion.pmf import (
     JointPmf,
     PmfError,
     VariableId,
+    _marginal,
     cond_mutual_information as cmi,
     iid_extension,
     is_markov_chain,
@@ -301,3 +304,63 @@ def test_cmi_chain_rule_through_joint_batch(tables):
     whole = joint.cmi({"A"}, {"B", "C"}, {"D"})
     parts = joint.cmi({"A"}, {"B"}, {"D"}) + joint.cmi({"A"}, {"C"}, {"B", "D"})
     assert np.all(np.abs(whole - parts) <= IDENTITY_TOL)
+
+
+# `_marginal` reproduces numpy's own addition order for `np.sum(t, axis=drop)`
+# (size-1 axes skipped, memory order, pairwise trailing run, left-to-right
+# fold).  These tests are its oracle: a numpy release that sums in another
+# order fails here before it can move a region or verify output.
+
+def _layout(a: np.ndarray) -> list:
+    """Strides of the axes of size > 1: the memory order later sums follow."""
+    return [stride for stride, n in zip(a.strides, a.shape) if n > 1]
+
+
+def _assert_marginal_bits(t: np.ndarray) -> None:
+    """`_marginal` equals `np.sum` bit for bit, and in layout, for every drop set."""
+    for k in range(t.ndim + 1):
+        for drop in itertools.combinations(range(t.ndim), k):
+            want = np.asarray(np.sum(t, axis=drop))
+            got = np.asarray(_marginal(t, drop))
+            where = (f"numpy {np.__version__}: shape {t.shape}, strides {t.strides}, "
+                     f"drop {drop}")
+            assert got.shape == want.shape, where
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), where
+            assert _layout(got) == _layout(want), where
+
+
+def _held_table(rng, memory_shape, perm, zero_fraction) -> np.ndarray:
+    """Random cells laid out C-order as `memory_shape`, seen with axes `perm`
+    and copied by `np.where`, as `JointPmf` copies a transposed input; a
+    `zero_fraction` of cells is 0, a third of them signed -0.0."""
+    x = rng.random(memory_shape)
+    zero = rng.random(memory_shape) < zero_fraction
+    x[zero] = np.where(rng.random(memory_shape) < 1 / 3, -0.0, 0.0)[zero]
+    view = x.transpose(perm)
+    return np.where(view < 0.0, 0.0, view)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(st.integers(1, 12), min_size=1, max_size=4), st.sampled_from([1, 1, 3]),
+       st.randoms(use_true_random=False), st.sampled_from([0.0, 0.3, 1.0]))
+def test_marginal_matches_numpy_sum_bit_for_bit(cards, batch, random, zero_fraction):
+    rng = np.random.default_rng(random.getrandbits(32))
+    shape = [batch] + cards
+    perm = list(range(len(shape)))
+    if random.random() < 0.5:
+        random.shuffle(perm)
+    _assert_marginal_bits(_held_table(rng, shape, perm, zero_fraction))
+
+
+@pytest.mark.parametrize("run", [(1,), (7,), (8,), (9,), (3, 3), (128,), (2, 64), (129,),
+                                 (3, 43), (8193,), (3, 2731), (2, 4100)])
+@pytest.mark.parametrize("permuted", [False, True])
+def test_marginal_trailing_runs_bit_for_bit(run, permuted):
+    # a run of trailing axes of L = prod(run) cells, under a batch of one and
+    # two more axes, laid out C-order or with the leading axes permuted
+    rng = np.random.default_rng(sum(run) * 2 + permuted)
+    perm = [1, 2, 0] if permuted else [0, 1, 2]
+    lead = np.array([1, 3, 2])[np.argsort(perm)]
+    t = _held_table(rng, list(lead) + list(run), perm + [3 + i for i in range(len(run))], 0.1)
+    assert t.shape == (1, 3, 2) + run
+    _assert_marginal_bits(t)
