@@ -7,6 +7,8 @@ evaluators, and fuzz the chain-split inequality used by the converse
 arguments.
 """
 
+from __future__ import annotations
+
 from dataclasses import dataclass
 
 import numpy as np

@@ -15,7 +15,10 @@ are deterministic functions of the manifest (output paths and wall-clock
 never influence file contents).  Files are written to a temporary name and
 atomically renamed, so failed runs leave no partial files.  The
 SKREGION_BUDGET environment variable sets the dense-table entry budget.
-`region` and `simulate` both accept `--threads` and ignore it.
+`region` and `simulate` both accept `--threads` and ignore it.  Each
+subcommand imports the modules it runs when it starts: only `simulate` loads
+the protocol simulator (`sim`, `codec`, `_lanes`), and `region` loads neither
+it nor `cases`.
 
 Exit codes: 0 ok, 2 malformed input (distribution file, flag or
 SKREGION_BUDGET), 3 budget exceeded, 4 infeasible rates, 5 claimed
@@ -36,42 +39,12 @@ import math
 import os
 import sys
 import tempfile
-from importlib.metadata import PackageNotFoundError, version as pkg_version
 from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
-from .cases import (
-    ChainViolatedError,
-    case1_region,
-    case2_region,
-    case3_region,
-    diagnose,
-    lemma3_check,
-    random_lemma3_joint,
-    region_gap,
-)
-from .codec import InfeasibleRatesError
+from . import __version__
 from .pmf import BudgetExceededError, Channel, JointPmf, VariableId, entry_budget
-from .region import (
-    INF,
-    AuxSystem,
-    GridSpec,
-    backward_inner_point,
-    enumerate_region,
-    explicit_outer,
-    forward_inner_point,
-    lattice_constraint_sets,
-    pareto_frontier,
-)
-from .sim import (
-    EpsParams,
-    SimConfig,
-    _backward_channels,
-    _forward_channels,
-    exact_report,
-    run_trials,
-)
 from .sources import triple_from_table
 
 EXIT_OK = 0
@@ -94,13 +67,6 @@ class InputError(Exception):
 
 class DistributionFormatError(InputError):
     pass
-
-
-def _tool_version() -> str:
-    try:
-        return pkg_version("skregion")
-    except PackageNotFoundError:
-        return "0.0.0"
 
 
 # ---------------------------------------------------------------------------
@@ -309,7 +275,7 @@ def _write_manifest(outdir: str, subcommand: str, flags: dict, seeds, dist_path)
     manifest = {
         "schema": 1,
         "tool": "skregion",
-        "version": _tool_version(),
+        "version": __version__,
         "subcommand": subcommand,
         # execution details (threads, output paths) never enter the
         # manifest: identical manifests must reproduce identical outputs
@@ -335,7 +301,7 @@ def _cset_json(c) -> dict:
     return {
         "r1_max": c.r1_max,
         "r2_max": c.r2_max,
-        "sum_max": None if c.sum_max == INF else c.sum_max,
+        "sum_max": None if c.sum_max == math.inf else c.sum_max,
     }
 
 
@@ -357,7 +323,9 @@ def _finite(value: float, flag: str, *, positive: bool = False) -> float:
     return value
 
 
-def _parse_cards(text: str | None, base: JointPmf) -> GridSpec:
+def _parse_cards(text: str | None, base: JointPmf) -> "GridSpec":
+    from .region import GridSpec
+
     if text is None:
         return GridSpec.default_inner(base)
     spec = {}
@@ -372,6 +340,8 @@ def _parse_cards(text: str | None, base: JointPmf) -> GridSpec:
 
 
 def cmd_region(args) -> int:
+    from .region import GridSpec, enumerate_region, explicit_outer, pareto_frontier
+
     base = load_distribution(args.dist)
     grid = _parse_cards(args.cards, base)
     grid = GridSpec(grid.card_s, grid.card_t, grid.card_u, grid.card_v,
@@ -424,12 +394,17 @@ def _default_channels(base: JointPmf, direction: str, rate2: float):
     cheap; a keying user gets the identity channel on its source.  The
     backward layout keys user 1 only.
     """
+    from .region import _backward_channels, _forward_channels
+
     if direction == "forward":
         return _forward_channels(base, t_identity=rate2 > 0.0)
     return _backward_channels(base)
 
 
 def cmd_simulate(args) -> int:
+    from .codec import InfeasibleRatesError
+    from .sim import EpsParams, SimConfig, exact_report, run_trials
+
     base = load_distribution(args.dist)
     _at_least(args.n, 1, "--n")
     _at_least(args.trials, 1, "--trials")
@@ -454,10 +429,11 @@ def cmd_simulate(args) -> int:
         base, args.direction, channels, args.n, args.rate1, args.rate2,
         EpsParams(enc=eps_enc, dec=eps_dec), args.trials, seeds,
     )
-    if args.mode == "exact":
-        report = exact_report(config)
-    else:
-        report = run_trials(config)
+    try:
+        report = exact_report(config) if args.mode == "exact" else run_trials(config)
+    except InfeasibleRatesError as exc:
+        print(f"error: infeasible rates: {exc}", file=sys.stderr)
+        return EXIT_INFEASIBLE
     os.makedirs(args.out, exist_ok=True)
     _write_manifest(args.out, "simulate", {
         "dist": os.path.basename(args.dist), "direction": args.direction,
@@ -481,6 +457,16 @@ def _case1_check(base, grid_q, tol, swapped=False):
     strictly below it for non-degenerate chains), so coincidence is checked
     where it genuinely holds: backward inner against the explicit outer.
     """
+    from .cases import case1_region, region_gap
+    from .region import (
+        AuxSystem,
+        GridSpec,
+        backward_inner_point,
+        explicit_outer,
+        lattice_constraint_sets,
+        pareto_frontier,
+    )
+
     work = base
     if swapped:
         perm = work.table.transpose(1, 0, 2)
@@ -510,6 +496,16 @@ def _case1_check(base, grid_q, tol, swapped=False):
 
 
 def _case2_check(base, grid_q, tol):
+    from .cases import case2_region, region_gap
+    from .region import (
+        AuxSystem,
+        GridSpec,
+        _forward_channels,
+        forward_inner_point,
+        lattice_constraint_sets,
+        pareto_frontier,
+    )
+
     region2 = case2_region(base, tol)
     rect = region2.points[0].constraints
     c1 = base.variable("X1").cardinality
@@ -532,6 +528,9 @@ def _case2_check(base, grid_q, tol):
 
 
 def _case3_check(base, grid_q, tol):
+    from .cases import case3_region
+    from .region import GridSpec, explicit_outer
+
     c3 = base.variable("X3").cardinality
     grid = GridSpec(c3, c3, 1, 1, grid_q)
     region3 = case3_region(base, grid, tol)
@@ -550,21 +549,27 @@ def _case3_check(base, grid_q, tol):
 
 
 def cmd_verify(args) -> int:
+    from .cases import ChainViolatedError, diagnose
+
     base = load_distribution(args.dist)
     _at_least(args.grid_q, 1, "--grid-q")
     _finite(args.tol, "--tol")
-    diag = diagnose(base, args.tol)
-    doc = {"schema": 1, "diagnosis": diag.as_dict()}
+    try:
+        diag = diagnose(base, args.tol)
+        doc = {"schema": 1, "diagnosis": diag.as_dict()}
+        chains = diag.chains
+        doc["case1"] = (_case1_check(base, args.grid_q, args.tol)
+                        if "X1-X2-X3" in chains else {"applicable": False})
+        doc["case1_swapped"] = (_case1_check(base, args.grid_q, args.tol, swapped=True)
+                                if "X2-X1-X3" in chains else {"applicable": False})
+        doc["case2"] = (_case2_check(base, args.grid_q, args.tol)
+                        if "X1-X3-X2" in chains else {"applicable": False})
+        doc["case3"] = (_case3_check(base, args.grid_q, args.tol)
+                        if "X1-X3-X2" in chains else {"applicable": False})
+    except ChainViolatedError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_COINCIDENCE
     failures = []
-    chains = diag.chains
-    doc["case1"] = (_case1_check(base, args.grid_q, args.tol)
-                    if "X1-X2-X3" in chains else {"applicable": False})
-    doc["case1_swapped"] = (_case1_check(base, args.grid_q, args.tol, swapped=True)
-                            if "X2-X1-X3" in chains else {"applicable": False})
-    doc["case2"] = (_case2_check(base, args.grid_q, args.tol)
-                    if "X1-X3-X2" in chains else {"applicable": False})
-    doc["case3"] = (_case3_check(base, args.grid_q, args.tol)
-                    if "X1-X3-X2" in chains else {"applicable": False})
     for name in ("case1", "case1_swapped", "case2", "case3"):
         if doc[name].get("applicable") and not doc[name]["pass"]:
             failures.append(name)
@@ -587,6 +592,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_lemmas(args) -> int:
+    from .cases import lemma3_check, random_lemma3_joint
+
     _at_least(args.draws, 0, "--draws")
     _at_least(args.seed, 0, "--seed")
     rng = np.random.default_rng(args.seed)
@@ -691,12 +698,6 @@ def main(argv=None) -> int:
     except BudgetExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET
-    except InfeasibleRatesError as exc:
-        print(f"error: infeasible rates: {exc}", file=sys.stderr)
-        return EXIT_INFEASIBLE
-    except ChainViolatedError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_COINCIDENCE
 
 
 if __name__ == "__main__":

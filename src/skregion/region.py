@@ -223,6 +223,27 @@ def _expect(ch: Channel, from_names, to_names) -> None:
         )
 
 
+def _forward_channels(base: JointPmf, t_identity=False):
+    """S = X1, T = X2 or constant, and constant U and V."""
+    c1 = base.variable("X1").cardinality
+    c2 = base.variable("X2").cardinality
+    ch_s = Channel.identity("X1", c1, "S")
+    ch_t = Channel.identity("X2", c2, "T") if t_identity else Channel.constant("T", "X2", c2)
+    card_t = c2 if t_identity else 1
+    ch_u = Channel.constant("U", "S", c1)
+    ch_v = Channel.constant("V", "T", card_t)
+    return (ch_s, ch_t, ch_u, ch_v)
+
+
+def _backward_channels(base: JointPmf):
+    """S = X3 and constant T and U: only user 1 gets a key."""
+    c3 = base.variable("X3").cardinality
+    eye = np.eye(c3).reshape(c3, c3, 1)
+    ch_st = Channel(("X3",), (VariableId("S", c3), VariableId("T", 1)), eye)
+    ch_u = Channel(("S", "T"), (VariableId("U", 1),), np.ones((c3, 1, 1)))
+    return (ch_st, ch_u)
+
+
 # ---------------------------------------------------------------------------
 # Per-auxiliary rate formulas
 # ---------------------------------------------------------------------------

@@ -4,6 +4,8 @@ All sources are joints over variables named X1, X2, X3 (the observations of
 users 1, 2 and 3).
 """
 
+from __future__ import annotations
+
 import numpy as np
 
 from .pmf import Channel, JointPmf, VariableId

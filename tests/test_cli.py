@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import skregion
 from skregion.cli import (
     DistributionFormatError,
     format_distribution,
@@ -338,6 +339,20 @@ def test_verify_detects_broken_coincidence(tmp_path):
     assert rc == 5
 
 
+def test_verify_chain_violated_exit5(dists, tmp_path, capsys, monkeypatch):
+    from skregion import cases
+
+    def violated(base, tol):
+        raise cases.ChainViolatedError("X1-X3-X2", 0.5)
+
+    monkeypatch.setattr(cases, "diagnose", violated)
+    out = tmp_path / "v"
+    rc = main(["verify", "--dist", dists["e3"], "--out", str(out)])
+    assert rc == 5
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # lemmas subcommand
 # ---------------------------------------------------------------------------
@@ -379,6 +394,7 @@ def test_manifest_contents(dists, tmp_path):
     doc = json.loads((out / "manifest.json").read_text())
     assert doc["schema"] == 1
     assert doc["tool"] == "skregion"
+    assert doc["version"] == skregion.__version__
     assert doc["subcommand"] == "region"
     assert doc["input_digest"].startswith("sha256:")
     assert "threads" not in doc["flags"]

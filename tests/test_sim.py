@@ -35,9 +35,8 @@ from skregion.sim import (
     identity_preset,
     run_trials,
     sample_sources,
-    _forward_channels,
 )
-from skregion.region import AuxSystem, forward_inner_point
+from skregion.region import AuxSystem, _forward_channels, forward_inner_point
 from skregion.sources import broadcast_source, identity_source, triple_from_table
 
 
