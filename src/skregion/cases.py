@@ -28,6 +28,7 @@ from .region import (
     explicit_outer,
     pareto_frontier,
 )
+from .tolerances import CHAIN_TOL, CONSEQUENCE_FLOOR, LEMMA_SLACK_TOL
 
 __all__ = [
     "ChainViolatedError",
@@ -43,12 +44,13 @@ __all__ = [
     "random_lemma3_joint",
 ]
 
-CHAIN_TOL = 1e-9
-
-#: `case3_region` rejects a point on its conditional-independence consequence
-#: only above max(tol, this): a `tol` tighter than this tightens the chain
-#: checks without rejecting points for the roundoff of the consequence's CMIs.
-_CONSEQUENCE_FLOOR = 1e-9
+#: The recognized source chains, in the order they are reported, each with
+#: the (A, B, C) of its residual I(A; B | C), which is 0 exactly when it holds.
+_CHAINS = {
+    "X1-X2-X3": (("X1",), ("X3",), ("X2",)),
+    "X2-X1-X3": (("X2",), ("X3",), ("X1",)),
+    "X1-X3-X2": (("X1",), ("X2",), ("X3",)),
+}
 
 #: `region_gap` probes each frontier edge at this many equal steps.
 _EDGE_SAMPLES = 16
@@ -63,7 +65,7 @@ class ChainViolatedError(PmfError):
 
 @dataclass(frozen=True)
 class CaseDiagnosis:
-    """Conditional-MI residuals for the three recognized chains."""
+    """Conditional-MI residuals for the three recognized chains, in `_CHAINS` order."""
 
     residual_x1_x2_x3: float   # I(X1;X3|X2)
     residual_x2_x1_x3: float   # I(X2;X3|X1)
@@ -71,36 +73,29 @@ class CaseDiagnosis:
     tol: float
 
     @property
+    def residuals(self) -> dict:
+        """Each chain's residual, by chain name, in `_CHAINS` order."""
+        return dict(zip(_CHAINS, (self.residual_x1_x2_x3, self.residual_x2_x1_x3,
+                                  self.residual_x1_x3_x2)))
+
+    @property
     def chains(self) -> tuple:
-        found = []
-        if self.residual_x1_x2_x3 <= self.tol:
-            found.append("X1-X2-X3")
-        if self.residual_x2_x1_x3 <= self.tol:
-            found.append("X2-X1-X3")
-        if self.residual_x1_x3_x2 <= self.tol:
-            found.append("X1-X3-X2")
-        return tuple(found)
+        return tuple(chain for chain, residual in self.residuals.items() if residual <= self.tol)
 
     def as_dict(self) -> dict:
-        return {
-            "residuals": {
-                "X1-X2-X3": self.residual_x1_x2_x3,
-                "X2-X1-X3": self.residual_x2_x1_x3,
-                "X1-X3-X2": self.residual_x1_x3_x2,
-            },
-            "tol": self.tol,
-            "chains": list(self.chains),
-        }
+        return {"residuals": self.residuals, "tol": self.tol, "chains": list(self.chains)}
 
 
 def diagnose(base: JointPmf, tol: float = CHAIN_TOL) -> CaseDiagnosis:
     """Report which of the recognized source chains hold within tol."""
-    return CaseDiagnosis(
-        residual_x1_x2_x3=cmi(base, ("X1",), ("X3",), ("X2",)),
-        residual_x2_x1_x3=cmi(base, ("X2",), ("X3",), ("X1",)),
-        residual_x1_x3_x2=cmi(base, ("X1",), ("X2",), ("X3",)),
-        tol=tol,
-    )
+    return CaseDiagnosis(*(cmi(base, *abc) for abc in _CHAINS.values()), tol=tol)
+
+
+def _require_chain(base: JointPmf, chain: str, tol: float) -> None:
+    """Raise ChainViolatedError unless `chain`'s residual is at most tol."""
+    residual = cmi(base, *_CHAINS[chain])
+    if residual > tol:
+        raise ChainViolatedError(chain, residual)
 
 
 def _single_point_region(cset: RateConstraintSet, label: str) -> RateRegion:
@@ -115,18 +110,14 @@ def case1_region(base: JointPmf, tol: float = CHAIN_TOL) -> RateRegion:
     Holds for both strategies; the backward deterministic point T = X3
     attains the segment, and the explicit outer rectangle collapses onto it.
     """
-    residual = cmi(base, ("X1",), ("X3",), ("X2",))
-    if residual > tol:
-        raise ChainViolatedError("X1-X2-X3", residual)
+    _require_chain(base, "X1-X2-X3", tol)
     r2 = cmi(base, ("X2",), ("X3",), ("X1",))
     return _single_point_region(RateConstraintSet(0.0, r2, INF), "case1")
 
 
 def case2_region(base: JointPmf, tol: float = CHAIN_TOL) -> RateRegion:
     """Exact forward region for X1 - X3 - X2 chains: the explicit rectangle."""
-    residual = cmi(base, ("X1",), ("X2",), ("X3",))
-    if residual > tol:
-        raise ChainViolatedError("X1-X3-X2", residual)
+    _require_chain(base, "X1-X3-X2", tol)
     cset = explicit_outer(base)
     return _single_point_region(cset, "case2")
 
@@ -141,9 +132,7 @@ def case3_region(base: JointPmf, grid: GridSpec, tol: float = CHAIN_TOL) -> Rate
     lower bound of the case region: no analytic construction is attempted.
     A lattice above the entry budget is refused, as in `enumerate_region`.
     """
-    residual = cmi(base, ("X1",), ("X2",), ("X3",))
-    if residual > tol:
-        raise ChainViolatedError("X1-X3-X2", residual)
+    _require_chain(base, "X1-X3-X2", tol)
     layers = _lattice_layers(base, _family_layers("backward-inner", grid), grid.q)
 
     def evaluate(h):
@@ -152,7 +141,7 @@ def case3_region(base: JointPmf, grid: GridSpec, tol: float = CHAIN_TOL) -> Rate
             h.cmi(("S",), ("X2", "T"), ("X1",)),
             h.cmi(("S", "X1"), ("T",), ("X2",)),
         )])
-        threshold = max(tol, _CONSEQUENCE_FLOOR)
+        threshold = max(tol, CONSEQUENCE_FLOOR)
         consequence_ok = ~(
             (h.cmi(("S",), ("T",), ("X1", "U")) > threshold)
             | (h.cmi(("S",), ("T",), ("X2", "U")) > threshold)
@@ -252,7 +241,7 @@ def lemma3_check(joint: JointPmf, n: int) -> tuple:
         rhs += cmi(joint, ("K",), ("F2", f"X3_{i}"), cond)
         rhs -= cmi(joint, ("K",), (f"X2_{i}",), cond)
     slack = rhs - lhs
-    return slack >= -1e-10, slack
+    return slack >= -LEMMA_SLACK_TOL, slack
 
 
 def telescoped_slack(joint: JointPmf, n: int) -> float:

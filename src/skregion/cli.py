@@ -46,6 +46,7 @@ import numpy as np
 from . import __version__
 from .pmf import BudgetExceededError, Channel, JointPmf, VariableId, entry_budget
 from .sources import triple_from_table
+from .tolerances import CHAIN_TOL, CLOSED_FORM_TOL, NORMALIZATION_TOL
 
 EXIT_OK = 0
 EXIT_MALFORMED = 2
@@ -53,12 +54,6 @@ EXIT_BUDGET = 3
 EXIT_INFEASIBLE = 4
 EXIT_COINCIDENCE = 5
 EXIT_LEMMA = 6
-
-#: `verify`'s case-1 deterministic point and case-2 identity corner must
-#: reproduce their closed form within this.  Both sides compute the same
-#: information quantities by different sums of entropies, so they differ by
-#: roundoff only; `--tol` bounds the region gap, not this.
-_CLOSED_FORM_TOL = 1e-9
 
 
 class InputError(Exception):
@@ -94,7 +89,7 @@ def parse_distribution(text: str) -> JointPmf:
             cards = []
             for name, tok in zip(("X1", "X2", "X3"), parts[1:]):
                 key, _, val = tok.partition("=")
-                if key != name or not val.isdigit() or int(val) < 1:
+                if key != name or not (val.isascii() and val.isdigit()) or int(val) < 1:
                     raise DistributionFormatError(f"line {lineno}: bad variable spec {tok!r}")
                 cards.append(int(val))
             header = tuple(cards)
@@ -123,7 +118,7 @@ def parse_distribution(text: str) -> JointPmf:
     if header is None:
         raise DistributionFormatError("empty distribution file")
     total = float(table.sum())
-    if abs(total - 1.0) > 1e-9:
+    if abs(total - 1.0) > NORMALIZATION_TOL:
         raise DistributionFormatError(f"probabilities sum to {total!r}, not 1 within 1e-9")
     return triple_from_table(table)
 
@@ -331,7 +326,8 @@ def _parse_cards(text: str | None, base: JointPmf) -> "GridSpec":
     spec = {}
     for tok in text.split(","):
         key, _, val = tok.strip().partition("=")
-        if key not in ("S", "T", "U", "V") or not val.isdigit() or int(val) < 1:
+        if (key not in ("S", "T", "U", "V") or not (val.isascii() and val.isdigit())
+                or int(val) < 1):
             raise InputError(f"bad --cards entry {tok!r}")
         if key in spec:
             raise InputError(f"--cards repeats {key}: {text!r}")
@@ -484,7 +480,7 @@ def _case1_check(base, grid_q, tol, swapped=False):
     ch_u = Channel(("S", "T"), (VariableId("U", 1),), np.ones((1, c3, 1)))
     point = backward_inner_point(AuxSystem.backward(work, ch_st, ch_u))
     point_err = abs(point.r2_max - segment_r2)
-    passed = gap <= tol and point_err <= _CLOSED_FORM_TOL
+    passed = gap <= tol and point_err <= CLOSED_FORM_TOL
     return {
         "applicable": True,
         "segment_r2": segment_r2,
@@ -516,7 +512,7 @@ def _case2_check(base, grid_q, tol):
     grid = GridSpec(c1, c2, 1, 1, grid_q)
     inner = lattice_constraint_sets(base, "forward-inner", grid)
     gap = region_gap(pareto_frontier([rect]), inner)
-    passed = corner_err <= _CLOSED_FORM_TOL and gap <= tol
+    passed = corner_err <= CLOSED_FORM_TOL and gap <= tol
     return {
         "applicable": True,
         "rectangle": _cset_json(rect),
@@ -598,11 +594,11 @@ def cmd_lemmas(args) -> int:
     _at_least(args.seed, 0, "--seed")
     rng = np.random.default_rng(args.seed)
     slacks = []
+    violations = 0
     for _ in range(args.draws):
-        joint = random_lemma3_joint(rng, args.n)
-        _, slack = lemma3_check(joint, args.n)
+        ok, slack = lemma3_check(random_lemma3_joint(rng, args.n), args.n)
         slacks.append(slack)
-    violations = sum(1 for s in slacks if s < -1e-10)
+        violations += not ok
     doc = {
         "schema": 1,
         "draws": args.draws,
@@ -672,7 +668,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="validate special-case coincidences")
     p.add_argument("--dist", required=True)
-    p.add_argument("--tol", type=float, default=1e-9)
+    p.add_argument("--tol", type=float, default=CHAIN_TOL)
     p.add_argument("--grid-q", type=int, default=1)
     p.add_argument("--out", default=".")
     p.set_defaults(func=cmd_verify)

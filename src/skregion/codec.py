@@ -19,6 +19,7 @@ import numpy as np
 
 from ._lanes import GeneratorLanes
 from .pmf import BudgetExceededError, JointPmf, PmfError, entry_budget
+from .tolerances import COUNT_FUZZ, ENTROPY_ROUNDOFF
 
 __all__ = [
     "CodecError",
@@ -48,8 +49,6 @@ __all__ = [
     "wiretap_decode",
     "dump_codebook",
 ]
-
-COUNT_FUZZ = 1e-9  # absolute guard for count-vs-bound float comparisons
 
 #: Rate slack of the cover codewords over the mutual information they cover.
 COVER_SLACK = 0.05
@@ -346,7 +345,7 @@ def _binning(full: JointPmf, direction: str, n: int, rates: tuple) -> list:
     public = []
     for i, ((var, tap, _), rate) in enumerate(zip(keys, rates), 1):
         rc = conditional_entropy(full, (var,), tap) - rate
-        if rc < -1e-12:
+        if rc < -ENTROPY_ROUNDOFF:
             raise InfeasibleRatesError(
                 f"public rate R'{i} = H({var}|{','.join(tap)}) - R{i} = {rc:.6f} is negative")
         public.append(rc)

@@ -14,6 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .tolerances import CHAIN_TOL, ENTROPY_ROUNDOFF, NEGATIVE_PROB_TOL, NORMALIZATION_TOL
+
 __all__ = [
     "PmfError",
     "BudgetExceededError",
@@ -31,15 +33,6 @@ __all__ = [
 #: Default cap on dense table size, in entries.  Joints above the cap are
 #: refused outright rather than silently degraded.
 DEFAULT_ENTRY_BUDGET = 1 << 26
-
-#: Conditional MI more negative than this is an arithmetic bug, not roundoff.
-NEG_MI_TOLERANCE = 1e-12
-
-NORMALIZATION_TOL = 1e-9
-
-#: Entries down to -NEGATIVE_PROB_TOL are roundoff from forming a table or a
-#: channel matrix and are set to 0; a lower entry is refused as invalid input.
-NEGATIVE_PROB_TOL = 1e-12
 
 
 class PmfError(Exception):
@@ -141,7 +134,8 @@ class JointPmf:
         Axis labels, in table axis order.  Names must be unique.
     table : array_like
         Nonnegative reals of shape ``tuple(v.cardinality for v in variables)``
-        summing to 1 within 1e-9.
+        summing to 1 within `tolerances.NORMALIZATION_TOL`; entries down to
+        -`tolerances.NEGATIVE_PROB_TOL` are roundoff and become 0.
     """
 
     __slots__ = ("variables", "table")
@@ -308,9 +302,9 @@ class JointBatch:
             - self.entropy(a | b | c)
             - self.entropy(c)
         )
-        if len(value) and value.min() < -NEG_MI_TOLERANCE:
+        if len(value) and value.min() < -ENTROPY_ROUNDOFF:
             raise ConsistencyError(
-                f"conditional MI = {value.min()} below -{NEG_MI_TOLERANCE}")
+                f"conditional MI = {value.min()} below -{ENTROPY_ROUNDOFF}")
         return np.where(value < 0.0, 0.0, value)
 
 
@@ -319,10 +313,10 @@ def _stochastic_array(matrix, cond_rank: int, to_shape: tuple) -> np.ndarray:
 
     The trailing axes, of shape `to_shape`, hold p(to | ...) for each cell of
     the `cond_rank` axes before them.  Each such slice must be finite, no
-    entry below -`NEGATIVE_PROB_TOL`, and sum to 1 within
-    `NORMALIZATION_TOL`; entries below zero become 0.  This is the rule for
-    one `Channel` matrix (`cond_rank` = its from-variable count) and, with
-    one more leading axis, for a stack of them.
+    entry below -`tolerances.NEGATIVE_PROB_TOL`, and sum to 1 within
+    `tolerances.NORMALIZATION_TOL`; entries below zero become 0.  This is
+    the rule for one `Channel` matrix (`cond_rank` = its from-variable
+    count) and, with one more leading axis, for a stack of them.
     """
     arr = np.asarray(matrix, dtype=np.float64)
     if arr.shape[len(arr.shape) - len(to_shape):] != to_shape:
@@ -346,7 +340,8 @@ class Channel:
     """Conditional distribution p(to | from) as a dense stochastic array.
 
     `matrix` has shape (from cardinalities..., to cardinalities...); each
-    conditional slice over the `to` axes sums to 1 within 1e-9.
+    conditional slice over the `to` axes sums to 1 within
+    `tolerances.NORMALIZATION_TOL`.
     """
 
     __slots__ = ("from_names", "to_vars", "matrix")
@@ -395,8 +390,9 @@ def cond_mutual_information(pmf: JointPmf, a, b, c=()) -> float:
     """Conditional mutual information I(A; B | C) in bits.
 
     A, B, C are disjoint variable-name collections; C may be empty.  Tiny
-    negative values from floating-point cancellation (>= -1e-12) are clamped
-    to zero; anything more negative raises ConsistencyError.
+    negative values from floating-point cancellation (down to
+    -`tolerances.ENTROPY_ROUNDOFF`) are clamped to zero; anything more
+    negative raises ConsistencyError.
     """
     return float(JointBatch.of(pmf).cmi(a, b, c)[0])
 
@@ -406,8 +402,8 @@ def mutual_information(pmf: JointPmf, a, b) -> float:
 
 
 def is_markov_chain(pmf: JointPmf, a, b, c) -> bool:
-    """True iff A - B - C holds, i.e. I(A; C | B) <= 1e-9."""
-    return cond_mutual_information(pmf, a, c, b) <= 1e-9
+    """True iff A - B - C holds, i.e. I(A; C | B) <= `tolerances.CHAIN_TOL`."""
+    return cond_mutual_information(pmf, a, c, b) <= CHAIN_TOL
 
 
 def _check_extension_budget(cards, n: int) -> None:

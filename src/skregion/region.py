@@ -46,6 +46,7 @@ from .pmf import (
     cond_mutual_information as cmi,
     entry_budget,
 )
+from .tolerances import CHAIN_TOL, COLLINEAR_TOL, FACTORIZATION_TOL, FLAT_TOL, SAME_R1_TOL
 
 __all__ = [
     "INF",
@@ -73,14 +74,6 @@ __all__ = [
 INF = math.inf
 
 FAMILIES = ("forward-inner", "forward-outer", "backward-inner", "backward-outer")
-
-MARKOV_TOL = 1e-9
-
-#: `pareto_frontier` treats a run of vertices as flat when their R2 values
-#: differ by at most this.  The run's right corner, sum_max - r2_max, is
-#: rounded, which can leave its R2 up to one ulp of sum_max below the run's.
-#: Far above that rounding and far below the 1e-9 that frontier.csv prints.
-_FLAT_TOL = 1e-12
 
 #: Most full-joint entries one chunk of lattice points may hold (8 bytes
 #: each).  Bounds the evaluator's working memory; results do not depend on it.
@@ -146,7 +139,7 @@ class RateRegion:
     hull: list | None = None
     meta: dict = field(default_factory=dict)
 
-    def contains(self, r1: float, r2: float, tol: float = 1e-12) -> bool:
+    def contains(self, r1: float, r2: float, tol: float) -> bool:
         return any(p.constraints.contains(r1, r2, tol) for p in self.points)
 
     @property
@@ -199,17 +192,18 @@ class AuxSystem:
         return cls(base, (ch_st, ch_u), family, full)
 
     def validate(self) -> None:
-        """Re-derive the full joint from base + channels and compare within 1e-9.
+        """Re-derive the full joint from base + channels and compare within
+        `tolerances.FACTORIZATION_TOL`.
 
         For backward-outer systems, additionally checks the Markov chains
-        U - S - X3 and U - T - X3 within MARKOV_TOL.
+        U - S - X3 and U - T - X3 within `tolerances.CHAIN_TOL`.
         """
         rebuilt = self.base
         for ch in self.channels:
             rebuilt = rebuilt.extend(ch)
         if rebuilt.names != self.full.names:
             raise FamilyError(f"variable mismatch: {rebuilt.names} vs {self.full.names}")
-        if float(np.max(np.abs(rebuilt.table - self.full.table))) > 1e-9:
+        if float(np.max(np.abs(rebuilt.table - self.full.table))) > FACTORIZATION_TOL:
             raise FamilyError(f"full joint deviates from {self.family} factorization")
         if self.family == "backward-outer":
             backward_outer_point(self)  # raises on a violated chain
@@ -349,7 +343,7 @@ def backward_outer_point(aux: AuxSystem) -> RateConstraintSet:
     if aux.family != "backward-outer":
         raise FamilyError(f"need backward-outer, got {aux.family}")
     for mid, residual in _markov_residuals(JointBatch.of(aux.full)).items():
-        if residual[0] > MARKOV_TOL:
+        if residual[0] > CHAIN_TOL:
             raise FamilyError(f"chain U - {mid} - X3 violated by {residual[0]}")
     return _point(aux, "backward-outer")
 
@@ -512,7 +506,7 @@ def _kept_lattice(base: JointPmf, family: str, grid: GridSpec) -> tuple:
 
     Points are evaluated in batches, in lexicographic lattice order (see
     `_evaluate_lattice`); `evaluated` counts them.  backward-outer lattice
-    points violating either required Markov chain beyond `MARKOV_TOL` are
+    points violating either required Markov chain beyond `tolerances.CHAIN_TOL` are
     skipped; `kept` holds the lattice indices of the rest and `csets` their
     constraint sets, in lattice order.
     """
@@ -525,7 +519,7 @@ def _kept_lattice(base: JointPmf, family: str, grid: GridSpec) -> tuple:
         keep = np.ones(len(h), dtype=bool)
         if family == "backward-outer":
             for residual in _markov_residuals(h).values():
-                keep &= ~(residual > MARKOV_TOL)
+                keep &= ~(residual > CHAIN_TOL)
         return (keep,) + formula(h)
 
     keep, r1, r2, rsum = _evaluate_lattice(base, layers, evaluate)
@@ -593,7 +587,7 @@ def pareto_frontier(csets) -> list:
     """Pareto-maximal vertices of the union, sorted by increasing R1.
 
     Every listed pair is achievable and dominated by no other point of the
-    union by more than `_FLAT_TOL`; R2 is non-increasing along the list.
+    union by more than `tolerances.FLAT_TOL`; R2 is non-increasing along the list.
     Between consecutive vertices the exact boundary is the staircase/diagonal
     implied by the constituent sets.
     """
@@ -629,16 +623,16 @@ def pareto_frontier(csets) -> list:
         y = max(c.r2_at(x) for c in maximal)
         if y == -INF:
             continue
-        if verts and abs(verts[-1][0] - x) < 1e-15:
+        if verts and abs(verts[-1][0] - x) < SAME_R1_TOL:
             verts[-1] = (x, max(verts[-1][1], y))
         else:
             verts.append((x, y))
     # drop vertices dominated by a later one, which lies strictly to the
     # right (y is non-increasing in x, so only flat runs produce domination:
-    # keep the rightmost of each run, flat within _FLAT_TOL)
+    # keep the rightmost of each run, flat within FLAT_TOL)
     out = []
     for i, (x, y) in enumerate(verts):
-        if any(yj >= y - _FLAT_TOL for _, yj in verts[i + 1:]):
+        if any(yj >= y - FLAT_TOL for _, yj in verts[i + 1:]):
             continue
         out.append((x, y))
     return out if out else [(0.0, 0.0)]
@@ -657,7 +651,7 @@ def upper_concave_envelope(points) -> list:
     for p in pts:
         while len(hull) >= 2:
             (x0, y0), (x1, y1) = hull[-2], hull[-1]
-            if (x1 - x0) * (p[1] - y0) - (p[0] - x0) * (y1 - y0) >= -1e-15:
+            if (x1 - x0) * (p[1] - y0) - (p[0] - x0) * (y1 - y0) >= -COLLINEAR_TOL:
                 hull.pop()
             else:
                 break

@@ -64,6 +64,7 @@ from .region import (
     forward_inner_point,
 )
 from .sources import broadcast_source, identity_source
+from .tolerances import ENTROPY_ROUNDOFF
 
 __all__ = [
     "EpsParams",
@@ -462,7 +463,7 @@ def _margin_warnings(inst: _Instance) -> list:
     out = []
     for label, cb in (("user 1", inst.cb1), ("user 2", inst.cb2)):
         for cond, slack in cb.margins.items():
-            if slack < -1e-12:
+            if slack < -ENTROPY_ROUNDOFF:
                 out.append(f"{label}: reliability condition {cond} violated by {-slack:.6f} bits")
     return out
 

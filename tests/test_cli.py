@@ -65,6 +65,7 @@ vars: X1=2 X2=2 X3=2
     "",                                            # empty
     "vars: X1=2 X2=2 X3=2\n0 0 0 nan\n1 1 1 1.0",  # not a number
     "vars: X1=2 X2=2 X3=2\n0 0 0 inf",            # infinite
+    "vars: X1=\u00b2 X2=2 X3=2\n0 0 0 1.0",        # superscript digit
 ])
 def test_distribution_malformed(text):
     with pytest.raises(DistributionFormatError):
@@ -97,6 +98,17 @@ def test_nan_distribution_exit_code(tmp_path, capsys, argv):
     assert not out.exists()
 
 
+def test_superscript_cardinality_exit_code(tmp_path, capsys):
+    # '\u00b2'.isdigit() is true but int() rejects it: a malformed header, not a crash
+    bad = tmp_path / "sup.dist"
+    bad.write_text("vars: X1=\u00b2 X2=2 X3=2\n0 0 0 1.0\n", encoding="utf-8")
+    out = tmp_path / "out"
+    rc = main(["verify", "--dist", str(bad), "--out", str(out)])
+    assert rc == 2
+    assert capsys.readouterr().err == "error: line 1: bad variable spec 'X1=\u00b2'\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("argv,env", [
     (["region", "--direction", "forward", "--bound", "inner", "--cards", "S=0"], None),
     (["region", "--direction", "forward", "--bound", "inner", "--grid-q", "0"], None),
@@ -122,6 +134,7 @@ def test_nan_distribution_exit_code(tmp_path, capsys, argv):
     (["region", "--direction", "forward", "--bound", "explicit"], "-5"),
     (["region", "--direction", "forward", "--bound", "explicit"], " 12"),
     (["region", "--direction", "forward", "--bound", "explicit"], "1_000"),
+    (["region", "--direction", "forward", "--bound", "inner", "--cards", "S=\u00b2"], None),
 ])
 def test_malformed_flag_exit_code(dists, tmp_path, capsys, monkeypatch, argv, env):
     if env is not None:

@@ -22,6 +22,7 @@ from skregion.pmf import (
 from skregion.region import GridSpec, enumerate_region, single_key_capacity
 from skregion.sim import broadcast_forward_preset, exact_report
 from skregion.sources import broadcast_source, independent_source, random_pmf, xor_source
+from skregion.tolerances import ENTROPY_ROUNDOFF
 from conftest import oracle_cmi
 
 
@@ -294,6 +295,29 @@ def test_iid_extension_entropy_is_n_times_base(tables, n):
     ext = iid_extension(base, n)
     for subset in ({"A", "B", "C"}, {"A"}, {"B", "C"}):
         assert abs(ext.entropy(subset) - n * base.entropy(subset)) <= IDENTITY_TOL
+
+
+@st.composite
+def channel_matrices(draw, rows):
+    """A random `rows` x 1-3 stochastic matrix whose rows may have zero cells."""
+    cols = draw(st.integers(1, 3))
+    weights = draw(st.lists(st.lists(st.integers(0, 6), min_size=cols, max_size=cols)
+                            .filter(any), min_size=rows, max_size=rows))
+    mat = np.array(weights, dtype=float)
+    return mat / mat.sum(axis=1, keepdims=True)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_data_processing_through_extend(data):
+    # Y depends on the source through X3 alone, so I(X1; Y) <= I(X1; X3)
+    names = ("X1", "X2", "X3")
+    tables = data.draw(joint_tables(names))
+    base = JointPmf(tuple(VariableId(v, c) for v, c in zip(names, tables.shape[1:])), tables[0])
+    mat = data.draw(channel_matrices(base.variable("X3").cardinality))
+    full = base.extend(Channel(("X3",), (VariableId("Y", mat.shape[1]),), mat))
+    assert mutual_information(full, ("X1",), ("Y",)) <= (
+        mutual_information(base, ("X1",), ("X3",)) + ENTROPY_ROUNDOFF)
 
 
 @settings(max_examples=60, deadline=None)

@@ -20,6 +20,7 @@ from skregion.region import (
     forward_inner_point,
     forward_outer_point,
     lattice_channels,
+    lattice_constraint_sets,
     lattice_rows,
     pareto_frontier,
     upper_concave_envelope,
@@ -29,8 +30,10 @@ from skregion.sources import (
     identity_source,
     independent_source,
     random_pmf,
+    triple_from_table,
     xor_source,
 )
+from skregion.tolerances import ENTROPY_ROUNDOFF
 from conftest import lattice_channel_objects, oracle_cmi
 
 E3 = broadcast_source("X3", 0.25, 0.25)
@@ -274,6 +277,29 @@ def test_containment_in_explicit_outer(rng):
             for p in region.points:
                 assert p.constraints.r1_max <= outer.r1_max + 1e-9
                 assert p.constraints.r2_max <= outer.r2_max + 1e-9
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.booleans())
+def test_every_family_inside_explicit_outer(seed, sparse):
+    # every lattice point of the four families on a random 2x2x2 source,
+    # Dirichlet(1/2) or with zero cells, stays inside the explicit rectangle
+    rng = np.random.default_rng(seed)
+    if sparse:
+        weights = rng.integers(0, 4, 8).astype(float)
+        weights[rng.integers(8)] += 1.0
+        table = weights / weights.sum()
+    else:
+        table = rng.dirichlet(np.full(8, 0.5))
+    base = triple_from_table(table.reshape(2, 2, 2))
+    outer = explicit_outer(base)
+    for family, grid in (("forward-inner", GridSpec(2, 2, 2, 2, 1)),
+                         ("forward-outer", GridSpec(2, 2, 2, 2, 1)),
+                         ("backward-inner", GridSpec(2, 2, 2, 1, 1)),
+                         ("backward-outer", GridSpec(2, 2, 2, 1, 1))):
+        for c in lattice_constraint_sets(base, family, grid):
+            assert c.r1_max <= outer.r1_max + ENTROPY_ROUNDOFF, (family, c)
+            assert c.r2_max <= outer.r2_max + ENTROPY_ROUNDOFF, (family, c)
 
 
 # ---------------------------------------------------------------------------
