@@ -196,7 +196,7 @@ class JointTypicalityTest:
     caller.  Each fixed sequence is one length-n array, or a batch of B of
     them stacked as (B, n); a batch gives the masks a trailing axis of
     length B, one mask per batch row, and 1-D values are shared by every
-    row.
+    row.  Symbol arrays of any other shape raise `CodecError`.
     """
 
     def __init__(self, joint: JointPmf, params: TypicalityParams):
@@ -222,16 +222,26 @@ class JointTypicalityTest:
         # each counted cell's symbol of each variable
         self._symbols = {v: self.cells // self.strides[v] % self.cards[v] for v in self.names}
 
-    def _fixed_code(self, fixed: dict) -> np.ndarray:
+    def _sequences(self, name: str, seqs, ndims: tuple) -> np.ndarray:
+        """`seqs` as an array, refused unless its axis count is in `ndims` and
+        its last axis is n long."""
+        seqs = np.asarray(seqs)
+        if seqs.ndim not in ndims or seqs.shape[-1] != self.params.n:
+            raise CodecError(f"{name} sequences of shape {seqs.shape}: "
+                             f"need length n={self.params.n}")
+        return seqs
+
+    def _fixed_code(self, fixed: dict, ndims=(1, 2)) -> np.ndarray:
         """(B, n): per batch row and position, the code of the `fixed` symbols."""
         code = np.zeros((1, self.params.n), dtype=np.int64)
         for name, seqs in fixed.items():
-            code = code + self.strides[name] * np.asarray(seqs, dtype=np.int64)
+            seqs = self._sequences(name, seqs, ndims).astype(np.int64, copy=False)
+            code = code + self.strides[name] * seqs
         return code
 
     def _planes(self, name: str, cands) -> np.ndarray:
         if not isinstance(cands, SequenceBits):
-            cands = SequenceBits(cands, self.cards[name])
+            cands = SequenceBits(self._sequences(name, cands, (2,)), self.cards[name])
         return cands.planes
 
     def _fixed_bits(self, fixed: dict, rest: np.ndarray) -> np.ndarray:
@@ -244,10 +254,7 @@ class JointTypicalityTest:
         """Typicality of one complete tuple {variable name: length-n sequence}."""
         if set(seqs) != set(self.names):
             raise CodecError(f"need sequences for exactly {self.names}")
-        lengths = {len(np.asarray(s)) for s in seqs.values()}
-        if lengths != {self.params.n}:
-            raise CodecError(f"sequence lengths {lengths} != n={self.params.n}")
-        counts = np.bincount(self._fixed_code(seqs)[0], minlength=self.width)
+        counts = np.bincount(self._fixed_code(seqs, (1,))[0], minlength=self.width)
         return bool(np.all((counts >= self.lo) & (counts <= self.hi)))
 
     def _counts_ok(self, bits_a: np.ndarray, va: np.ndarray, rest: np.ndarray) -> np.ndarray:
@@ -518,14 +525,18 @@ def _user_vars(user: int) -> tuple:
 
 # The coders below build their typicality tests and packed codebooks once;
 # the public encode/decode functions build one per call.  Each coder runs a
-# batch of trials in array stages: `typical` tests every trial in one kernel
-# call, `pick` draws each trial's codeword and cover from its lane of a
-# `_lanes` stream, and `resolve` tests and decodes the trials in groups that
-# announce the same columns.  Masks draw no randomness, so testing ahead of
-# the draws leaves every lane's draws in the order of a single trial.  The
-# stages return a per-trial outcome code in place of raising; `__call__`
-# runs them on a batch of one, draws from the caller's generator, and
-# raises the failure of its code.
+# batch of trials in array stages.  An encoder's `typical` tests every block
+# against every hit (a codeword forward, an (s, t) pair backward) in one
+# kernel call; the shared `_Encoder.pick` draws each trial's hit, then a
+# cover among the hit's covers, from its lane of a `_lanes` stream.  The
+# covers come from the encoder's one cover table, which tests a hit's covers
+# the first time it is asked for.  A decoder's `resolve` tests and decodes
+# the trials in groups that announce the same columns.  Masks draw no
+# randomness, so testing ahead of the draws leaves every lane's draws in the
+# order of a single trial.  The stages return a per-trial outcome code in
+# place of raising; `__call__` is a batch of one: it runs the stages on one
+# block, draws from the caller's generator, and raises the failure of its
+# code.
 
 #: Outcome codes of the batched stages: OK, or the index in `FAILURES` of the
 #: protocol failure that a single-trial call raises.
@@ -556,14 +567,6 @@ def _draw(counts: np.ndarray, starts: np.ndarray, values: np.ndarray, lanes,
     return out
 
 
-def _draw_hits(hits: np.ndarray, lanes, rows: np.ndarray) -> np.ndarray:
-    """Per row i of the (B, M) `hits`, a uniform draw from lane rows[i] among
-    its True columns, or -1 where it has none."""
-    row, col = np.divmod(np.flatnonzero(hits), hits.shape[1])
-    counts = np.bincount(row, minlength=len(hits))
-    return _draw(counts, np.cumsum(counts) - counts, col, lanes, rows)
-
-
 def _unique_hits(hits: np.ndarray) -> tuple:
     """(status, row) per column of the (M, B) `hits`, candidates by trials:
     OK and the row of its one True entry, else NONE or AMBIGUOUS and 0."""
@@ -585,54 +588,83 @@ def _groups(codes: np.ndarray):
             yield int(codes[rows[0]]), rows
 
 
-class _ForwardEncoder:
-    """User 1's or 2's forward encoder.
+class _Encoder:
+    """The cover table and `pick`, shared by both encoders.  A subclass sets
+    `src` (its blocks' variable), `users` (whose keys it draws) and `dims`
+    (the bounds of its labels, then the cover count), and defines `typical`,
+    `labels(hits)` ((k, k') per user) and `_cover_mask(hits)` (which covers
+    are jointly typical with each hit)."""
 
-    The cover codewords a that are jointly typical with codebook sequence i
-    are `cover_idx[cover_start[i]:cover_start[i + 1]]` in increasing order;
-    `labels[i]` is its (k, k', k'').
-    """
+    def __init__(self, size: int):
+        """An empty cover table over `size` hits."""
+        self.size = size
+        self._count = np.full(size, -1, dtype=np.int64)  # -1: not yet tested
+        self._start = np.zeros(size, dtype=np.int64)
+        self.cover_idx = np.zeros(0, dtype=np.int64)
+
+    def covers(self, hits: np.ndarray) -> tuple:
+        """(count, start) per hit: its covers are cover_idx[start:start + count],
+        in increasing order.  The hits not asked for before are tested in one
+        kernel call."""
+        asked = np.zeros(self.size, dtype=bool)  # not np.unique, whose first call imports numpy.ma
+        asked[hits] = True
+        new = np.flatnonzero(asked & (self._count < 0))
+        if len(new):
+            hit_of, cover = np.nonzero(self._cover_mask(new))
+            count = np.bincount(hit_of, minlength=len(new))
+            self._count[new] = count
+            self._start[new] = len(self.cover_idx) + np.cumsum(count) - count
+            self.cover_idx = np.concatenate((self.cover_idx, cover))
+        return self._count[hits], self._start[hits]
+
+    def pick(self, typical: np.ndarray, lanes, rows: np.ndarray) -> tuple:
+        """(status, hit, cover) per row of the (B, hits) `typical`: lane rows[i]
+        draws a hit uniformly among row i's True columns (none where it has
+        none), then a cover among the hit's covers."""
+        block, col = np.divmod(np.flatnonzero(typical), typical.shape[1])
+        n_hits = np.bincount(block, minlength=len(typical))
+        hit = _draw(n_hits, np.cumsum(n_hits) - n_hits, col, lanes, rows)
+        found = hit >= 0
+        count, start = np.zeros((2, len(hit)), dtype=np.int64)
+        count[found], start[found] = self.covers(hit[found])
+        cover = _draw(count, start, self.cover_idx, lanes, rows)
+        status = np.where(~found, NO_SEQUENCE, np.where(cover < 0, NO_COVER, OK))
+        return status, hit, cover
+
+
+class _ForwardEncoder(_Encoder):
+    """User 1's or 2's forward encoder; a hit is a codebook sequence."""
 
     def __init__(self, user: int, codebook: Codebook, full: JointPmf,
                  params: TypicalityParams):
         self.var, self.src = _user_vars(user)
+        self.users = (user,)
         self.codebook = codebook
-        self.n = params.n
+        self.dims = (codebook.n_key, codebook.n_col, len(codebook.u_codebook))
         self.test = JointTypicalityTest(full.marginalize({self.var, self.src}), params)
+        self.cover_test = JointTypicalityTest(
+            full.marginalize({self.var, codebook.cover_var}), params)
         self.sequences = SequenceBits(codebook.sequences, self.test.cards[self.var])
-        cover = codebook.cover_var
-        cover_test = JointTypicalityTest(full.marginalize({self.var, cover}), params)
-        cover_ok = cover_test.pair_mask(self.var, self.sequences, cover,
-                                        codebook.u_codebook, {})
-        seq_of, self.cover_idx = np.nonzero(cover_ok)
-        self.cover_start = np.concatenate(
-            ([0], np.cumsum(np.bincount(seq_of, minlength=codebook.size))))
-        self.labels = codebook.triples.tolist()
+        super().__init__(codebook.size)
+        self.covers(np.arange(codebook.size))  # in one kernel call, not one per batch
 
     def typical(self, blocks) -> np.ndarray:
         """(len(blocks), M): which codebook sequences are jointly typical with
         each source block."""
         return self.test.pair_mask(self.src, blocks, self.var, self.sequences, {})
 
-    def pick(self, typical: np.ndarray, lanes, rows: np.ndarray) -> tuple:
-        """(status, seq, cover) per row of the (B, M) `typical`: lane rows[i]
-        draws a codeword among row i's hits, then a cover among its covers."""
-        seq = _draw_hits(typical, lanes, rows)
-        found = seq >= 0
-        at = np.where(found, seq, 0)
-        counts = np.where(found, self.cover_start[at + 1] - self.cover_start[at], 0)
-        cover = _draw(counts, self.cover_start[at], self.cover_idx, lanes, rows)
-        status = np.where(~found, NO_SEQUENCE, np.where(cover < 0, NO_COVER, OK))
-        return status, seq, cover
+    def labels(self, hits: np.ndarray) -> np.ndarray:
+        return self.codebook.triples[hits, :2]
+
+    def _cover_mask(self, hits: np.ndarray) -> np.ndarray:
+        return self.cover_test.pair_mask(self.var, self.sequences[hits],
+                                         self.codebook.cover_var, self.codebook.u_codebook, {})
 
     def __call__(self, block: np.ndarray, rng: np.random.Generator) -> EncodingResult:
-        block = np.asarray(block, dtype=np.int8)
-        if len(block) != self.n:
-            raise CodecError(f"block length {len(block)} != n={self.n}")
-        status, seq, cover = self.pick(self.typical(block[None]), GeneratorLanes([rng]), _ONE)
+        blocks = np.asarray(block, dtype=np.int8)[None]
+        status, seq, cover = self.pick(self.typical(blocks), GeneratorLanes([rng]), _ONE)
         _raise_failure(status, f"{self.var} codeword")
-        k, kp, kpp = self.labels[seq[0]]
-        return EncodingResult(k, kp, kpp, int(cover[0]), int(seq[0]))
+        return EncodingResult(*self.codebook.triple_of(seq[0]), int(cover[0]), int(seq[0]))
 
 
 class _ForwardDecoder:
@@ -673,52 +705,47 @@ class _ForwardDecoder:
         return int(k_hat[0]), int(l_hat[0])
 
 
-class _BackwardEncoder:
-    """User 3's backward encoder over the (s, t) codebook pairs."""
+class _BackwardEncoder(_Encoder):
+    """User 3's backward encoder; a hit is a codebook pair (i, j), numbered
+    i * M_t + j."""
+
+    src = "X3"
+    users = (1, 2)
 
     def __init__(self, cb_s: Codebook, cb_t: Codebook, full: JointPmf,
                  params: TypicalityParams):
         self.cb_s, self.cb_t = cb_s, cb_t
-        self.pair_test = JointTypicalityTest(full.marginalize({"S", "T", "X3"}), params)
+        self.dims = (cb_s.n_key, cb_s.n_col, cb_t.n_key, cb_t.n_col, len(cb_s.u_codebook))
+        self.test = JointTypicalityTest(full.marginalize({"S", "T", "X3"}), params)
         self.cover_test = JointTypicalityTest(full.marginalize({"S", "T", "U"}), params)
         cards = self.cover_test.cards
         self.seqs_s = SequenceBits(cb_s.sequences, cards["S"])
         self.seqs_t = SequenceBits(cb_t.sequences, cards["T"])
         self.seqs_u = SequenceBits(cb_s.u_codebook, cards["U"])
+        super().__init__(cb_s.size * cb_t.size)
 
     def typical(self, x3_blocks: np.ndarray) -> np.ndarray:
-        """(M_s, M_t, B): which sequence pairs are jointly typical with each of
-        the (B, n) blocks."""
-        return self.pair_test.pair_mask("S", self.seqs_s, "T", self.seqs_t, {"X3": x3_blocks})
+        """(len(x3_blocks), M_s * M_t): which sequence pairs are jointly typical
+        with each of the (B, n) blocks."""
+        ok = self.test.pair_mask("S", self.seqs_s, "T", self.seqs_t, {"X3": x3_blocks})
+        return ok.reshape(-1, len(x3_blocks)).T
 
-    def cover_typical(self, i: np.ndarray, j: np.ndarray) -> np.ndarray:
-        """(N_u, len(i)): which U codewords are jointly typical with each of the
-        sequence pairs (i[g], j[g])."""
+    def labels(self, hits: np.ndarray) -> np.ndarray:
+        i, j = np.divmod(hits, self.cb_t.size)
+        return np.column_stack((self.cb_s.triples[i, :2], self.cb_t.triples[j, :2]))
+
+    def _cover_mask(self, hits: np.ndarray) -> np.ndarray:
+        i, j = np.divmod(hits, self.cb_t.size)
         fixed = {"S": self.cb_s.sequences[i], "T": self.cb_t.sequences[j]}
-        return self.cover_test.mask("U", self.seqs_u, fixed)
-
-    def pick(self, typical: np.ndarray, lanes, rows: np.ndarray) -> tuple:
-        """(status, i, j, cover) per block of the (M_s, M_t, B) `typical`: lane
-        rows[g] draws an (i, j) pair among block g's hits, then a cover among
-        the pair's covers, tested in one kernel call for the batch."""
-        m_s, m_t, batch = typical.shape
-        pair = _draw_hits(typical.reshape(m_s * m_t, batch).T, lanes, rows)
-        i, j = np.divmod(pair, m_t)
-        found = np.flatnonzero(pair >= 0)
-        cover = np.full(batch, -1, dtype=np.int64)
-        if len(found):
-            cover_ok = self.cover_typical(i[found], j[found])
-            cover[found] = _draw_hits(cover_ok.T, lanes, rows[found])
-        status = np.where(pair < 0, NO_SEQUENCE, np.where(cover < 0, NO_COVER, OK))
-        return status, i, j, cover
+        return self.cover_test.mask("U", self.seqs_u, fixed).T
 
     def __call__(self, x3_block: np.ndarray, rng: np.random.Generator) -> tuple:
         x3_blocks = np.asarray(x3_block, dtype=np.int8)[None]
-        status, i, j, cover = self.pick(self.typical(x3_blocks), GeneratorLanes([rng]), _ONE)
+        status, pair, cover = self.pick(self.typical(x3_blocks), GeneratorLanes([rng]), _ONE)
         _raise_failure(status, "(s, t) pair")
-        ks, kt, a = self.cb_s.triple_of(i[0]), self.cb_t.triple_of(j[0]), int(cover[0])
-        return (EncodingResult(ks[0], ks[1], ks[2], a, int(i[0])),
-                EncodingResult(kt[0], kt[1], kt[2], a, int(j[0])))
+        (i, j), a = divmod(int(pair[0]), self.cb_t.size), int(cover[0])
+        return (EncodingResult(*self.cb_s.triple_of(i), a, i),
+                EncodingResult(*self.cb_t.triple_of(j), a, j))
 
 
 class _BackwardDecoder:

@@ -305,23 +305,20 @@ _FAILURE_KINDS = {NO_SEQUENCE: "no_sequence", NO_COVER: "no_cover", NONE: "none"
                   AMBIGUOUS: "ambiguous"}
 
 
-def _announce(lanes, status: np.ndarray, codebooks: tuple, seqs: tuple, cover) -> tuple:
+def _announce(lanes, status: np.ndarray, encoder, hit: np.ndarray, cover) -> tuple:
     """(keys, columns, cover, failed) of one encoder's batch of picks.
 
-    Per codebook, the key and column of the picked sequence.  Where the
-    encoder failed, column and cover are 0 and each codebook's key is drawn
-    from the trial's lane, in codebook order: the encoder's private
-    randomness.
+    Per key the encoder draws, the key and column of the picked hit.  Where
+    the encoder failed, columns and cover are 0 and each key is drawn from
+    the trial's lane, in label order: the encoder's private randomness.
     """
     failed = status != OK
     rows = np.flatnonzero(failed)
-    keys, cols = [], []
-    for cb, seq in zip(codebooks, seqs):
-        label = cb.triples[np.where(failed, 0, seq)]
-        key = label[:, 0]
-        key[rows] = lanes.integers(np.full(len(rows), cb.n_key), rows)
-        keys.append(key)
-        cols.append(np.where(failed, 0, label[:, 1]))
+    labels = encoder.labels(np.where(failed, 0, hit))
+    labels[rows] = 0
+    keys, cols = list(labels[:, 0::2].T), list(labels[:, 1::2].T)
+    for key, n_key in zip(keys, encoder.dims[:-1:2]):
+        key[rows] = lanes.integers(np.full(len(rows), n_key), rows)
     return keys, cols, np.where(failed, 0, cover), failed
 
 
@@ -355,6 +352,11 @@ class _Instance:
         strategy; (user 3's encoder, user 1's decoder, user 2's decoder) in the
         backward one."""
         return self.cached("coders", self._build_coders)
+
+    def encoder(self, user: int):
+        """The encoder that draws `user`'s key: the user's own forward encoder,
+        or user 3's backward one."""
+        return self.coders()[user - 1 if self.config.direction == "forward" else 0]
 
     def _build_coders(self) -> tuple:
         full, enc, dec = self.full, self.enc_params, self.dec_params
@@ -397,10 +399,10 @@ class _Instance:
         encode1, encode2, decode = self.coders()
         rows = np.arange(len(x1))
         sent = []
-        for user, encode, cb, blocks in ((1, encode1, self.cb1, x1), (2, encode2, self.cb2, x2)):
-            status, seq, cover = encode.pick(encode.typical(blocks), lanes, rows)
+        for user, encode, blocks in ((1, encode1, x1), (2, encode2, x2)):
+            status, hit, cover = encode.pick(encode.typical(blocks), lanes, rows)
             tally.count_failures(f"enc{user}_", status)
-            sent.append(_announce(lanes, status, (cb,), (seq,), cover))
+            sent.append(_announce(lanes, status, encode, hit, cover))
         ((k,), (kp,), a, failed_k), ((l,), (lp,), b, failed_l) = sent
         tally.record(k, l, (kp, a, _hash16(x2)), (lp, b, _hash16(x1)))
 
@@ -412,10 +414,10 @@ class _Instance:
 
     def _backward_batch(self, lanes, tally, x1, x2, x3):
         encode, decode1, decode2 = self.coders()
-        status, i, j, cover = encode.pick(encode.typical(x3), lanes, np.arange(len(x3)))
+        status, hit, cover = encode.pick(encode.typical(x3), lanes, np.arange(len(x3)))
         tally.count_failures("enc3_", status)
         # a failed encoding draws both keys from user 3's private randomness, and both err
-        (k, l), (kp, lp), a, failed = _announce(lanes, status, (self.cb1, self.cb2), (i, j), cover)
+        (k, l), (kp, lp), a, failed = _announce(lanes, status, encode, hit, cover)
         tally.record(k, l, (kp, lp, a, _hash16(x2)), (kp, lp, a, _hash16(x1)))
         tally.err_k += int(failed.sum())
         tally.err_l += int(failed.sum())
@@ -578,68 +580,35 @@ def _spans(first: np.ndarray, count: np.ndarray) -> np.ndarray:
     return np.repeat(first - ends + count, count) + np.arange(count.sum())
 
 
-def _encoder_outcomes_forward(inst: _Instance, user: int) -> tuple:
-    """`_weigh_outcomes` of `user`'s encoder over its source blocks, with
-    outcome labels (k, k').
+def _encoder_outcomes(encoder, n: int) -> tuple:
+    """`_weigh_outcomes` of `encoder` over every length-n block of its source.
 
-    The blocks are tested against the whole codebook a chunk of blocks at a
-    time; a hit is a codeword index, whose covers the encoder lists.
+    The blocks are tested against every hit a chunk of blocks at a time;
+    the cover table tests each hit's covers once, when a chunk first hits it.
     """
-    cfg = inst.config
-    enc = inst.coders()[user - 1]
-    cb = enc.codebook
-    card = inst.full.variable(enc.src).cardinality
-    blocks = _all_sequences(card, cfg.n)
-    step = max(1, _CHUNK_PAIRS // cb.size)
-    n_covers = np.diff(enc.cover_start)
+    card = encoder.test.cards[encoder.src]
+    blocks = _all_sequences(card, n)
+    step = max(1, _CHUNK_PAIRS // encoder.size)
 
     def chunks():
-        for i in range(0, len(blocks), step):
-            typical = enc.typical(SequenceBits(blocks[i:i + step], card))
-            hit_block, hit = np.divmod(np.flatnonzero(typical), cb.size)
-            covers = enc.cover_idx[_spans(enc.cover_start[hit], n_covers[hit])]
-            yield len(typical), hit_block, cb.triples[hit, :2], n_covers[hit], covers
+        for start in range(0, len(blocks), step):
+            typical = encoder.typical(blocks[start:start + step])
+            hit_block, hit = np.divmod(np.flatnonzero(typical), encoder.size)
+            count, first = encoder.covers(hit)
+            yield (len(typical), hit_block, encoder.labels(hit), count,
+                   encoder.cover_idx[_spans(first, count)])
 
-    return _weigh_outcomes(chunks(), (cb.n_key, cb.n_col, len(cb.u_codebook)))
+    return _weigh_outcomes(chunks(), encoder.dims)
+
+
+def _encoder_outcomes_forward(inst: _Instance, user: int) -> tuple:
+    """The outcomes of `user`'s forward encoder, labels (k, k')."""
+    return _encoder_outcomes(inst.coders()[user - 1], inst.config.n)
 
 
 def _encoder_outcomes_backward(inst: _Instance) -> tuple:
-    """`_weigh_outcomes` of user 3's encoder over its x3 blocks, with outcome
-    labels (k, k', l, l').
-
-    The blocks are tested against every (s, t) pair a chunk of blocks at a
-    time; a hit is a pair (i, j), and the covers of each pair are tested
-    once, when a chunk first hits it.
-    """
-    cfg = inst.config
-    card = inst.full.variable("X3").cardinality
-    blocks = _all_sequences(card, cfg.n)
-    enc = inst.coders()[0]
-    cb1, cb2 = inst.cb1, inst.cb2
-    step = max(1, _CHUNK_PAIRS // (cb1.size * cb2.size))
-    slot = np.full(cb1.size * cb2.size, -1)  # pair i * M_t + j -> its row of `cover_ok`
-    cover_ok = np.zeros((0, len(cb1.u_codebook)), dtype=bool)
-
-    def chunks():
-        nonlocal cover_ok
-        for start in range(0, len(blocks), step):
-            typical = enc.typical(blocks[start:start + step])
-            # hits in block order, each block's (i, j) pairs in row-major order
-            pair, hit_block = np.divmod(np.flatnonzero(typical), typical.shape[2])
-            order = np.argsort(hit_block, kind="stable")
-            pair, hit_block = pair[order], hit_block[order]
-            i, j = np.divmod(pair, cb2.size)
-            new = np.unique(pair[slot[pair] < 0])
-            if len(new):
-                slot[new] = np.arange(len(cover_ok), len(cover_ok) + len(new))
-                tested = enc.cover_typical(*np.divmod(new, cb2.size))
-                cover_ok = np.concatenate((cover_ok, tested.T))
-            ok = cover_ok[slot[pair]]
-            labels = np.column_stack((cb1.triples[i, :2], cb2.triples[j, :2]))
-            yield typical.shape[2], hit_block, labels, ok.sum(axis=1), np.nonzero(ok)[1]
-
-    return _weigh_outcomes(chunks(),
-                           (cb1.n_key, cb1.n_col, cb2.n_key, cb2.n_col, len(cb1.u_codebook)))
+    """The outcomes of user 3's backward encoder, labels (k, k', l, l')."""
+    return _encoder_outcomes(inst.coders()[0], inst.config.n)
 
 
 def _outcomes(inst: _Instance, user: int) -> tuple:
@@ -762,35 +731,28 @@ def _view_joint(inst: _Instance, user: int) -> np.ndarray:
     """
     cfg = inst.config
     n = cfg.n
-    cb = inst.cb1 if user == 1 else inst.cb2
+    encoder = inst.encoder(user)
+    pos = 2 * encoder.users.index(user)  # the label column of `user`'s key
+    n_key, public = encoder.dims[pos], (*encoder.dims[1:-1:2], encoder.dims[-1])
     other = "X2" if user == 1 else "X1"
-    n_cover = len(cb.u_codebook)
     table, fail = _outcomes(inst, user)
-    if cfg.direction == "forward":
-        src = "X1" if user == 1 else "X2"
-        public = (cb.n_col, n_cover)
-        index = (table.labels[:, 0], table.labels[:, 1], table.cover)
-    else:
-        src = "X3"
-        public = (inst.cb1.n_col, inst.cb2.n_col, n_cover)
-        index = (table.labels[:, 0 if user == 1 else 2], table.labels[:, 1], table.labels[:, 3],
-                 table.cover)
+    index = (table.labels[:, pos], *table.labels[:, 1::2].T, table.cover)
     n_other = inst.full.variable(other).cardinality ** n
-    size = cb.n_key * n_other * math.prod(public)
+    size = n_key * n_other * math.prod(public)
     cap = entry_budget()
     if size > cap:
         raise BudgetExceededError(f"exact view table needs {size} entries, budget {cap}")
     # cell-major (key, public indices, block): each update adds one row
-    joint = np.zeros((cb.n_key, *public, n_other))
-    n_cells = cb.n_key * math.prod(public)
+    joint = np.zeros((n_key, *public, n_other))
+    n_cells = n_key * math.prod(public)
     # targets: each cell's row, then the fallback transcript (every key at index 0)
     targets = [*joint.reshape(n_cells, n_other), joint[(slice(None),) + (0,) * len(public)]]
     failed = np.flatnonzero(fail > 0.0)
     block, target, coef = _in_block_order(
         (table.blocks(), failed),
-        (np.ravel_multi_index(index, (cb.n_key, *public)), np.full(len(failed), n_cells)),
-        (table.weight, fail[failed] / cb.n_key))
-    for start, rows in _pair_block_rows(cfg.base, src, other, n):
+        (np.ravel_multi_index(index, (n_key, *public)), np.full(len(failed), n_cells)),
+        (table.weight, fail[failed] / n_key))
+    for start, rows in _pair_block_rows(cfg.base, encoder.src, other, n):
         lo, hi = np.searchsorted(block, (start, start + len(rows)))
         _fold_rows(targets, target[lo:hi], coef[lo:hi], block[lo:hi] - start, rows)
     return np.ascontiguousarray(np.moveaxis(joint, -1, 1))
@@ -806,12 +768,12 @@ def _in_block_order(block: tuple, *columns: tuple) -> tuple:
 
 
 def exact_view_joint(config: SimConfig, seed: int, user: int) -> np.ndarray:
-    """Exact (key, block, public indices) joint for one forward codebook seed.
+    """Exact (key, block, public indices) joint for one codebook seed.
 
-    Axes: key, eavesdropper source block code, column index, cover index.
+    Axes: key, eavesdropper source block code, then the public indices:
+    column and cover index (forward), or both columns and the cover index
+    (backward).
     """
-    if config.direction != "forward":
-        raise PmfError("exact_view_joint currently covers the forward strategy")
     return _view_joint(_Instance(config, seed), user)
 
 
@@ -909,12 +871,12 @@ def _exact_key_error(inst: _Instance, user: int) -> float | None:
         return None
     src, obs, decode_row = decoder
     table, fail = _outcomes(inst, user)
-    pos = 2 * (user - 1)  # the (key, column) labels of `user` in an outcome
+    encoder = inst.encoder(user)
+    dims, pos = encoder.dims, 2 * encoder.users.index(user)  # `user`'s (key, column) labels
     # one mask per (column, cover, key) announced: where the decoded key differs
     col, cover, key = table.labels[:, pos + 1], table.cover, table.labels[:, pos]
-    cb = inst.cb1 if user == 1 else inst.cb2
     _, first, group_of = np.unique(
-        np.ravel_multi_index((col, cover, key), (cb.n_col, len(cb.u_codebook), cb.n_key)),
+        np.ravel_multi_index((col, cover, key), (dims[pos + 1], dims[-1], dims[pos])),
         return_index=True, return_inverse=True)
     width = inst.full.variable(obs).cardinality ** cfg.n
     decoded, decoded_of = _decoded_rows(decode_row, width, col[first], cover[first])

@@ -37,6 +37,22 @@ def lattice_channel_objects(layer) -> list:
     return [Channel(layer.from_names, layer.to_vars, m) for m in layer.matrices]
 
 
+def oracle_covers(encoder, hit) -> list:
+    """The cover codewords jointly typical with one hit of a forward or a
+    backward encoder (a codeword, or a pair i * M_t + j), in increasing
+    order: each (hit, cover) tuple is tested on its own by the encoder's
+    cover test, through `check`, not through the encoder's cover table."""
+    if hasattr(encoder, "cb_t"):
+        i, j = divmod(int(hit), encoder.cb_t.size)
+        cb = encoder.cb_s
+        seqs = {"S": cb.sequences[i], "T": encoder.cb_t.sequences[j]}
+    else:
+        cb = encoder.codebook
+        seqs = {cb.var: cb.sequences[hit]}
+    return [a for a, u in enumerate(cb.u_codebook)
+            if encoder.cover_test.check({**seqs, cb.cover_var: u})]
+
+
 def oracle_weigh_outcomes(block_hits, covers_of, label_of) -> tuple:
     """Per-block encoder outcomes, weighed hit by hit in Python.
 

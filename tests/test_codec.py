@@ -3,10 +3,12 @@ import pytest
 
 from skregion.codec import (
     Codebook,
+    CodecError,
     DecodeAmbiguous,
     DecodeNone,
     EncoderNoSequence,
     InfeasibleRatesError,
+    ProtocolError,
     TypicalityParams,
     WiretapAmbiguous,
     WiretapNone,
@@ -118,6 +120,33 @@ def test_jointly_typical_length_mismatch():
     with pytest.raises(Exception):
         jointly_typical({"S": np.zeros(4, int), "X": np.zeros(5, int)},
                         pair, TypicalityParams(4, 1.0))
+
+
+_SINGLE_TRIAL = {
+    "forward_encode": lambda inst, block: forward_encode(
+        1, block, inst.cb1, inst.full, inst.enc_params, np.random.default_rng(0)),
+    "forward_decode": lambda inst, block: forward_decode(
+        block, (0, 0, 0, 0), inst.cb1, inst.cb2, inst.full, inst.dec_params),
+    "backward_encode": lambda inst, block: backward_encode(
+        block, inst.cb1, inst.cb2, inst.full, inst.enc_params, np.random.default_rng(0)),
+    "backward_decode": lambda inst, block: backward_decode(
+        1, block, 0, 0, inst.cb1, inst.full, inst.dec_params),
+    "wiretap_decode": lambda inst, block: wiretap_decode(
+        *inst.cb1.triples[0, :2].tolist(), block, inst.cb1.u_codebook[0], inst.cb1,
+        inst.full, inst.dec_params),
+}
+
+
+@pytest.mark.parametrize("length", [1, 5, 7])
+@pytest.mark.parametrize("name", sorted(_SINGLE_TRIAL))
+def test_single_trial_refuses_wrong_block_length(name, length):
+    # a block of the wrong length is refused at the typicality kernel, not
+    # broadcast into a symbol repeated n times or failed as a protocol error
+    make = broadcast_backward_preset if name.startswith("backward") else broadcast_forward_preset
+    inst = _Instance(make(6, seeds=(1,)), 1)
+    with pytest.raises(CodecError, match="need length n=6") as info:
+        _SINGLE_TRIAL[name](inst, np.zeros(length, dtype=np.int8))
+    assert not isinstance(info.value, ProtocolError)
 
 
 # ---------------------------------------------------------------------------

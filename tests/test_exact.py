@@ -20,12 +20,13 @@ from hypothesis import example, given, settings, strategies as st
 
 import skregion.sim as sim
 from conftest import (
+    oracle_covers,
     oracle_decode_failures,
     oracle_key_error,
     oracle_view_joint,
     oracle_weigh_outcomes,
 )
-from skregion.codec import SequenceBits, _all_sequences
+from skregion.codec import _all_sequences
 from skregion.pmf import Channel, JointPmf, VariableId, iid_extension
 from skregion.sim import (
     EpsParams,
@@ -106,25 +107,26 @@ def test_encoder_outcomes_independent_of_block_chunks(monkeypatch, config):
 
 def _oracle_outcomes(inst, user):
     """`oracle_weigh_outcomes` of `user`'s encoder (3: user 3's backward
-    encoder), every block tested in one kernel call and each pair's covers
-    in a call of their own."""
-    n = inst.config.n
+    encoder), every block tested in one kernel call and each hit's covers
+    by `oracle_covers`, not through the encoder's cover table."""
+    enc = inst.coders()[0 if user == 3 else user - 1]
+    blocks = _all_sequences(inst.full.variable(enc.src).cardinality, inst.config.n)
     if user == 3:
-        enc = inst.coders()[0]
-        typical = enc.typical(_all_sequences(inst.full.variable("X3").cardinality, n))
-        hits = [list(map(tuple, np.argwhere(typical[:, :, c]).tolist()))
-                for c in range(typical.shape[2])]
+        # each block's pairs (i, j) from the kernel's (M_s, M_t, blocks) mask, as i * M_t + j
+        typical = enc.test.pair_mask("S", enc.seqs_s, "T", enc.seqs_t, {"X3": blocks})
+        hits = [np.argwhere(typical[:, :, c]) @ (inst.cb2.size, 1) for c in range(len(blocks))]
         labels_s, labels_t = (cb.triples[:, :2].tolist() for cb in (inst.cb1, inst.cb2))
-        return oracle_weigh_outcomes(
-            hits, lambda pair: np.flatnonzero(enc.cover_typical(*np.array([pair]).T)[:, 0]),
-            lambda pair: (*labels_s[pair[0]], *labels_t[pair[1]]))
-    enc = inst.coders()[user - 1]
-    card = inst.full.variable(enc.src).cardinality
-    typical = enc.typical(SequenceBits(_all_sequences(card, n), card))
-    return oracle_weigh_outcomes(
-        (np.flatnonzero(row) for row in typical),
-        lambda idx: enc.cover_idx[enc.cover_start[idx]:enc.cover_start[idx + 1]],
-        lambda idx: enc.labels[idx][:2])
+
+        def label_of(hit):
+            i, j = divmod(int(hit), inst.cb2.size)
+            return (*labels_s[i], *labels_t[j])
+    else:
+        hits = [np.flatnonzero(row) for row in enc.typical(blocks)]
+        labels = enc.codebook.triples[:, :2].tolist()
+
+        def label_of(hit):
+            return labels[hit]
+    return oracle_weigh_outcomes(hits, lambda hit: oracle_covers(enc, hit), label_of)
 
 
 def _as_lists(table) -> list:
@@ -352,6 +354,24 @@ def test_exact_view_joint_is_c_ordered():
     inst = _Instance(config, 1)
     cb = inst.cb1
     assert joint.shape == (cb.n_key, 2 ** 5, cb.n_col, len(cb.u_codebook))
+
+
+@pytest.mark.parametrize("make", [broadcast_backward_preset, _live_t_backward_config],
+                         ids=["backward", "backward-live-t"])
+def test_exact_view_joint_backward_gives_report_leakage(make):
+    # the backward view joint has both columns as public indices, and its
+    # mutual information is each seed's reported leakage bit for bit
+    config = make(6)
+    config.codebook_seeds = (1, 2)
+    report = exact_report(config)
+    for row in report.per_seed:
+        inst = _Instance(config, row["seed"])
+        for user, suffix in ((1, "K"), (2, "L")):
+            joint = exact_view_joint(config, row["seed"], user)
+            cb = inst.cb1 if user == 1 else inst.cb2
+            assert joint.shape == (cb.n_key, 2 ** 6, inst.cb1.n_col, inst.cb2.n_col,
+                                   len(cb.u_codebook))
+            assert sim._mi_first_axis(joint) / config.n == row[f"leak_{suffix}"]
 
 
 def test_forward_exact_report_holds_no_dense_block_pair_table():

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import oracle_covers
 from skregion.codec import (
     Codebook,
     DecodeAmbiguous,
@@ -218,25 +219,29 @@ def test_binning_text(make, rates, expected):
 
 def _healthy_coders(inst: _Instance) -> tuple:
     """Stub coders whose typicality stages return placeholders and whose
-    pick and resolve stages succeed on every trial: each encoder picks
-    codebook sequence 0 and cover 0, and each decoder returns the keys of
-    sequence 0.  Returns (coders, the keys of sequence 0)."""
+    pick and resolve stages succeed on every trial: each encoder picks hit 0
+    (codebook sequence 0, or the pair of sequences 0) and cover 0, and each
+    decoder returns the keys of sequence 0.  The encoders keep the real
+    encoders' `labels` and `dims`, which read only the codebooks.  Returns
+    (coders, the keys of sequence 0)."""
     keys = [int(cb.triples[0, 0]) for cb in (inst.cb1, inst.cb2)]
 
     def zeros(count, value=0):
         return np.full(count, value, dtype=np.int64)
 
+    def encoder(real):
+        return SimpleNamespace(typical=lambda blocks: np.zeros((len(blocks), 1), dtype=bool),
+                               pick=lambda typical, lanes, rows: (zeros(len(rows)),) * 3,
+                               labels=real.labels, dims=real.dims)
+
+    real = inst.coders()
     if inst.config.direction == "forward":
-        encoder = SimpleNamespace(typical=lambda blocks: np.zeros((len(blocks), 1), dtype=bool),
-                                  pick=lambda typical, lanes, rows: (zeros(len(rows)),) * 3)
         decoder = SimpleNamespace(resolve=lambda x3, kp, a, lp, b: (
             zeros(len(kp)), zeros(len(kp), keys[0]), zeros(len(kp), keys[1])))
-        return [encoder, SimpleNamespace(**vars(encoder)), decoder], keys
-    encoder = SimpleNamespace(typical=lambda x3: np.zeros((1, 1, len(x3)), dtype=bool),
-                              pick=lambda typical, lanes, rows: (zeros(len(rows)),) * 4)
+        return [encoder(real[0]), encoder(real[1]), decoder], keys
     decoders = [SimpleNamespace(resolve=lambda blocks, cols, covers, key=key: (
         zeros(len(cols)), zeros(len(cols), key))) for key in keys]
-    return [encoder, *decoders], keys
+    return [encoder(real[0]), *decoders], keys
 
 
 # the batched stage that reports each failure
@@ -327,6 +332,65 @@ def _covered_config(direction: str, trials: int, seeds: tuple) -> SimConfig:
     ch_u = Channel(("S", "T"), (VariableId("U", 2),), u)
     return SimConfig(cfg.base, "backward", (cfg.channels[0], ch_u), 6, 0.05, 0.05,
                      cfg.eps, trials, seeds)
+
+
+def _multi_cover_encoder(direction: str):
+    """A fresh encoder of `_covered_config` (user 1's forward, or user 3's
+    backward) whose hits have no, one or several covers: the cover codeword
+    is a BSC(0.3) of the codeword, tested at eps 1.5.  The backward one is at
+    n = 4, where its 256 pairs are a permutation Hypothesis can draw."""
+    cfg = _covered_config(direction, 1, (1,))
+    if direction == "backward":
+        u = np.zeros((2, 2, 2))
+        for s in range(2):
+            u[s, :, s], u[s, :, 1 - s] = 0.7, 0.3
+        cfg.channels = (cfg.channels[0], Channel(("S", "T"), (VariableId("U", 2),), u))
+        cfg.n = 4
+    cfg.eps = EpsParams(enc=1.5, dec=1.0)
+    return _Instance(cfg, 1).coders()[0]
+
+
+@pytest.fixture(scope="module", params=["forward", "backward"])
+def cover_table(request) -> tuple:
+    """(encoder, each hit's covers by `oracle_covers`) of `_multi_cover_encoder`."""
+    encoder = _multi_cover_encoder(request.param)
+    expected = [oracle_covers(encoder, hit) for hit in range(encoder.size)]
+    assert {len(c) for c in expected} >= {0, 1, 2}, "a vacuous comparison"
+    return encoder, expected
+
+
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+def test_cover_table_independent_of_request_order(cover_table, data):
+    # a hit's covers do not depend on when, or with which other hits, it is
+    # first asked for; asking again returns the same covers
+    encoder, expected = cover_table
+    order = np.array(data.draw(st.permutations(range(encoder.size))))
+    cuts = sorted(data.draw(st.sets(st.integers(1, encoder.size - 1), max_size=8)))
+    codec._Encoder.__init__(encoder, encoder.size)  # an empty table
+    for part in [*np.split(order, cuts), order]:
+        count, start = encoder.covers(part)
+        got = [encoder.cover_idx[lo:lo + c].tolist()
+               for lo, c in zip(start.tolist(), count.tolist())]
+        assert got == [expected[hit] for hit in part.tolist()]
+
+
+def test_backward_mc_tests_each_pair_covers_once(monkeypatch):
+    # user 3's encoder tests an (s, t) pair's covers when a batch first picks
+    # it, and never again for the same codebook seed
+    tested = []
+    cover_mask = codec.JointTypicalityTest.mask
+
+    def recording(self, cand_name, cands, fixed):
+        if cand_name == "U":  # the cover test; the decoders test S or T
+            pairs = zip(*(np.atleast_2d(fixed[v]).tolist() for v in ("S", "T")))
+            tested.extend((tuple(s), tuple(t)) for s, t in pairs)
+        return cover_mask(self, cand_name, cands, fixed)
+
+    monkeypatch.setattr(codec.JointTypicalityTest, "mask", recording)
+    run_trials(broadcast_backward_preset(8, seeds=(1,)))
+    assert tested
+    assert len(set(tested)) == len(tested)
 
 
 def mc_regression_configs() -> dict:
