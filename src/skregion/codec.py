@@ -53,9 +53,10 @@ __all__ = [
 #: Rate slack of the cover codewords over the mutual information they cover.
 COVER_SLACK = 0.05
 
-#: Most uint64 words one step of the typicality kernel ANDs together
-#: (counted cells x candidate pairs x words per sequence).  Bounds the
-#: kernel's temporaries; results do not depend on it.
+#: Most uint64 words in one tile of the typicality kernel (candidate rows x
+#: the other candidates x words per sequence; a tile holds at least one
+#: row).  Bounds the kernel's word buffers; results do not depend on it.
+#: The Monte Carlo batch size reads it too.
 _KERNEL_WORDS = 1 << 16
 
 
@@ -191,7 +192,11 @@ class JointTypicalityTest:
     popcount(bits_a[w_a] & bits_rest[w_rest]): the bitset of the positions
     where the candidate holds w's symbol, intersected with that of the
     positions where the other sequences spell the rest of w.  Only cells
-    whose bounds can fail (lo > 0 or hi < n) are counted.  Candidates may be
+    whose bounds can fail (lo > 0 or hi < n) are counted, against integer
+    bounds computed once: ceil(lo)..floor(hi), clipped to [0, n].  A cell
+    that no count satisfies makes every mask False; zero cells (upper bound
+    0) are tested first, as one OR of ANDs against 0, and the other cells
+    are counted only on the candidates that pass them.  Candidates may be
     given as (m, n) symbol arrays or as `SequenceBits` packed once by the
     caller.  Each fixed sequence is one length-n array, or a batch of B of
     them stacked as (B, n); a batch gives the masks a trailing axis of
@@ -217,8 +222,14 @@ class JointTypicalityTest:
         self.lo = n * p * (1.0 - eps) - COUNT_FUZZ
         self.hi = n * p * (1.0 + eps) + COUNT_FUZZ
         self.cells = np.flatnonzero((self.lo > 0) | (self.hi < n))
-        self._cell_lo = self.lo[self.cells, None, None]
-        self._cell_hi = self.hi[self.cells, None, None]
+        # a count c in 0..n lies in [lo, hi] exactly when it lies in [ceil(lo), floor(hi)]
+        lo = np.maximum(np.ceil(self.lo[self.cells]), 0)
+        hi = np.minimum(np.floor(self.hi[self.cells]), n)
+        self._void = bool((lo > hi).any())  # a cell that no count satisfies
+        self._zero = hi == 0                # cells that pass only at count 0
+        count = np.min_scalar_type(n)       # holds every count
+        self._cell_lo = lo.astype(count)
+        self._cell_span = np.maximum(hi - lo, 0).astype(count)
         # each counted cell's symbol of each variable
         self._symbols = {v: self.cells // self.strides[v] % self.cards[v] for v in self.names}
 
@@ -259,16 +270,61 @@ class JointTypicalityTest:
 
     def _counts_ok(self, bits_a: np.ndarray, va: np.ndarray, rest: np.ndarray) -> np.ndarray:
         """ok[i, j]: for every counted cell c, popcount(bits_a[va[c], i] & rest[c, j])
-        lies within c's bounds.  Cells are taken a group at a time."""
+        lies within c's integer bounds.
+
+        Rows i are taken in tiles of at most `_KERNEL_WORDS` words (at least
+        one row), through word buffers allocated once.  A zero cell passes
+        only where its AND is all zero, so a tile first ORs the ANDs of every
+        zero cell (grouped by symbol of a: a & r | a & r' = a & (r | r')) into
+        one buffer and tests it against 0 once; the other cells are then
+        counted only on the pairs that pass.
+        """
         ma, mb, words = bits_a.shape[1], rest.shape[1], bits_a.shape[2]
-        ok = np.ones((ma, mb), dtype=bool)
-        step = max(1, _KERNEL_WORDS // (ma * mb * words))
-        for start in range(0, len(self.cells), step):
-            part = slice(start, start + step)
-            hits = bits_a[va[part]][:, :, None, :] & rest[part, None, :, :]
-            counts = np.bitwise_count(hits)
-            counts = counts[..., 0] if words == 1 else counts.sum(axis=-1)
-            ok &= np.all((counts >= self._cell_lo[part]) & (counts <= self._cell_hi[part]), axis=0)
+        ok = np.zeros((ma, mb), dtype=bool)
+        if self._void or ma == 0 or mb == 0:
+            return ok
+        zero = self._zero
+        zero_rest = [(v, np.bitwise_or.reduce(rest[zero & (va == v)], axis=0))
+                     for v in sorted(set(va[zero].tolist()))]
+        counted = np.flatnonzero(~zero).tolist()
+        rows = min(ma, max(1, _KERNEL_WORDS // (mb * words)))
+        acc, hits = np.empty((2, rows * mb, words), dtype=np.uint64)
+        counts = np.empty((rows * mb, words), dtype=np.uint8)
+        flag = np.empty(rows * mb, dtype=bool)
+
+        def count(passed, a, rest_of, shape):
+            """passed &= lo <= popcount(a[va[c]] & rest_of(c)) <= hi for each
+            counted cell c, the AND being of `shape`."""
+            size = len(passed)
+            for c in counted:
+                np.bitwise_and(a[va[c]], rest_of(c), out=hits[:size].reshape(shape))
+                np.bitwise_count(hits[:size], out=counts[:size])
+                n_c = counts[:size, 0] if words == 1 else counts[:size].sum(
+                    axis=1, dtype=self._cell_lo.dtype)
+                np.subtract(n_c, self._cell_lo[c], out=n_c)  # below lo wraps past span
+                np.less_equal(n_c, self._cell_span[c], out=flag[:size])
+                passed &= flag[:size]
+
+        for i0 in range(0, ma, rows):
+            tile = ok[i0:i0 + rows].reshape(-1)
+            size = len(tile)
+            if not zero_rest:
+                tile[:] = True
+                count(tile, bits_a[:, i0:i0 + rows, None, :], lambda c: rest[c], (-1, mb, words))
+                continue
+            acc_t, hits_t = (buf[:size].reshape(-1, mb, words) for buf in (acc, hits))
+            for k, (v, r) in enumerate(zero_rest):
+                np.bitwise_and(bits_a[v, i0:i0 + rows, None, :], r, out=hits_t if k else acc_t)
+                if k:
+                    np.bitwise_or(acc_t, hits_t, out=acc_t)
+            np.equal(acc[:size, 0] if words == 1 else np.bitwise_or.reduce(acc[:size], axis=1),
+                     0, out=tile)
+            if counted:
+                pairs = np.flatnonzero(tile)
+                i, j = np.divmod(pairs, mb)
+                survive = np.ones(len(pairs), dtype=bool)
+                count(survive, bits_a[:, i0 + i], lambda c: rest[c, j], (-1, words))
+                tile[pairs] = survive
         return ok
 
     @staticmethod

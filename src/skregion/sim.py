@@ -531,6 +531,21 @@ class _OutcomeTable:
         return np.repeat(np.arange(len(self)), np.diff(self.start))
 
 
+def _unique(values: np.ndarray) -> tuple:
+    """`np.unique(values, return_index=True, return_inverse=True)` of a 1-D
+    array: its sorted distinct values, the first index of each and the
+    position of each entry among them.  One stable sort, not `np.unique`,
+    whose first call imports numpy.ma."""
+    order = np.argsort(values, kind="stable")
+    ordered = values[order]
+    new = np.empty(len(values), dtype=bool)
+    new[:1] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=new[1:])
+    inverse = np.empty(len(values), dtype=np.intp)
+    inverse[order] = np.cumsum(new) - 1
+    return ordered[new], order[new], inverse
+
+
 def _weigh_outcomes(chunks, dims: tuple) -> tuple:
     """Per-block encoder outcome distributions plus encoder-failure mass.
 
@@ -560,7 +575,7 @@ def _weigh_outcomes(chunks, dims: tuple) -> tuple:
         label = np.repeat(hit_labels, n_covers, axis=0)
         share = 1.0 / n_hits[block] / np.repeat(n_covers, n_covers)
         key = np.ravel_multi_index((block, *label.T, hit_covers), (blocks, *dims))
-        _, first, cell_of = np.unique(key, return_index=True, return_inverse=True)
+        _, first, cell_of = _unique(key)
         weight = np.zeros(len(first))
         np.add.at(weight, cell_of, share)
         counts.append(np.bincount(block[first], minlength=blocks))
@@ -695,7 +710,7 @@ def _masked_row_sums(rows: np.ndarray, source: np.ndarray, masks: np.ndarray,
     dense = np.flatnonzero(np.count_nonzero(rows, axis=1)[source] > 1)
     size_of = kept[mask_of[dense]]
     per = max(1, _CHUNK_ROW_ENTRIES // rows.shape[1])
-    for size in np.unique(size_of).tolist():
+    for size in _unique(size_of)[0].tolist():
         same = dense[size_of == size]
         for lo in range(0, len(same), per):
             u = same[lo:lo + per]
@@ -791,21 +806,25 @@ def _exact_side(inst: _Instance, user: int) -> ExactSide:
 def _decode_rows(test, cb, var: str, sequences, obs: str, blocks, fixed_of):
     """`decode_row(col, a)`: the key decoded from each of the observed `blocks`
     given column `col` and cover index `a`, or -1 where no candidate or more
-    than one is typical; computed once per (col, a).
+    than one is typical; computed once per column and distinct cover codeword.
 
     The candidates are `cb`'s sequences of variable `var` in the column, as
     rows of the packed `sequences`; `fixed_of(a)` gives the test's other
-    fixed sequences.
+    fixed sequences, which depend on `a` only through its cover codeword
+    `cb.u_codebook[a]`.
     """
+    first = {}  # cover codeword -> its first cover index
+    same = [first.setdefault(u.tobytes(), a) for a, u in enumerate(cb.u_codebook)]
     cache = {}
 
     def decode_row(col: int, a: int) -> np.ndarray:
-        if (col, a) not in cache:
+        key = (col, same[a])
+        if key not in cache:
             members = cb.column(col)
-            ok = test.pair_mask(var, sequences[members], obs, blocks, fixed_of(a))
+            ok = test.pair_mask(var, sequences[members], obs, blocks, fixed_of(key[1]))
             status, which = _unique_hits(ok)
-            cache[(col, a)] = np.where(status == OK, cb.triples[members[which], 0], -1)
-        return cache[(col, a)]
+            cache[key] = np.where(status == OK, cb.triples[members[which], 0], -1)
+        return cache[key]
 
     return decode_row
 
@@ -847,7 +866,7 @@ def _decoded_rows(decode_row, width: int, col: np.ndarray, cover: np.ndarray) ->
     distinct announced (c, a) = (col[u], cover[u]) in increasing order, and
     the row of each u."""
     stride = int(cover.max(initial=0)) + 1
-    pairs, decoded_of = np.unique(col * stride + cover, return_inverse=True)
+    pairs, _, decoded_of = _unique(col * stride + cover)
     decoded = np.empty((len(pairs), width), dtype=np.int64)
     for g, (c, a) in enumerate(zip(*(part.tolist() for part in np.divmod(pairs, stride)))):
         decoded[g] = decode_row(c, a)
@@ -875,9 +894,8 @@ def _exact_key_error(inst: _Instance, user: int) -> float | None:
     dims, pos = encoder.dims, 2 * encoder.users.index(user)  # `user`'s (key, column) labels
     # one mask per (column, cover, key) announced: where the decoded key differs
     col, cover, key = table.labels[:, pos + 1], table.cover, table.labels[:, pos]
-    _, first, group_of = np.unique(
-        np.ravel_multi_index((col, cover, key), (dims[pos + 1], dims[-1], dims[pos])),
-        return_index=True, return_inverse=True)
+    _, first, group_of = _unique(
+        np.ravel_multi_index((col, cover, key), (dims[pos + 1], dims[-1], dims[pos])))
     width = inst.full.variable(obs).cardinality ** cfg.n
     decoded, decoded_of = _decoded_rows(decode_row, width, col[first], cover[first])
     wrong = np.empty((len(first), width), dtype=bool)

@@ -18,6 +18,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import skregion.codec as codec
 import skregion.sim as sim
 from conftest import (
     oracle_covers,
@@ -225,6 +226,19 @@ def test_python_oracles_see_decode_misses(oracle_stages):
         assert (oracle_stages[name]["dec_fail"] > 0.0).any()
 
 
+@pytest.mark.parametrize("values", [[], [5], [3, 1, 3, 3, 0, 1, 7], list(range(9, -1, -1)),
+                                    [2] * 6], ids=["empty", "one", "repeats", "descending",
+                                                   "constant"])
+def test_unique_matches_numpy_unique(values):
+    # exact mode's sort-based stand-in for np.unique: same values, first
+    # indices and inverse
+    values = np.array(values, dtype=np.int64)
+    got = sim._unique(values)
+    expected = np.unique(values, return_index=True, return_inverse=True)
+    for g, e in zip(got, expected):
+        assert g.dtype == e.dtype and g.tolist() == e.tolist()
+
+
 def test_masked_row_sums_match_one_dimensional_sums(monkeypatch, rng):
     # rows with 0, 1 and many nonzero entries, masks keeping 0 to all of them
     rows = rng.random((12, 40)) * (rng.random((12, 40)) < 0.6)
@@ -262,6 +276,34 @@ def test_exact_report_computes_each_users_outcomes_once(monkeypatch):
     report = exact_report(config)
     assert report.err_L is not None  # the error path needs both users' outcomes
     assert sorted(calls) == [(1, 1), (1, 2), (2, 1), (2, 2)]
+
+
+def test_exact_decoder_calls_per_column_and_cover_codeword(monkeypatch):
+    # user 3's decoder tests each announced column once per distinct cover
+    # codeword, not once per cover index: a decode depends on the cover
+    # index only through its codeword, and the forward preset's U is
+    # constant, so its two cover codewords are one sequence
+    config = broadcast_forward_preset(11, seeds=(1,))
+    inst = _Instance(config, 1)
+    table, fail = sim._outcomes(inst, 1)
+    u = inst.cb1.u_codebook
+    announced = {(c, u[a].tobytes()) for c, a in zip(table.labels[:, 1].tolist(),
+                                                       table.cover.tolist())}
+    assert (fail > 0.0).any()  # so the fallback transcript (column 0, cover 0) is decoded too
+    announced.add((0, u[0].tobytes()))
+    calls = []
+    original = codec.JointTypicalityTest.pair_mask
+
+    def counted(self, name_a, cands_a, name_b, cands_b, fixed):
+        if fixed:  # the decoder's calls; the encoders' fix nothing
+            calls.append((name_a, name_b))
+        return original(self, name_a, cands_a, name_b, cands_b, fixed)
+
+    monkeypatch.setattr(codec.JointTypicalityTest, "pair_mask", counted)
+    exact_report(config)
+    assert len(u) == 2
+    assert set(calls) == {("S", "X3")}
+    assert len(calls) == len(announced) == 23
 
 
 def _report(name):

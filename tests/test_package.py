@@ -97,7 +97,9 @@ print(json.dumps(sorted(sys.modules)))
     (["region", "--direction", "forward", "--bound", "inner", "--cards", "S=2,T=2,U=1,V=1"],
      SIMULATOR + ["skregion.cases"]),
     (["verify"], SIMULATOR),
-], ids=["load", "region", "verify"])
+    (["simulate", "--direction", "forward", "--rate1", "0.405639", "--eps-enc", "0.75",
+      "--n", "6", "--mode", "exact"], ["numpy.ma"]),
+], ids=["load", "region", "verify", "simulate-exact"])
 def test_import_footprint(tmp_path, argv, absent):
     dist = tmp_path / "e3.dist"
     write_distribution(broadcast_source("X3", 0.25, 0.25), str(dist))

@@ -6,6 +6,7 @@ packed sequences.  Both must accept exactly the same tuples.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from hypothesis import given, settings, strategies as st
 import skregion.codec as codec
 from skregion.codec import JointTypicalityTest, SequenceBits, TypicalityParams
 from skregion.pmf import JointPmf, VariableId
+from skregion.sim import _Instance, broadcast_forward_preset
 
 NAMES = ("A", "B", "C")
 
@@ -98,12 +100,22 @@ def test_kernel_cases_include_typical_tuples():
     assert 0 < sum(ok) < len(ok)
 
 
-@pytest.mark.parametrize("kernel_words", [1, 7, 1 << 30])
-def test_kernel_grouping_does_not_change_masks(monkeypatch, kernel_words):
-    # cells are counted a group at a time; the group size bounds memory only
+@pytest.mark.parametrize("kernel_words, zero_cells", [
+    (1, False), (7, False), (1 << 30, False),
+    (1, True), (7, True), (24, True), (1 << 30, True),
+], ids=["1", "7", "1073741824", "1-zero-cells", "7-zero-cells", "24-zero-cells",
+        "1073741824-zero-cells"])
+def test_kernel_grouping_does_not_change_masks(monkeypatch, kernel_words, zero_cells):
+    # cells are counted a tile of rows at a time; the tile size bounds memory
+    # only.  With zero cells, tiles of one row, of 2 rows (`pair_mask`, 24
+    # words) or 3 rows (`mask`, 7 words; n = 90 takes 2 words a sequence) and
+    # of every row run the zero-cell pass, then count the surviving pairs.
     rng = np.random.default_rng(3)
-    joint = JointPmf(tuple(VariableId(v, c) for v, c in zip(NAMES, (3, 2, 2))),
-                     rng.dirichlet(np.ones(12)).reshape(3, 2, 2))
+    table = rng.dirichlet(np.ones(12)).reshape(3, 2, 2)
+    if zero_cells:
+        table[0, 1, 1] = table[2, 0, 0] = 0.0
+        table /= table.sum()
+    joint = JointPmf(tuple(VariableId(v, c) for v, c in zip(NAMES, (3, 2, 2))), table)
     params = TypicalityParams(90, 1.0)
     tuples = _tuples(joint, params.n, rng, 6)
     a, b, c = tuples[:, 0], tuples[:, 1], tuples[0, 2]
@@ -113,6 +125,9 @@ def test_kernel_grouping_does_not_change_masks(monkeypatch, kernel_words):
     assert np.array_equal(test.pair_mask("A", a, "B", b, {"C": c}), reference[0])
     assert np.array_equal(test.mask("A", a, {"B": b[0], "C": c}), reference[1])
     assert reference[0].any()
+    if zero_cells:  # some pairs fail a zero cell; the survivors are counted
+        expected = [[test.check({"A": ai, "B": bj, "C": c}) for bj in b] for ai in a]
+        assert reference[0].tolist() == expected and not reference[0].all()
 
 
 @settings(max_examples=100, deadline=None)
@@ -136,3 +151,58 @@ def test_batched_fixed_matches_per_row_calls(case):
 
     got = test.mask("A", a[:0], {"B": b, "C": c})
     assert got.shape == (0, 4)
+
+
+# (n, p, eps) of a two-cell joint (p, 1 - p), then how many counts of the
+# first cell COUNT_FUZZ decides, and whether any count fits its window; the
+# comment gives that cell's float window n p (1 -+ eps) before the fuzz
+WINDOW_EDGES = [
+    pytest.param(14, 5 / 9, 0.1, 1, True, id="lo-above-7"),     # lo 7.000000000000001
+    pytest.param(5, 1 / 3, 0.2, 1, True, id="hi-below-2"),      # hi 1.9999999999999998
+    pytest.param(6, 0.4, 0.25, 0, True, id="hi-above-3"),       # hi 3.0000000000000004
+    pytest.param(5, 2 / 7, 0.3, 0, True, id="lo-below-1"),      # lo 0.9999999999999998
+    pytest.param(8, 0.25, 0.5, 0, True, id="exact-1-3"),        # lo 1.0 and hi 3.0
+    pytest.param(10, 0.15, 0.1, 0, False, id="no-integer"),     # [1.35, 1.65]
+    pytest.param(19, 0.1, 0.05, 0, False, id="no-integer-n19"),  # [1.805, 1.995]
+    pytest.param(12, 0.0, 0.5, 0, True, id="zero-cell"),        # [0, 0]
+]
+
+
+@pytest.mark.parametrize("n, p, eps, decided, fits", WINDOW_EDGES)
+def test_integer_bounds_match_float_window(n, p, eps, decided, fits):
+    # one candidate per count c = 0..n of symbol 0 (the other cell counts
+    # n - c): the kernel's integer bounds must decide every count as the
+    # float test lo <= c <= hi does
+    joint = JointPmf((VariableId("A", 2), VariableId("B", 1)), np.array([[p], [1.0 - p]]))
+    test = JointTypicalityTest(joint, TypicalityParams(n, eps))
+    cands = (np.arange(n)[None, :] >= np.arange(n + 1)[:, None]).astype(np.int8)
+    counts = np.stack([np.arange(n + 1), n - np.arange(n + 1)], axis=1)
+    within = (test.lo <= counts) & (counts <= test.hi)
+    expected = within.all(axis=1).tolist()
+    b = np.zeros((1, n), dtype=np.int8)
+    assert test.mask("A", cands, {"B": b[0]}).tolist() == expected
+    assert test.pair_mask("A", cands, "B", b, {})[:, 0].tolist() == expected
+    assert [test.check({"A": row, "B": b[0]}) for row in cands] == expected
+    # the case is the edge it says it is
+    c = counts[:, 0]
+    fuzzless = (n * p * (1.0 - eps) <= c) & (c <= n * p * (1.0 + eps))
+    assert np.count_nonzero(fuzzless != within[:, 0]) == decided
+    assert within[:, 0].any() == fits
+
+
+def test_encoder_sized_pair_mask_memory():
+    # simulate-exact's encoder at n = 11: every block against a codebook of
+    # 2024 sequences.  Beyond its (2048, 2024) result the kernel holds its
+    # tile buffers (two of `_KERNEL_WORDS` words, 1 MiB) and little else; a
+    # (blocks x codewords) uint64 temporary per cell would be 31.6 MiB.
+    encoder = _Instance(broadcast_forward_preset(11, seeds=(1,)), 1).coders()[0]
+    blocks = codec._all_sequences(2, 11)
+    assert encoder.size == 2024
+    tracemalloc.start()
+    try:
+        ok = encoder.typical(blocks)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert ok.shape == (2048, 2024)
+    assert peak < ok.nbytes + 2 * 2**20
