@@ -562,21 +562,18 @@ def enumerate_region(base: JointPmf, family: str, grid: GridSpec, *,
 
 
 def single_key_capacity(base: JointPmf, direction: str, grid: GridSpec) -> float:
-    """Single-key capacity bound with the other user reduced to wiretapping.
+    """Single-key capacity bound with the other user reduced to wiretapping:
+    the two-key bound's largest r1 with the other key trivial (T and V
+    constant), over `grid`'s S, U and q.
 
     forward: max over p(s|x1), p(u|s) of I(S;X3|U) - I(S;X2|U) (clamped);
     backward: max over p(s|x3), p(u|s) of I(S;X1|U) - I(S;X2|U).
     """
     if direction not in ("forward", "backward"):
         raise PmfError(f"direction must be forward or backward, got {direction!r}")
-    src = "X1" if direction == "forward" else "X3"
-    target = "X3" if direction == "forward" else "X1"
-    s = VariableId("S", grid.card_s)
-    u = VariableId("U", grid.card_u)
-    layers = _lattice_layers(base, [((src,), (s,)), (("S",), (u,))], grid.q)
-    (values,) = _evaluate_lattice(base, layers, lambda h: (
-        h.cmi(("S",), (target,), ("U",)) - h.cmi(("S",), ("X2",), ("U",)),))
-    return max(0.0, float(values.max()))
+    family = "forward-outer" if direction == "forward" else "backward-inner"
+    trivial_partner = GridSpec(grid.card_s, 1, grid.card_u, 1, grid.q)
+    return max(c.r1_max for c in lattice_constraint_sets(base, family, trivial_partner))
 
 
 # ---------------------------------------------------------------------------

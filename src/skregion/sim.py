@@ -202,51 +202,33 @@ def sample_sources(base: JointPmf, n: int, rng: np.random.Generator) -> tuple:
                  _draw_sources(base, _source_cdf(base), n, GeneratorLanes([rng])))
 
 
-def _entropy_counts(counter: Counter) -> float:
-    total = sum(counter.values())
-    if total == 0:
-        return 0.0
-    h = 0.0
-    for c in counter.values():
-        p = c / total
-        h -= p * np.log2(p)
-    return float(h)
+def _plugin(pairs: Counter) -> tuple:
+    """Plug-in (H(K), I(K; V)) in bits from the counts of (key, view) pairs.
 
-
-def _plugin_mi(pairs: Counter) -> float:
+    H(K) is the entropy of the pairs' key marginal; each sum adds its terms
+    in first-seen order, which for the keys is the order of the trials.
+    """
     total = sum(pairs.values())
     if total == 0:
-        return 0.0
+        return 0.0, 0.0
     left = Counter()
     right = Counter()
     for (k, v), c in pairs.items():
         left[k] += c
         right[v] += c
+    h = 0.0
+    for c in left.values():
+        p = c / total
+        h -= p * np.log2(p)
     mi = 0.0
     for (k, v), c in pairs.items():
         mi += (c / total) * np.log2(c * total / (left[k] * right[v]))
-    return float(max(0.0, mi))
+    return float(h), float(max(0.0, mi))
 
 
-def _crc32_table() -> np.ndarray:
-    """zlib's CRC-32 byte table (reflected polynomial 0xEDB88320)."""
-    crc = np.arange(256, dtype=np.uint32)
-    for _ in range(8):
-        crc = np.where(crc & 1, (crc >> 1) ^ np.uint32(0xEDB88320), crc >> 1)
-    return crc
-
-
-_CRC32_TABLE = _crc32_table()
-
-
-def _hash16(blocks: np.ndarray) -> np.ndarray:
-    """Per row of the (B, n) int8 `blocks`, the low 16 bits of `zlib.crc32`
-    of its bytes, one table lookup per position for the whole batch."""
-    data = np.asarray(blocks, dtype=np.int8).view(np.uint8)
-    crc = np.full(len(data), 0xFFFFFFFF, dtype=np.uint32)
-    for byte in data.T:
-        crc = _CRC32_TABLE[(crc ^ byte) & 0xFF] ^ (crc >> 8)
-    return ~crc & 0xFFFF
+def _block_values(blocks: np.ndarray) -> np.ndarray:
+    """Each row of the C-ordered (B, n) int8 `blocks` as one n-byte value."""
+    return blocks.view(f"V{blocks.shape[1]}")[:, 0]
 
 
 # ---------------------------------------------------------------------------
@@ -254,7 +236,7 @@ def _hash16(blocks: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 class _Tally:
-    __slots__ = ("trials", "err_k", "err_l", "fails", "k_view", "l_view", "k_counts", "l_counts")
+    __slots__ = ("trials", "err_k", "err_l", "fails", "k_view", "l_view")
 
     def __init__(self):
         self.trials = 0
@@ -263,32 +245,28 @@ class _Tally:
         self.fails = Counter()
         self.k_view = Counter()
         self.l_view = Counter()
-        self.k_counts = Counter()
-        self.l_counts = Counter()
 
     def sides(self, inst: "_Instance") -> tuple:
         """The plug-in estimates of both keys, as (user 1's side, user 2's side)."""
         n = inst.config.n
         out = []
-        for cb, err, view, counts in ((inst.cb1, self.err_k, self.k_view, self.k_counts),
-                                      (inst.cb2, self.err_l, self.l_view, self.l_counts)):
+        for cb, err, view in ((inst.cb1, self.err_k, self.k_view),
+                              (inst.cb2, self.err_l, self.l_view)):
             keyspace = np.log2(cb.n_key) / n
-            h = _entropy_counts(counts)
-            out.append(ExactSide(_plugin_mi(view) / n, max(0.0, keyspace - h / n), h / n,
-                                 keyspace, err / self.trials))
+            h, mi = _plugin(view)
+            out.append(ExactSide(mi / n, max(0.0, keyspace - h / n), h / n, keyspace,
+                                 err / self.trials))
         return tuple(out)
 
     def record(self, k, l, k_public: tuple, l_public: tuple) -> None:
         """One batch's keys and views, added in trial order.
 
-        A view is (key, public indices): `k_public` and `l_public` are tuples
-        of per-trial arrays, the indices each key's eavesdropper sees.  Trial
+        Each counter holds (key, view) pairs: `k_public` and `l_public` are
+        tuples of per-trial arrays, what each key's eavesdropper sees.  Trial
         order keeps each counter's first-seen order, which fixes the order in
         which the estimates add.
         """
         k, l = k.tolist(), l.tolist()
-        self.k_counts.update(k)
-        self.l_counts.update(l)
         self.k_view.update(zip(k, zip(*(p.tolist() for p in k_public))))
         self.l_view.update(zip(l, zip(*(p.tolist() for p in l_public))))
 
@@ -404,7 +382,7 @@ class _Instance:
             tally.count_failures(f"enc{user}_", status)
             sent.append(_announce(lanes, status, encode, hit, cover))
         ((k,), (kp,), a, failed_k), ((l,), (lp,), b, failed_l) = sent
-        tally.record(k, l, (kp, a, _hash16(x2)), (lp, b, _hash16(x1)))
+        tally.record(k, l, (kp, a, _block_values(x2)), (lp, b, _block_values(x1)))
 
         status, k_hat, l_hat = decode.resolve(x3, kp, a, lp, b)
         tally.count_failures("decode_", status)
@@ -418,7 +396,7 @@ class _Instance:
         tally.count_failures("enc3_", status)
         # a failed encoding draws both keys from user 3's private randomness, and both err
         (k, l), (kp, lp), a, failed = _announce(lanes, status, encode, hit, cover)
-        tally.record(k, l, (kp, lp, a, _hash16(x2)), (kp, lp, a, _hash16(x1)))
+        tally.record(k, l, (kp, lp, a, _block_values(x2)), (kp, lp, a, _block_values(x1)))
         tally.err_k += int(failed.sum())
         tally.err_l += int(failed.sum())
 
@@ -796,11 +774,10 @@ def _exact_side(inst: _Instance, user: int) -> ExactSide:
     cfg = inst.config
     n = cfg.n
     cb = inst.cb1 if user == 1 else inst.cb2
-    joint = _view_joint(inst, user)
-    leak = _mi_first_axis(joint) / n
-    h_key = _h(joint.sum(axis=tuple(range(1, joint.ndim))))
+    leak, h_key = _mi_first_axis(_view_joint(inst, user))
     gap = max(0.0, (np.log2(cb.n_key) - h_key) / n)
-    return ExactSide(leak, gap, h_key / n, np.log2(cb.n_key) / n, _exact_key_error(inst, user))
+    return ExactSide(leak / n, gap, h_key / n, np.log2(cb.n_key) / n,
+                     _exact_key_error(inst, user))
 
 
 def _decode_rows(test, cb, var: str, sequences, obs: str, blocks, fixed_of):
@@ -971,12 +948,14 @@ def _h(p: np.ndarray) -> float:
     return float(-lg.sum())
 
 
-def _mi_first_axis(joint: np.ndarray) -> float:
+def _mi_first_axis(joint: np.ndarray) -> tuple:
+    """(I(K; V), H(K)) in bits of a joint whose first axis is K and whose
+    other axes together are V."""
     flat = joint.reshape(joint.shape[0], -1)
     total = _h(flat.reshape(-1))
     hk = _h(flat.sum(axis=1))
     hv = _h(flat.sum(axis=0))
-    return max(0.0, hk + hv - total)
+    return max(0.0, hk + hv - total), hk
 
 
 def exact_leakage(config: SimConfig) -> tuple:

@@ -413,7 +413,20 @@ def test_exact_view_joint_backward_gives_report_leakage(make):
             cb = inst.cb1 if user == 1 else inst.cb2
             assert joint.shape == (cb.n_key, 2 ** 6, inst.cb1.n_col, inst.cb2.n_col,
                                    len(cb.u_codebook))
-            assert sim._mi_first_axis(joint) / config.n == row[f"leak_{suffix}"]
+            assert sim._mi_first_axis(joint)[0] / config.n == row[f"leak_{suffix}"]
+
+
+@pytest.mark.parametrize("config", [
+    broadcast_forward_preset(4, flip_tap=0.1), broadcast_forward_preset(7),
+    _two_key_config(5), broadcast_backward_preset(5), _live_t_backward_config(4),
+], ids=["forward-4-0.1", "forward-7", "forward-two-key-5", "backward-5", "backward-live-t-4"])
+def test_mi_first_axis_key_entropy_is_the_key_marginal(config):
+    # the H(K) that the leakage computation returns equals, bit for bit, the
+    # entropy of the view joint summed over every view axis
+    for user in (1, 2):
+        joint = exact_view_joint(config, 1, user)
+        key_law = joint.sum(axis=tuple(range(1, joint.ndim)))
+        assert sim._mi_first_axis(joint)[1].hex() == sim._h(key_law).hex()
 
 
 def test_forward_exact_report_holds_no_dense_block_pair_table():

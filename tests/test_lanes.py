@@ -5,14 +5,12 @@
 any of those draws fails here before it can move a Monte Carlo report.
 """
 
-import zlib
-
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from skregion._lanes import GeneratorLanes, PCG64Lanes
-from skregion.sim import TRIAL_SEED, _hash16
+from skregion.sim import TRIAL_SEED
 
 LANES = 3
 
@@ -89,9 +87,3 @@ def test_lanes_refuse_what_they_cannot_replay():
         with pytest.raises(ValueError):
             lanes.integers([bad], [0])
 
-
-@settings(max_examples=50, deadline=None)
-@given(st.integers(0, 40), st.integers(1, 64), st.integers(1, 4), st.integers(0, 2**32 - 1))
-def test_hash16_is_crc32_of_each_row(batch, n, card, seed):
-    blocks = np.random.default_rng(seed).integers(0, card, size=(batch, n)).astype(np.int8)
-    assert _hash16(blocks).tolist() == [zlib.crc32(row.tobytes()) & 0xFFFF for row in blocks]

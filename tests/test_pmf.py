@@ -183,17 +183,6 @@ def test_chain_rule_on_random_pmfs(rng):
         assert cmi(p, ("X1",), ("X2",), ("X3",)) >= 0.0
 
 
-def test_data_processing_under_extend(rng):
-    for _ in range(10):
-        p = random_pmf(rng, (2, 2, 2))
-        rows = np.stack([rng.dirichlet(np.ones(3)) for _ in range(2)])
-        joint = p.extend(Channel(("X1",), (VariableId("S", 3),), rows))
-        for other in ("X2", "X3"):
-            i_s = mutual_information(joint, ("S",), (other,))
-            i_x = mutual_information(joint, ("X1",), (other,))
-            assert i_s <= i_x + 1e-10
-
-
 def test_marginalize_then_entropy_commutes(rng):
     p = random_pmf(rng, (3, 2, 4))
     sub = p.marginalize({"X1", "X3"})
@@ -310,14 +299,17 @@ def channel_matrices(draw, rows):
 @settings(max_examples=60, deadline=None)
 @given(st.data())
 def test_data_processing_through_extend(data):
-    # Y depends on the source through X3 alone, so I(X1; Y) <= I(X1; X3)
+    # Y depends on the source through one variable alone, so the MI of any
+    # other variable with Y is at most its MI with that one
     names = ("X1", "X2", "X3")
     tables = data.draw(joint_tables(names))
     base = JointPmf(tuple(VariableId(v, c) for v, c in zip(names, tables.shape[1:])), tables[0])
-    mat = data.draw(channel_matrices(base.variable("X3").cardinality))
-    full = base.extend(Channel(("X3",), (VariableId("Y", mat.shape[1]),), mat))
-    assert mutual_information(full, ("X1",), ("Y",)) <= (
-        mutual_information(base, ("X1",), ("X3",)) + ENTROPY_ROUNDOFF)
+    src = data.draw(st.sampled_from(names))
+    other = data.draw(st.sampled_from([v for v in names if v != src]))
+    mat = data.draw(channel_matrices(base.variable(src).cardinality))
+    full = base.extend(Channel((src,), (VariableId("Y", mat.shape[1]),), mat))
+    assert mutual_information(full, (other,), ("Y",)) <= (
+        mutual_information(base, (other,), (src,)) + ENTROPY_ROUNDOFF)
 
 
 @settings(max_examples=60, deadline=None)

@@ -1,5 +1,6 @@
 import json
 import math
+from collections import Counter
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -26,6 +27,7 @@ from skregion.sim import (
     _Instance,
     _Tally,
     _draw_sources,
+    _plugin,
     _source_cdf,
     broadcast_backward_preset,
     broadcast_forward_preset,
@@ -292,7 +294,8 @@ def test_trial_failure_taxonomy(direction, coder, exc, key, errs):
         keys = [int(expected.integers(cb.n_key)) for cb in (inst.cb1, inst.cb2)]
     assert dict(tally.fails) == {key: 1}
     assert (tally.trials, tally.err_k, tally.err_l) == (1, *errs)
-    assert (dict(tally.k_counts), dict(tally.l_counts)) == ({keys[0]: 1}, {keys[1]: 1})
+    assert ([(k, c) for (k, _), c in tally.k_view.items()],
+            [(l, c) for (l, _), c in tally.l_view.items()]) == ([(keys[0], 1)], [(keys[1], 1)])
     assert lanes.state(0) == expected.bit_generator.state
 
 
@@ -444,6 +447,61 @@ def test_mc_kernel_calls_per_batch(monkeypatch):
     cover_tables = 2  # the encoders' cover tables, built once per codebook seed
     assert batches > 1
     assert len(calls) <= cover_tables + batches * (2 + inst.cb1.n_col * inst.cb2.n_col)
+
+
+def test_mc_view_holds_the_eavesdropper_block():
+    # these two X2 blocks share the low 16 bits of their CRC-32 (55311); as
+    # user 1's eavesdropper sees them, they are two views, not one
+    inst = _Instance(identity_preset(15, trials=2), 1)
+    x2 = np.array([[0, 0, 1, 1, 1, 0, 1, 0, 0, 1, 0, 1, 0, 1, 0], [1] + [0] * 14], dtype=np.int8)
+    x1 = np.zeros_like(x2)
+    tally = _Tally()
+    inst._forward_batch(PCG64Lanes((TRIAL_SEED, 1), [0, 1]), tally, x1, x2, x1)
+    assert len({view[-1] for _, view in tally.k_view}) == 2
+
+
+def _entropy_counts(counter: Counter) -> float:
+    """The key entropy estimator before it read the (key, view) counts."""
+    total = sum(counter.values())
+    if total == 0:
+        return 0.0
+    h = 0.0
+    for c in counter.values():
+        p = c / total
+        h -= p * np.log2(p)
+    return float(h)
+
+
+def _plugin_mi(pairs: Counter) -> float:
+    """The leakage estimator before it also returned the key entropy."""
+    total = sum(pairs.values())
+    if total == 0:
+        return 0.0
+    left = Counter()
+    right = Counter()
+    for (k, v), c in pairs.items():
+        left[k] += c
+        right[v] += c
+    mi = 0.0
+    for (k, v), c in pairs.items():
+        mi += (c / total) * np.log2(c * total / (left[k] * right[v]))
+    return float(max(0.0, mi))
+
+
+views = st.tuples(st.integers(0, 3), st.binary(min_size=1, max_size=2))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 5), views, st.integers(1, 10**6)), max_size=40))
+def test_plugin_matches_separate_key_and_pair_estimators(runs):
+    # each run is c trials of one (key, view) pair, recorded in run order
+    # into the pair counts and, as the tally once did, into separate key counts
+    pairs, keys = Counter(), Counter()
+    for k, v, c in runs:
+        pairs[k, v] += c
+        keys[k] += c
+    got = _plugin(pairs)
+    assert [x.hex() for x in got] == [_entropy_counts(keys).hex(), _plugin_mi(pairs).hex()]
 
 
 # ---------------------------------------------------------------------------
