@@ -10,30 +10,36 @@ verify     diagnose source chains, evaluate the applicable closed-form case
            regions, and check coincidence against the computed bounds
 lemmas     fuzz the chain-split inequality on random joints
 
-Every output directory receives a manifest.json describing the run; outputs
-are deterministic functions of the manifest (output paths and wall-clock
-never influence file contents).  Files are written to a temporary name and
+Every output directory receives a manifest.json describing the run: every
+parsed flag except the execution details `--threads` and `--out` (with
+`--dist` as its base name and `simulate`'s resolved `--eps-enc` and
+`--eps-dec`), the seeds, and the input file's digest.  Outputs are
+deterministic functions of the manifest (output paths and wall-clock never
+influence file contents).  Files are written to a temporary name and
 atomically renamed, so failed runs leave no partial files.  The
 SKREGION_BUDGET environment variable sets the dense-table entry budget.
-`region` and `simulate` both accept `--threads` and ignore it.  Each
-subcommand imports the modules it runs when it starts: only `simulate` loads
-the protocol simulator (`sim`, `codec`, `_lanes`), and `region` loads neither
-it nor `cases`.
+`region` and `simulate` both accept `--threads` and ignore it.  `region
+--hull` adds the frontier's time-sharing hull for every bound, the explicit
+one included.  Each subcommand imports the modules it runs when it starts:
+only `simulate` loads the protocol simulator (`sim`, `codec`, `_lanes`), and
+`region` loads neither it nor `cases`.
 
 Exit codes: 0 ok, 2 malformed input (distribution file, flag or
 SKREGION_BUDGET), 3 budget exceeded, 4 infeasible rates, 5 claimed
-coincidence failed, 6 lemma violation.  Flags are checked before any
-computation and before the output directory is created: `--grid-q`, `--n`
-and `--trials` must be >= 1; `--draws`, `--seed` and each of `--seeds`
->= 0, and no seed may repeat in `--seeds` nor a name in `--cards`; `--tol`,
-`--rate1`, `--rate2` and `--margin` finite and >= 0; `--eps-enc` and
-`--eps-dec` finite and > 0.
+coincidence failed, 6 lemma violation.  Input is checked before any
+computation and before the output directory is created; SKREGION_BUDGET and
+the numeric flags (`_FLAG_BOUNDS`) before the distribution file is read.
+An integer read from text (a `.dist` cardinality or cell index, a `--cards`
+value, a `--seeds` item, SKREGION_BUDGET) is ASCII digits alone: no sign,
+underscore or other digit set; `--cards` and `--seeds` items may be padded
+with spaces.  No seed may repeat in `--seeds` nor a name in `--cards`.
 
 Every JSON output is exactly `json.dumps(doc, sort_keys=True, indent=2)`
 text plus a newline, written by `_json_text`.
 """
 
 import argparse
+import functools
 import hashlib
 import math
 import os
@@ -44,7 +50,7 @@ from json.encoder import encode_basestring_ascii
 import numpy as np
 
 from . import __version__
-from .pmf import BudgetExceededError, Channel, JointPmf, VariableId, entry_budget
+from .pmf import BudgetExceededError, Channel, JointPmf, VariableId, _ascii_int, entry_budget
 from .sources import triple_from_table
 from .tolerances import CHAIN_TOL, CLOSED_FORM_TOL, NORMALIZATION_TOL
 
@@ -89,22 +95,26 @@ def parse_distribution(text: str) -> JointPmf:
             cards = []
             for name, tok in zip(("X1", "X2", "X3"), parts[1:]):
                 key, _, val = tok.partition("=")
-                if key != name or not (val.isascii() and val.isdigit()) or int(val) < 1:
+                card = _ascii_int(val)
+                if key != name or not card:
                     raise DistributionFormatError(f"line {lineno}: bad variable spec {tok!r}")
-                cards.append(int(val))
+                cards.append(card)
             header = tuple(cards)
             table = np.zeros(header)
             continue
         parts = line.split()
         if len(parts) != 4:
             raise DistributionFormatError(f"line {lineno}: expected 'x1 x2 x3 prob', got {raw!r}")
+        idx = tuple(_ascii_int(p) for p in parts[:3])
+        if None in idx:
+            i = idx.index(None)
+            raise DistributionFormatError(f"line {lineno}: bad X{i + 1} index {parts[i]!r}")
         try:
-            idx = tuple(int(p) for p in parts[:3])
             prob = float(parts[3])
         except ValueError as exc:
             raise DistributionFormatError(f"line {lineno}: {exc}") from None
         for i, (v, c) in enumerate(zip(idx, header)):
-            if not 0 <= v < c:
+            if v >= c:
                 raise DistributionFormatError(
                     f"line {lineno}: index {v} out of range for X{i + 1} (cardinality {c})")
         if not math.isfinite(prob):
@@ -266,19 +276,30 @@ def _digest(path: str) -> str:
     return "sha256:" + h.hexdigest()
 
 
-def _write_manifest(outdir: str, subcommand: str, flags: dict, seeds, dist_path) -> None:
+#: parsed attributes kept out of a manifest's flags: the subcommand and its
+#: handler, the execution details, which never change an output, and
+#: --seeds, which has its own entry
+_NOT_FLAGS = ("command", "func", "threads", "out", "seeds")
+
+
+def _write_manifest(args, seeds, **resolved) -> None:
+    """Write `args.out`/manifest.json.  Its flags are every parsed flag of
+    the subcommand, with `dist` as its base name, then `resolved` (values
+    the subcommand derived from its flags) over them."""
+    flags = {k: v for k, v in vars(args).items() if k not in _NOT_FLAGS}
+    if "dist" in flags:
+        flags["dist"] = os.path.basename(args.dist)
+    flags.update(resolved)
     manifest = {
         "schema": 1,
         "tool": "skregion",
         "version": __version__,
-        "subcommand": subcommand,
-        # execution details (threads, output paths) never enter the
-        # manifest: identical manifests must reproduce identical outputs
-        "flags": {k: v for k, v in sorted(flags.items())},
+        "subcommand": args.command,
+        "flags": flags,
         "seeds": list(seeds),
-        "input_digest": _digest(dist_path) if dist_path else None,
+        "input_digest": _digest(args.dist) if "dist" in flags else None,
     }
-    _atomic_write(os.path.join(outdir, "manifest.json"), _json_text(manifest))
+    _atomic_write(os.path.join(args.out, "manifest.json"), _json_text(manifest))
 
 
 def _fmt_rate(x: float) -> str:
@@ -304,20 +325,6 @@ def _cset_json(c) -> dict:
 # Subcommands
 # ---------------------------------------------------------------------------
 
-def _at_least(value: int, low: int, flag: str) -> int:
-    if value < low:
-        raise InputError(f"{flag} must be >= {low}, got {value}")
-    return value
-
-
-def _finite(value: float, flag: str, *, positive: bool = False) -> float:
-    """`value` if it is finite and >= 0, or > 0 when `positive`."""
-    if not math.isfinite(value) or value < 0.0 or (positive and value == 0.0):
-        raise InputError(f"{flag} must be finite and {'>' if positive else '>='} 0, "
-                         f"got {value!r}")
-    return value
-
-
 def _parse_cards(text: str | None, base: JointPmf) -> "GridSpec":
     from .region import GridSpec
 
@@ -326,59 +333,52 @@ def _parse_cards(text: str | None, base: JointPmf) -> "GridSpec":
     spec = {}
     for tok in text.split(","):
         key, _, val = tok.strip().partition("=")
-        if (key not in ("S", "T", "U", "V") or not (val.isascii() and val.isdigit())
-                or int(val) < 1):
+        card = _ascii_int(val)
+        if key not in ("S", "T", "U", "V") or not card:
             raise InputError(f"bad --cards entry {tok!r}")
         if key in spec:
             raise InputError(f"--cards repeats {key}: {text!r}")
-        spec[key] = int(val)
+        spec[key] = card
     return GridSpec(spec.get("S", 2), spec.get("T", 2), spec.get("U", 1), spec.get("V", 1), 1)
 
 
 def cmd_region(args) -> int:
-    from .region import GridSpec, enumerate_region, explicit_outer, pareto_frontier
+    from .region import (
+        GridSpec,
+        RatePoint,
+        RateRegion,
+        enumerate_region,
+        explicit_outer,
+        pareto_frontier,
+        upper_concave_envelope,
+    )
 
     base = load_distribution(args.dist)
     grid = _parse_cards(args.cards, base)
-    grid = GridSpec(grid.card_s, grid.card_t, grid.card_u, grid.card_v,
-                    _at_least(args.grid_q, 1, "--grid-q"))
     if args.bound == "explicit":
-        cset = explicit_outer(base)
-        frontier = pareto_frontier([cset])
-        doc = {
-            "schema": 1,
-            "direction": args.direction,
-            "bound": "explicit",
-            "points": [{"constraints": _cset_json(cset), "channels": None}],
-            "frontier": [[r1, r2] for r1, r2 in frontier],
-            "meta": {"family": "explicit-outer"},
-        }
+        cset = explicit_outer(base)  # a closed form: one point, no channels
+        region = RateRegion([RatePoint(cset, {"channels": None})], pareto_frontier([cset]),
+                            meta={"family": "explicit-outer"})
     else:
-        family = f"{args.direction}-{args.bound}"
-        region = enumerate_region(base, family, grid, hull=args.hull)
-        doc = {
-            "schema": 1,
-            "direction": args.direction,
-            "bound": args.bound,
-            "points": [
-                {"constraints": _cset_json(p.constraints), "channels": p.descriptor["channels"]}
-                for p in region.points
-            ],
-            "frontier": [[r1, r2] for r1, r2 in region.frontier],
-            "meta": region.meta,
-        }
-        if args.hull:
-            doc["hull"] = [[x, y] for x, y in region.hull]
-        frontier = region.frontier
-    os.makedirs(args.out, exist_ok=True)
-    _write_manifest(args.out, "region", {
-        "dist": os.path.basename(args.dist), "direction": args.direction,
-        "bound": args.bound, "grid_q": args.grid_q, "cards": args.cards,
-        "hull": args.hull,
-    }, [], args.dist)
-    _atomic_write(os.path.join(args.out, "frontier.csv"), frontier_csv(frontier))
+        grid = GridSpec(grid.card_s, grid.card_t, grid.card_u, grid.card_v, args.grid_q)
+        region = enumerate_region(base, f"{args.direction}-{args.bound}", grid)
+    doc = {
+        "schema": 1,
+        "direction": args.direction,
+        "bound": args.bound,
+        "points": [
+            {"constraints": _cset_json(p.constraints), "channels": p.descriptor["channels"]}
+            for p in region.points
+        ],
+        "frontier": [[r1, r2] for r1, r2 in region.frontier],
+        "meta": region.meta,
+    }
+    if args.hull:
+        doc["hull"] = [[x, y] for x, y in upper_concave_envelope(region.frontier)]
+    _write_manifest(args, [])
+    _atomic_write(os.path.join(args.out, "frontier.csv"), frontier_csv(region.frontier))
     _atomic_write(os.path.join(args.out, "region.json"), _json_text(doc))
-    print(f"wrote {args.out}/frontier.csv ({len(frontier)} vertices)")
+    print(f"wrote {args.out}/frontier.csv ({len(region.frontier)} vertices)")
     return EXIT_OK
 
 
@@ -402,23 +402,12 @@ def cmd_simulate(args) -> int:
     from .sim import EpsParams, SimConfig, exact_report, run_trials
 
     base = load_distribution(args.dist)
-    _at_least(args.n, 1, "--n")
-    _at_least(args.trials, 1, "--trials")
-    for flag, value in (("--rate1", args.rate1), ("--rate2", args.rate2),
-                        ("--margin", args.margin)):
-        _finite(value, flag)
-    for flag, value in (("--eps-enc", args.eps_enc), ("--eps-dec", args.eps_dec)):
-        if value is not None:
-            _finite(value, flag, positive=True)
     channels = _default_channels(base, args.direction, args.rate2)
     eps_enc = args.eps_enc if args.eps_enc is not None else max(0.25, 2.0 * args.margin)
     eps_dec = args.eps_dec if args.eps_dec is not None else max(3.0, 2.0 * args.margin)
-    try:
-        seeds = tuple(int(s) for s in args.seeds.split(","))
-    except ValueError:
-        raise InputError(f"bad --seeds {args.seeds!r}") from None
-    for seed in seeds:
-        _at_least(seed, 0, "each of --seeds")
+    seeds = tuple(_ascii_int(s.strip()) for s in args.seeds.split(","))
+    if None in seeds:
+        raise InputError(f"bad --seeds {args.seeds!r}")
     if len(set(seeds)) < len(seeds):
         raise InputError(f"--seeds repeats a seed: {args.seeds!r}")
     config = SimConfig(
@@ -430,13 +419,7 @@ def cmd_simulate(args) -> int:
     except InfeasibleRatesError as exc:
         print(f"error: infeasible rates: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
-    os.makedirs(args.out, exist_ok=True)
-    _write_manifest(args.out, "simulate", {
-        "dist": os.path.basename(args.dist), "direction": args.direction,
-        "n": args.n, "rate1": args.rate1, "rate2": args.rate2,
-        "margin": args.margin, "trials": args.trials, "mode": args.mode,
-        "eps_enc": eps_enc, "eps_dec": eps_dec,
-    }, seeds, args.dist)
+    _write_manifest(args, seeds, eps_enc=eps_enc, eps_dec=eps_dec)
     _atomic_write(os.path.join(args.out, "report.json"),
                   _json_text(report.to_json_dict()))
     print(report.summary_line())
@@ -544,54 +527,45 @@ def _case3_check(base, grid_q, tol):
     }
 
 
+#: verify's special cases in report order: (name, the chain the case
+#: needs, its check(base, grid_q, tol))
+_CASES = (
+    ("case1", "X1-X2-X3", _case1_check),
+    ("case1_swapped", "X2-X1-X3", functools.partial(_case1_check, swapped=True)),
+    ("case2", "X1-X3-X2", _case2_check),
+    ("case3", "X1-X3-X2", _case3_check),
+)
+
+
 def cmd_verify(args) -> int:
     from .cases import ChainViolatedError, diagnose
 
     base = load_distribution(args.dist)
-    _at_least(args.grid_q, 1, "--grid-q")
-    _finite(args.tol, "--tol")
     try:
         diag = diagnose(base, args.tol)
         doc = {"schema": 1, "diagnosis": diag.as_dict()}
-        chains = diag.chains
-        doc["case1"] = (_case1_check(base, args.grid_q, args.tol)
-                        if "X1-X2-X3" in chains else {"applicable": False})
-        doc["case1_swapped"] = (_case1_check(base, args.grid_q, args.tol, swapped=True)
-                                if "X2-X1-X3" in chains else {"applicable": False})
-        doc["case2"] = (_case2_check(base, args.grid_q, args.tol)
-                        if "X1-X3-X2" in chains else {"applicable": False})
-        doc["case3"] = (_case3_check(base, args.grid_q, args.tol)
-                        if "X1-X3-X2" in chains else {"applicable": False})
+        for name, chain, check in _CASES:
+            doc[name] = (check(base, args.grid_q, args.tol) if chain in diag.chains
+                         else {"applicable": False})
     except ChainViolatedError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_COINCIDENCE
-    failures = []
-    for name in ("case1", "case1_swapped", "case2", "case3"):
-        if doc[name].get("applicable") and not doc[name]["pass"]:
-            failures.append(name)
+    applicable = [name for name, _, _ in _CASES if doc[name]["applicable"]]
+    failures = [name for name in applicable if not doc[name]["pass"]]
     doc["pass"] = not failures
-    os.makedirs(args.out, exist_ok=True)
-    _write_manifest(args.out, "verify", {
-        "dist": os.path.basename(args.dist), "tol": args.tol, "grid_q": args.grid_q,
-    }, [], args.dist)
+    _write_manifest(args, [])
     _atomic_write(os.path.join(args.out, "verify.json"), _json_text(doc))
     if failures:
         print(f"coincidence FAILED for: {', '.join(failures)}")
         return EXIT_COINCIDENCE
-    applicable = [n for n in ("case1", "case1_swapped", "case2", "case3")
-                  if doc[n].get("applicable")]
-    if applicable:
-        print(f"coincidence pass: {', '.join(applicable)}")
-    else:
-        print("no special case applies")
+    print(f"coincidence pass: {', '.join(applicable)}" if applicable
+          else "no special case applies")
     return EXIT_OK
 
 
 def cmd_lemmas(args) -> int:
     from .cases import lemma3_check, random_lemma3_joint
 
-    _at_least(args.draws, 0, "--draws")
-    _at_least(args.seed, 0, "--seed")
     rng = np.random.default_rng(args.seed)
     slacks = []
     violations = 0
@@ -608,10 +582,7 @@ def cmd_lemmas(args) -> int:
         "mean_slack": float(np.mean(slacks)) if slacks else None,
         "violations": violations,
     }
-    os.makedirs(args.out, exist_ok=True)
-    _write_manifest(args.out, "lemmas", {
-        "draws": args.draws, "n": args.n, "seed": args.seed,
-    }, [args.seed], None)
+    _write_manifest(args, [args.seed])
     _atomic_write(os.path.join(args.out, "lemmas.json"), _json_text(doc))
     print(f"draws={args.draws} violations={violations}"
           + (f" min_slack={doc['min_slack']:.3e}" if slacks else ""))
@@ -622,12 +593,33 @@ def cmd_lemmas(args) -> int:
 # Entry point
 # ---------------------------------------------------------------------------
 
-def _check_budget_env() -> None:
+#: numeric flag bounds: an int flag must be >= its bound, a float flag
+#: finite and >= 0 or > 0 as stated; a flag the subcommand lacks or left
+#: unset is skipped
+_FLAG_BOUNDS = (
+    ("grid_q", 1), ("n", 1), ("trials", 1), ("draws", 0), ("seed", 0),
+    ("tol", ">= 0"), ("rate1", ">= 0"), ("rate2", ">= 0"), ("margin", ">= 0"),
+    ("eps_enc", "> 0"), ("eps_dec", "> 0"),
+)
+
+
+def _check_input(args) -> None:
+    """Refuse a malformed SKREGION_BUDGET, then a numeric flag outside its
+    bound; run before a subcommand reads its distribution."""
     try:
         entry_budget()
-    except ValueError:
-        raise InputError("SKREGION_BUDGET must be a positive integer, got "
-                         f"{os.environ['SKREGION_BUDGET']!r}") from None
+    except ValueError as exc:
+        raise InputError(exc) from None
+    for dest, bound in _FLAG_BOUNDS:
+        value = getattr(args, dest, None)
+        if value is None:
+            continue
+        flag = "--" + dest.replace("_", "-")
+        if isinstance(bound, int):
+            if value < bound:
+                raise InputError(f"{flag} must be >= {bound}, got {value}")
+        elif not math.isfinite(value) or value < 0.0 or (bound == "> 0" and value == 0.0):
+            raise InputError(f"{flag} must be finite and {bound}, got {value!r}")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -686,7 +678,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        _check_budget_env()
+        _check_input(args)
         return args.func(args)
     except (InputError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -57,10 +57,21 @@ def entry_budget() -> int:
     """
     env = os.environ.get("SKREGION_BUDGET")
     if env:
-        if not (env.isascii() and env.isdigit()) or int(env) == 0:
+        budget = _ascii_int(env)
+        if not budget:
             raise ValueError(f"SKREGION_BUDGET must be a positive integer, got {env!r}")
-        return int(env)
+        return budget
     return DEFAULT_ENTRY_BUDGET
+
+
+def _ascii_int(token: str) -> int | None:
+    """The value of `token` if it is ASCII decimal digits alone, else None.
+
+    `int()` also reads a sign, surrounding whitespace, underscores and
+    non-ASCII digits; no integer that skregion reads from text may carry
+    them (SKREGION_BUDGET here, and the CLI's flags and `.dist` files).
+    """
+    return int(token) if token.isascii() and token.isdigit() else None
 
 
 def _chain(terms) -> np.ndarray:

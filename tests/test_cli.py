@@ -1,4 +1,5 @@
 import gzip
+import hashlib
 import importlib.util
 import json
 from pathlib import Path
@@ -135,6 +136,9 @@ def test_superscript_cardinality_exit_code(tmp_path, capsys):
     (["region", "--direction", "forward", "--bound", "explicit"], " 12"),
     (["region", "--direction", "forward", "--bound", "explicit"], "1_000"),
     (["region", "--direction", "forward", "--bound", "inner", "--cards", "S=\u00b2"], None),
+    (["simulate", "--direction", "forward", "--n", "4", "--seeds", "\u0661"], None),
+    (["simulate", "--direction", "forward", "--n", "4", "--seeds", "+1"], None),
+    (["simulate", "--direction", "forward", "--n", "4", "--seeds", "0_1"], None),
 ])
 def test_malformed_flag_exit_code(dists, tmp_path, capsys, monkeypatch, argv, env):
     if env is not None:
@@ -146,6 +150,31 @@ def test_malformed_flag_exit_code(dists, tmp_path, capsys, monkeypatch, argv, en
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: ")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("token", ["0_1", "+1", "\u0661", "-1"])
+def test_cell_index_must_be_ascii_digits(tmp_path, capsys, token):
+    # int() reads each of these as an index (1 or -1); a cell index is ASCII digits alone
+    bad = tmp_path / "cell.dist"
+    bad.write_text(f"vars: X1=2 X2=2 X3=2\n0 0 {token} 0.5\n0 0 0 0.5\n", encoding="utf-8")
+    out = tmp_path / "out"
+    rc = main(["verify", "--dist", str(bad), "--out", str(out)])
+    assert rc == 2
+    assert capsys.readouterr().err == f"error: line 2: bad X3 index {token!r}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["verify", "--dist", "missing.dist", "--grid-q", "0"], "--grid-q must be >= 1, got 0"),
+    (["simulate", "--dist", "nan.dist", "--direction", "forward", "--n", "0"],
+     "--n must be >= 1, got 0"),
+])
+def test_flags_checked_before_distribution(tmp_path, capsys, monkeypatch, argv, message):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "nan.dist").write_text(NAN_DIST)
+    assert main(argv + ["--out", "out"]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "out").exists()
 
 
 # ---------------------------------------------------------------------------
@@ -217,6 +246,22 @@ def test_region_hull_emitted(dists, tmp_path):
     assert rc == 0
     doc = json.loads((out / "region.json").read_text())
     assert "hull" in doc
+
+
+def test_region_explicit_hull(dists, tmp_path):
+    # the explicit bound's document gains the hull of its frontier and is
+    # otherwise the document written without --hull
+    from skregion.region import upper_concave_envelope
+
+    docs = {}
+    for flags in ([], ["--hull"]):
+        out = tmp_path / f"r{len(flags)}"
+        assert main(["region", "--dist", dists["e3"], "--direction", "forward",
+                     "--bound", "explicit", *flags, "--out", str(out)]) == 0
+        docs[len(flags)] = json.loads((out / "region.json").read_text())
+    hull = docs[1].pop("hull")
+    assert docs[1] == docs[0]
+    assert hull == [list(p) for p in upper_concave_envelope(docs[0]["frontier"])]
 
 
 def test_region_byte_identical_across_threads(dists, tmp_path):
@@ -293,6 +338,38 @@ def test_simulate_exact_leakage_example(tmp_path):
         leaks[n] = json.loads((out / "report.json").read_text())["leak_K"]
     assert leaks[8] <= 0.1
     assert leaks[8] < leaks[4]
+
+
+_GATE_ARGV = ["simulate", "--direction", "forward", "--n", "6", "--rate1", "0.405639",
+              "--eps-enc", "0.75", "--mode", "exact", "--seeds", "1"]
+
+
+@pytest.mark.parametrize("budget,summary,err_l", [
+    ("4096", None, None),
+    ("4608", "err_K=0.031250 err_L=n/a", None),
+    (None, "err_K=0.031250 err_L=0.056931", 0.0569305419921875),
+])
+def test_simulate_exact_size_gates(tmp_path, capsys, monkeypatch, budget, summary, err_l):
+    """Exact mode's size gates: the view table (4608 entries at n = 6) is
+    refused with exit 3 and no output; at exactly that budget the 8^6-entry
+    block triple behind err_L is refused and err_L reads n/a (null)."""
+    if budget is not None:
+        monkeypatch.setenv("SKREGION_BUDGET", budget)
+    dist = tmp_path / "b0.dist"
+    write_distribution(broadcast_source("X3", 0.0, 0.25), str(dist))
+    out = tmp_path / "s"
+    rc = main(_GATE_ARGV + ["--dist", str(dist), "--out", str(out)])
+    captured = capsys.readouterr()
+    if summary is None:
+        assert rc == 3
+        assert captured.err == "error: exact view table needs 4608 entries, budget 4096\n"
+        assert not out.exists()
+        return
+    assert rc == 0
+    assert captured.out.startswith(summary + " ")
+    doc = json.loads((out / "report.json").read_text())
+    assert doc["err_K"] == 0.03125
+    assert doc["err_L"] == err_l
 
 
 def test_simulate_byte_identical_across_threads(dists, tmp_path):
@@ -411,6 +488,53 @@ def test_manifest_contents(dists, tmp_path):
     assert doc["subcommand"] == "region"
     assert doc["input_digest"].startswith("sha256:")
     assert "threads" not in doc["flags"]
+
+
+def _region_flags(dist, direction, bound, cards=None, hull=False):
+    return {"dist": dist, "direction": direction, "bound": bound, "grid_q": 1,
+            "cards": cards, "hull": hull}
+
+
+def _simulate_flags(dist, direction, n, rate1, mode, trials, eps_enc, eps_dec):
+    return {"dist": dist, "direction": direction, "n": n, "rate1": rate1, "rate2": 0.0,
+            "margin": 0.5, "trials": trials, "mode": mode, "eps_enc": eps_enc,
+            "eps_dec": eps_dec}
+
+
+@pytest.mark.parametrize("argv,flags,seeds", [
+    (["region", "--dist", "e3", "--direction", "forward", "--bound", "explicit"],
+     _region_flags("e3.dist", "forward", "explicit"), []),
+    (["region", "--dist", "xor", "--direction", "backward", "--bound", "inner", "--grid-q", "1",
+      "--cards", "S=2,T=2,U=1,V=1", "--hull", "--threads", "2"],
+     _region_flags("xor.dist", "backward", "inner", "S=2,T=2,U=1,V=1", True), []),
+    (["simulate", "--dist", "e3", "--direction", "forward", "--n", "4", "--rate1", "0.1",
+      "--trials", "20", "--seeds", "3,1", "--eps-dec", "2.5", "--threads", "2"],
+     _simulate_flags("e3.dist", "forward", 4, 0.1, "mc", 20, 1.0, 2.5), [3, 1]),
+    (["simulate", "--dist", "e6", "--direction", "backward", "--n", "4", "--rate1", "0.05",
+      "--mode", "exact"],
+     _simulate_flags("e6.dist", "backward", 4, 0.05, "exact", 1000, 1.0, 3.0), [1]),
+    (["verify", "--dist", "e6", "--tol", "1e-8"],
+     {"dist": "e6.dist", "grid_q": 1, "tol": 1e-8}, []),
+    (["lemmas", "--draws", "5", "--seed", "3", "--n", "1"],
+     {"draws": 5, "n": 1, "seed": 3}, [3]),
+], ids=["region-explicit", "region-inner-cards-hull", "simulate-mc", "simulate-exact",
+        "verify", "lemmas"])
+def test_manifest_bytes(dists, tmp_path, argv, flags, seeds):
+    """manifest.json is pinned byte for byte: every parsed flag except the
+    execution details (--threads, --out) and --seeds, which has its own
+    entry; `dist` as its base name and simulate's resolved eps values."""
+    argv = [dists.get(a, a) for a in argv]
+    out = tmp_path / "o"
+    assert main(argv + ["--out", str(out)]) == 0
+    dist = argv[argv.index("--dist") + 1] if "--dist" in argv else None
+    expected = {
+        "schema": 1, "tool": "skregion", "version": skregion.__version__,
+        "subcommand": argv[0], "flags": flags, "seeds": seeds,
+        "input_digest": (None if dist is None else
+                         "sha256:" + hashlib.sha256(Path(dist).read_bytes()).hexdigest()),
+    }
+    assert (out / "manifest.json").read_text() == json.dumps(
+        expected, sort_keys=True, indent=2) + "\n"
 
 
 _SMALL_CARDS = ["--grid-q", "1", "--cards", "S=2,T=2,U=1,V=1"]
