@@ -84,41 +84,45 @@ def _chain(terms) -> np.ndarray:
 
 
 def _marginal(t: np.ndarray, drop) -> np.ndarray:
-    """`np.sum(t, axis=drop)`, bit for bit, in a few long vector operations.
+    """Each table of the batch `t` summed over the cell axes `drop`, bit for
+    bit as `np.sum(table, axis=drop)` sums it, in a few long vector operations.
 
-    numpy iterates over the axes of size > 1 in memory order.  The trailing
-    run of summed axes is one inner loop per output cell, numpy's pairwise
-    sum (left to right below 8 terms), and the other summed axes are folded
-    onto a zeroed output left to right, in lexicographic order.  A short run
-    thus costs one tiny inner loop per output cell; here each of those
-    additions is one add over a whole slice, and only a run of 8 or more
-    terms goes to numpy's reduction, alone.  `t` must be dense in some axis
-    order, as every table the library holds is (C order, or a transpose of
-    it copied by `np.where`).  `tests/test_pmf.py` holds this to `np.sum`
-    bit for bit.
+    `t` holds tables of cells along its leading axes and the batch along its
+    last axis, which is innermost in memory (or of length one); the result
+    keeps that layout.  Each table is dense in some axis order, as every
+    table the library holds is (C order, or a transpose of it copied by
+    `np.where`).  numpy sums a table over the cell axes of size > 1 in memory
+    order: the trailing run of summed axes is one inner loop per output
+    cell, numpy's pairwise sum (left to right below 8 terms), and the other
+    summed axes are folded onto a zeroed output left to right, in
+    lexicographic order.  Here each of those additions is one add over whole
+    (..., batch) slices, whose inner loop is the batch; only a run of 8 or
+    more terms goes to numpy's reduction, on a copy with the run innermost.
+    `tests/test_pmf.py` holds each table's result to `np.sum` bit for bit.
     """
     drop = set(drop)
-    axes = sorted((a for a in range(t.ndim) if t.shape[a] > 1), key=lambda a: -t.strides[a])
-    v = t.transpose(axes + [a for a in range(t.ndim) if t.shape[a] == 1]).reshape(
-        [t.shape[a] for a in axes])
+    cells = t.ndim - 1
+    axes = sorted((a for a in range(cells) if t.shape[a] > 1), key=lambda a: -t.strides[a])
+    v = t.transpose(axes + [a for a in range(cells) if t.shape[a] == 1] + [cells]).reshape(
+        [t.shape[a] for a in axes] + [t.shape[-1]])
     summed = [a in drop for a in axes]
     r = len(axes)
     while r and summed[r - 1]:
         r -= 1
     run = r < len(axes)
     if run:  # the trailing run, flattened: numpy's inner loop
-        flat = v.reshape(v.shape[:r] + (-1,))
-        if flat.shape[-1] >= 8:
-            v = np.add.reduce(flat, axis=-1)
+        flat = v.reshape(v.shape[:r] + (-1, t.shape[-1]))
+        if flat.shape[-2] >= 8:
+            v = np.add.reduce(np.ascontiguousarray(np.swapaxes(flat, -1, -2)), axis=-1)
         else:
-            v = _chain(flat[..., i] for i in range(flat.shape[-1]))
+            v = _chain(flat[..., i, :] for i in range(flat.shape[-2]))
     lead = [i for i in range(r) if summed[i]]
     rest = [i for i in range(r) if not summed[i]]
     if lead or not run:  # without a run, a copy even when nothing is summed
-        w = v.transpose(lead + rest)
+        w = v.transpose(lead + rest + [r])
         v = _chain(w[i] for i in itertools.product(*map(range, w.shape[:len(lead)])))
-    kept = [axes[i] for i in rest]  # v's axes, in memory order
-    v = v.transpose([kept.index(a) for a in sorted(kept)])
+    kept = [axes[i] for i in rest]  # v's cell axes, in memory order
+    v = v.transpose([kept.index(a) for a in sorted(kept)] + [len(kept)])
     return v.reshape([n for a, n in enumerate(t.shape) if a not in drop])
 
 
@@ -204,14 +208,14 @@ class JointPmf:
             raise PmfError(f"unknown variable(s) {sorted(unknown)}; have {self.names}")
         kept = tuple(v for v in self.variables if v.name in keep)
         drop = tuple(i for i, v in enumerate(self.variables) if v.name not in keep)
-        out = _marginal(self.table, drop) if drop else self.table
+        out = _marginal(self.table[..., None], drop)[..., 0] if drop else self.table
         return JointPmf(kept, out)
 
     def extend(self, channel: "Channel") -> "JointPmf":
         """Adjoin new variables through a conditional channel.
 
-        The result is p(old) * p(new | from); the marginal over the old
-        variables is unchanged.
+        The result is p(old) * p(new | from), in a C-order table; the
+        marginal over the old variables is unchanged.
         """
         for n in channel.from_names:
             self.axis(n)  # raises on unknown
@@ -226,7 +230,7 @@ class JointPmf:
             )
         batch = JointBatch.of(self).extend(channel.from_names, channel.to_vars,
                                            channel.matrix[None])
-        return JointPmf(self.variables + channel.to_vars, batch.tables[0])
+        return JointPmf(self.variables + channel.to_vars, batch.tables[..., 0])
 
     def entropy(self, names=None) -> float:
         """Joint entropy in bits of the given variable subset (all if None)."""
@@ -238,13 +242,16 @@ class JointPmf:
 
 
 class JointBatch:
-    """Joint tables over the same variables, stacked along a leading batch axis.
+    """Joint tables over the same variables, stacked along a trailing batch axis.
 
-    Entropies and conditional MIs come back as one value per table.  Each
-    distinct marginal entropy is computed once per batch and cached.  The
-    arithmetic applied to one table does not depend on the batch around it,
-    so a batch of one reproduces `JointPmf.entropy` and
-    `cond_mutual_information` bit for bit: those two are this kernel.
+    `tables` has shape (cells..., batch), and the batch axis is innermost in
+    memory (or of length one), so that every marginal sum adds whole
+    (..., batch) slices (see `_marginal`).  Entropies and conditional MIs
+    come back as one value per table.  Each distinct marginal entropy is
+    computed once per batch and cached.  The arithmetic applied to one table
+    does not depend on the batch around it, so a batch of one reproduces
+    `JointPmf.entropy` and `cond_mutual_information` bit for bit: those two
+    are this kernel.
     Tables are not validated here; they come from a validated `JointPmf` or
     from products of validated tables and channels.
     """
@@ -259,23 +266,25 @@ class JointBatch:
     @classmethod
     def of(cls, pmf: JointPmf) -> "JointBatch":
         """A batch of one: `pmf` alone."""
-        return cls(pmf.names, pmf.table[None])
+        return cls(pmf.names, pmf.table[..., None])
 
     def __len__(self) -> int:
-        return len(self.tables)
+        return self.tables.shape[-1]
 
     def extend(self, from_names, to_vars, matrices: np.ndarray) -> "JointBatch":
         """Adjoin `to_vars` to each table through its own channel p(to | from).
 
-        `matrices` stacks one `Channel` matrix per table along the batch axis.
-        Every entry is the single product `JointPmf.extend` takes, which is
-        this method on a batch of one.
+        `matrices` stacks one `Channel` matrix per table along its leading
+        axis.  Every entry is the single product `JointPmf.extend` takes,
+        which is this method on a batch of one.  The new tables are laid out
+        in C order, the batch innermost.
         """
         k = len(self.names)
-        joint_subs = list(range(k + 1))  # axis 0 is the batch
+        cell_subs = list(range(1, k + 1))  # subscript 0 is the batch
         new_subs = list(range(k + 1, k + 1 + len(to_vars)))
         mat_subs = [0] + [self.names.index(n) + 1 for n in from_names] + new_subs
-        tables = np.einsum(self.tables, joint_subs, matrices, mat_subs, joint_subs + new_subs)
+        tables = np.einsum(self.tables, cell_subs + [0], matrices, mat_subs,
+                           cell_subs + new_subs + [0], order="C")
         return JointBatch(self.names + tuple(v.name for v in to_vars), tables)
 
     def entropy(self, names) -> np.ndarray:
@@ -288,9 +297,10 @@ class JointBatch:
         if unknown:
             raise PmfError(f"unknown variable(s) {sorted(unknown)}; have {self.names}")
         if key:
-            drop = tuple(i + 1 for i, n in enumerate(self.names) if n not in key)
+            drop = tuple(i for i, n in enumerate(self.names) if n not in key)
             t = _marginal(self.tables, drop) if drop else self.tables
-            t = t.reshape(len(t), -1)
+            # one contiguous row per table, so each row sum is numpy's pairwise sum
+            t = np.ascontiguousarray(t.reshape(-1, len(self)).T)
             with np.errstate(divide="ignore", invalid="ignore"):
                 x = np.where(t > 0.0, t * np.log2(np.where(t > 0.0, t, 1.0)), 0.0)
             h = -x.sum(axis=1)

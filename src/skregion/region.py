@@ -77,7 +77,9 @@ FAMILIES = ("forward-inner", "forward-outer", "backward-inner", "backward-outer"
 
 #: Most full-joint entries one chunk of lattice points may hold (8 bytes
 #: each).  Bounds the evaluator's working memory; results do not depend on it.
-_CHUNK_ENTRIES = 1 << 19
+#: A chunk's point count is the inner-loop length of its marginal sums (910
+#: points on region-e3); larger chunks measured no faster and held more memory.
+_CHUNK_ENTRIES = 1 << 18
 
 
 class FamilyError(PmfError):
@@ -493,7 +495,7 @@ def _evaluate_lattice(base: JointPmf, layers, formula) -> tuple:
     parts = []
     for start in range(0, n_points, chunk):
         picks = np.unravel_index(np.arange(start, min(start + chunk, n_points)), counts)
-        tables = np.broadcast_to(base.table, (len(picks[0]),) + base.table.shape)
+        tables = np.broadcast_to(base.table[..., None], base.table.shape + (len(picks[0]),))
         h = JointBatch(base.names, tables)
         for layer, pick in zip(layers, picks):
             h = h.extend(layer.from_names, layer.to_vars, layer.matrices[pick])
@@ -580,6 +582,33 @@ def single_key_capacity(base: JointPmf, direction: str, grid: GridSpec) -> float
 # Pareto frontier of a union of constraint sets
 # ---------------------------------------------------------------------------
 
+#: Rows of the clamped constraint table that one step of `_maximal_sets`
+#: compares with the maximal rows found so far; bounds its working memory.
+_PRUNE_BLOCK = 1024
+
+
+def _maximal_sets(csets) -> list:
+    """The distinct clamped constraint sets of `csets` (each bound at least
+    0) that no other distinct one dominates.
+
+    In descending lexicographic order of (r1_max, r2_max, sum_max) a set
+    sorts after every set that dominates it, so a block at a time is
+    compared with the maximal sets before it and with itself.  (Not
+    `np.unique`, whose first call imports numpy.ma.)
+    """
+    rows = _nonneg(np.array([(c.r1_max, c.r2_max, c.sum_max) for c in csets],
+                            dtype=np.float64).reshape(-1, 3))
+    rows = rows[np.lexsort(rows.T[::-1])[::-1]]
+    rows = np.concatenate((rows[:1], rows[1:][(rows[1:] != rows[:-1]).any(axis=1)]))
+    kept = rows[:0]
+    for lo in range(0, len(rows), _PRUNE_BLOCK):
+        block = rows[lo:lo + _PRUNE_BLOCK]
+        covers = (np.concatenate((kept, block))[None] >= block[:, None]).all(axis=2)
+        covers[np.arange(len(block)), len(kept) + np.arange(len(block))] = False  # itself
+        kept = np.concatenate((kept, block[~covers.any(axis=1)]))
+    return [RateConstraintSet(*row) for row in kept.tolist()]
+
+
 def pareto_frontier(csets) -> list:
     """Pareto-maximal vertices of the union, sorted by increasing R1.
 
@@ -588,19 +617,7 @@ def pareto_frontier(csets) -> list:
     Between consecutive vertices the exact boundary is the staircase/diagonal
     implied by the constituent sets.
     """
-    sets = []
-    for c in csets:
-        r1 = _clamp(c.r1_max)
-        r2 = _clamp(c.r2_max)
-        sm = c.sum_max if c.sum_max == INF else _clamp(c.sum_max)
-        sets.append(RateConstraintSet(r1, r2, sm))
-    # prune dominated / duplicate sets
-    maximal = []
-    for c in sets:
-        if any(o.dominates(c) for o in maximal):
-            continue
-        maximal = [o for o in maximal if not c.dominates(o)]
-        maximal.append(c)
+    maximal = _maximal_sets(csets)
     if not maximal:
         return [(0.0, 0.0)]
 

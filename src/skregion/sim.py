@@ -728,13 +728,13 @@ def _view_joint(inst: _Instance, user: int) -> np.ndarray:
     pos = 2 * encoder.users.index(user)  # the label column of `user`'s key
     n_key, public = encoder.dims[pos], (*encoder.dims[1:-1:2], encoder.dims[-1])
     other = "X2" if user == 1 else "X1"
-    table, fail = _outcomes(inst, user)
-    index = (table.labels[:, pos], *table.labels[:, 1::2].T, table.cover)
     n_other = inst.full.variable(other).cardinality ** n
     size = n_key * n_other * math.prod(public)
     cap = entry_budget()
-    if size > cap:
+    if size > cap:  # before the encoder outcomes, which cost more than the check
         raise BudgetExceededError(f"exact view table needs {size} entries, budget {cap}")
+    table, fail = _outcomes(inst, user)
+    index = (table.labels[:, pos], *table.labels[:, 1::2].T, table.cover)
     # cell-major (key, public indices, block): each update adds one row
     joint = np.zeros((n_key, *public, n_other))
     n_cells = n_key * math.prod(public)

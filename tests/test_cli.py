@@ -372,6 +372,25 @@ def test_simulate_exact_size_gates(tmp_path, capsys, monkeypatch, budget, summar
     assert doc["err_L"] == err_l
 
 
+def test_view_table_gate_runs_before_the_encoder_outcomes(tmp_path, capsys, monkeypatch):
+    # the view table's size is known from the codebooks: the refusal must
+    # not wait for the encoder outcomes it would weigh
+    from skregion import sim
+
+    def refuse(*args):
+        raise AssertionError("encoder outcomes computed before the view-table gate")
+
+    monkeypatch.setattr(sim, "_encoder_outcomes", refuse)
+    monkeypatch.setenv("SKREGION_BUDGET", "4096")
+    dist = tmp_path / "b0.dist"
+    write_distribution(broadcast_source("X3", 0.0, 0.25), str(dist))
+    out = tmp_path / "s"
+    rc = main(_GATE_ARGV + ["--dist", str(dist), "--out", str(out)])
+    assert rc == 3
+    assert capsys.readouterr().err == "error: exact view table needs 4608 entries, budget 4096\n"
+    assert not out.exists()
+
+
 def test_simulate_byte_identical_across_threads(dists, tmp_path):
     outputs = []
     for threads in (1, 2, 8):

@@ -276,14 +276,14 @@ IDENTITY_TOL = 1e-9
 
 @st.composite
 def joint_tables(draw, names, batch=1):
-    """`batch` random joint tables over `names`, cardinalities 1-3, with zero cells."""
+    """`batch` random joint tables over `names`, cardinalities 1-3, with zero
+    cells, laid out as `JointBatch` holds them: (cells..., batch) in C order."""
     cards = draw(st.lists(st.integers(1, 3), min_size=len(names), max_size=len(names)))
     size = batch * int(np.prod(cards))
     weights = draw(st.lists(st.integers(0, 6), min_size=size, max_size=size)
                    .filter(lambda w: all(sum(w[i::batch]) for i in range(batch))))
     tables = np.array(weights, dtype=float).reshape(*cards, batch)
-    tables = np.moveaxis(tables / tables.sum(axis=tuple(range(len(names)))), -1, 0)
-    return tables
+    return tables / tables.sum(axis=tuple(range(len(names))))
 
 
 @settings(max_examples=60, deadline=None)
@@ -291,7 +291,8 @@ def joint_tables(draw, names, batch=1):
 def test_iid_extension_entropy_is_n_times_base(tables, n):
     # n i.i.d. copies carry n times the entropy, jointly and per variable
     names = ("A", "B", "C")
-    base = JointPmf(tuple(VariableId(v, c) for v, c in zip(names, tables.shape[1:])), tables[0])
+    base = JointPmf(tuple(VariableId(v, c) for v, c in zip(names, tables.shape[:-1])),
+                    tables[..., 0])
     ext = iid_extension(base, n)
     for subset in ({"A", "B", "C"}, {"A"}, {"B", "C"}):
         assert abs(ext.entropy(subset) - n * base.entropy(subset)) <= IDENTITY_TOL
@@ -314,7 +315,8 @@ def test_data_processing_through_extend(data):
     # other variable with Y is at most its MI with that one
     names = ("X1", "X2", "X3")
     tables = data.draw(joint_tables(names))
-    base = JointPmf(tuple(VariableId(v, c) for v, c in zip(names, tables.shape[1:])), tables[0])
+    base = JointPmf(tuple(VariableId(v, c) for v, c in zip(names, tables.shape[:-1])),
+                    tables[..., 0])
     src = data.draw(st.sampled_from(names))
     other = data.draw(st.sampled_from([v for v in names if v != src]))
     mat = data.draw(channel_matrices(base.variable(src).cardinality))
@@ -333,27 +335,40 @@ def test_cmi_chain_rule_through_joint_batch(tables):
     assert np.all(np.abs(whole - parts) <= IDENTITY_TOL)
 
 
-# `_marginal` reproduces numpy's own addition order for `np.sum(t, axis=drop)`
-# (size-1 axes skipped, memory order, pairwise trailing run, left-to-right
-# fold).  These tests are its oracle: a numpy release that sums in another
-# order fails here before it can move a region or verify output.
+# `_marginal` reproduces, for each table of a batch, numpy's own addition
+# order for `np.sum(table, axis=drop)` (size-1 axes skipped, memory order,
+# pairwise trailing run, left-to-right fold).  These tests are its oracle: a
+# numpy release that sums in another order fails here before it can move a
+# region or verify output.
 
 def _layout(a: np.ndarray) -> list:
     """Strides of the axes of size > 1: the memory order later sums follow."""
     return [stride for stride, n in zip(a.strides, a.shape) if n > 1]
 
 
-def _assert_marginal_bits(t: np.ndarray) -> None:
-    """`_marginal` equals `np.sum` bit for bit, and in layout, for every drop set."""
-    for k in range(t.ndim + 1):
-        for drop in itertools.combinations(range(t.ndim), k):
-            want = np.asarray(np.sum(t, axis=drop))
+def _assert_marginal_bits(tables: list) -> None:
+    """For every drop set, `_marginal` of the batch of `tables` gives each
+    table's `np.sum` bit for bit, and in its layout.
+
+    The tables share one shape and one memory order; the batch holds them
+    along a last axis, innermost in memory, as `JointBatch` does.
+    """
+    first = tables[0]
+    order = sorted(range(first.ndim), key=lambda a: -first.strides[a])
+    t = np.empty([first.shape[a] for a in order] + [len(tables)]).transpose(
+        list(np.argsort(order)) + [first.ndim])
+    for b, table in enumerate(tables):
+        t[..., b] = table
+    for k in range(first.ndim + 1):
+        for drop in itertools.combinations(range(first.ndim), k):
             got = np.asarray(_marginal(t, drop))
-            where = (f"numpy {np.__version__}: shape {t.shape}, strides {t.strides}, "
-                     f"drop {drop}")
-            assert got.shape == want.shape, where
-            assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), where
-            assert _layout(got) == _layout(want), where
+            for b, table in enumerate(tables):
+                want = np.asarray(np.sum(table, axis=drop))
+                where = (f"numpy {np.__version__}: shape {table.shape}, strides "
+                         f"{table.strides}, batch {len(tables)}, table {b}, drop {drop}")
+                assert got[..., b].shape == want.shape, where
+                assert np.array_equal(got[..., b].view(np.uint64), want.view(np.uint64)), where
+                assert [s // len(tables) for s in _layout(got[..., b])] == _layout(want), where
 
 
 def _held_table(rng, memory_shape, perm, zero_fraction) -> np.ndarray:
@@ -372,22 +387,24 @@ def _held_table(rng, memory_shape, perm, zero_fraction) -> np.ndarray:
        st.randoms(use_true_random=False), st.sampled_from([0.0, 0.3, 1.0]))
 def test_marginal_matches_numpy_sum_bit_for_bit(cards, batch, random, zero_fraction):
     rng = np.random.default_rng(random.getrandbits(32))
-    shape = [batch] + cards
-    perm = list(range(len(shape)))
+    perm = list(range(len(cards)))
     if random.random() < 0.5:
         random.shuffle(perm)
-    _assert_marginal_bits(_held_table(rng, shape, perm, zero_fraction))
+    _assert_marginal_bits([_held_table(rng, cards, perm, zero_fraction) for _ in range(batch)])
 
 
 @pytest.mark.parametrize("run", [(1,), (7,), (8,), (9,), (3, 3), (128,), (2, 64), (129,),
                                  (3, 43), (8193,), (3, 2731), (2, 4100)])
 @pytest.mark.parametrize("permuted", [False, True])
 def test_marginal_trailing_runs_bit_for_bit(run, permuted):
-    # a run of trailing axes of L = prod(run) cells, under a batch of one and
-    # two more axes, laid out C-order or with the leading axes permuted
+    # a run of trailing axes of L = prod(run) cells after two more axes, laid
+    # out C-order or with the leading axes swapped, in a batch of three and
+    # in a batch of one
     rng = np.random.default_rng(sum(run) * 2 + permuted)
-    perm = [1, 2, 0] if permuted else [0, 1, 2]
-    lead = np.array([1, 3, 2])[np.argsort(perm)]
-    t = _held_table(rng, list(lead) + list(run), perm + [3 + i for i in range(len(run))], 0.1)
-    assert t.shape == (1, 3, 2) + run
-    _assert_marginal_bits(t)
+    perm = [1, 0] if permuted else [0, 1]
+    lead = np.array([3, 2])[np.argsort(perm)]
+    tables = [_held_table(rng, list(lead) + list(run), perm + [2 + i for i in range(len(run))],
+                          0.1) for _ in range(3)]
+    assert tables[0].shape == (3, 2) + run
+    _assert_marginal_bits(tables)
+    _assert_marginal_bits(tables[:1])

@@ -432,6 +432,41 @@ def test_pareto_frontier_properties(sets):
                 ((x, y), (u, v))
 
 
+def _sequential_maximal_sets(csets) -> set:
+    """The pruning loop `pareto_frontier` ran before its vectorised prune:
+    clamp each set, then keep the sets that no earlier kept set dominates,
+    dropping the kept sets each new one dominates."""
+    def clamp(x):
+        return x if x > 0.0 else 0.0
+
+    maximal = []
+    for c in csets:
+        c = RateConstraintSet(clamp(c.r1_max), clamp(c.r2_max),
+                              c.sum_max if c.sum_max == INF else clamp(c.sum_max))
+        if any(o.dominates(c) for o in maximal):
+            continue
+        maximal = [o for o in maximal if not c.dominates(o)]
+        maximal.append(c)
+    return set(maximal)
+
+
+_TIED_RATES = st.one_of(st.sampled_from([0.0, -0.0, 0.5, 1.0, 2.0, -1.0]), st.floats(-1.0, 3.0))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.builds(RateConstraintSet, _TIED_RATES, _TIED_RATES,
+                          st.one_of(_TIED_RATES, st.just(INF))), max_size=40),
+       st.sampled_from([1, 2, 1024]))
+def test_maximal_sets_match_sequential_prune(sets, block):
+    from skregion import region as region_module
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(region_module, "_PRUNE_BLOCK", block)
+        got = region_module._maximal_sets(sets)
+    assert len(set(got)) == len(got)
+    assert set(got) == _sequential_maximal_sets(sets)
+
+
 def test_hull_is_concave_majorant():
     pts = [(0.0, 1.0), (0.5, 0.2), (1.0, 0.0)]
     hull = upper_concave_envelope(pts)
@@ -537,6 +572,38 @@ def test_enumerate_matches_oracle_formulas(rng, family):
             got = point.constraints
             for value, want in zip((got.r1_max, got.r2_max, got.sum_max), rates):
                 assert value == pytest.approx(max(0.0, want), abs=1e-12)
+
+
+_POINT_EVALUATORS = {"forward-inner": forward_inner_point, "forward-outer": forward_outer_point,
+                     "backward-inner": backward_inner_point,
+                     "backward-outer": backward_outer_point}
+
+
+@pytest.mark.parametrize("family", list(_POINT_EVALUATORS))
+@pytest.mark.parametrize("base", [E3, random_pmf(np.random.default_rng(5), (2, 2, 2))],
+                         ids=["e3", "random"])
+def test_lattice_point_equals_its_point_evaluator_bit_for_bit(family, base):
+    # the batched lattice and the batch-of-one evaluator of an `AuxSystem`
+    # built from the same channels agree to the last bit, kept or rejected
+    from skregion.region import _kept_lattice
+
+    grid = GridSpec(2, 2, 2, 2, 1)
+    layers, evaluated, kept, csets = _kept_lattice(base, family, grid)
+    got = dict(zip(kept.tolist(), csets))
+    build = AuxSystem.forward if family.startswith("forward") else AuxSystem.backward
+    n = 0
+    for i, chs in enumerate(product(*map(lattice_channel_objects, layers))):
+        aux = build(base, *chs, family=family)
+        if i not in got:
+            with pytest.raises(FamilyError, match="chain"):
+                _POINT_EVALUATORS[family](aux)
+            continue
+        want = _POINT_EVALUATORS[family](aux)
+        bits = [np.array([c.r1_max, c.r2_max, c.sum_max]).view(np.uint64)
+                for c in (got[i], want)]
+        assert np.array_equal(*bits), (i, got[i], want)
+        n += 1
+    assert evaluated == i + 1 and n == len(csets) > 0
 
 
 def test_single_key_matches_oracle_formula(rng):
