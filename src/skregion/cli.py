@@ -35,12 +35,17 @@ underscore or other digit set; `--cards` and `--seeds` items may be padded
 with spaces.  No seed may repeat in `--seeds` nor a name in `--cards`.
 
 Every JSON output is exactly `json.dumps(doc, sort_keys=True, indent=2)`
-text plus a newline, written by `_json_text`.
+text plus a newline, written by `_json_text`.  region.json's `points` array
+is one `_PointArray` node of its document, rendered from the region's
+lattice columns: each channel descriptor is rendered once, and each point
+is its descriptors' texts plus one piece holding its three rates.  Its bytes
+are those that `json.dumps` writes for the same points as dicts.
 """
 
 import argparse
 import functools
 import hashlib
+import itertools
 import math
 import os
 import sys
@@ -156,13 +161,19 @@ def write_distribution(pmf: JointPmf, path: str) -> None:
 # Output plumbing
 # ---------------------------------------------------------------------------
 
+#: characters of a text that `_atomic_write` encodes and writes at a time:
+#: writing it whole would hold a second, encoded copy of all of it at once
+_WRITE_CHUNK = 1 << 20
+
+
 def _atomic_write(path: str, text: str) -> None:
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-")
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+            for start in range(0, len(text), _WRITE_CHUNK):
+                fh.write(text[start:start + _WRITE_CHUNK])
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -176,10 +187,12 @@ def _json_text(obj) -> str:
 
     The stdlib writes indented JSON with its pure-Python encoder and renders
     a shared subtree again at every place it occurs.  `_render` renders each
-    list, tuple or dict once per indent level and reuses its text, so a
-    channel descriptor shared by thousands of region points costs one
-    rendering.  The memo lives for this call only; `obj` keeps every object
-    it contains alive meanwhile, so no id is reused.
+    list, tuple or dict once per indent level and reuses its text.  A
+    `_PointArray` node (region.json's `points`) is rendered from its columns
+    by `_render_points`, with the bytes the stdlib writes for the same
+    points as dicts: each channel descriptor is rendered once.  The memo
+    lives for this call only; `obj` keeps every object it contains alive
+    meanwhile, so no id is reused.
     """
     out = []
     _render(obj, "\n", out, {}, set())
@@ -227,6 +240,9 @@ def _render(obj, newline: str, out: list, memo: dict, active: set) -> None:
         return
     is_dict = isinstance(obj, dict)
     if not is_dict and not isinstance(obj, (list, tuple)):
+        if isinstance(obj, _PointArray):
+            _render_points(obj, newline, out)
+            return
         raise TypeError(f"Object of type {obj.__class__.__name__} is not JSON serializable")
     if not obj:
         out.append("{}" if is_dict else "[]")
@@ -266,6 +282,66 @@ def _render(obj, newline: str, out: list, memo: dict, active: set) -> None:
         out.append(newline + "]")
     active.remove(key[0])
     memo[key] = (start, len(out))
+
+
+class _PointArray:
+    """region.json's `points` array as one `_render` node, kept as columns.
+
+    Row i of the (n, 3) float64 array `rates` is point i's (r1_max, r2_max,
+    sum_max).  Its channels are `[descriptors[j][picks[j][i]] for each
+    layer j]`, or null when `descriptors` is None.  It renders as the list
+    of `{"channels": ..., "constraints": _cset_json(...)}` dicts would.
+    """
+
+    __slots__ = ("descriptors", "picks", "rates")
+
+    def __init__(self, descriptors, picks, rates):
+        self.descriptors = descriptors
+        self.picks = picks
+        self.rates = rates
+
+
+def _render_points(points: _PointArray, newline: str, out: list) -> None:
+    """Append the JSON text of `points` to `out`: each point as its layers'
+    shared descriptor texts (each descriptor rendered once, with the
+    separators before it) plus one piece holding its three rates."""
+    rates = points.rates
+    n = len(rates)
+    if not n:
+        out.append("[]")
+        return
+    point = newline + "  "
+    key = point + "  "
+    item = key + "  "
+    valid = np.isfinite(rates)
+    valid[:, 2] |= rates[:, 2] == math.inf  # written as null
+    if not valid.all():  # raise as json.dumps does, at the first bad value
+        _scalar_text(rates.flat[int(np.argmin(valid))].item())
+    head = "{" + key + '"channels": '
+    if points.descriptors is None:
+        columns, close = [[head + "null"] * n], ""
+    else:
+        columns, lead = [], head + "[" + item
+        for descriptors, pick in zip(points.descriptors, points.picks):
+            texts = []
+            for descriptor in descriptors:
+                text = [lead]
+                _render(descriptor, item, text, {}, set())
+                texts.append("".join(text))
+            columns.append([texts[i] for i in pick.tolist()])
+            lead = "," + item
+        close = key + "]"
+    # `%r` of a float is `float.__repr__`, the text json writes for it
+    last = (close + "," + key + '"constraints": {' + item + '"r1_max": %r,' + item
+            + '"r2_max": %r,' + item + '"sum_max": %s' + key + "}" + point + "}")
+    following = last + "," + point
+    r1, r2, sums = rates.T.tolist()
+    sums = ["null" if s == math.inf else float.__repr__(s) for s in sums]
+    tails = [following % row for row in zip(r1, r2, sums)]
+    tails[-1] = last % (r1[-1], r2[-1], sums[-1])
+    out.append("[" + point)
+    out.extend(itertools.chain.from_iterable(zip(*columns, tails)))
+    out.append(newline + "]")
 
 
 def _digest(path: str) -> str:
@@ -345,8 +421,6 @@ def _parse_cards(text: str | None, base: JointPmf) -> "GridSpec":
 def cmd_region(args) -> int:
     from .region import (
         GridSpec,
-        RatePoint,
-        RateRegion,
         enumerate_region,
         explicit_outer,
         pareto_frontier,
@@ -357,28 +431,28 @@ def cmd_region(args) -> int:
     grid = _parse_cards(args.cards, base)
     if args.bound == "explicit":
         cset = explicit_outer(base)  # a closed form: one point, no channels
-        region = RateRegion([RatePoint(cset, {"channels": None})], pareto_frontier([cset]),
-                            meta={"family": "explicit-outer"})
+        points = _PointArray(None, (), np.array([[cset.r1_max, cset.r2_max, cset.sum_max]]))
+        frontier, meta = pareto_frontier([cset]), {"family": "explicit-outer"}
     else:
         grid = GridSpec(grid.card_s, grid.card_t, grid.card_u, grid.card_v, args.grid_q)
         region = enumerate_region(base, f"{args.direction}-{args.bound}", grid)
+        lattice = region.lattice
+        points = _PointArray(lattice.descriptors(), lattice.picks(), lattice.rates)
+        frontier, meta = region.frontier, region.meta
     doc = {
         "schema": 1,
         "direction": args.direction,
         "bound": args.bound,
-        "points": [
-            {"constraints": _cset_json(p.constraints), "channels": p.descriptor["channels"]}
-            for p in region.points
-        ],
-        "frontier": [[r1, r2] for r1, r2 in region.frontier],
-        "meta": region.meta,
+        "points": points,
+        "frontier": [[r1, r2] for r1, r2 in frontier],
+        "meta": meta,
     }
     if args.hull:
-        doc["hull"] = [[x, y] for x, y in upper_concave_envelope(region.frontier)]
+        doc["hull"] = [[x, y] for x, y in upper_concave_envelope(frontier)]
     _write_manifest(args, [])
-    _atomic_write(os.path.join(args.out, "frontier.csv"), frontier_csv(region.frontier))
+    _atomic_write(os.path.join(args.out, "frontier.csv"), frontier_csv(frontier))
     _atomic_write(os.path.join(args.out, "region.json"), _json_text(doc))
-    print(f"wrote {args.out}/frontier.csv ({len(region.frontier)} vertices)")
+    print(f"wrote {args.out}/frontier.csv ({len(frontier)} vertices)")
     return EXIT_OK
 
 

@@ -22,7 +22,8 @@ A lattice is a list of layers, one per auxiliary channel: `lattice_channels`
 returns a layer's every lattice channel as one stacked, once-validated
 matrix array (`LatticeLayer`), not as `Channel` objects.  `_evaluate_lattice`
 evaluates a lattice a chunk of points at a time from those stacks for
-`enumerate_region`, `single_key_capacity` and `cases.case3_region`; the
+`enumerate_region`, `single_key_capacity` and `cases.case3_region`, and
+a region keeps its kept points as columns (`LatticePoints`); the
 per-point evaluators (`forward_inner_point`, ...) take `Channel`s and use a
 batch of one, and a lattice point's values equal its per-point values bit
 for bit.
@@ -31,7 +32,7 @@ for bit.
 import math
 # unused here; perfbench/tracer.py patches it and fails a traced run without it
 from concurrent.futures import ThreadPoolExecutor  # noqa: F401
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -69,6 +70,7 @@ __all__ = [
     "lattice_rows",
     "lattice_channels",
     "LatticeLayer",
+    "LatticePoints",
 ]
 
 INF = math.inf
@@ -132,14 +134,27 @@ class RatePoint:
     descriptor: dict
 
 
-@dataclass
 class RateRegion:
-    """Union of per-auxiliary constraint sets plus its Pareto frontier."""
+    """Union of per-auxiliary constraint sets plus its Pareto frontier.
 
-    points: list
-    frontier: list
-    hull: list | None = None
-    meta: dict = field(default_factory=dict)
+    A region from `enumerate_region` holds its kept points as the columns
+    `lattice` (a `LatticePoints`) and builds its `points` list from them
+    the first time `points` is read; any other region is given `points`
+    and has no `lattice`.
+    """
+
+    def __init__(self, points, frontier, hull=None, meta=None, *, lattice=None):
+        self._points = points
+        self.frontier = frontier
+        self.hull = hull
+        self.meta = {} if meta is None else meta
+        self.lattice = lattice
+
+    @property
+    def points(self) -> list:
+        if self._points is None:
+            self._points = self.lattice.rate_points()
+        return self._points
 
     def contains(self, r1: float, r2: float, tol: float) -> bool:
         return any(p.constraints.contains(r1, r2, tol) for p in self.points)
@@ -465,16 +480,45 @@ def _lattice_layers(base: JointPmf, layers, q: int) -> list:
     return [lattice_channels(f, [cards[n] for n in f], t, q) for f, t in layers]
 
 
-def _channel_descriptors(layer: LatticeLayer) -> list:
-    """The `region.json` descriptor of each lattice channel of `layer`.
+@dataclass(frozen=True, eq=False)
+class LatticePoints:
+    """The kept points of a channel lattice, as columns.
 
-    Every point that picks a channel shares its one descriptor, which the
-    JSON writer then renders once.
+    `layers` are the lattice's `LatticeLayer`s in extension order.  A
+    point's lattice index is its position in the lexicographic order of its
+    picks (one row of each layer's stack); `kept` holds the indices of the
+    kept points, ascending, and row i of the (len(kept), 3) array `rates`
+    the (r1_max, r2_max, sum_max) of point `kept[i]`.
     """
-    return [{"from": list(layer.from_names),
-             "to": [[v.name, v.cardinality] for v in layer.to_vars],
-             "matrix": matrix}
-            for matrix in layer.matrices.tolist()]
+
+    layers: tuple
+    kept: np.ndarray
+    rates: np.ndarray
+
+    def picks(self) -> tuple:
+        """Per layer, the stack row that each kept point picks."""
+        return np.unravel_index(self.kept, tuple(len(layer.matrices) for layer in self.layers))
+
+    def descriptors(self) -> list:
+        """Per layer, the `region.json` descriptor of each of its channels.
+
+        Every point that picks a channel shares its one descriptor.
+        """
+        return [[{"from": list(layer.from_names),
+                  "to": [[v.name, v.cardinality] for v in layer.to_vars],
+                  "matrix": matrix}
+                 for matrix in layer.matrices.tolist()]
+                for layer in self.layers]
+
+    def constraint_sets(self) -> list:
+        return [RateConstraintSet(*row) for row in self.rates.tolist()]
+
+    def rate_points(self) -> list:
+        """Each kept point as a `RatePoint` carrying the channels it picks."""
+        descriptors = self.descriptors()
+        return [RatePoint(cset, {"channels": [d[i] for d, i in zip(descriptors, pick)]})
+                for cset, *pick in zip(self.constraint_sets(),
+                                       *(p.tolist() for p in self.picks()))]
 
 
 def _evaluate_lattice(base: JointPmf, layers, formula) -> tuple:
@@ -504,13 +548,12 @@ def _evaluate_lattice(base: JointPmf, layers, formula) -> tuple:
 
 
 def _kept_lattice(base: JointPmf, family: str, grid: GridSpec) -> tuple:
-    """(layers, evaluated, kept, csets) of the family over the channel lattice.
+    """(evaluated, LatticePoints) of the family over the channel lattice.
 
     Points are evaluated in batches, in lexicographic lattice order (see
     `_evaluate_lattice`); `evaluated` counts them.  backward-outer lattice
     points violating either required Markov chain beyond `tolerances.CHAIN_TOL` are
-    skipped; `kept` holds the lattice indices of the rest and `csets` their
-    constraint sets, in lattice order.
+    skipped; the `LatticePoints` holds the rest.
     """
     if family not in FAMILIES:
         raise FamilyError(f"unknown family {family!r}")
@@ -526,15 +569,14 @@ def _kept_lattice(base: JointPmf, family: str, grid: GridSpec) -> tuple:
 
     keep, r1, r2, rsum = _evaluate_lattice(base, layers, evaluate)
     kept = np.flatnonzero(keep)
-    csets = [RateConstraintSet(a, b, c) for a, b, c in
-             zip(r1[kept].tolist(), r2[kept].tolist(), rsum[kept].tolist())]
-    return layers, len(keep), kept, csets
+    rates = np.stack((r1[kept], r2[kept], rsum[kept]), axis=1)
+    return len(keep), LatticePoints(tuple(layers), kept, rates)
 
 
 def lattice_constraint_sets(base: JointPmf, family: str, grid: GridSpec) -> list:
     """`enumerate_region(base, family, grid).constraint_sets`, without the
     channel descriptors and frontier that only a region's points need."""
-    return _kept_lattice(base, family, grid)[3]
+    return _kept_lattice(base, family, grid)[1].constraint_sets()
 
 
 def enumerate_region(base: JointPmf, family: str, grid: GridSpec, *,
@@ -542,24 +584,23 @@ def enumerate_region(base: JointPmf, family: str, grid: GridSpec, *,
                      hull: bool = False) -> RateRegion:
     """Union of the family's constraint sets over the whole channel lattice.
 
-    Each kept lattice point (see `_kept_lattice`) carries the channels it
-    picks.  `workers` is accepted for compatibility and ignored.  The count
-    of backward-outer points skipped for a Markov chain violation is
-    reported in `meta`.
+    The region holds its kept lattice points (see `_kept_lattice`) as
+    columns, and each of its `points` carries the channels it picks.
+    `workers` is accepted for compatibility and ignored.  The count of
+    backward-outer points skipped for a Markov chain violation is reported
+    in `meta`.
     """
-    layers, evaluated, kept, csets = _kept_lattice(base, family, grid)
-    picks = np.unravel_index(kept, tuple(len(layer.matrices) for layer in layers))
-    descriptors = [_channel_descriptors(layer) for layer in layers]
-    points = [RatePoint(cset, {"channels": [d[i] for d, i in zip(descriptors, pick)]})
-              for cset, *pick in zip(csets, *(p.tolist() for p in picks))]
-    frontier = pareto_frontier(csets)
+    evaluated, lattice = _kept_lattice(base, family, grid)
+    frontier = pareto_frontier(lattice.rates)
     return RateRegion(
-        points=points,
-        frontier=frontier,
+        None,
+        frontier,
         hull=upper_concave_envelope(frontier) if hull else None,
-        meta={"family": family, "evaluated": evaluated, "rejected": evaluated - len(kept),
+        meta={"family": family, "evaluated": evaluated,
+              "rejected": evaluated - len(lattice.kept),
               "grid": {"S": grid.card_s, "T": grid.card_t, "U": grid.card_u,
                        "V": grid.card_v, "q": grid.q}},
+        lattice=lattice,
     )
 
 
@@ -588,16 +629,18 @@ _PRUNE_BLOCK = 1024
 
 
 def _maximal_sets(csets) -> list:
-    """The distinct clamped constraint sets of `csets` (each bound at least
-    0) that no other distinct one dominates.
+    """The distinct clamped constraint sets of `csets` (`RateConstraintSet`s
+    or their rows, each bound clamped at 0) that no other distinct one
+    dominates.
 
     In descending lexicographic order of (r1_max, r2_max, sum_max) a set
     sorts after every set that dominates it, so a block at a time is
     compared with the maximal sets before it and with itself.  (Not
     `np.unique`, whose first call imports numpy.ma.)
     """
-    rows = _nonneg(np.array([(c.r1_max, c.r2_max, c.sum_max) for c in csets],
-                            dtype=np.float64).reshape(-1, 3))
+    if not isinstance(csets, np.ndarray):
+        csets = np.array([(c.r1_max, c.r2_max, c.sum_max) for c in csets], dtype=np.float64)
+    rows = _nonneg(csets.reshape(-1, 3))
     rows = rows[np.lexsort(rows.T[::-1])[::-1]]
     rows = np.concatenate((rows[:1], rows[1:][(rows[1:] != rows[:-1]).any(axis=1)]))
     kept = rows[:0]
@@ -611,6 +654,9 @@ def _maximal_sets(csets) -> list:
 
 def pareto_frontier(csets) -> list:
     """Pareto-maximal vertices of the union, sorted by increasing R1.
+
+    `csets` holds the union's `RateConstraintSet`s, or their (n, 3) rows
+    (r1_max, r2_max, sum_max) as a float64 array.
 
     Every listed pair is achievable and dominated by no other point of the
     union by more than `tolerances.FLAT_TOL`; R2 is non-increasing along the list.

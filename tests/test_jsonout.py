@@ -1,9 +1,11 @@
 """The CLI's JSON writer against `json.dumps`, the oracle.
 
 `cli._json_text` renders each shared list, tuple or dict once and reuses its
-text.  Its output must equal `json.dumps(obj, sort_keys=True, indent=2,
-allow_nan=False) + "\\n"` byte for byte, and it must raise the same exception
-type wherever `json.dumps` raises.
+text, and region.json's point array from the lattice columns.  Its output
+must equal `json.dumps(obj, sort_keys=True, indent=2, allow_nan=False) +
+"\\n"` byte for byte, and it must raise the same exception type wherever
+`json.dumps` raises; region.json is checked against the document with each
+point a dict.
 """
 
 import enum
@@ -17,6 +19,15 @@ from hypothesis import given, settings, strategies as st
 
 import skregion.cli as cli
 from skregion.cli import _json_text
+from skregion.region import (
+    GridSpec,
+    RatePoint,
+    enumerate_region,
+    explicit_outer,
+    pareto_frontier,
+    upper_concave_envelope,
+)
+from skregion.sources import broadcast_source, random_pmf, xor_source
 
 
 def _oracle(obj):
@@ -181,3 +192,130 @@ def test_writer_leaves_no_reference_cycle():
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+# ---------------------------------------------------------------------------
+# region.json's point array
+# ---------------------------------------------------------------------------
+
+SOURCES = {
+    "e3": broadcast_source("X3", 0.25, 0.25),
+    "xor": xor_source(),
+    "random": random_pmf(np.random.default_rng(11), (2, 2, 2)),
+}
+CARDS = "S=2,T=2,U=2,V=1"
+
+
+def _region_doc_as_dicts(dist, direction, bound, cards, hull):
+    """The document whose `json.dumps` text region.json must be, with each
+    point a dict built from `RateRegion.points` and the frontier built from
+    their constraint sets."""
+    base = cli.load_distribution(dist)
+    if bound == "explicit":
+        points = [RatePoint(explicit_outer(base), {"channels": None})]
+        meta = {"family": "explicit-outer"}
+    else:
+        card = cli._parse_cards(cards, base)
+        grid = GridSpec(card.card_s, card.card_t, card.card_u, card.card_v, 1)
+        region = enumerate_region(base, f"{direction}-{bound}", grid)
+        points, meta = region.points, region.meta
+    frontier = pareto_frontier([p.constraints for p in points])
+    doc = {
+        "schema": 1,
+        "direction": direction,
+        "bound": bound,
+        "points": [{"constraints": cli._cset_json(p.constraints),
+                    "channels": p.descriptor["channels"]} for p in points],
+        "frontier": [[r1, r2] for r1, r2 in frontier],
+        "meta": meta,
+    }
+    if hull:
+        doc["hull"] = [[x, y] for x, y in upper_concave_envelope(frontier)]
+    return doc
+
+
+def _assert_region_json_matches_oracle(tmp_path, source, direction, bound,
+                                       cards=CARDS, hull=False):
+    """`cmd_region`'s region.json is the oracle's text of the dict document,
+    or both raise the same exception type.  Returns the oracle's outcome."""
+    dist = tmp_path / f"{source}.dist"
+    cli.write_distribution(SOURCES[source], str(dist))
+    out = tmp_path / "out"
+    argv = ["region", "--dist", str(dist), "--direction", direction, "--bound", bound,
+            "--cards", cards, "--grid-q", "1", "--out", str(out)] + ["--hull"] * hull
+    expected = _outcome(_oracle, _region_doc_as_dicts(str(dist), direction, bound,
+                                                      cards, hull))
+    written = _outcome(lambda argv: cli.main(argv) == 0 and
+                       (out / "region.json").read_text(encoding="utf-8"), argv)
+    assert written == expected
+    return expected
+
+
+@pytest.mark.parametrize("hull", [False, True], ids=["plain", "hull"])
+@pytest.mark.parametrize("direction,bound", [
+    ("forward", "inner"), ("forward", "outer"), ("backward", "inner"), ("backward", "outer"),
+    ("forward", "explicit"), ("backward", "explicit"),
+])
+@pytest.mark.parametrize("source", list(SOURCES))
+def test_region_json_matches_its_dict_document(tmp_path, source, direction, bound, hull):
+    text, error = _assert_region_json_matches_oracle(tmp_path, source, direction, bound,
+                                                     hull=hull)
+    assert error is None
+    if bound != "inner":
+        assert '"sum_max": null' in text
+
+
+def test_region_json_backward_outer_with_rejected_points(tmp_path, monkeypatch):
+    from skregion import region as region_module
+
+    text, error = _assert_region_json_matches_oracle(tmp_path, "e3", "backward", "outer",
+                                                     cards="S=2,T=2,U=2")
+    assert error is None
+    meta = json.loads(text)["meta"]
+    assert meta["rejected"] > 0 and meta["evaluated"] > meta["rejected"]
+    monkeypatch.setattr(region_module, "CHAIN_TOL", -1.0)  # every point rejected
+    text, error = _assert_region_json_matches_oracle(tmp_path, "e3", "backward", "outer",
+                                                     cards="S=2,T=2,U=2")
+    assert error is None and json.loads(text)["points"] == []
+
+
+def _patch_first_point_of_each_chunk(monkeypatch, family, r1=None, r2=None, rsum=None):
+    """Make the family formula give the first point of every lattice chunk
+    the values that are not None."""
+    from skregion import region as region_module
+
+    formula = region_module._FORMULAS[family]
+
+    def patched(h):
+        columns = [np.array(c) for c in formula(h)]
+        for column, value in zip(columns, (r1, r2, rsum)):
+            if value is not None:
+                column[0] = value
+        return tuple(columns)
+
+    monkeypatch.setitem(region_module._FORMULAS, family, patched)
+
+
+@pytest.mark.parametrize("r1,r2,rsum", [
+    (-0.0, 0.5, math.inf),   # a signed zero next to a null sum bound
+    (0.25, -0.0, -0.0),
+])
+def test_region_json_signed_zero_and_infinite_sum(tmp_path, monkeypatch, r1, r2, rsum):
+    _patch_first_point_of_each_chunk(monkeypatch, "forward-inner", r1, r2, rsum)
+    text, error = _assert_region_json_matches_oracle(tmp_path, "e3", "forward", "inner")
+    assert error is None and "-0.0" in text
+    assert ('"sum_max": null' in text) == (rsum == math.inf)
+
+
+@pytest.mark.parametrize("r1,r2,rsum", [
+    (math.inf, None, None),
+    (math.nan, None, None),
+    (None, -math.inf, None),
+    (None, None, math.nan),
+    (None, None, -math.inf),
+])
+def test_region_json_non_finite_rate_raises_like_json_dumps(tmp_path, monkeypatch,
+                                                            r1, r2, rsum):
+    _patch_first_point_of_each_chunk(monkeypatch, "forward-inner", r1, r2, rsum)
+    text, error = _assert_region_json_matches_oracle(tmp_path, "e3", "forward", "inner")
+    assert error is ValueError

@@ -11,7 +11,9 @@ from skregion.region import (
     AuxSystem,
     FamilyError,
     GridSpec,
+    LatticePoints,
     RateConstraintSet,
+    RatePoint,
     backward_inner_point,
     backward_outer_point,
     single_key_capacity,
@@ -588,8 +590,9 @@ def test_lattice_point_equals_its_point_evaluator_bit_for_bit(family, base):
     from skregion.region import _kept_lattice
 
     grid = GridSpec(2, 2, 2, 2, 1)
-    layers, evaluated, kept, csets = _kept_lattice(base, family, grid)
-    got = dict(zip(kept.tolist(), csets))
+    evaluated, lattice = _kept_lattice(base, family, grid)
+    layers, csets = lattice.layers, lattice.constraint_sets()
+    got = dict(zip(lattice.kept.tolist(), csets))
     build = AuxSystem.forward if family.startswith("forward") else AuxSystem.backward
     n = 0
     for i, chs in enumerate(product(*map(lattice_channel_objects, layers))):
@@ -604,6 +607,49 @@ def test_lattice_point_equals_its_point_evaluator_bit_for_bit(family, base):
         assert np.array_equal(*bits), (i, got[i], want)
         n += 1
     assert evaluated == i + 1 and n == len(csets) > 0
+
+
+@pytest.mark.parametrize("family", list(_POINT_EVALUATORS))
+@pytest.mark.parametrize("base", [E3, random_pmf(np.random.default_rng(5), (2, 2, 2))],
+                         ids=["e3", "random"])
+def test_lazy_points_equal_the_eager_point_list(monkeypatch, family, base):
+    """A lattice region builds its `points` on first read, and they are the
+    `RatePoint`s that `enumerate_region` used to build eagerly from the same
+    `_kept_lattice` output: equal in order, constraints bit for bit, and one
+    shared descriptor object per picked channel."""
+    from skregion.region import _kept_lattice
+
+    grid = GridSpec(2, 2, 2, 2, 1)
+    _, lattice = _kept_lattice(base, family, grid)
+    layers, kept = lattice.layers, lattice.kept
+    picks = np.unravel_index(kept, tuple(len(layer.matrices) for layer in layers))
+    descriptors = [[{"from": list(layer.from_names),
+                     "to": [[v.name, v.cardinality] for v in layer.to_vars],
+                     "matrix": matrix}
+                    for matrix in layer.matrices.tolist()]
+                   for layer in layers]
+    csets = [RateConstraintSet(a, b, c) for a, b, c in zip(*lattice.rates.T.tolist())]
+    expected = [RatePoint(cset, {"channels": [d[i] for d, i in zip(descriptors, pick)]})
+                for cset, *pick in zip(csets, *(p.tolist() for p in picks))]
+
+    built = []
+    rate_points = LatticePoints.rate_points
+    monkeypatch.setattr(LatticePoints, "rate_points",
+                        lambda self: built.append(1) or rate_points(self))
+    region = enumerate_region(base, family, grid)
+    assert built == [] and np.array_equal(region.lattice.kept, kept)
+    points = region.points
+    assert region.points is points and built == [1]
+    assert points == expected and len(points) == len(kept) > 0
+    bits = [np.array([(c.r1_max, c.r2_max, c.sum_max) for c in cs]).view(np.uint64)
+            for cs in ([p.constraints for p in points], csets)]
+    assert np.array_equal(*bits)
+    for j, pick in enumerate(picks):
+        shared = {}
+        for point, i in zip(points, pick.tolist()):
+            assert shared.setdefault(i, point.descriptor["channels"][j]) is \
+                point.descriptor["channels"][j]
+        assert len({id(d) for d in shared.values()}) == len(shared)
 
 
 def test_single_key_matches_oracle_formula(rng):
