@@ -499,6 +499,8 @@ def cmd_simulate(args) -> int:
     print(report.summary_line())
     for warning in report.warnings:
         print(f"warning: {warning}")
+    for note in report.notes:
+        print(f"note: {note}", file=sys.stderr)
     print(f"wall clock: {report.wall_clock:.2f}s")
     return EXIT_OK
 

@@ -59,6 +59,13 @@ COVER_SLACK = 0.05
 #: The Monte Carlo batch size reads it too.
 _KERNEL_WORDS = 1 << 16
 
+#: Fewest (candidate, rest row) pairs for which the typicality kernel finds
+#: the pairs that pass the zero cells of a pinned candidate by a join, not by
+#: the OR of ANDs.  Below it the join's fixed cost of some twenty array calls
+#: outweighs the ANDs it saves (crossover measured on a 2-core x86-64 host:
+#: 4k to 16k pairs of one word).  Results do not depend on it.
+_JOIN_PAIRS = 1 << 13
+
 
 class CodecError(Exception):
     pass
@@ -163,6 +170,40 @@ def _pack(flags: np.ndarray) -> np.ndarray:
     return out.view(np.uint64)
 
 
+#: The odd multiplier of `_equal_rows`' row hash (2^64 / golden ratio).
+_HASH_MULT = np.uint64(0x9E3779B97F4A7C15)
+
+
+def _equal_rows(a: np.ndarray, b: np.ndarray) -> tuple:
+    """(i, j): every pair of equal rows, a[i] == b[j], of the 2-D uint64
+    arrays `a` and `b`, in no particular order.
+
+    A hash join.  A row of one word is its own hash; a longer row hashes to
+    h = h * _HASH_MULT + word over its words, wrapping modulo 2^64.  Both
+    sides' hashes are sorted, each hash of b finds the run of equal hashes
+    of a by binary search, and the pairs whose rows differ (hash
+    collisions) are dropped.
+    """
+    ha, hb = (rows[:, 0] for rows in (a, b))
+    if a.shape[1] > 1:
+        ha, hb = ha.copy(), hb.copy()
+        for w in range(1, a.shape[1]):
+            for h, rows in ((ha, a), (hb, b)):
+                h *= _HASH_MULT
+                h += rows[:, w]
+    order_a, order_b = np.argsort(ha), np.argsort(hb)
+    ordered, needles = ha[order_a], hb[order_b]
+    lo = np.searchsorted(ordered, needles, side="left")
+    count = np.searchsorted(ordered, needles, side="right") - lo
+    ends = np.cumsum(count)
+    i = order_a[np.repeat(lo - ends + count, count) + np.arange(ends[-1] if len(ends) else 0)]
+    j = np.repeat(order_b, count)
+    if a.shape[1] > 1:
+        same = (a[i] == b[j]).all(axis=1)
+        i, j = i[same], j[same]
+    return i, j
+
+
 class SequenceBits:
     """Length-n sequences over {0, ..., card-1}, packed once for the typicality kernel.
 
@@ -194,10 +235,17 @@ class JointTypicalityTest:
     positions where the other sequences spell the rest of w.  Only cells
     whose bounds can fail (lo > 0 or hi < n) are counted, against integer
     bounds computed once: ceil(lo)..floor(hi), clipped to [0, n].  A cell
-    that no count satisfies makes every mask False; zero cells (upper bound
-    0) are tested first, as one OR of ANDs against 0, and the other cells
-    are counted only on the candidates that pass them.  Candidates may be
-    given as (m, n) symbol arrays or as `SequenceBits` packed once by the
+    that no count satisfies makes every mask False.  Zero cells (upper
+    bound 0) are tested first, and the other cells are counted only on the
+    candidates that pass them.  The zero cells are tested one of two ways,
+    decided once per candidate variable from the test's own cells.  Where
+    they leave the candidate (of two or more symbols) at most one allowed
+    symbol for every combination of the other variables' symbols, the
+    candidate is *pinned*: each rest row allows exactly one sequence, and
+    the candidates equal to it are found by a hash join (`_equal_rows`) in
+    calls of at least `_JOIN_PAIRS` pairs.  Otherwise the zero cells are
+    tested as one OR of ANDs against 0.  Candidates may
+    be given as (m, n) symbol arrays or as `SequenceBits` packed once by the
     caller.  Each fixed sequence is one length-n array, or a batch of B of
     them stacked as (B, n); a batch gives the masks a trailing axis of
     length B, one mask per batch row, and 1-D values are shared by every
@@ -232,6 +280,14 @@ class JointTypicalityTest:
         self._cell_span = np.maximum(hi - lo, 0).astype(count)
         # each counted cell's symbol of each variable
         self._symbols = {v: self.cells // self.strides[v] % self.cards[v] for v in self.names}
+        # pinned: the zero cells allow at most one of the variable's (two or
+        # more) symbols with every combination of the other variables' symbols
+        allowed = np.ones(self.width, dtype=bool)
+        allowed[self.cells[self._zero]] = False
+        allowed = allowed.reshape(cards)
+        self._pinned = {v: card > 1 and bool((allowed.sum(axis=axis) <= 1).all())
+                        for axis, (v, card) in enumerate(zip(self.names, cards))}
+        self._valid = _pack(np.ones(n, dtype=bool))  # the n live bits of a sequence's words
 
     def _sequences(self, name: str, seqs, ndims: tuple) -> np.ndarray:
         """`seqs` as an array, refused unless its axis count is in `ndims` and
@@ -268,29 +324,52 @@ class JointTypicalityTest:
         counts = np.bincount(self._fixed_code(seqs, (1,))[0], minlength=self.width)
         return bool(np.all((counts >= self.lo) & (counts <= self.hi)))
 
-    def _counts_ok(self, bits_a: np.ndarray, va: np.ndarray, rest: np.ndarray) -> np.ndarray:
+    def _counts_ok(self, bits_a: np.ndarray, va: np.ndarray, rest: np.ndarray,
+                   pinned: bool) -> np.ndarray:
         """ok[i, j]: for every counted cell c, popcount(bits_a[va[c], i] & rest[c, j])
         lies within c's integer bounds.
 
-        Rows i are taken in tiles of at most `_KERNEL_WORDS` words (at least
-        one row), through word buffers allocated once.  A zero cell passes
-        only where its AND is all zero, so a tile first ORs the ANDs of every
-        zero cell (grouped by symbol of a: a & r | a & r' = a & (r | r')) into
-        one buffer and tests it against 0 once; the other cells are then
-        counted only on the pairs that pass.
+        A zero cell passes only where its AND is all zero.  Grouped by symbol
+        v of a, the zero cells' rest bitsets OR into forbidden[v][j]: the
+        positions where row j forbids v (a & r | a & r' = a & (r | r')).
+        When a is `pinned`, row j allows at most one symbol at each position,
+        so the candidates that pass are those whose planes equal the allowed
+        planes ~forbidden[v][j] (padding bits masked); above `_JOIN_PAIRS`
+        pairs, `_equal_rows` finds them by a hash join.  Otherwise rows i
+        are taken in tiles of at most `_KERNEL_WORDS` words (at least one
+        row), through word buffers allocated once, and a tile ORs the ANDs
+        of bits_a[v] with forbidden[v] into one buffer and tests it against
+        0 once.  Either way the other cells are then counted only on the
+        pairs that pass, at most `_KERNEL_WORDS` words at a time.
         """
         ma, mb, words = bits_a.shape[1], rest.shape[1], bits_a.shape[2]
         ok = np.zeros((ma, mb), dtype=bool)
         if self._void or ma == 0 or mb == 0:
             return ok
         zero = self._zero
-        zero_rest = [(v, np.bitwise_or.reduce(rest[zero & (va == v)], axis=0))
+        forbidden = [(v, np.bitwise_or.reduce(rest[zero & (va == v)], axis=0))
                      for v in sorted(set(va[zero].tolist()))]
         counted = np.flatnonzero(~zero).tolist()
-        rows = min(ma, max(1, _KERNEL_WORDS // (mb * words)))
-        acc, hits = np.empty((2, rows * mb, words), dtype=np.uint64)
-        counts = np.empty((rows * mb, words), dtype=np.uint8)
-        flag = np.empty(rows * mb, dtype=bool)
+        join = pinned and ma * mb >= _JOIN_PAIRS
+        if join:
+            # the allowed planes; a row that allows a symbol at every position
+            # (a live row) leaves the last plane to the complement of the others
+            allowed = np.empty((len(bits_a), mb, words), dtype=np.uint64)
+            allowed[:] = self._valid
+            for v, r in forbidden:
+                np.bitwise_and(allowed[v], ~r, out=allowed[v])
+            live = np.flatnonzero(
+                (np.bitwise_or.reduce(allowed, axis=0) == self._valid).all(axis=1))
+            width = (len(bits_a) - 1) * words
+            i, j = _equal_rows(bits_a[:-1].transpose(1, 0, 2).reshape(ma, width),
+                               allowed[:-1, live].transpose(1, 0, 2).reshape(len(live), width))
+            j = live[j]
+            cap = max(1, min(len(i), _KERNEL_WORDS // words))
+        else:
+            cap = min(ma, max(1, _KERNEL_WORDS // (mb * words))) * mb
+        hits = np.empty((cap, words), dtype=np.uint64)
+        counts = np.empty((cap, words), dtype=np.uint8)
+        flag = np.empty(cap, dtype=bool)
 
         def count(passed, a, rest_of, shape):
             """passed &= lo <= popcount(a[va[c]] & rest_of(c)) <= hi for each
@@ -305,16 +384,29 @@ class JointTypicalityTest:
                 np.less_equal(n_c, self._cell_span[c], out=flag[:size])
                 passed &= flag[:size]
 
-        for i0 in range(0, ma, rows):
-            tile = ok[i0:i0 + rows].reshape(-1)
+        def count_pairs(passed, i, j):
+            """count() on the pairs (i[u], j[u]), `cap` pairs at a time."""
+            for lo in range(0, len(passed), cap):
+                ii, jj = i[lo:lo + cap], j[lo:lo + cap]
+                count(passed[lo:lo + cap], bits_a[:, ii], lambda c: rest[c, jj], (-1, words))
+
+        if join:
+            survive = np.ones(len(i), dtype=bool)
+            count_pairs(survive, i, j)
+            ok[i, j] = survive
+            return ok
+        step = cap // mb  # candidate rows per tile
+        acc = np.empty((cap, words), dtype=np.uint64)
+        for i0 in range(0, ma, step):
+            tile = ok[i0:i0 + step].reshape(-1)
             size = len(tile)
-            if not zero_rest:
+            if not forbidden:
                 tile[:] = True
-                count(tile, bits_a[:, i0:i0 + rows, None, :], lambda c: rest[c], (-1, mb, words))
+                count(tile, bits_a[:, i0:i0 + step, None, :], lambda c: rest[c], (-1, mb, words))
                 continue
             acc_t, hits_t = (buf[:size].reshape(-1, mb, words) for buf in (acc, hits))
-            for k, (v, r) in enumerate(zero_rest):
-                np.bitwise_and(bits_a[v, i0:i0 + rows, None, :], r, out=hits_t if k else acc_t)
+            for k, (v, r) in enumerate(forbidden):
+                np.bitwise_and(bits_a[v, i0:i0 + step, None, :], r, out=hits_t if k else acc_t)
                 if k:
                     np.bitwise_or(acc_t, hits_t, out=acc_t)
             np.equal(acc[:size, 0] if words == 1 else np.bitwise_or.reduce(acc[:size], axis=1),
@@ -323,7 +415,7 @@ class JointTypicalityTest:
                 pairs = np.flatnonzero(tile)
                 i, j = np.divmod(pairs, mb)
                 survive = np.ones(len(pairs), dtype=bool)
-                count(survive, bits_a[:, i0 + i], lambda c: rest[c, j], (-1, words))
+                count_pairs(survive, i0 + i, j)
                 tile[pairs] = survive
         return ok
 
@@ -342,7 +434,8 @@ class JointTypicalityTest:
         fixed_bits = self._fixed_bits(fixed, rest)
         if len(cands) == 0:
             return self._unbatched(np.zeros((0, fixed_bits.shape[1]), dtype=bool), fixed)
-        ok = self._counts_ok(self._planes(cand_name, cands), va, fixed_bits)
+        ok = self._counts_ok(self._planes(cand_name, cands), va, fixed_bits,
+                             self._pinned[cand_name])
         return self._unbatched(ok, fixed)
 
     def pair_mask(self, name_a: str, cands_a, name_b: str, cands_b,
@@ -359,7 +452,7 @@ class JointTypicalityTest:
         # one rest bitset per (candidate b, batch row)
         rest_bits = self._planes(name_b, cands_b)[vb][:, :, None, :] & fixed_bits[:, None, :, :]
         ok = self._counts_ok(self._planes(name_a, cands_a), va,
-                             rest_bits.reshape(cells, mb * batch, words))
+                             rest_bits.reshape(cells, mb * batch, words), self._pinned[name_a])
         return self._unbatched(ok.reshape(ma, mb, batch), fixed)
 
 

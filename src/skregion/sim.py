@@ -45,6 +45,7 @@ from .codec import (
     _BackwardEncoder,
     _ForwardDecoder,
     _ForwardEncoder,
+    _groups,
     _KERNEL_WORDS,
     _unique_hits,
 )
@@ -157,10 +158,12 @@ class SimReport:
     failures: dict
     warnings: list
     wall_clock: float = 0.0
+    notes: tuple = ()  # why exact mode left a quantity null, one line each
 
     def to_json_dict(self) -> dict:
-        """Every field but `wall_clock`, which no output file holds."""
-        return {f.name: getattr(self, f.name) for f in fields(self) if f.name != "wall_clock"}
+        """Every field but `wall_clock` and `notes`, which no output file holds."""
+        return {f.name: getattr(self, f.name) for f in fields(self)
+                if f.name not in ("wall_clock", "notes")}
 
     def summary_line(self) -> str:
         def fmt(x):
@@ -315,6 +318,7 @@ class _Instance:
         self.enc_params = TypicalityParams(config.n, config.eps.enc)
         self.dec_params = TypicalityParams(config.n, config.eps.dec)
         self._cache = {}
+        self.refusals = {}  # user -> why exact mode leaves the user's key error null
         build = (build_forward_codebooks if config.direction == "forward"
                  else build_backward_codebooks)
         self.cb1, self.cb2 = build(self.full, self.enc_params, config.rate1, config.rate2, seed)
@@ -628,16 +632,23 @@ def _extend_rows(rows: np.ndarray, pair: np.ndarray) -> np.ndarray:
     return out.reshape(r * c1, s * c2)
 
 
-def _pair_block_rows(base: JointPmf, first: str, second: str, n: int):
+def _pair_table(base: JointPmf, first: str, second: str) -> np.ndarray:
+    """The one-position law p(first, second) as a (c1, c2) table."""
+    pair = base.marginalize({first, second})
+    return pair.table if pair.names == (first, second) else pair.table.T
+
+
+def _pair_block_rows(base: JointPmf, first: str, second: str, n: int, needed=None):
     """The rows of p(first-block, second-block), a chunk at a time.
 
     Yields (first row, rows) with rows a (m, c2^n) slice of the (c1^n, c2^n)
     law, in row order.  Every entry is the left-to-right product over the
     positions that `iid_extension` forms, so the rows equal its table bit for
-    bit; the table is refused above `entry_budget()`, as there.
+    bit; the table is refused above `entry_budget()`, as there.  Given the
+    boolean per row `needed`, a chunk none of whose rows is needed is
+    skipped.
     """
-    pair = base.marginalize({first, second})
-    table = pair.table if pair.names == (first, second) else pair.table.T
+    table = _pair_table(base, first, second)
     c1, c2 = table.shape
     if n > 1:  # as in `iid_extension`, which returns the n = 1 law unchecked
         _check_extension_budget((c1, c2), n)
@@ -648,13 +659,42 @@ def _pair_block_rows(base: JointPmf, first: str, second: str, n: int):
         tail += 1
     head = n - tail
     for prefix in range(c1 ** head):
+        start = prefix * c1 ** tail
+        if needed is not None and not needed[start:start + c1 ** tail].any():
+            continue
         rows = np.ones((1, 1))
         for pos in range(head):
             x = prefix // c1 ** (head - 1 - pos) % c1
             rows = _extend_rows(rows, table[x:x + 1])
         for _ in range(tail):
             rows = _extend_rows(rows, table)
-        yield prefix * c1 ** tail, rows
+        yield start, rows
+
+
+def _support_rows(table: np.ndarray, n: int) -> tuple:
+    """(single, at, mass) per row of the length-n block-pair law whose
+    one-position law is the (c1, c2) `table`, without forming the rows.
+
+    single[r]: whether row r has at most one nonzero entry, i.e.
+    prod_i nnz(table[x_i, :]) <= 1 for its block x.  For such a row, at[r]
+    is the column of that entry (any column when the row is zero) and
+    mass[r] the entry itself, which is also the row's sum: the left-to-right
+    product over the positions that `_extend_rows` forms.  Other rows' `at`
+    and `mass` mean nothing.
+    """
+    c1, c2 = table.shape
+    nnz = np.count_nonzero(table, axis=1)
+    col = table.argmax(axis=1)  # entries are >= 0: the nonzero one, if one
+    value = table[np.arange(c1), col]
+    blocks = _all_sequences(c1, n)
+    single = (nnz <= 1)[blocks].all(axis=1) | (nnz == 0)[blocks].any(axis=1)
+    at = np.zeros(len(blocks), dtype=np.int64)
+    mass = np.ones(len(blocks))
+    for x in blocks.T:
+        at *= c2
+        at += col[x]
+        mass *= value[x]
+    return single, at, mass
 
 
 def _fold_rows(out, target: np.ndarray, coef: np.ndarray, source: np.ndarray,
@@ -676,20 +716,16 @@ def _masked_row_sums(rows: np.ndarray, source: np.ndarray, masks: np.ndarray,
     """rows[source[u]][masks[mask_of[u]]].sum() for every u, bit for bit;
     mask g keeps kept[g] entries.
 
-    A row with at most one nonzero entry sums to that entry where the mask
-    keeps it and to 0.0 where it does not, in any order, so it is looked up.
-    The other rows whose masks keep the same number of entries are gathered
-    into one contiguous (rows, kept) array and summed along its last axis,
-    which numpy sums pairwise per row exactly as it sums the 1-D gather; a
-    gather holds at most `_CHUNK_ROW_ENTRIES` entries (at least one row).
+    The rows whose masks keep the same number of entries are gathered into
+    one contiguous (rows, kept) array and summed along its last axis, which
+    numpy sums pairwise per row exactly as it sums the 1-D gather; a gather
+    holds at most `_CHUNK_ROW_ENTRIES` entries (at least one row).
     """
-    at = rows.argmax(axis=1)[source]  # entries are >= 0: the nonzero one, if one
-    sums = np.where(masks[mask_of, at], rows[source, at], 0.0)
-    dense = np.flatnonzero(np.count_nonzero(rows, axis=1)[source] > 1)
-    size_of = kept[mask_of[dense]]
+    sums = np.empty(len(source))
+    size_of = kept[mask_of]
     per = max(1, _CHUNK_ROW_ENTRIES // rows.shape[1])
     for size in _unique(size_of)[0].tolist():
-        same = dense[size_of == size]
+        same = np.flatnonzero(size_of == size)
         for lo in range(0, len(same), per):
             u = same[lo:lo + per]
             picked = rows[source[u]][masks[mask_of[u]]]
@@ -748,6 +784,7 @@ def _view_joint(inst: _Instance, user: int) -> np.ndarray:
     for start, rows in _pair_block_rows(cfg.base, encoder.src, other, n):
         lo, hi = np.searchsorted(block, (start, start + len(rows)))
         _fold_rows(targets, target[lo:hi], coef[lo:hi], block[lo:hi] - start, rows)
+    del rows  # the last chunk, freed before the copy below doubles the joint
     return np.ascontiguousarray(np.moveaxis(joint, -1, 1))
 
 
@@ -780,46 +817,63 @@ def _exact_side(inst: _Instance, user: int) -> ExactSide:
                      _exact_key_error(inst, user))
 
 
-def _decode_rows(test, cb, var: str, sequences, obs: str, blocks, fixed_of):
-    """`decode_row(col, a)`: the key decoded from each of the observed `blocks`
-    given column `col` and cover index `a`, or -1 where no candidate or more
-    than one is typical; computed once per column and distinct cover codeword.
+class _RowDecoder:
+    """`decoder(col, a)`: the key decoded from each observed block given
+    column `col` and cover index `a`, or -1 where no candidate or more than
+    one is typical; `decoder(col, a, at)` the same at the observed blocks
+    numbered `at` only.
 
     The candidates are `cb`'s sequences of variable `var` in the column, as
     rows of the packed `sequences`; `fixed_of(a)` gives the test's other
     fixed sequences, which depend on `a` only through its cover codeword
-    `cb.u_codebook[a]`.
+    `cb.u_codebook[a]`.  So a decode is keyed by (col, codeword[a]), the
+    first cover index of a's codeword.  A row over every block is computed
+    once per key, and a decode at some blocks reads it where it exists.
     """
-    first = {}  # cover codeword -> its first cover index
-    same = [first.setdefault(u.tobytes(), a) for a, u in enumerate(cb.u_codebook)]
-    cache = {}
 
-    def decode_row(col: int, a: int) -> np.ndarray:
-        key = (col, same[a])
-        if key not in cache:
-            members = cb.column(col)
-            ok = test.pair_mask(var, sequences[members], obs, blocks, fixed_of(key[1]))
-            status, which = _unique_hits(ok)
-            cache[key] = np.where(status == OK, cb.triples[members[which], 0], -1)
-        return cache[key]
+    def __init__(self, test, cb, var: str, sequences, obs: str, blocks, fixed_of):
+        first = {}  # cover codeword -> its first cover index
+        self.codeword = np.array([first.setdefault(u.tobytes(), a)
+                                  for a, u in enumerate(cb.u_codebook)], dtype=np.int64)
+        self.test, self.cb, self.var, self.sequences = test, cb, var, sequences
+        self.obs, self.blocks, self.fixed_of = obs, blocks, fixed_of
+        self._rows = {}
 
-    return decode_row
+    def __call__(self, col: int, a: int, at=None) -> np.ndarray:
+        key = (col, int(self.codeword[a]))
+        if key in self._rows:
+            return self._rows[key] if at is None else self._rows[key][at]
+        if at is not None:
+            return self._decode(*key, self.blocks[at])
+        self._rows[key] = self._decode(*key, self.blocks)
+        return self._rows[key]
+
+    def _decode(self, col: int, a: int, blocks) -> np.ndarray:
+        members = self.cb.column(col)
+        ok = self.test.pair_mask(self.var, self.sequences[members], self.obs, blocks,
+                                 self.fixed_of(a))
+        status, which = _unique_hits(ok)
+        return np.where(status == OK, self.cb.triples[members[which], 0], -1)
 
 
 def _key_decoder(inst: _Instance, user: int):
-    """(encoder source, decoder observation, `_decode_rows` decoder) of
-    `user`'s key, or None where exact mode does not compute its error.
+    """(encoder source, decoder observation, `_RowDecoder`) of `user`'s key,
+    or None where exact mode does not compute its error, with the reason in
+    `inst.refusals[user]`.
 
     Forward, user 3's joint decoder of user 1's key, which needs constant T
     and V so that it depends on (k', a, x3) only; backward, user's own
     decoder.  Either way the error reads the rows of the (encoder source,
     decoder observation) block-pair law; None when that law exceeds
-    `entry_budget()`.
+    `entry_budget()`, whether or not its rows are formed.
     """
     cfg = inst.config
     full = inst.full
     if cfg.direction == "forward":
-        if full.variable("T").cardinality > 1 or full.variable("V").cardinality > 1:
+        cards = {v: full.variable(v).cardinality for v in ("T", "V")}
+        if max(cards.values()) > 1:
+            inst.refusals[user] = ("user 3's joint decoder needs constant T and V, "
+                                   f"got |T|={cards['T']}, |V|={cards['V']}")
             return None
         decoder = inst.coders()[2]
         src, obs, var, sequences = "X1", "X3", "S", decoder.seqs1
@@ -831,11 +885,13 @@ def _key_decoder(inst: _Instance, user: int):
         cb = decoder.codebook
         const = {}
     card = full.variable(obs).cardinality
-    if (full.variable(src).cardinality * card) ** cfg.n > entry_budget():
+    size, cap = (full.variable(src).cardinality * card) ** cfg.n, entry_budget()
+    if size > cap:
+        inst.refusals[user] = f"exact ({src}, {obs}) block-pair law needs {size} entries, budget {cap}"
         return None
     blocks = SequenceBits(_all_sequences(card, cfg.n), card)
-    return src, obs, _decode_rows(decoder.test, cb, var, sequences, obs, blocks,
-                                  lambda a: {**const, "U": cb.u_codebook[a]})
+    return src, obs, _RowDecoder(decoder.test, cb, var, sequences, obs, blocks,
+                                 lambda a: {**const, "U": cb.u_codebook[a]})
 
 
 def _decoded_rows(decode_row, width: int, col: np.ndarray, cover: np.ndarray) -> tuple:
@@ -858,6 +914,15 @@ def _exact_key_error(inst: _Instance, user: int) -> float | None:
     the decoder's own block, so the (encoder source, decoder observation)
     block-pair law suffices.  This covers forward err_K and both backward
     errors; forward err_L is `_exact_err_l_forward`.
+
+    The law's rows are read from its support.  A row with at most one
+    nonzero entry (`_support_rows`) is never formed: its outcome cells
+    weigh its one entry where the key decoded at that entry's block is
+    wrong.  The other rows are streamed (`_pair_block_rows`), and their
+    cells sum each row over the blocks where the decoded key is wrong
+    (`_masked_row_sums`).  Each announced (column, cover codeword) is
+    decoded by one kernel call: on every observed block if a streamed row
+    announces it, else only on the blocks that carry its rows' mass.
     """
     cfg = inst.config
     if cfg.direction == "forward" and user == 2:
@@ -865,29 +930,45 @@ def _exact_key_error(inst: _Instance, user: int) -> float | None:
     decoder = inst.cached(("decoder", user), _key_decoder, inst, user)
     if decoder is None:
         return None
-    src, obs, decode_row = decoder
+    src, obs, decode = decoder
     table, fail = _outcomes(inst, user)
     encoder = inst.encoder(user)
     dims, pos = encoder.dims, 2 * encoder.users.index(user)  # `user`'s (key, column) labels
-    # one mask per (column, cover, key) announced: where the decoded key differs
     col, cover, key = table.labels[:, pos + 1], table.cover, table.labels[:, pos]
-    _, first, group_of = _unique(
-        np.ravel_multi_index((col, cover, key), (dims[pos + 1], dims[-1], dims[pos])))
-    width = inst.full.variable(obs).cardinality ** cfg.n
-    decoded, decoded_of = _decoded_rows(decode_row, width, col[first], cover[first])
-    wrong = np.empty((len(first), width), dtype=bool)
-    bounds = np.searchsorted(decoded_of, np.arange(len(decoded) + 1))  # adjacent groups
-    for row, lo, hi in zip(decoded, bounds[:-1].tolist(), bounds[1:].tolist()):
-        np.not_equal(row, key[first[lo:hi], None], out=wrong[lo:hi])
-    kept = wrong.sum(axis=1)
     block = table.blocks()
-    row_mass = np.empty(len(table))
-    terms = np.empty(len(block))
-    for start, rows in _pair_block_rows(cfg.base, src, obs, cfg.n):
-        row_mass[start:start + len(rows)] = rows.sum(axis=1)
-        lo, hi = table.start[start], table.start[start + len(rows)]
-        terms[lo:hi] = table.weight[lo:hi] * _masked_row_sums(
-            rows, block[lo:hi] - start, wrong, kept, group_of[lo:hi])
+    single, at, row_mass = _support_rows(_pair_table(cfg.base, src, obs), cfg.n)
+    streamed = ~single[block]  # per cell: is its row streamed
+    codes = col * dims[-1] + decode.codeword[cover]  # per cell: (column, cover codeword)
+    full_rows = {}  # code -> the keys decoded at every observed block
+    decoded = np.empty(len(block), dtype=np.int64)  # per cell: the key decoded at `at`
+    for code, cells in _groups(codes):
+        c, a = divmod(code, dims[-1])
+        if streamed[cells].any():
+            full_rows[code] = decode(c, a)
+            decoded[cells] = full_rows[code][at[block[cells]]]
+        else:
+            blocks, _, where = _unique(at[block[cells]])
+            decoded[cells] = decode(c, a, blocks)[where]
+    terms = table.weight * np.where(decoded != key, row_mass[block], 0.0)
+    if not single.all():  # the other rows' mass and terms, from the stream
+        dense = np.flatnonzero(streamed)
+        # one mask per (column, cover, key) announced: where the decoded key differs
+        _, first, group_of = _unique(np.ravel_multi_index(
+            (col[dense], cover[dense], key[dense]), (dims[pos + 1], dims[-1], dims[pos])))
+        wrong = np.empty((len(first), len(decode.blocks)), dtype=bool)
+        for h, (code, k) in enumerate(zip(codes[dense[first]].tolist(),
+                                          key[dense[first]].tolist())):
+            np.not_equal(full_rows[code], k, out=wrong[h])
+        kept = wrong.sum(axis=1)
+        dense_block = block[dense]
+        for start, rows in _pair_block_rows(cfg.base, src, obs, cfg.n, ~single):
+            end = start + len(rows)
+            formed = ~single[start:end]
+            row_mass[start:end][formed] = rows.sum(axis=1)[formed]
+            lo, hi = np.searchsorted(dense_block, (start, end))
+            u = dense[lo:hi]
+            terms[u] = table.weight[u] * _masked_row_sums(
+                rows, block[u] - start, wrong, kept, group_of[lo:hi])
     # added one at a time in block order, after the encoder-failure mass
     return float(np.add.accumulate(np.concatenate(([row_mass @ fail], terms)))[-1])
 
@@ -905,11 +986,14 @@ def _exact_err_l_forward(inst: _Instance) -> float | None:
     n = cfg.n
     decoder = inst.cached(("decoder", 1), _key_decoder, inst, 1)
     if decoder is None:
+        inst.refusals[2] = inst.refusals[1]
         return None
     _, fail2 = _outcomes(inst, 2)
     no_fail2 = fail2.max() == 0.0
     cards = [inst.full.variable(v).cardinality for v in ("X1", "X2", "X3")]
-    if not no_fail2 and math.prod(cards) ** n > entry_budget():
+    size, cap = math.prod(cards) ** n, entry_budget()
+    if not no_fail2 and size > cap:
+        inst.refusals[2] = f"exact block triple needs {size} entries, budget {cap}"
         return None
     dec_fail = _decode_failures(inst, decoder[2])
     if no_fail2:
@@ -977,10 +1061,17 @@ def exact_report(config: SimConfig) -> SimReport:
     """Full SimReport from exact enumeration (both keys)."""
     start = time.perf_counter()
     per_seed = []
+    notes = {}  # each distinct note once, in first-seen order
     for seed in config.codebook_seeds:
         inst = _Instance(config, seed)
-        per_seed.append(_seed_row(seed, _exact_side(inst, 1), _exact_side(inst, 2)))
-    return _report(config, "exact", per_seed, {}, _margin_warnings(inst), start)
+        sides = _exact_side(inst, 1), _exact_side(inst, 2)
+        per_seed.append(_seed_row(seed, *sides))
+        for user, (name, side) in enumerate(zip(("err_K", "err_L"), sides), 1):
+            if side.err is None:
+                notes.setdefault(f"{name} not computed: {inst.refusals[user]}")
+    report = _report(config, "exact", per_seed, {}, _margin_warnings(inst), start)
+    report.notes = tuple(notes)
+    return report
 
 
 def check_definition1(report: SimReport, eps: float) -> dict:

@@ -344,6 +344,13 @@ _GATE_ARGV = ["simulate", "--direction", "forward", "--n", "6", "--rate1", "0.40
               "--eps-enc", "0.75", "--mode", "exact", "--seeds", "1"]
 
 
+# stderr of a run that exact mode completes, by SKREGION_BUDGET
+_GATE_NOTES = {
+    "4608": "note: err_L not computed: exact block triple needs 262144 entries, budget 4608\n",
+    None: "",
+}
+
+
 @pytest.mark.parametrize("budget,summary,err_l", [
     ("4096", None, None),
     ("4608", "err_K=0.031250 err_L=n/a", None),
@@ -352,7 +359,8 @@ _GATE_ARGV = ["simulate", "--direction", "forward", "--n", "6", "--rate1", "0.40
 def test_simulate_exact_size_gates(tmp_path, capsys, monkeypatch, budget, summary, err_l):
     """Exact mode's size gates: the view table (4608 entries at n = 6) is
     refused with exit 3 and no output; at exactly that budget the 8^6-entry
-    block triple behind err_L is refused and err_L reads n/a (null)."""
+    block triple behind err_L is refused, err_L reads n/a (null), and
+    stderr says which gate refused which size."""
     if budget is not None:
         monkeypatch.setenv("SKREGION_BUDGET", budget)
     dist = tmp_path / "b0.dist"
@@ -367,9 +375,11 @@ def test_simulate_exact_size_gates(tmp_path, capsys, monkeypatch, budget, summar
         return
     assert rc == 0
     assert captured.out.startswith(summary + " ")
+    assert captured.err == _GATE_NOTES[budget]
     doc = json.loads((out / "report.json").read_text())
     assert doc["err_K"] == 0.03125
     assert doc["err_L"] == err_l
+    assert "notes" not in doc
 
 
 def test_view_table_gate_runs_before_the_encoder_outcomes(tmp_path, capsys, monkeypatch):

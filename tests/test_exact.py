@@ -29,6 +29,7 @@ from conftest import (
 )
 from skregion.codec import _all_sequences
 from skregion.pmf import Channel, JointPmf, VariableId, iid_extension
+from skregion.region import AuxSystem, _forward_channels, forward_inner_point
 from skregion.sim import (
     EpsParams,
     SimConfig,
@@ -40,7 +41,7 @@ from skregion.sim import (
     identity_preset,
     run_trials,
 )
-from skregion.sources import broadcast_source
+from skregion.sources import broadcast_source, triple_from_table
 
 REGRESSION = json.loads(
     (Path(__file__).parent / "data" / "exact_regression.json").read_text(encoding="utf-8"))
@@ -67,6 +68,21 @@ def _live_t_backward_config(n):
                 Channel(("S", "T"), (VariableId("U", 1),), np.ones((2, 2, 1))))
     return SimConfig(base, "backward", channels, n, 0.1, 0.1,
                      EpsParams(enc=0.75, dec=1.0), 1, (1,))
+
+
+def _z_leg_config(n, p1=0.5):
+    # user 1's key leg is a Z channel, p(x3 | x1) = [[1, 0], [0.25, 0.75]], and
+    # user 2 taps X3 through a BSC(0.25): the (X1, X3) block-pair row of the
+    # all-zero X1 block holds one nonzero entry, every other row several.
+    # eps_enc = 1 makes that block typical, so its row carries outcome cells.
+    # p1 is P(X1 = 1); at 0.05 the all-zero block is X1's only typical block.
+    z = np.array([[1.0, 0.0], [0.25, 0.75]])
+    bsc = np.array([[0.75, 0.25], [0.25, 0.75]])
+    base = triple_from_table(np.einsum("a,ac,cb->abc", [1.0 - p1, p1], z, bsc))  # [x1, x2, x3]
+    channels = _forward_channels(base)
+    rate1 = 0.5 * forward_inner_point(AuxSystem.forward(base, *channels)).r1_max
+    return SimConfig(base, "forward", channels, n, rate1, 0.0,
+                     EpsParams(enc=1.0, dec=1.0), 1, (1,))
 
 
 def _encoder_outcomes(inst, user):
@@ -198,6 +214,9 @@ _STAGE_CONFIGS = {
     "backward": broadcast_backward_preset(6, seeds=(1,)),
     "backward-live-t": _live_t_backward_config(6),
     "forward-tap0.1": broadcast_forward_preset(6, flip_tap=0.1, seeds=(1,)),
+    "z-leg": _z_leg_config(6),
+    # outcome cells on the one-entry row only; every other row's mass is encoder failure
+    "z-leg-one-typical": _z_leg_config(6, p1=0.05),
 }
 
 
@@ -212,6 +231,20 @@ def test_array_stages_equal_python_oracles(oracle_stages, name):
     _check_stages(_STAGE_CONFIGS[name], expected)
     # not vacuous: encoder-failure mass reaches the fallback transcript
     assert any((fail > 0.0).any() for _, fail in expected["outcomes"].values())
+
+
+def test_z_leg_config_mixes_row_supports():
+    # err_K weighs the outcome cells of one-entry rows from the rows' support
+    # and streams the other rows: the z-leg config runs both paths
+    config = _STAGE_CONFIGS["z-leg"]
+    single, _, _ = sim._support_rows(sim._pair_table(config.base, "X1", "X3"), config.n)
+    table, _ = sim._outcomes(_Instance(config, 1), 1)
+    cells = single[table.blocks()]
+    assert cells.any() and not cells.all()
+    # z-leg-one-typical streams rows that carry no outcome cell, only failure mass
+    config = _STAGE_CONFIGS["z-leg-one-typical"]
+    table, fail = sim._outcomes(_Instance(config, 1), 1)
+    assert single[table.blocks()].all() and (fail[~single] > 0.0).all()
 
 
 def test_python_oracles_see_decode_misses(oracle_stages):
@@ -304,6 +337,39 @@ def test_exact_decoder_calls_per_column_and_cover_codeword(monkeypatch):
     assert len(u) == 2
     assert set(calls) == {("S", "X3")}
     assert len(calls) == len(announced) == 23
+
+
+@pytest.mark.parametrize("make, src, obs", [
+    (broadcast_forward_preset, "X1", "X3"),
+    (broadcast_backward_preset, "X3", "X1"),
+], ids=["forward", "backward"])
+def test_key_error_null_exactly_above_the_block_pair_budget(monkeypatch, make, src, obs):
+    # err_K's gate is the dense size of the (encoder source, decoder
+    # observation) block-pair law, (2 * 2)^5 = 1024 entries here, although
+    # every row of these noiseless legs has one nonzero entry and none is formed
+    config = make(5, seeds=(1,))
+    unset = sim._exact_key_error(_Instance(config, 1), 1)
+    assert unset is not None
+    monkeypatch.setenv("SKREGION_BUDGET", "1024")
+    assert sim._exact_key_error(_Instance(config, 1), 1) == unset
+    monkeypatch.setenv("SKREGION_BUDGET", "1023")
+    inst = _Instance(config, 1)
+    assert sim._exact_key_error(inst, 1) is None
+    assert inst.refusals[1] == f"exact ({src}, {obs}) block-pair law needs 1024 entries, budget 1023"
+
+
+def test_exact_report_notes_why_an_error_is_null():
+    # each reason once over the seeds, in `notes` and never in the report's JSON
+    config = _two_key_config(5)
+    config.codebook_seeds = (1, 2)
+    report = exact_report(config)
+    reason = "user 3's joint decoder needs constant T and V, got |T|=2, |V|=1"
+    assert report.err_K is None and report.err_L is None
+    assert report.notes == (f"err_K not computed: {reason}", f"err_L not computed: {reason}")
+    assert "notes" not in report.to_json_dict()
+    computed = exact_report(broadcast_forward_preset(5, flip_tap=0.1, seeds=(1, 2)))
+    assert computed.err_K is not None and computed.err_L is not None
+    assert computed.notes == ()
 
 
 def _report(name):

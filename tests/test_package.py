@@ -92,17 +92,26 @@ print(json.dumps(sorted(sys.modules)))
 """
 
 
-@pytest.mark.parametrize("argv, absent", [
-    (["load"], DEFERRED),
+_SIMULATE = ["simulate", "--direction", "forward", "--rate1", "0.405639", "--eps-enc", "0.75"]
+
+
+@pytest.mark.parametrize("argv, absent, flip", [
+    (["load"], DEFERRED, 0.25),
     (["region", "--direction", "forward", "--bound", "inner", "--cards", "S=2,T=2,U=1,V=1"],
-     SIMULATOR + ["skregion.cases"]),
-    (["verify"], SIMULATOR),
-    (["simulate", "--direction", "forward", "--rate1", "0.405639", "--eps-enc", "0.75",
-      "--n", "6", "--mode", "exact"], ["numpy.ma"]),
-], ids=["load", "region", "verify", "simulate-exact"])
-def test_import_footprint(tmp_path, argv, absent):
-    dist = tmp_path / "e3.dist"
-    write_distribution(broadcast_source("X3", 0.25, 0.25), str(dist))
+     SIMULATOR + ["skregion.cases"], 0.25),
+    (["verify"], SIMULATOR, 0.25),
+    (_SIMULATE + ["--n", "6", "--mode", "exact"], ["numpy.ma"], 0.25),
+    (_SIMULATE + ["--n", "8", "--mode", "mc", "--trials", "50"], ["numpy.ma"], 0.0),
+    (_SIMULATE + ["--n", "8", "--mode", "exact"], ["numpy.ma"], 0.0),
+], ids=["load", "region", "verify", "simulate-exact", "simulate-mc-b0", "simulate-exact-b0"])
+def test_import_footprint(tmp_path, argv, absent, flip):
+    # flip is that of the X1 leg: 0.25 gives e3, where no joint cell is zero;
+    # 0.0 gives b0 (X1 = X3), whose zero cells pin the typicality kernel's
+    # candidates and leave err_K's block-pair rows one entry each.  At n = 8
+    # the encoders' calls (50 or 256 blocks by 200-odd codewords) reach
+    # `codec._JOIN_PAIRS`, so the join runs.
+    dist = tmp_path / "source.dist"
+    write_distribution(broadcast_source("X3", flip, 0.25), str(dist))
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
     proc = subprocess.run(
         [sys.executable, "-c", _PROBE, str(dist), argv[0], str(tmp_path / "out"), *argv[1:]],

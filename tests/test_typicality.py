@@ -7,10 +7,11 @@ packed sequences.  Both must accept exactly the same tuples.
 
 import math
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import skregion.codec as codec
 from skregion.codec import JointTypicalityTest, SequenceBits, TypicalityParams
@@ -21,9 +22,10 @@ NAMES = ("A", "B", "C")
 
 
 @st.composite
-def kernel_cases(draw):
+def kernel_cases(draw, min_card_a=1):
     """A random 3-variable joint (some zero cells), n, eps and a seed for sequences."""
     cards = draw(st.lists(st.integers(1, 3), min_size=3, max_size=3))
+    cards[0] = max(cards[0], min_card_a)
     size = math.prod(cards)
     weights = draw(st.lists(st.integers(0, 3), min_size=size, max_size=size))
     weights[draw(st.integers(0, size - 1))] += 1  # at least one nonzero cell
@@ -100,19 +102,40 @@ def test_kernel_cases_include_typical_tuples():
     assert 0 < sum(ok) < len(ok)
 
 
+def _pinned_symbol(b, c):
+    """The one A symbol that `_pinned_table` allows with (b, c), elementwise."""
+    return (b + 2 * c) % 3
+
+
+def _pinned_table(rng):
+    """A (3, 2, 2) law of (A, B, C) that pins A: A = `_pinned_symbol(B, C)`,
+    and the code (B, C) = (1, 1), which never occurs, allows no A symbol."""
+    table = np.zeros((3, 2, 2))
+    b, c = np.meshgrid(range(2), range(2), indexing="ij")
+    table[_pinned_symbol(b, c), b, c] = rng.dirichlet(np.ones(4)).reshape(2, 2)
+    table[:, 1, 1] = 0.0
+    return table / table.sum()
+
+
 @pytest.mark.parametrize("kernel_words, zero_cells", [
     (1, False), (7, False), (1 << 30, False),
     (1, True), (7, True), (24, True), (1 << 30, True),
+    (1, "pinned"), (7, "pinned"), (24, "pinned"), (1 << 30, "pinned"),
 ], ids=["1", "7", "1073741824", "1-zero-cells", "7-zero-cells", "24-zero-cells",
-        "1073741824-zero-cells"])
+        "1073741824-zero-cells", "1-pinned", "7-pinned", "24-pinned", "1073741824-pinned"])
 def test_kernel_grouping_does_not_change_masks(monkeypatch, kernel_words, zero_cells):
     # cells are counted a tile of rows at a time; the tile size bounds memory
     # only.  With zero cells, tiles of one row, of 2 rows (`pair_mask`, 24
     # words) or 3 rows (`mask`, 7 words; n = 90 takes 2 words a sequence) and
     # of every row run the zero-cell pass, then count the surviving pairs.
+    # A pinned A is joined (every call joins at `_JOIN_PAIRS` = 0), and its
+    # surviving pairs are counted 1, 3 (7 words), 12 (24 words) or all at a time.
     rng = np.random.default_rng(3)
     table = rng.dirichlet(np.ones(12)).reshape(3, 2, 2)
-    if zero_cells:
+    if zero_cells == "pinned":
+        table = _pinned_table(rng)
+        monkeypatch.setattr(codec, "_JOIN_PAIRS", 0)
+    elif zero_cells:
         table[0, 1, 1] = table[2, 0, 0] = 0.0
         table /= table.sum()
     joint = JointPmf(tuple(VariableId(v, c) for v, c in zip(NAMES, (3, 2, 2))), table)
@@ -120,6 +143,9 @@ def test_kernel_grouping_does_not_change_masks(monkeypatch, kernel_words, zero_c
     tuples = _tuples(joint, params.n, rng, 6)
     a, b, c = tuples[:, 0], tuples[:, 1], tuples[0, 2]
     test = JointTypicalityTest(joint, params)
+    assert test._pinned["A"] == (zero_cells == "pinned")
+    if zero_cells == "pinned":  # a[i] passes the zero cells with (b[i], c)
+        a = _pinned_symbol(b, c).astype(np.int8)
     reference = test.pair_mask("A", a, "B", b, {"C": c}), test.mask("A", a, {"B": b[0], "C": c})
     monkeypatch.setattr(codec, "_KERNEL_WORDS", kernel_words)
     assert np.array_equal(test.pair_mask("A", a, "B", b, {"C": c}), reference[0])
@@ -151,6 +177,66 @@ def test_batched_fixed_matches_per_row_calls(case):
 
     got = test.mask("A", a[:0], {"B": b, "C": c})
     assert got.shape == (0, 4)
+
+
+@st.composite
+def pinned_cases(draw):
+    """`kernel_cases` with zero cells added so that A (2 or 3 symbols) is
+    pinned: each (B, C) code allows one A symbol, or sometimes none."""
+    joint, params, seed = draw(kernel_cases(min_card_a=2))
+    table = joint.table.copy()
+    card_a, card_b, card_c = table.shape
+    for b in range(card_b):
+        for c in range(card_c):
+            keep = draw(st.integers(-1, card_a - 1))  # -1: no A symbol allowed
+            table[np.arange(card_a) != keep, b, c] = 0.0
+    if table.sum() == 0.0:
+        table[0, 0, 0] = 1.0
+    return JointPmf(joint.variables, table / table.sum()), params, seed
+
+
+# two words a sequence, card-3 A, and the code (B, C) = (1, 1) allowing no A
+_PINNED_TWO_WORDS = (
+    JointPmf(tuple(VariableId(v, c) for v, c in zip(NAMES, (3, 2, 2))),
+             _pinned_table(np.random.default_rng(11))),
+    TypicalityParams(90, 1.0), 2)
+
+
+def _pinned_operands(joint, params, seed) -> tuple:
+    """(a, b, c) of `test_pinned_join_matches_check`: candidates of A, two of
+    them repeated; candidates of B; a batch of 3 fixed sequences of C."""
+    tuples = _tuples(joint, params.n, np.random.default_rng(seed), 4)
+    return np.concatenate((tuples[:, 0], tuples[:2, 0])), tuples[:, 1], tuples[:3, 2]
+
+
+@settings(max_examples=150, deadline=None)
+@given(pinned_cases())
+@example(_PINNED_TWO_WORDS)
+def test_pinned_join_matches_check(case):
+    # the exact-match join of a pinned candidate against the per-tuple oracle:
+    # duplicate candidates, a fixed batch of B = 3 rows, packed or not
+    joint, params, seed = case
+    test = JointTypicalityTest(joint, params)
+    assert test._pinned["A"]
+    a, b, c = _pinned_operands(joint, params, seed)
+    packed = SequenceBits(a, joint.table.shape[0])
+    with mock.patch.object(codec, "_JOIN_PAIRS", 0):  # every call joins
+        pairs = test.pair_mask("A", a, "B", b, {"C": c})
+        masks = test.mask("A", packed, {"B": b[:3], "C": c})
+    assert pairs.tolist() == [[[test.check({"A": ai, "B": bj, "C": ck}) for ck in c]
+                               for bj in b] for ai in a]
+    assert masks.tolist() == [[test.check({"A": ai, "B": bk, "C": ck})
+                               for bk, ck in zip(b[:3], c)] for ai in a]
+
+
+def test_pinned_cases_reach_both_outcomes():
+    # the property test above is only as strong as its mix of outcomes: on
+    # its two-word example a repeated candidate passes, and most pairs fail
+    joint, params, seed = _PINNED_TWO_WORDS
+    a, b, c = _pinned_operands(joint, params, seed)
+    test = JointTypicalityTest(joint, params)
+    ok = [test.check({"A": ai, "B": bj, "C": ck}) for ai in a for bj in b for ck in c]
+    assert 0 < sum(ok) < len(ok)
 
 
 # (n, p, eps) of a two-cell joint (p, 1 - p), then how many counts of the
