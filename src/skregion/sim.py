@@ -214,18 +214,15 @@ def _plugin(pairs: Counter) -> tuple:
     total = sum(pairs.values())
     if total == 0:
         return 0.0, 0.0
-    left = Counter()
-    right = Counter()
-    for (k, v), c in pairs.items():
-        left[k] += c
-        right[v] += c
-    h = 0.0
-    for c in left.values():
-        p = c / total
-        h -= p * np.log2(p)
-    mi = 0.0
-    for (k, v), c in pairs.items():
-        mi += (c / total) * np.log2(c * total / (left[k] * right[v]))
+    keys, views = {}, {}  # each key and view -> its number, in first-seen order
+    k = np.fromiter((keys.setdefault(x, len(keys)) for x, _ in pairs), np.intp, len(pairs))
+    v = np.fromiter((views.setdefault(y, len(views)) for _, y in pairs), np.intp, len(pairs))
+    c = np.fromiter(pairs.values(), np.int64, len(pairs))
+    left, right = np.bincount(k, c), np.bincount(v, c)
+    p = left / total
+    h = np.subtract.accumulate(np.concatenate(([0.0], p * np.log2(p))))[-1]
+    terms = (c / total) * np.log2(c * total / (left[k] * right[v]))
+    mi = np.add.accumulate(np.concatenate(([0.0], terms)))[-1]
     return float(h), float(max(0.0, mi))
 
 
@@ -617,8 +614,9 @@ def _outcomes(inst: _Instance, user: int) -> tuple:
 
 
 #: Most entries of a block-pair law that one chunk of its rows holds in
-#: exact mode (a chunk holds at least one row).  Results do not depend on it.
-_CHUNK_ROW_ENTRIES = 1 << 19
+#: exact mode (a chunk holds at least one row): 1 MiB, within L2.  Also
+#: `_h`'s block.  Results do not depend on it.
+_CHUNK_ROW_ENTRIES = 1 << 17
 
 
 def _extend_rows(rows: np.ndarray, pair: np.ndarray) -> np.ndarray:
@@ -784,8 +782,12 @@ def _view_joint(inst: _Instance, user: int) -> np.ndarray:
     for start, rows in _pair_block_rows(cfg.base, encoder.src, other, n):
         lo, hi = np.searchsorted(block, (start, start + len(rows)))
         _fold_rows(targets, target[lo:hi], coef[lo:hi], block[lo:hi] - start, rows)
-    del rows  # the last chunk, freed before the copy below doubles the joint
-    return np.ascontiguousarray(np.moveaxis(joint, -1, 1))
+        del rows  # before the next chunk is formed
+    # each key's (public..., block) slab to (block, public...), in place
+    slabs = joint.reshape(n_key, -1)
+    for slab in slabs:
+        slab[:] = slab.reshape(-1, n_other).T.ravel()
+    return slabs.reshape(n_key, n_other, *public)
 
 
 def _in_block_order(block: tuple, *columns: tuple) -> tuple:
@@ -969,6 +971,7 @@ def _exact_key_error(inst: _Instance, user: int) -> float | None:
             u = dense[lo:hi]
             terms[u] = table.weight[u] * _masked_row_sums(
                 rows, block[u] - start, wrong, kept, group_of[lo:hi])
+            del rows
     # added one at a time in block order, after the encoder-failure mass
     return float(np.add.accumulate(np.concatenate(([row_mass @ fail], terms)))[-1])
 
@@ -996,10 +999,12 @@ def _exact_err_l_forward(inst: _Instance) -> float | None:
         inst.refusals[2] = f"exact block triple needs {size} entries, budget {cap}"
         return None
     dec_fail = _decode_failures(inst, decoder[2])
-    if no_fail2:
-        pair13 = np.concatenate([rows for _, rows in
-                                 _pair_block_rows(cfg.base, "X1", "X3", n)])
-        return float((pair13 * dec_fail).sum())
+    if no_fail2:  # each chunk of (X1, X3) rows weighs dec_fail in place
+        for start, rows in _pair_block_rows(cfg.base, "X1", "X3", n):
+            part = dec_fail[start:start + len(rows)]
+            np.multiply(rows, part, out=part)
+            del rows
+        return float(dec_fail.sum())
     triple = iid_extension(cfg.base, n).table
     err_l = float(np.einsum("abc,b->", triple, fail2))
     weight13 = np.einsum("abc,b->ac", triple, 1.0 - fail2)
@@ -1025,20 +1030,27 @@ def _decode_failures(inst: _Instance, decode_row) -> np.ndarray:
 
 
 def _h(p: np.ndarray) -> float:
-    """Entropy in bits of the 1-D array `p`, summed in one contiguous reduction."""
-    q = p if (p > 0).all() else p[p > 0]  # no copy when every cell is positive
-    lg = np.log2(q)
-    lg *= q
-    return float(-lg.sum())
+    """Entropy in bits of the 1-D array `p`, which it overwrites: a block at
+    a time, each positive x becomes x log2(x), moved left to a prefix in
+    order, so one contiguous sum adds `q * log2(q)`, `q = p[p > 0]`."""
+    size = 0
+    for lo in range(0, len(p), _CHUNK_ROW_ENTRIES):
+        part = p[lo:lo + _CHUNK_ROW_ENTRIES]
+        keep = part > 0
+        if not keep.all():  # a block with no zero cell is not copied
+            part = part[keep]
+        np.multiply(part, np.log2(part), out=p[size:size + len(part)])
+        size += len(part)
+    return float(-p[:size].sum())
 
 
 def _mi_first_axis(joint: np.ndarray) -> tuple:
     """(I(K; V), H(K)) in bits of a joint whose first axis is K and whose
-    other axes together are V."""
+    other axes together are V; `_h` takes its entropy last, in place."""
     flat = joint.reshape(joint.shape[0], -1)
-    total = _h(flat.reshape(-1))
     hk = _h(flat.sum(axis=1))
     hv = _h(flat.sum(axis=0))
+    total = _h(flat.reshape(-1))
     return max(0.0, hk + hv - total), hk
 
 

@@ -1,7 +1,8 @@
 """Shared definition-level oracles, independent of the numpy code paths."""
 
 import math
-from collections import defaultdict
+import tracemalloc
+from collections import Counter, defaultdict
 
 import numpy as np
 import pytest
@@ -135,6 +136,38 @@ def oracle_decode_failures(outcomes, fail, decode_row, width: int) -> np.ndarray
         if fail[code] > 0.0:
             dec_fail[code] += fail[code] * (decode_row(0, 0) == -1)
     return dec_fail
+
+
+def oracle_plugin(pairs: Counter) -> tuple:
+    """Plug-in (H(K), I(K; V)) from (key, view) pair counts, one Python term
+    at a time in first-seen order, each sum from 0.0."""
+    total = sum(pairs.values())
+    if total == 0:
+        return 0.0, 0.0
+    left = Counter()
+    right = Counter()
+    for (k, v), c in pairs.items():
+        left[k] += c
+        right[v] += c
+    h = 0.0
+    for c in left.values():
+        p = c / total
+        h -= p * np.log2(p)
+    mi = 0.0
+    for (k, v), c in pairs.items():
+        mi += (c / total) * np.log2(c * total / (left[k] * right[v]))
+    return float(h), float(max(0.0, mi))
+
+
+def traced_peak(fn) -> tuple:
+    """(fn(), the peak of the memory that tracemalloc traces while fn runs)."""
+    tracemalloc.start()
+    try:
+        result = fn()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return result, peak
 
 
 @pytest.fixture

@@ -10,7 +10,6 @@ weak tap, where err_L is computable) are not run by the benchmark.
 
 import json
 import math
-import tracemalloc
 from pathlib import Path
 from unittest import mock
 
@@ -26,6 +25,7 @@ from conftest import (
     oracle_key_error,
     oracle_view_joint,
     oracle_weigh_outcomes,
+    traced_peak,
 )
 from skregion.codec import _all_sequences
 from skregion.pmf import Channel, JointPmf, VariableId, iid_extension
@@ -495,13 +495,53 @@ def test_mi_first_axis_key_entropy_is_the_key_marginal(config):
         assert sim._mi_first_axis(joint)[1].hex() == sim._h(key_law).hex()
 
 
+def _compacted_h(p: np.ndarray) -> float:
+    """`_h`'s reference: the entropy of a compacted copy of the positive cells."""
+    q = p[p > 0]
+    return float(-(q * np.log2(q)).sum())
+
+
+law_cells = st.one_of(st.just(0.0), st.floats(1e-300, 1.0), st.floats(0.01, 1.0))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(law_cells, max_size=40), st.integers(1, 9))
+@example([1.0], 4)  # a one-cell law: -0.0, as before
+@example([0.0, 1.0, 0.0], 1)
+@example([0.5, 0.25, 0.25], 8)  # no zero cell
+def test_h_in_place_equals_compacted_entropy(values, block):
+    # `_h` works block by block in its argument's buffer, here with blocks
+    # shorter and longer than the array
+    p = np.array(values, dtype=float)
+    expected = _compacted_h(p.copy())
+    with mock.patch.object(sim, "_CHUNK_ROW_ENTRIES", block):
+        assert sim._h(p).hex() == expected.hex()
+
+
+@pytest.mark.parametrize("extra", [-1, 0, 1, sim._CHUNK_ROW_ENTRIES + 7])
+def test_h_in_place_across_the_block_size(rng, extra):
+    # with about 30% zero cells, and with none
+    size = sim._CHUNK_ROW_ENTRIES + extra
+    for p in (rng.random(size) * (rng.random(size) > 0.3), rng.random(size) + 0.5):
+        expected = _compacted_h(p.copy())
+        assert sim._h(p).hex() == expected.hex()
+
+
 def test_forward_exact_report_holds_no_dense_block_pair_table():
     # at n = 11 a (X1, X2) block-pair table alone is 4^11 float64 = 32 MiB
     config = broadcast_forward_preset(11, seeds=(1,))
-    tracemalloc.start()
-    try:
-        exact_report(config)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    _, peak = traced_peak(lambda: exact_report(config))
     assert peak < 64 * 2**20
+
+
+@pytest.mark.parametrize("config", [broadcast_forward_preset(11, seeds=(1,)),
+                                    identity_preset(11)], ids=["forward-11", "identity-11"])
+def test_exact_report_holds_one_view_table(config):
+    # the view table is transposed and its entropy taken in its own buffer,
+    # and err_L weighs its decode failures in place: beyond the largest view
+    # table (16.5 and 66.1 MiB here) a report holds one key's slab, a chunk
+    # of rows and small arrays
+    _, peak = traced_peak(lambda: exact_report(config))
+    seed = config.codebook_seeds[0]
+    table = max(exact_view_joint(config, seed, user).nbytes for user in (1, 2))
+    assert peak <= 1.25 * table

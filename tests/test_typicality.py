@@ -6,7 +6,6 @@ packed sequences.  Both must accept exactly the same tuples.
 """
 
 import math
-import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -14,6 +13,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import skregion.codec as codec
+from conftest import traced_peak
 from skregion.codec import JointTypicalityTest, SequenceBits, TypicalityParams
 from skregion.pmf import JointPmf, VariableId
 from skregion.sim import _Instance, broadcast_forward_preset
@@ -284,11 +284,6 @@ def test_encoder_sized_pair_mask_memory():
     encoder = _Instance(broadcast_forward_preset(11, seeds=(1,)), 1).coders()[0]
     blocks = codec._all_sequences(2, 11)
     assert encoder.size == 2024
-    tracemalloc.start()
-    try:
-        ok = encoder.typical(blocks)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    ok, peak = traced_peak(lambda: encoder.typical(blocks))
     assert ok.shape == (2048, 2024)
     assert peak < ok.nbytes + 2 * 2**20
