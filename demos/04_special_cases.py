@@ -35,7 +35,7 @@ rect = case2_region(star)
 print("\ncase-2 rectangle corner:",
       tuple(round(v, 6) for v in rect.frontier[0]))
 inner = enumerate_region(star, "forward-inner", GridSpec(2, 2, 1, 1, 1))
-gap = region_gap(rect.frontier, inner.constraint_sets)
+gap = region_gap(rect.frontier, inner.rates)
 print("forward inner reaches the corner: gap", f"{gap:.2e}")
 
 # Case 3: the backward region of a star source, searched on the lattice

@@ -18,7 +18,6 @@ from .region import (
     INF,
     GridSpec,
     RateConstraintSet,
-    RatePoint,
     RateRegion,
     _evaluate_lattice,
     _family_layers,
@@ -98,12 +97,6 @@ def _require_chain(base: JointPmf, chain: str, tol: float) -> None:
         raise ChainViolatedError(chain, residual)
 
 
-def _single_point_region(cset: RateConstraintSet, label: str) -> RateRegion:
-    point = RatePoint(cset, {"case": label})
-    return RateRegion(points=[point], frontier=pareto_frontier([cset]),
-                      meta={"case": label})
-
-
 def case1_region(base: JointPmf, tol: float = CHAIN_TOL) -> RateRegion:
     """Exact region for X1 - X2 - X3 chains: the segment R1 = 0, R2 <= I(X2;X3|X1).
 
@@ -112,14 +105,13 @@ def case1_region(base: JointPmf, tol: float = CHAIN_TOL) -> RateRegion:
     """
     _require_chain(base, "X1-X2-X3", tol)
     r2 = cmi(base, ("X2",), ("X3",), ("X1",))
-    return _single_point_region(RateConstraintSet(0.0, r2, INF), "case1")
+    return RateRegion.of(RateConstraintSet(0.0, r2, INF), {"case": "case1"})
 
 
 def case2_region(base: JointPmf, tol: float = CHAIN_TOL) -> RateRegion:
     """Exact forward region for X1 - X3 - X2 chains: the explicit rectangle."""
     _require_chain(base, "X1-X3-X2", tol)
-    cset = explicit_outer(base)
-    return _single_point_region(cset, "case2")
+    return RateRegion.of(explicit_outer(base), {"case": "case2"})
 
 
 def case3_region(base: JointPmf, grid: GridSpec, tol: float = CHAIN_TOL) -> RateRegion:
@@ -152,10 +144,8 @@ def case3_region(base: JointPmf, grid: GridSpec, tol: float = CHAIN_TOL) -> Rate
 
     chains_ok, consequence_ok, r1, r2 = _evaluate_lattice(base, layers, evaluate)
     kept = chains_ok & consequence_ok
-    points = [RatePoint(RateConstraintSet(a, b, INF), {"case": "case3"})
-              for a, b in zip(r1[kept].tolist(), r2[kept].tolist())]
-    frontier = pareto_frontier([p.constraints for p in points])
-    return RateRegion(points=points, frontier=frontier, meta={
+    rates = np.stack((r1[kept], r2[kept], np.full(np.count_nonzero(kept), INF)), axis=1)
+    return RateRegion(rates, pareto_frontier(rates), meta={
         "case": "case3", "bound": "lower",
         "evaluated": len(kept),
         "chain_rejected": int(np.count_nonzero(~chains_ok)),
@@ -167,39 +157,37 @@ def case3_region(base: JointPmf, grid: GridSpec, tol: float = CHAIN_TOL) -> Rate
 # Coincidence measurement
 # ---------------------------------------------------------------------------
 
-def _point_gap(px: float, py: float, csets) -> float:
-    """One-sided Chebyshev distance from (px, py) into the union of csets."""
-    best = INF
-    for c in csets:
-        d = max(0.0, px - min(c.r1_max, c.sum_max), py - min(c.r2_max, c.sum_max))
-        if c.sum_max < INF:
-            d = max(d, (px + py - c.sum_max) / 2.0)
-        d = max(d, 0.0)
-        if d < best:
-            best = d
-    return best
-
-
-def region_gap(outer_frontier, inner_csets) -> float:
+def region_gap(outer_frontier, inner_rates) -> float:
     """Max one-sided gap from the outer frontier into the inner union.
 
-    Probes every outer vertex plus 15 evenly spaced points along each
-    frontier edge; each probe measures how far it must move down-left
-    (Chebyshev) to enter the inner region.
+    `inner_rates` holds the inner union's (r1_max, r2_max, sum_max) rows;
+    an empty union is the origin's, (0, 0, inf).  Probes every outer vertex
+    plus 15 evenly spaced points along each frontier edge; each probe
+    measures how far it must move down-left (Chebyshev) to enter the inner
+    region: into one set, the largest of 0, its excess over the set's
+    largest R1 and largest R2, and half its excess over the sum bound.
     """
-    if not inner_csets:
-        inner_csets = [RateConstraintSet(0.0, 0.0, INF)]
+    rows = np.asarray(inner_rates, dtype=np.float64).reshape(-1, 3)
+    if not len(rows):
+        rows = np.array([[0.0, 0.0, INF]])
+    r1, r2, rsum = rows.T
+    right, top = np.minimum(r1, rsum), np.minimum(r2, rsum)
     probes = list(outer_frontier)
     for (x0, y0), (x1, y1) in zip(outer_frontier, outer_frontier[1:]):
         for j in range(1, _EDGE_SAMPLES):
             f = j / _EDGE_SAMPLES
             probes.append((x0 + f * (x1 - x0), y0 + f * (y1 - y0)))
-    return max(_point_gap(px, py, inner_csets) for px, py in probes)
+    gaps = []
+    for px, py in probes:
+        d = _nonneg(np.maximum(px - right, py - top))
+        diagonal = (px + py - rsum) / 2.0  # -inf without a sum bound
+        gaps.append(np.where(diagonal > d, diagonal, d).min())
+    return float(max(gaps))
 
 
 def verify_coincidence(inner: RateRegion, outer: RateRegion, tol: float) -> tuple:
     """True iff the outer frontier is within tol of the inner region."""
-    gap = region_gap(outer.frontier, inner.constraint_sets)
+    gap = region_gap(outer.frontier, inner.rates)
     return gap <= tol, gap
 
 

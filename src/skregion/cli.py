@@ -389,11 +389,11 @@ def frontier_csv(frontier) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _cset_json(c) -> dict:
+def _cset_json(r1_max: float, r2_max: float, sum_max: float) -> dict:
     return {
-        "r1_max": c.r1_max,
-        "r2_max": c.r2_max,
-        "sum_max": None if c.sum_max == math.inf else c.sum_max,
+        "r1_max": r1_max,
+        "r2_max": r2_max,
+        "sum_max": None if sum_max == math.inf else sum_max,
     }
 
 
@@ -421,24 +421,23 @@ def _parse_cards(text: str | None, base: JointPmf) -> "GridSpec":
 def cmd_region(args) -> int:
     from .region import (
         GridSpec,
+        RateRegion,
         enumerate_region,
         explicit_outer,
-        pareto_frontier,
         upper_concave_envelope,
     )
 
     base = load_distribution(args.dist)
     grid = _parse_cards(args.cards, base)
     if args.bound == "explicit":
-        cset = explicit_outer(base)  # a closed form: one point, no channels
-        points = _PointArray(None, (), np.array([[cset.r1_max, cset.r2_max, cset.sum_max]]))
-        frontier, meta = pareto_frontier([cset]), {"family": "explicit-outer"}
+        region = RateRegion.of(explicit_outer(base), {"family": "explicit-outer"})
+        points = _PointArray(None, (), region.rates)  # a closed form: one point, no channels
     else:
         grid = GridSpec(grid.card_s, grid.card_t, grid.card_u, grid.card_v, args.grid_q)
         region = enumerate_region(base, f"{args.direction}-{args.bound}", grid)
         lattice = region.lattice
         points = _PointArray(lattice.descriptors(), lattice.picks(), lattice.rates)
-        frontier, meta = region.frontier, region.meta
+    frontier, meta = region.frontier, region.meta
     doc = {
         "schema": 1,
         "direction": args.direction,
@@ -516,10 +515,10 @@ def _case1_check(base, grid_q, tol, swapped=False):
     from .region import (
         AuxSystem,
         GridSpec,
+        RateRegion,
+        _kept_lattice,
         backward_inner_point,
         explicit_outer,
-        lattice_constraint_sets,
-        pareto_frontier,
     )
 
     work = base
@@ -527,12 +526,11 @@ def _case1_check(base, grid_q, tol, swapped=False):
         perm = work.table.transpose(1, 0, 2)
         work = triple_from_table(perm)
     region1 = case1_region(work, tol)
-    segment_r2 = region1.points[0].constraints.r2_max
+    segment_r2 = region1.rates[0, 1].item()
     c3 = work.variable("X3").cardinality
     grid = GridSpec(1, c3, 1, 1, grid_q)
-    inner = lattice_constraint_sets(work, "backward-inner", grid)
-    outer = explicit_outer(work)
-    gap = region_gap(pareto_frontier([outer]), inner)
+    inner = _kept_lattice(work, "backward-inner", grid)[1].rates
+    gap = region_gap(RateRegion.of(explicit_outer(work)).frontier, inner)
     # the deterministic T = X3 point must attain the segment height exactly
     eye = np.eye(c3).reshape(c3, 1, c3)
     ch_st = Channel(("X3",), (VariableId("S", 1), VariableId("T", c3)), eye)
@@ -556,25 +554,24 @@ def _case2_check(base, grid_q, tol):
         AuxSystem,
         GridSpec,
         _forward_channels,
+        _kept_lattice,
         forward_inner_point,
-        lattice_constraint_sets,
-        pareto_frontier,
     )
 
     region2 = case2_region(base, tol)
-    rect = region2.points[0].constraints
+    rect = region2.rates[0].tolist()  # (r1_max, r2_max, sum_max)
     c1 = base.variable("X1").cardinality
     c2 = base.variable("X2").cardinality
     channels = _forward_channels(base, t_identity=True)  # S = X1, T = X2, constant U and V
     corner = forward_inner_point(AuxSystem.forward(base, *channels))
-    corner_err = max(abs(corner.r1_max - rect.r1_max), abs(corner.r2_max - rect.r2_max))
+    corner_err = max(abs(corner.r1_max - rect[0]), abs(corner.r2_max - rect[1]))
     grid = GridSpec(c1, c2, 1, 1, grid_q)
-    inner = lattice_constraint_sets(base, "forward-inner", grid)
-    gap = region_gap(pareto_frontier([rect]), inner)
+    inner = _kept_lattice(base, "forward-inner", grid)[1].rates
+    gap = region_gap(region2.frontier, inner)
     passed = corner_err <= CLOSED_FORM_TOL and gap <= tol
     return {
         "applicable": True,
-        "rectangle": _cset_json(rect),
+        "rectangle": _cset_json(*rect),
         "identity_corner": [corner.r1_max, corner.r2_max],
         "corner_error": corner_err,
         "outer_to_inner_gap": gap,
@@ -584,16 +581,13 @@ def _case2_check(base, grid_q, tol):
 
 def _case3_check(base, grid_q, tol):
     from .cases import case3_region
-    from .region import GridSpec, explicit_outer
+    from .region import GridSpec, RateRegion, explicit_outer
 
     c3 = base.variable("X3").cardinality
     grid = GridSpec(c3, c3, 1, 1, grid_q)
     region3 = case3_region(base, grid, tol)
-    outer = explicit_outer(base)
-    contained = all(
-        outer.contains(p.constraints.r1_max, p.constraints.r2_max, tol)
-        for p in region3.points
-    )
+    outer = RateRegion.of(explicit_outer(base))
+    contained = outer.contains(region3.rates[:, 0], region3.rates[:, 1], tol).all()
     return {
         "applicable": True,
         "frontier": [[x, y] for x, y in region3.frontier],

@@ -22,11 +22,17 @@ A lattice is a list of layers, one per auxiliary channel: `lattice_channels`
 returns a layer's every lattice channel as one stacked, once-validated
 matrix array (`LatticeLayer`), not as `Channel` objects.  `_evaluate_lattice`
 evaluates a lattice a chunk of points at a time from those stacks for
-`enumerate_region`, `single_key_capacity` and `cases.case3_region`, and
-a region keeps its kept points as columns (`LatticePoints`); the
+`enumerate_region`, `single_key_capacity` and `cases.case3_region`; the
 per-point evaluators (`forward_inner_point`, ...) take `Channel`s and use a
 batch of one, and a lattice point's values equal its per-point values bit
 for bit.
+
+A union of constraint sets is one (n, 3) float64 array of rows (r1_max,
+r2_max, sum_max), sum_max = inf for no sum bound: `RateRegion.rates`.
+`pareto_frontier`, `RateRegion.contains` and `cases.region_gap` compute
+over these rows; a lattice region also keeps its kept points' picks as
+columns (`LatticePoints`), and `RateRegion.points` is a view built from
+them on first read.
 """
 
 import math
@@ -63,7 +69,6 @@ __all__ = [
     "backward_inner_point",
     "backward_outer_point",
     "enumerate_region",
-    "lattice_constraint_sets",
     "single_key_capacity",
     "pareto_frontier",
     "upper_concave_envelope",
@@ -96,37 +101,6 @@ class RateConstraintSet:
     r2_max: float
     sum_max: float = INF
 
-    def contains(self, r1: float, r2: float, tol: float = 0.0) -> bool:
-        return (
-            r1 >= -tol
-            and r2 >= -tol
-            and r1 <= self.r1_max + tol
-            and r2 <= self.r2_max + tol
-            and r1 + r2 <= self.sum_max + tol
-        )
-
-    @property
-    def max_r1(self) -> float:
-        """Largest achievable R1 inside the set."""
-        return min(self.r1_max, self.sum_max)
-
-    @property
-    def max_r2(self) -> float:
-        return min(self.r2_max, self.sum_max)
-
-    def r2_at(self, r1: float) -> float:
-        """Largest feasible R2 at the given R1, or -inf if R1 infeasible."""
-        if r1 > self.max_r1:
-            return -INF
-        return min(self.r2_max, self.sum_max - r1)
-
-    def dominates(self, other: "RateConstraintSet") -> bool:
-        return (
-            self.r1_max >= other.r1_max
-            and self.r2_max >= other.r2_max
-            and self.sum_max >= other.sum_max
-        )
-
 
 @dataclass(frozen=True)
 class RatePoint:
@@ -135,33 +109,52 @@ class RatePoint:
 
 
 class RateRegion:
-    """Union of per-auxiliary constraint sets plus its Pareto frontier.
+    """A union of constraint sets plus its Pareto frontier.
 
-    A region from `enumerate_region` holds its kept points as the columns
-    `lattice` (a `LatticePoints`) and builds its `points` list from them
-    the first time `points` is read; any other region is given `points`
-    and has no `lattice`.
+    Row i of the (n, 3) float64 array `rates` is the i-th set's (r1_max,
+    r2_max, sum_max).  A region from `enumerate_region` also holds its kept
+    lattice points as `lattice` (a `LatticePoints`, whose `rates` these
+    are).  `points` lists the sets as `RatePoint`s, built the first time it
+    is read: each carries the channels it picks, or, in a region without a
+    lattice, `{"case": meta["case"]}`.
     """
 
-    def __init__(self, points, frontier, hull=None, meta=None, *, lattice=None):
-        self._points = points
+    def __init__(self, rates, frontier, hull=None, meta=None, *, lattice=None):
+        self.rates = rates
         self.frontier = frontier
         self.hull = hull
         self.meta = {} if meta is None else meta
         self.lattice = lattice
+        self._points = None
+
+    @classmethod
+    def of(cls, cset: RateConstraintSet, meta=None) -> "RateRegion":
+        """The union of the one set `cset`."""
+        rates = np.array([[cset.r1_max, cset.r2_max, cset.sum_max]])
+        return cls(rates, pareto_frontier(rates), meta=meta)
 
     @property
     def points(self) -> list:
         if self._points is None:
-            self._points = self.lattice.rate_points()
+            if self.lattice is not None:
+                self._points = self.lattice.rate_points()
+            else:
+                descriptor = {"case": self.meta.get("case")}
+                self._points = [RatePoint(RateConstraintSet(*row), descriptor)
+                                for row in self.rates.tolist()]
         return self._points
 
-    def contains(self, r1: float, r2: float, tol: float) -> bool:
-        return any(p.constraints.contains(r1, r2, tol) for p in self.points)
-
-    @property
-    def constraint_sets(self) -> list:
-        return [p.constraints for p in self.points]
+    def contains(self, r1, r2, tol: float):
+        """Whether some set holds (r1, r2) within tol: both rates at least
+        -tol and no bound exceeded by more than tol.  Elementwise over
+        arrays of points."""
+        r1 = np.asarray(r1, dtype=np.float64)
+        r2 = np.asarray(r2, dtype=np.float64)
+        r1_max, r2_max, sum_max = self.rates.T
+        a, b = r1[..., None], r2[..., None]
+        held = (((a <= r1_max + tol) & (b <= r2_max + tol) & (a + b <= sum_max + tol)).any(axis=-1)
+                & (r1 >= -tol) & (r2 >= -tol))
+        return held if held.ndim else bool(held)
 
 
 # ---------------------------------------------------------------------------
@@ -262,12 +255,8 @@ def _backward_channels(base: JointPmf):
 # Each formula maps a JointBatch of full joints to per-point arrays
 # (r1_max, r2_max, sum_max), already clamped at zero.
 
-def _clamp(x: float) -> float:
-    return x if x > 0.0 else 0.0
-
-
 def _nonneg(x: np.ndarray) -> np.ndarray:
-    """Elementwise `_clamp`."""
+    """x where it is positive, else 0.0 (a -0.0 included)."""
     return np.where(x > 0.0, x, 0.0)
 
 
@@ -510,15 +499,12 @@ class LatticePoints:
                  for matrix in layer.matrices.tolist()]
                 for layer in self.layers]
 
-    def constraint_sets(self) -> list:
-        return [RateConstraintSet(*row) for row in self.rates.tolist()]
-
     def rate_points(self) -> list:
         """Each kept point as a `RatePoint` carrying the channels it picks."""
         descriptors = self.descriptors()
-        return [RatePoint(cset, {"channels": [d[i] for d, i in zip(descriptors, pick)]})
-                for cset, *pick in zip(self.constraint_sets(),
-                                       *(p.tolist() for p in self.picks()))]
+        return [RatePoint(RateConstraintSet(*row),
+                          {"channels": [d[i] for d, i in zip(descriptors, pick)]})
+                for row, *pick in zip(self.rates.tolist(), *(p.tolist() for p in self.picks()))]
 
 
 def _evaluate_lattice(base: JointPmf, layers, formula) -> tuple:
@@ -573,19 +559,13 @@ def _kept_lattice(base: JointPmf, family: str, grid: GridSpec) -> tuple:
     return len(keep), LatticePoints(tuple(layers), kept, rates)
 
 
-def lattice_constraint_sets(base: JointPmf, family: str, grid: GridSpec) -> list:
-    """`enumerate_region(base, family, grid).constraint_sets`, without the
-    channel descriptors and frontier that only a region's points need."""
-    return _kept_lattice(base, family, grid)[1].constraint_sets()
-
-
 def enumerate_region(base: JointPmf, family: str, grid: GridSpec, *,
                      workers: int = 0,
                      hull: bool = False) -> RateRegion:
     """Union of the family's constraint sets over the whole channel lattice.
 
     The region holds its kept lattice points (see `_kept_lattice`) as
-    columns, and each of its `points` carries the channels it picks.
+    `lattice`, and its `rates` are theirs.
     `workers` is accepted for compatibility and ignored.  The count of
     backward-outer points skipped for a Markov chain violation is reported
     in `meta`.
@@ -593,7 +573,7 @@ def enumerate_region(base: JointPmf, family: str, grid: GridSpec, *,
     evaluated, lattice = _kept_lattice(base, family, grid)
     frontier = pareto_frontier(lattice.rates)
     return RateRegion(
-        None,
+        lattice.rates,
         frontier,
         hull=upper_concave_envelope(frontier) if hull else None,
         meta={"family": family, "evaluated": evaluated,
@@ -616,7 +596,7 @@ def single_key_capacity(base: JointPmf, direction: str, grid: GridSpec) -> float
         raise PmfError(f"direction must be forward or backward, got {direction!r}")
     family = "forward-outer" if direction == "forward" else "backward-inner"
     trivial_partner = GridSpec(grid.card_s, 1, grid.card_u, 1, grid.q)
-    return max(c.r1_max for c in lattice_constraint_sets(base, family, trivial_partner))
+    return float(_kept_lattice(base, family, trivial_partner)[1].rates[:, 0].max())
 
 
 # ---------------------------------------------------------------------------
@@ -624,23 +604,21 @@ def single_key_capacity(base: JointPmf, direction: str, grid: GridSpec) -> float
 # ---------------------------------------------------------------------------
 
 #: Rows of the clamped constraint table that one step of `_maximal_sets`
-#: compares with the maximal rows found so far; bounds its working memory.
+#: compares with the maximal rows found so far, and the maximal rows or
+#: candidate abscissae that one step of `pareto_frontier` crosses with every
+#: maximal row; bounds their working memory.
 _PRUNE_BLOCK = 1024
 
 
-def _maximal_sets(csets) -> list:
-    """The distinct clamped constraint sets of `csets` (`RateConstraintSet`s
-    or their rows, each bound clamped at 0) that no other distinct one
-    dominates.
+def _maximal_sets(rates: np.ndarray) -> np.ndarray:
+    """The distinct rows of the (n, 3) `rates`, each bound clamped at 0,
+    that no other distinct one dominates, in descending lexicographic order.
 
-    In descending lexicographic order of (r1_max, r2_max, sum_max) a set
-    sorts after every set that dominates it, so a block at a time is
-    compared with the maximal sets before it and with itself.  (Not
-    `np.unique`, whose first call imports numpy.ma.)
+    In that order a row sorts after every row that dominates it, so a block
+    at a time is compared with the maximal rows before it and with itself.
+    (Not `np.unique`, whose first call imports numpy.ma.)
     """
-    if not isinstance(csets, np.ndarray):
-        csets = np.array([(c.r1_max, c.r2_max, c.sum_max) for c in csets], dtype=np.float64)
-    rows = _nonneg(csets.reshape(-1, 3))
+    rows = _nonneg(rates)
     rows = rows[np.lexsort(rows.T[::-1])[::-1]]
     rows = np.concatenate((rows[:1], rows[1:][(rows[1:] != rows[:-1]).any(axis=1)]))
     kept = rows[:0]
@@ -649,53 +627,48 @@ def _maximal_sets(csets) -> list:
         covers = (np.concatenate((kept, block))[None] >= block[:, None]).all(axis=2)
         covers[np.arange(len(block)), len(kept) + np.arange(len(block))] = False  # itself
         kept = np.concatenate((kept, block[~covers.any(axis=1)]))
-    return [RateConstraintSet(*row) for row in kept.tolist()]
+    return kept
 
 
-def pareto_frontier(csets) -> list:
+def pareto_frontier(rates) -> list:
     """Pareto-maximal vertices of the union, sorted by increasing R1.
 
-    `csets` holds the union's `RateConstraintSet`s, or their (n, 3) rows
-    (r1_max, r2_max, sum_max) as a float64 array.
+    `rates` holds the union's (r1_max, r2_max, sum_max) rows, as an (n, 3)
+    float64 array.  Every listed pair is achievable and dominated by no
+    other point of the union by more than `tolerances.FLAT_TOL`; R2 is
+    non-increasing along the list.  Between consecutive vertices the exact
+    boundary is the staircase/diagonal implied by the constituent sets.
 
-    Every listed pair is achievable and dominated by no other point of the
-    union by more than `tolerances.FLAT_TOL`; R2 is non-increasing along the list.
-    Between consecutive vertices the exact boundary is the staircase/diagonal
-    implied by the constituent sets.
+    The candidate abscissae are 0, each maximal set's largest R1 and every
+    corner sum_max - r2_max of two maximal sets (clamped at 0) up to the
+    largest R1; at each, the height is the largest R2 of a set that admits
+    it.  Candidates closer than `tolerances.SAME_R1_TOL` merge into one
+    vertex at the last of them, with their largest height, and a vertex
+    that some later one matches within `FLAT_TOL` is dropped.
     """
-    maximal = _maximal_sets(csets)
-    if not maximal:
+    maximal = _maximal_sets(np.asarray(rates, dtype=np.float64).reshape(-1, 3))
+    if not len(maximal):
         return [(0.0, 0.0)]
-
-    xs = {0.0}
-    for c in maximal:
-        xs.add(c.max_r1)
-        if c.sum_max < INF:
-            xs.add(_clamp(c.sum_max - c.r2_max))
-        for o in maximal:
-            if o.sum_max < INF:
-                xs.add(_clamp(o.sum_max - c.r2_max))
-    limit = max(c.max_r1 for c in maximal)
-    candidates = sorted(x for x in xs if 0.0 <= x <= limit)
-
-    verts = []
-    for x in candidates:
-        y = max(c.r2_at(x) for c in maximal)
-        if y == -INF:
-            continue
-        if verts and abs(verts[-1][0] - x) < SAME_R1_TOL:
-            verts[-1] = (x, max(verts[-1][1], y))
-        else:
-            verts.append((x, y))
-    # drop vertices dominated by a later one, which lies strictly to the
-    # right (y is non-increasing in x, so only flat runs produce domination:
-    # keep the rightmost of each run, flat within FLAT_TOL)
-    out = []
-    for i, (x, y) in enumerate(verts):
-        if any(yj >= y - FLAT_TOL for _, yj in verts[i + 1:]):
-            continue
-        out.append((x, y))
-    return out if out else [(0.0, 0.0)]
+    r1, r2, rsum = maximal.T
+    right = np.minimum(r1, rsum)
+    limit = right.max()
+    sums = rsum[rsum < INF]
+    xs = [np.zeros(1), right]
+    for lo in range(0, len(r2), _PRUNE_BLOCK):
+        corners = _nonneg(sums - r2[lo:lo + _PRUNE_BLOCK, None]).ravel()
+        xs.append(corners[corners <= limit])
+    xs = np.sort(np.concatenate(xs))
+    xs = xs[np.concatenate(([True], xs[1:] != xs[:-1]))]
+    ys = np.concatenate([
+        np.where(x[:, None] > right, -INF, np.minimum(r2, rsum - x[:, None])).max(axis=1)
+        for x in (xs[lo:lo + _PRUNE_BLOCK] for lo in range(0, len(xs), _PRUNE_BLOCK))])
+    starts = np.flatnonzero(np.concatenate(([True], np.diff(xs) >= SAME_R1_TOL)))
+    xs, ys = xs[np.append(starts[1:], len(xs)) - 1], np.maximum.reduceat(ys, starts)
+    # y is non-increasing in x, so only flat runs produce domination: keep
+    # the rightmost vertex of each run, flat within FLAT_TOL
+    later = np.append(np.maximum.accumulate(ys[::-1])[::-1][1:], -INF)
+    keep = later < ys - FLAT_TOL
+    return list(zip(xs[keep].tolist(), ys[keep].tolist()))
 
 
 def upper_concave_envelope(points) -> list:

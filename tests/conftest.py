@@ -159,6 +159,123 @@ def oracle_plugin(pairs: Counter) -> tuple:
     return float(h), float(max(0.0, mi))
 
 
+# A union of constraint sets {R1 <= r1_max, R2 <= r2_max, R1 + R2 <= sum_max}
+# as rows (r1_max, r2_max, sum_max), sum_max = inf for no sum bound.  The
+# oracles below take each set on its own, in plain Python floats.
+
+def as_rates(rows) -> np.ndarray:
+    """The (n, 3) float64 rate array of `rows`."""
+    return np.array(rows, dtype=np.float64).reshape(-1, 3)
+
+
+def rows_of(csets) -> np.ndarray:
+    """The (n, 3) float64 rate array of `RateConstraintSet`s."""
+    return as_rates([(c.r1_max, c.r2_max, c.sum_max) for c in csets])
+
+
+def oracle_contains(row, r1, r2, tol=0.0) -> bool:
+    r1_max, r2_max, sum_max = row
+    return (r1 >= -tol and r2 >= -tol and r1 <= r1_max + tol and r2 <= r2_max + tol
+            and r1 + r2 <= sum_max + tol)
+
+
+def oracle_max_r1(row) -> float:
+    """Largest achievable R1 inside the set."""
+    return min(row[0], row[2])
+
+
+def oracle_r2_at(row, r1) -> float:
+    """Largest feasible R2 at the given R1, or -inf if R1 is infeasible."""
+    if r1 > oracle_max_r1(row):
+        return -math.inf
+    return min(row[1], row[2] - r1)
+
+
+def oracle_dominates(a, b) -> bool:
+    return a[0] >= b[0] and a[1] >= b[1] and a[2] >= b[2]
+
+
+def _clamp(x: float) -> float:
+    return x if x > 0.0 else 0.0
+
+
+def oracle_maximal_sets(rows) -> set:
+    """Clamp each set, then keep the sets that no earlier kept set
+    dominates, dropping the kept sets each new one dominates."""
+    maximal = []
+    for c in rows:
+        c = (_clamp(c[0]), _clamp(c[1]), c[2] if c[2] == math.inf else _clamp(c[2]))
+        if any(oracle_dominates(o, c) for o in maximal):
+            continue
+        maximal = [o for o in maximal if not oracle_dominates(c, o)]
+        maximal.append(c)
+    return set(maximal)
+
+
+def oracle_candidates(maximal) -> list:
+    """The frontier's candidate abscissae over the maximal sets, ascending."""
+    xs = {0.0}
+    for c in maximal:
+        xs.add(oracle_max_r1(c))
+        if c[2] < math.inf:
+            xs.add(_clamp(c[2] - c[1]))
+        for o in maximal:
+            if o[2] < math.inf:
+                xs.add(_clamp(o[2] - c[1]))
+    limit = max(oracle_max_r1(c) for c in maximal)
+    return sorted(x for x in xs if 0.0 <= x <= limit)
+
+
+def oracle_pareto_frontier(rows) -> list:
+    """The Pareto frontier of the union, swept one candidate and one set at
+    a time."""
+    from skregion.tolerances import FLAT_TOL, SAME_R1_TOL
+
+    maximal = sorted(oracle_maximal_sets(rows))
+    if not maximal:
+        return [(0.0, 0.0)]
+    verts = []
+    for x in oracle_candidates(maximal):
+        y = max(oracle_r2_at(c, x) for c in maximal)
+        if y == -math.inf:
+            continue
+        if verts and abs(verts[-1][0] - x) < SAME_R1_TOL:
+            verts[-1] = (x, max(verts[-1][1], y))
+        else:
+            verts.append((x, y))
+    out = []
+    for i, (x, y) in enumerate(verts):
+        if any(yj >= y - FLAT_TOL for _, yj in verts[i + 1:]):
+            continue
+        out.append((x, y))
+    return out if out else [(0.0, 0.0)]
+
+
+def oracle_point_gap(px: float, py: float, rows) -> float:
+    """One-sided Chebyshev distance from (px, py) into the union of rows."""
+    best = math.inf
+    for r1_max, r2_max, sum_max in rows:
+        d = max(0.0, px - min(r1_max, sum_max), py - min(r2_max, sum_max))
+        if sum_max < math.inf:
+            d = max(d, (px + py - sum_max) / 2.0)
+        d = max(d, 0.0)
+        if d < best:
+            best = d
+    return best
+
+
+def oracle_region_gap(outer_frontier, rows) -> float:
+    """Max one-sided gap from the outer frontier's vertices and 15 points
+    along each edge into the union of rows (the origin's set if empty)."""
+    rows = list(rows) or [(0.0, 0.0, math.inf)]
+    probes = list(outer_frontier)
+    for (x0, y0), (x1, y1) in zip(outer_frontier, outer_frontier[1:]):
+        for j in range(1, 16):
+            f = j / 16
+            probes.append((x0 + f * (x1 - x0), y0 + f * (y1 - y0)))
+    return max(oracle_point_gap(px, py, rows) for px, py in probes)
+
+
 def traced_peak(fn) -> tuple:
     """(fn(), the peak of the memory that tracemalloc traces while fn runs)."""
     tracemalloc.start()

@@ -17,7 +17,6 @@ from skregion.pmf import Channel, JointPmf, VariableId, cond_mutual_information 
 from skregion.region import (
     GridSpec,
     RateConstraintSet,
-    RatePoint,
     RateRegion,
     AuxSystem,
     explicit_outer,
@@ -33,6 +32,7 @@ from skregion.sources import (
     triple_from_table,
     xor_source,
 )
+from conftest import rows_of
 
 E3 = broadcast_source("X3", 0.25, 0.25)
 E6 = broadcast_source("X2", 0.25, 0.25)
@@ -186,8 +186,8 @@ def test_case3_points_satisfy_backward_outer_chains():
 # ---------------------------------------------------------------------------
 
 def region_of(*csets):
-    return RateRegion(points=[RatePoint(c, {}) for c in csets],
-                      frontier=pareto_frontier(list(csets)))
+    rates = rows_of(csets)
+    return RateRegion(rates, pareto_frontier(rates))
 
 
 def test_coincidence_identical_regions():
@@ -284,11 +284,11 @@ def test_case_regions_sandwiched_on_random_chains(rng):
         outer = explicit_outer(base)
         # closed form sits inside the explicit outer rectangle
         (r1, r2) = seg.frontier[0]
-        assert outer.contains(r1, r2, tol=1e-9)
+        assert RateRegion.of(outer).contains(r1, r2, tol=1e-9)
         # and the enumerated backward inner region reaches it
         inner = enumerate_region(base, "backward-inner",
                                  GridSpec(1, base.variable("X3").cardinality, 1, 1, 1))
-        gap = region_gap(seg.frontier, inner.constraint_sets)
+        gap = region_gap(seg.frontier, inner.rates)
         assert gap <= 1e-9
     for _ in range(5):
         base = random_chain(rng, order=("X1", "X3", "X2"))
@@ -296,7 +296,7 @@ def test_case_regions_sandwiched_on_random_chains(rng):
         inner = enumerate_region(
             base, "forward-inner",
             GridSpec(base.variable("X1").cardinality, base.variable("X2").cardinality, 1, 1, 1))
-        gap = region_gap(rect.frontier, inner.constraint_sets)
+        gap = region_gap(rect.frontier, inner.rates)
         assert gap <= 1e-9
 
 

@@ -12,6 +12,7 @@ import enum
 import gc
 import json
 import math
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -28,6 +29,7 @@ from skregion.region import (
     upper_concave_envelope,
 )
 from skregion.sources import broadcast_source, random_pmf, xor_source
+from conftest import rows_of
 
 
 def _oracle(obj):
@@ -219,12 +221,12 @@ def _region_doc_as_dicts(dist, direction, bound, cards, hull):
         grid = GridSpec(card.card_s, card.card_t, card.card_u, card.card_v, 1)
         region = enumerate_region(base, f"{direction}-{bound}", grid)
         points, meta = region.points, region.meta
-    frontier = pareto_frontier([p.constraints for p in points])
+    frontier = pareto_frontier(rows_of(p.constraints for p in points))
     doc = {
         "schema": 1,
         "direction": direction,
         "bound": bound,
-        "points": [{"constraints": cli._cset_json(p.constraints),
+        "points": [{"constraints": cli._cset_json(*astuple(p.constraints)),
                     "channels": p.descriptor["channels"]} for p in points],
         "frontier": [[r1, r2] for r1, r2 in frontier],
         "meta": meta,

@@ -98,8 +98,8 @@ _SIMULATE = ["simulate", "--direction", "forward", "--rate1", "0.405639", "--eps
 @pytest.mark.parametrize("argv, absent, flip", [
     (["load"], DEFERRED, 0.25),
     (["region", "--direction", "forward", "--bound", "inner", "--cards", "S=2,T=2,U=1,V=1"],
-     SIMULATOR + ["skregion.cases"], 0.25),
-    (["verify"], SIMULATOR, 0.25),
+     SIMULATOR + ["skregion.cases", "numpy.ma"], 0.25),
+    (["verify"], SIMULATOR + ["numpy.ma"], 0.25),
     (_SIMULATE + ["--n", "6", "--mode", "exact"], ["numpy.ma"], 0.25),
     (_SIMULATE + ["--n", "8", "--mode", "mc", "--trials", "50"], ["numpy.ma"], 0.0),
     (_SIMULATE + ["--n", "8", "--mode", "exact"], ["numpy.ma"], 0.0),

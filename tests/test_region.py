@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from skregion.cases import case1_region, region_gap, verify_coincidence
 from skregion.pmf import BudgetExceededError, Channel, PmfError, VariableId
 from skregion.region import (
     INF,
@@ -14,6 +15,7 @@ from skregion.region import (
     LatticePoints,
     RateConstraintSet,
     RatePoint,
+    _kept_lattice,
     backward_inner_point,
     backward_outer_point,
     single_key_capacity,
@@ -22,7 +24,6 @@ from skregion.region import (
     forward_inner_point,
     forward_outer_point,
     lattice_channels,
-    lattice_constraint_sets,
     lattice_rows,
     pareto_frontier,
     upper_concave_envelope,
@@ -35,8 +36,19 @@ from skregion.sources import (
     triple_from_table,
     xor_source,
 )
-from skregion.tolerances import ENTROPY_ROUNDOFF
-from conftest import lattice_channel_objects, oracle_cmi
+from skregion.tolerances import ENTROPY_ROUNDOFF, FLAT_TOL, SAME_R1_TOL
+from conftest import (
+    as_rates,
+    lattice_channel_objects,
+    oracle_candidates,
+    oracle_cmi,
+    oracle_contains,
+    oracle_max_r1,
+    oracle_maximal_sets,
+    oracle_pareto_frontier,
+    oracle_r2_at,
+    oracle_region_gap,
+)
 
 E3 = broadcast_source("X3", 0.25, 0.25)
 E6 = broadcast_source("X2", 0.25, 0.25)
@@ -301,9 +313,9 @@ def test_every_family_inside_explicit_outer(seed, sparse):
                          ("forward-outer", GridSpec(2, 2, 2, 2, 1)),
                          ("backward-inner", GridSpec(2, 2, 2, 1, 1)),
                          ("backward-outer", GridSpec(2, 2, 2, 1, 1))):
-        for c in lattice_constraint_sets(base, family, grid):
-            assert c.r1_max <= outer.r1_max + ENTROPY_ROUNDOFF, (family, c)
-            assert c.r2_max <= outer.r2_max + ENTROPY_ROUNDOFF, (family, c)
+        for c in _kept_lattice(base, family, grid)[1].rates.tolist():
+            assert c[0] <= outer.r1_max + ENTROPY_ROUNDOFF, (family, c)
+            assert c[1] <= outer.r2_max + ENTROPY_ROUNDOFF, (family, c)
 
 
 # ---------------------------------------------------------------------------
@@ -368,28 +380,28 @@ def test_degeneration_formula_matches_point_evaluator(rng):
 # ---------------------------------------------------------------------------
 
 def test_pareto_two_degenerate_segments():
-    front = pareto_frontier([RateConstraintSet(1, 0, 1), RateConstraintSet(0, 1, 1)])
+    front = pareto_frontier(as_rates([(1, 0, 1), (0, 1, 1)]))
     assert front[0] == (0.0, 1.0)
     assert front[-1] == (1.0, 0.0)
 
 
 def test_pareto_single_sum_constrained_set():
-    front = pareto_frontier([RateConstraintSet(1, 1, 1)])
+    front = pareto_frontier(as_rates([(1, 1, 1)]))
     assert front == [(0.0, 1.0), (1.0, 0.0)]
 
 
 def test_pareto_rectangle_corner():
-    front = pareto_frontier([RateConstraintSet(1, 1, INF)])
+    front = pareto_frontier(as_rates([(1, 1, INF)]))
     assert front == [(1.0, 1.0)]
 
 
 def test_pareto_empty_is_origin():
-    assert pareto_frontier([]) == [(0.0, 0.0)]
+    assert pareto_frontier(as_rates([])) == [(0.0, 0.0)]
 
 
 def test_pareto_monotone_and_maximal():
-    sets = [RateConstraintSet(1.0, 5.0, INF), RateConstraintSet(3.0, 4.0, 6.0)]
-    front = pareto_frontier(sets)
+    sets = [(1.0, 5.0, INF), (3.0, 4.0, 6.0)]
+    front = pareto_frontier(as_rates(sets))
     xs = [x for x, _ in front]
     ys = [y for _, y in front]
     assert xs == sorted(xs)
@@ -403,8 +415,7 @@ def test_pareto_monotone_and_maximal():
 
 
 _RATES = st.one_of(st.floats(0.0, 3.0), st.sampled_from([0.0, 0.5, 1.0, 2.0]))
-_CSETS = st.lists(st.builds(RateConstraintSet, _RATES, _RATES, st.one_of(_RATES, st.just(INF))),
-                  max_size=6)
+_CSETS = st.lists(st.tuples(_RATES, _RATES, st.one_of(_RATES, st.just(INF))), max_size=6)
 
 
 @settings(max_examples=300, deadline=None)
@@ -413,7 +424,7 @@ def test_pareto_frontier_properties(sets):
     """Vertices are sorted and achievable, and no point of the union on the
     candidate grid (every corner abscissa of every set, the cross terms
     sum_max - r2_max of any two sets, and the vertices) dominates one."""
-    front = pareto_frontier(sets)
+    front = pareto_frontier(as_rates(sets))
     xs = [x for x, _ in front]
     ys = [y for _, y in front]
     assert all(a < b for a, b in zip(xs, xs[1:]))
@@ -422,51 +433,93 @@ def test_pareto_frontier_properties(sets):
         assert front == [(0.0, 0.0)]
         return
     for x, y in front:
-        assert any(c.contains(x, y, 1e-12) for c in sets), (x, y)
+        assert any(oracle_contains(c, x, y, 1e-12) for c in sets), (x, y)
     grid = {0.0, *xs}
     for c in sets:
-        grid.add(c.max_r1)
-        grid.update(o.sum_max - c.r2_max for o in sets if o.sum_max < INF)
-    union = [(g, max(c.r2_at(g) for c in sets)) for g in grid if g >= 0.0]
+        grid.add(oracle_max_r1(c))
+        grid.update(o[2] - c[1] for o in sets if o[2] < INF)
+    union = [(g, max(oracle_r2_at(c, g) for c in sets)) for g in grid if g >= 0.0]
     for x, y in front:
         for u, v in union:
             assert not (u >= x and v >= y and (u > x + 1e-12 or v > y + 1e-12)), \
                 ((x, y), (u, v))
 
 
-def _sequential_maximal_sets(csets) -> set:
-    """The pruning loop `pareto_frontier` ran before its vectorised prune:
-    clamp each set, then keep the sets that no earlier kept set dominates,
-    dropping the kept sets each new one dominates."""
-    def clamp(x):
-        return x if x > 0.0 else 0.0
-
-    maximal = []
-    for c in csets:
-        c = RateConstraintSet(clamp(c.r1_max), clamp(c.r2_max),
-                              c.sum_max if c.sum_max == INF else clamp(c.sum_max))
-        if any(o.dominates(c) for o in maximal):
-            continue
-        maximal = [o for o in maximal if not c.dominates(o)]
-        maximal.append(c)
-    return set(maximal)
-
-
 _TIED_RATES = st.one_of(st.sampled_from([0.0, -0.0, 0.5, 1.0, 2.0, -1.0]), st.floats(-1.0, 3.0))
+_TIED_UNIONS = st.lists(st.tuples(_TIED_RATES, _TIED_RATES, st.one_of(_TIED_RATES, st.just(INF))),
+                        max_size=40)
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.lists(st.builds(RateConstraintSet, _TIED_RATES, _TIED_RATES,
-                          st.one_of(_TIED_RATES, st.just(INF))), max_size=40),
-       st.sampled_from([1, 2, 1024]))
+@given(_TIED_UNIONS, st.sampled_from([1, 2, 1024]))
 def test_maximal_sets_match_sequential_prune(sets, block):
     from skregion import region as region_module
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(region_module, "_PRUNE_BLOCK", block)
-        got = region_module._maximal_sets(sets)
+        got = [tuple(row) for row in region_module._maximal_sets(as_rates(sets)).tolist()]
     assert len(set(got)) == len(got)
-    assert set(got) == _sequential_maximal_sets(sets)
+    assert set(got) == oracle_maximal_sets(sets)
+
+
+def _staircase(jitter, n=48) -> list:
+    """n sets that no other dominates (R1 rising, R2 falling), each with a
+    sum bound just above 1: with distinct jitters, their corners sum_max -
+    r2_max give more than a thousand distinct candidate abscissae."""
+    return [(i / n, 1.0 - i / n, 1.0 + u) for i, u in enumerate(jitter)]
+
+
+_STAIRCASES = st.lists(st.floats(0.0, 0.2), min_size=48, max_size=48).map(_staircase)
+# the tied rates plus 1 - FLAT_TOL and 0.5 + SAME_R1_TOL, which put two
+# heights or two abscissae at the edge of the flat-run and merge tolerances
+_EDGE_RATES = st.one_of(_TIED_RATES, st.sampled_from([1.0 - FLAT_TOL, 0.5 + SAME_R1_TOL]))
+_EDGE_UNIONS = st.lists(st.tuples(_EDGE_RATES, _EDGE_RATES, st.one_of(_EDGE_RATES, st.just(INF))),
+                        max_size=40)
+_PAIRS = st.lists(st.tuples(_EDGE_RATES, _EDGE_RATES), min_size=1, max_size=6)
+
+
+def _bits(values) -> np.ndarray:
+    return np.array(values, dtype=np.float64).view(np.uint64)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_EDGE_UNIONS, _EDGE_UNIONS, _PAIRS, st.sampled_from([1, 2, 1024]))
+def test_frontier_and_gap_match_the_set_by_set_oracle(rows, inner, pairs, block):
+    """`pareto_frontier` and `region_gap` over rate arrays equal, bit for
+    bit, the sweep and the gap computed one set at a time in Python, for
+    any candidate chunk size; the gap also from arbitrary probe pairs."""
+    from skregion import region as region_module
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(region_module, "_PRUNE_BLOCK", block)
+        front = pareto_frontier(as_rates(rows))
+    assert np.array_equal(_bits(front), _bits(oracle_pareto_frontier(rows)))
+    for frontier in (front, pairs):
+        assert _bits(region_gap(frontier, as_rates(inner))) == \
+            _bits(oracle_region_gap(frontier, inner))
+
+
+@settings(max_examples=20, deadline=None)
+@given(_STAIRCASES, _EDGE_UNIONS, st.sampled_from([1, 2, 1024]))
+def test_staircase_frontier_and_gap_match_the_oracle(rows, inner, block):
+    """The same on unions of 48 maximal sets, whose candidates span many
+    chunks of one or two and, for distinct sum bounds, more than 1024."""
+    from skregion import region as region_module
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(region_module, "_PRUNE_BLOCK", block)
+        front = pareto_frontier(as_rates(rows))
+    assert np.array_equal(_bits(front), _bits(oracle_pareto_frontier(rows)))
+    for outer, union in ((front, inner), (oracle_pareto_frontier(inner), rows)):
+        assert _bits(region_gap(outer, as_rates(union))) == _bits(oracle_region_gap(outer, union))
+
+
+def test_staircase_crosses_a_candidate_chunk():
+    rows = _staircase(np.random.default_rng(3).uniform(0.0, 0.2, 48).tolist())
+    assert len(oracle_candidates(oracle_maximal_sets(rows))) > 1024
+    front = pareto_frontier(as_rates(rows))
+    assert np.array_equal(_bits(front), _bits(oracle_pareto_frontier(rows)))
+    assert len(front) > 2
 
 
 def test_hull_is_concave_majorant():
@@ -587,11 +640,9 @@ _POINT_EVALUATORS = {"forward-inner": forward_inner_point, "forward-outer": forw
 def test_lattice_point_equals_its_point_evaluator_bit_for_bit(family, base):
     # the batched lattice and the batch-of-one evaluator of an `AuxSystem`
     # built from the same channels agree to the last bit, kept or rejected
-    from skregion.region import _kept_lattice
-
     grid = GridSpec(2, 2, 2, 2, 1)
     evaluated, lattice = _kept_lattice(base, family, grid)
-    layers, csets = lattice.layers, lattice.constraint_sets()
+    layers, csets = lattice.layers, [RateConstraintSet(*row) for row in lattice.rates.tolist()]
     got = dict(zip(lattice.kept.tolist(), csets))
     build = AuxSystem.forward if family.startswith("forward") else AuxSystem.backward
     n = 0
@@ -617,8 +668,6 @@ def test_lazy_points_equal_the_eager_point_list(monkeypatch, family, base):
     `RatePoint`s that `enumerate_region` used to build eagerly from the same
     `_kept_lattice` output: equal in order, constraints bit for bit, and one
     shared descriptor object per picked channel."""
-    from skregion.region import _kept_lattice
-
     grid = GridSpec(2, 2, 2, 2, 1)
     _, lattice = _kept_lattice(base, family, grid)
     layers, kept = lattice.layers, lattice.kept
@@ -650,6 +699,23 @@ def test_lazy_points_equal_the_eager_point_list(monkeypatch, family, base):
             assert shared.setdefault(i, point.descriptor["channels"][j]) is \
                 point.descriptor["channels"][j]
         assert len({id(d) for d in shared.values()}) == len(shared)
+
+
+def test_rate_readers_never_build_points(monkeypatch):
+    """`RateRegion.rates` and `contains`, `verify_coincidence` and
+    `single_key_capacity` read a lattice region's rate rows: none of them
+    builds its `RatePoint`s."""
+    built = []
+    rate_points = LatticePoints.rate_points
+    monkeypatch.setattr(LatticePoints, "rate_points",
+                        lambda self: built.append(1) or rate_points(self))
+    inner = enumerate_region(E6, "backward-inner", GridSpec(1, 2, 1, 1, 1))
+    assert inner.rates is inner.lattice.rates
+    x, y = inner.frontier[-1]
+    assert inner.contains(x, y, tol=1e-12) and not inner.contains(x + 1e-3, y, tol=1e-12)
+    assert verify_coincidence(inner, case1_region(E6), 1e-9)[0]
+    assert single_key_capacity(E6, "backward", GridSpec(2, 1, 1, 1, 1)) == 0.0
+    assert built == []
 
 
 def test_single_key_matches_oracle_formula(rng):
