@@ -34,11 +34,11 @@ value, a `--seeds` item, SKREGION_BUDGET) is ASCII digits alone: no sign,
 underscore or other digit set; `--cards` and `--seeds` items may be padded
 with spaces.  No seed may repeat in `--seeds` nor a name in `--cards`.
 
-Every JSON output is exactly `json.dumps(doc, sort_keys=True, indent=2)`
-text plus a newline, written by `_json_text`.  region.json's `points` array
-is one `_PointArray` node of its document, rendered from the region's
-lattice columns: each channel descriptor is rendered once, and each point
-is its descriptors' texts plus one piece holding its three rates.  Its bytes
+`json.dumps(doc, sort_keys=True, indent=2)` writes every JSON output, plus
+a newline, through `_json_text`.  The one part the program renders itself
+is region.json's `points` array, a `_PointArray` kept as the region's
+lattice columns: each channel descriptor is dumped once, and each point is
+its descriptors' texts plus one piece holding its three rates.  Its bytes
 are those that `json.dumps` writes for the same points as dicts.
 """
 
@@ -46,11 +46,11 @@ import argparse
 import functools
 import hashlib
 import itertools
+import json
 import math
 import os
 import sys
 import tempfile
-from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -181,111 +181,34 @@ def _atomic_write(path: str, text: str) -> None:
         raise
 
 
+#: what `_json_text` dumps in place of region.json's `points` before it puts
+#: their text there: it holds a NUL, which no string the program makes does
+_POINTS_SLOT = "\x00points"
+
+
 def _json_text(obj) -> str:
     """`json.dumps(obj, sort_keys=True, indent=2, allow_nan=False)` plus a
-    newline, byte for byte, and raising the same exception types.
+    newline.
 
-    The stdlib writes indented JSON with its pure-Python encoder and renders
-    a shared subtree again at every place it occurs.  `_render` renders each
-    list, tuple or dict once per indent level and reuses its text.  A
-    `_PointArray` node (region.json's `points`) is rendered from its columns
-    by `_render_points`, with the bytes the stdlib writes for the same
-    points as dicts: each channel descriptor is rendered once.  The memo
-    lives for this call only; `obj` keeps every object it contains alive
-    meanwhile, so no id is reused.
+    A dict whose `points` is a `_PointArray` (region.json) is dumped with
+    `_POINTS_SLOT` in its place, and the text `_render_points` gives for the
+    array goes where the slot's text was: the bytes `json.dumps` writes for
+    the same points as dicts.
     """
-    out = []
-    _render(obj, "\n", out, {}, set())
-    out.append("\n")
+    points = obj.get("points") if isinstance(obj, dict) else None
+    if not isinstance(points, _PointArray):
+        return json.dumps(obj, sort_keys=True, indent=2, allow_nan=False) + "\n"
+    text = json.dumps({**obj, "points": _POINTS_SLOT}, sort_keys=True, indent=2,
+                      allow_nan=False)
+    head, _, tail = text.partition(json.dumps(_POINTS_SLOT))
+    out = [head]
+    _render_points(points, out)
+    out.append(tail + "\n")
     return "".join(out)
 
 
-def _scalar_text(obj) -> str | None:
-    """JSON text of None, a bool, an int or a float as the stdlib writes it
-    (int and float subclasses included), or None for any other object."""
-    if obj is None:
-        return "null"
-    if obj is True:
-        return "true"
-    if obj is False:
-        return "false"
-    if isinstance(obj, int):
-        return int.__repr__(obj)
-    if isinstance(obj, float):
-        if not math.isfinite(obj):
-            raise ValueError("Out of range float values are not JSON compliant: " + repr(obj))
-        return float.__repr__(obj)
-    return None
-
-
-def _render(obj, newline: str, out: list, memo: dict, active: set) -> None:
-    """Append the JSON text of `obj` to `out` in pieces; `newline` is "\\n"
-    plus the indent of the line `obj` starts on.
-
-    `memo` maps (id, newline) of each finished container to the span of
-    `out` that holds its text, or to that text once a second occurrence
-    has joined the span.  Only shared containers are joined: holding every
-    container's text would keep several copies of the document alive at
-    once.  `active` holds the ids of the containers being rendered, so that
-    a circular reference is detected as the stdlib does.  A module-level
-    function rather than a closure: a closure that calls itself is a
-    reference cycle that would keep the memo alive after the call.
-    """
-    if isinstance(obj, str):
-        out.append(encode_basestring_ascii(obj))
-        return
-    text = _scalar_text(obj)
-    if text is not None:
-        out.append(text)
-        return
-    is_dict = isinstance(obj, dict)
-    if not is_dict and not isinstance(obj, (list, tuple)):
-        if isinstance(obj, _PointArray):
-            _render_points(obj, newline, out)
-            return
-        raise TypeError(f"Object of type {obj.__class__.__name__} is not JSON serializable")
-    if not obj:
-        out.append("{}" if is_dict else "[]")
-        return
-    key = (id(obj), newline)
-    done = memo.get(key)
-    if done is not None:
-        if not isinstance(done, str):
-            done = memo[key] = "".join(out[done[0]:done[1]])
-        out.append(done)
-        return
-    if key[0] in active:
-        raise ValueError("Circular reference detected")
-    active.add(key[0])
-    start = len(out)
-    inner = newline + "  "
-    comma = "," + inner
-    if is_dict:
-        sep = "{" + inner
-        for k, v in sorted(obj.items()):
-            if not isinstance(k, str):
-                text = _scalar_text(k)
-                if text is None:
-                    raise TypeError("keys must be str, int, float, bool or None, "
-                                    f"not {k.__class__.__name__}")
-                k = text
-            out.append(sep + encode_basestring_ascii(k) + ": ")
-            _render(v, inner, out, memo, active)
-            sep = comma
-        out.append(newline + "}")
-    else:
-        sep = "[" + inner
-        for v in obj:
-            out.append(sep)
-            _render(v, inner, out, memo, active)
-            sep = comma
-        out.append(newline + "]")
-    active.remove(key[0])
-    memo[key] = (start, len(out))
-
-
 class _PointArray:
-    """region.json's `points` array as one `_render` node, kept as columns.
+    """region.json's `points` array, kept as columns.
 
     Row i of the (n, 3) float64 array `rates` is point i's (r1_max, r2_max,
     sum_max).  Its channels are `[descriptors[j][picks[j][i]] for each
@@ -301,33 +224,32 @@ class _PointArray:
         self.rates = rates
 
 
-def _render_points(points: _PointArray, newline: str, out: list) -> None:
-    """Append the JSON text of `points` to `out`: each point as its layers'
-    shared descriptor texts (each descriptor rendered once, with the
-    separators before it) plus one piece holding its three rates."""
+def _render_points(points: _PointArray, out: list) -> None:
+    """Append the JSON text of `points`, the value of a top-level key, to
+    `out`: each point as its layers' descriptor texts (each descriptor
+    rendered once, with the separators before it) plus one piece holding
+    its three rates."""
     rates = points.rates
     n = len(rates)
     if not n:
         out.append("[]")
         return
-    point = newline + "  "
+    point = "\n    "
     key = point + "  "
     item = key + "  "
     valid = np.isfinite(rates)
     valid[:, 2] |= rates[:, 2] == math.inf  # written as null
     if not valid.all():  # raise as json.dumps does, at the first bad value
-        _scalar_text(rates.flat[int(np.argmin(valid))].item())
+        json.dumps(rates.flat[int(np.argmin(valid))].item(), allow_nan=False)
     head = "{" + key + '"channels": '
     if points.descriptors is None:
         columns, close = [[head + "null"] * n], ""
     else:
         columns, lead = [], head + "[" + item
         for descriptors, pick in zip(points.descriptors, points.picks):
-            texts = []
-            for descriptor in descriptors:
-                text = [lead]
-                _render(descriptor, item, text, {}, set())
-                texts.append("".join(text))
+            texts = [lead + json.dumps(d, sort_keys=True, indent=2,
+                                       allow_nan=False).replace("\n", item)
+                     for d in descriptors]
             columns.append([texts[i] for i in pick.tolist()])
             lead = "," + item
         close = key + "]"
@@ -341,7 +263,7 @@ def _render_points(points: _PointArray, newline: str, out: list) -> None:
     tails[-1] = last % (r1[-1], r2[-1], sums[-1])
     out.append("[" + point)
     out.extend(itertools.chain.from_iterable(zip(*columns, tails)))
-    out.append(newline + "]")
+    out.append("\n  ]")
 
 
 def _digest(path: str) -> str:

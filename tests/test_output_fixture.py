@@ -1,8 +1,8 @@
-"""Byte-for-byte outputs of `region` and `verify` on small committed sources.
+"""Byte-for-byte outputs of every subcommand on small committed sources.
 
 `tests/data/outputs/` holds six `.dist` tables and, for each run listed in
-its `runs.json`, the run's exit code, its `frontier.csv` or `verify.json`
-and the SHA-256 of its `region.json`:
+its `runs.json`, the run's exit code, its `frontier.csv`, `verify.json`,
+`report.json` or `lemmas.json`, and the SHA-256 of its `region.json`:
 
 e6        X1 - X2 - X3 broadcast (case 1);
 e6_swap   e6 with X1 and X2 exchanged (X2 - X1 - X3, case 1 swapped);
@@ -12,12 +12,16 @@ near_e6   e6 mixed with 0.1% of the uniform table: case 1 within
 xor       X3 = X1 xor X2, a two-vertex forward-inner frontier on a sum facet;
 random    a Dirichlet 2x2x2 table whose forward-inner frontier at q=2 has
           11 vertices and a sum facet;
-chain     a random X1 - X3 - X2 chain (cases 2 and 3).
+chain     a random X1 - X3 - X2 chain (cases 2 and 3), also simulated
+          backward in MC and exact mode and forward with both keys;
+lemmas    `lemmas` at n = 2 and 3, which reads no table.
 
 These pin the multi-vertex frontiers, sum facets and nonzero gaps that the
 benchmark's region-e3 and verify-e3 references (a one-vertex frontier and a
-zero gap) never reach.  Run this file as a script to rewrite the fixture
-from the current code; do that only to pin a deliberate output change.
+zero gap) never reach, and the backward and two-key simulations that its
+simulate references (forward, one key) never run.  Run this file as a
+script to rewrite the fixture from the current code; do that only to pin a
+deliberate output change.
 """
 
 import hashlib
@@ -37,32 +41,48 @@ _REGION_ARGS = [["region", "--direction", direction, "--bound", bound,
                 for direction in ("forward", "backward")
                 for bound in ("inner", "outer", "explicit")]
 _VERIFY_ARGS = [["verify"], ["verify", "--grid-q", "2"]]
-_EXTRA_ARGS = {"near_e6": [["verify", "--tol", "1e-3"]]}
+_SIMULATE_ARGS = [
+    ["simulate", "--direction", "backward", "--n", "6", "--rate1", "0.2",
+     "--trials", "200", "--seeds", "1,2"],
+    ["simulate", "--direction", "backward", "--n", "6", "--rate1", "0.2",
+     "--mode", "exact", "--seeds", "1"],
+    ["simulate", "--direction", "forward", "--n", "6", "--rate1", "0.1", "--rate2", "0.1",
+     "--trials", "200", "--seeds", "3"],
+]
+_EXTRA_ARGS = {"near_e6": [["verify", "--tol", "1e-3"]], "chain": _SIMULATE_ARGS}
 _TABLES = ("e6", "e6_swap", "near_e6", "xor", "random", "chain")
+#: runs that read no table, filed under the name "lemmas"
+_LEMMAS_ARGS = [["lemmas", "--n", n, "--seed", "7", "--draws", "200"] for n in ("2", "3")]
+#: the file each subcommand's run is compared by, besides region.json's digest
+_OUTPUT = {"region": "frontier.csv", "verify": "verify.json",
+           "simulate": "report.json", "lemmas": "lemmas.json"}
 
 
 def _label(argv) -> str:
     if argv[0] == "region":
         return f"region-{argv[2]}-{argv[4]}"
+    if argv[0] == "simulate":
+        return f"simulate-{argv[2]}-{'exact' if '--mode' in argv else 'mc'}"
     return "-".join(a.lstrip("-") for a in argv)
 
 
 def _run(name: str, argv, out: Path) -> dict:
-    """Run `argv` on table `name` into `out`; its exit code and outputs."""
-    rc = main(list(argv) + ["--dist", str(DATA / f"{name}.dist"), "--out", str(out)])
-    got = {"exit": rc}
+    """Run `argv` on table `name` (none for `lemmas`) into `out`; its exit
+    code and outputs."""
+    dist = [] if argv[0] == "lemmas" else ["--dist", str(DATA / f"{name}.dist")]
+    rc = main(list(argv) + dist + ["--out", str(out)])
+    file = _OUTPUT[argv[0]]
+    got = {"exit": rc, file: (out / file).read_bytes()}
     if argv[0] == "region":
-        got["frontier.csv"] = (out / "frontier.csv").read_bytes()
         got["region_json_sha256"] = hashlib.sha256((out / "region.json").read_bytes()).hexdigest()
-    else:
-        got["verify.json"] = (out / "verify.json").read_bytes()
     return got
 
 
 def _fixture_runs() -> list:
     """(table, argv) of every run of the fixture."""
     return [(name, argv) for name in _TABLES
-            for argv in _REGION_ARGS + _VERIFY_ARGS + _EXTRA_ARGS.get(name, [])]
+            for argv in _REGION_ARGS + _VERIFY_ARGS + _EXTRA_ARGS.get(name, [])
+            ] + [("lemmas", argv) for argv in _LEMMAS_ARGS]
 
 
 def _runs() -> dict:

@@ -183,17 +183,6 @@ def test_chain_rule_on_random_pmfs(rng):
         assert cmi(p, ("X1",), ("X2",), ("X3",)) >= 0.0
 
 
-def test_data_processing_under_extend(rng):
-    for _ in range(10):
-        p = random_pmf(rng, (2, 2, 2))
-        rows = np.stack([rng.dirichlet(np.ones(3)) for _ in range(2)])
-        joint = p.extend(Channel(("X1",), (VariableId("S", 3),), rows))
-        for other in ("X2", "X3"):
-            i_s = mutual_information(joint, ("S",), (other,))
-            i_x = mutual_information(joint, ("X1",), (other,))
-            assert i_s <= i_x + 1e-10
-
-
 def test_marginalize_then_entropy_commutes(rng):
     p = random_pmf(rng, (3, 2, 4))
     sub = p.marginalize({"X1", "X3"})

@@ -280,19 +280,6 @@ def test_backward_outer_rejection_counted():
     assert all(p.constraints.r1_max >= 0 for p in region.points)
 
 
-def test_containment_in_explicit_outer(rng):
-    # forward and backward inner grid points stay inside the explicit rectangle
-    for _ in range(8):
-        base = random_pmf(rng, (2, 2, 2))
-        outer = explicit_outer(base)
-        fwd = enumerate_region(base, "forward-inner", GridSpec(2, 2, 1, 1, 1))
-        bwd = enumerate_region(base, "backward-inner", GridSpec(2, 2, 1, 1, 1))
-        for region in (fwd, bwd):
-            for p in region.points:
-                assert p.constraints.r1_max <= outer.r1_max + 1e-9
-                assert p.constraints.r2_max <= outer.r2_max + 1e-9
-
-
 @settings(max_examples=40, deadline=None)
 @given(st.integers(0, 2**32 - 1), st.booleans())
 def test_every_family_inside_explicit_outer(seed, sparse):
