@@ -224,6 +224,17 @@ class _PointArray:
         self.rates = rates
 
 
+def _channel_descriptors(layers) -> list:
+    """Per `LatticeLayer` of `layers`, the region.json descriptor of each of
+    its channels.  Every point that picks a channel shares its one
+    descriptor."""
+    return [[{"from": list(layer.from_names),
+              "to": [[v.name, v.cardinality] for v in layer.to_vars],
+              "matrix": matrix}
+             for matrix in layer.matrices.tolist()]
+            for layer in layers]
+
+
 def _render_points(points: _PointArray, out: list) -> None:
     """Append the JSON text of `points`, the value of a top-level key, to
     `out`: each point as its layers' descriptor texts (each descriptor
@@ -358,7 +369,8 @@ def cmd_region(args) -> int:
         grid = GridSpec(grid.card_s, grid.card_t, grid.card_u, grid.card_v, args.grid_q)
         region = enumerate_region(base, f"{args.direction}-{args.bound}", grid)
         lattice = region.lattice
-        points = _PointArray(lattice.descriptors(), lattice.picks(), lattice.rates)
+        points = _PointArray(_channel_descriptors(lattice.layers), lattice.picks(),
+                             lattice.rates)
     frontier, meta = region.frontier, region.meta
     doc = {
         "schema": 1,

@@ -253,7 +253,6 @@ class JointTypicalityTest:
     """
 
     def __init__(self, joint: JointPmf, params: TypicalityParams):
-        self.joint = joint
         self.params = params
         self.names = joint.names
         cards = [v.cardinality for v in joint.variables]

@@ -28,11 +28,11 @@ batch of one, and a lattice point's values equal its per-point values bit
 for bit.
 
 A union of constraint sets is one (n, 3) float64 array of rows (r1_max,
-r2_max, sum_max), sum_max = inf for no sum bound: `RateRegion.rates`.
-`pareto_frontier`, `RateRegion.contains` and `cases.region_gap` compute
-over these rows; a lattice region also keeps its kept points' picks as
-columns (`LatticePoints`), and `RateRegion.points` is a view built from
-them on first read.
+r2_max, sum_max), sum_max = inf for no sum bound: `RateRegion.rates`, the
+union's only form.  `pareto_frontier`, `RateRegion.contains` and
+`cases.region_gap` compute over these rows; a lattice region also keeps
+which lattice point each row is (`LatticePoints`), from which a caller
+reads the channels the point picks.
 """
 
 import math
@@ -58,7 +58,6 @@ from .tolerances import CHAIN_TOL, COLLINEAR_TOL, FACTORIZATION_TOL, FLAT_TOL, S
 __all__ = [
     "INF",
     "RateConstraintSet",
-    "RatePoint",
     "RateRegion",
     "GridSpec",
     "AuxSystem",
@@ -102,47 +101,26 @@ class RateConstraintSet:
     sum_max: float = INF
 
 
-@dataclass(frozen=True)
-class RatePoint:
-    constraints: RateConstraintSet
-    descriptor: dict
-
-
 class RateRegion:
     """A union of constraint sets plus its Pareto frontier.
 
     Row i of the (n, 3) float64 array `rates` is the i-th set's (r1_max,
     r2_max, sum_max).  A region from `enumerate_region` also holds its kept
     lattice points as `lattice` (a `LatticePoints`, whose `rates` these
-    are).  `points` lists the sets as `RatePoint`s, built the first time it
-    is read: each carries the channels it picks, or, in a region without a
-    lattice, `{"case": meta["case"]}`.
+    are); any other region's `lattice` is None.
     """
 
-    def __init__(self, rates, frontier, hull=None, meta=None, *, lattice=None):
+    def __init__(self, rates, frontier, meta=None, *, lattice=None):
         self.rates = rates
         self.frontier = frontier
-        self.hull = hull
         self.meta = {} if meta is None else meta
         self.lattice = lattice
-        self._points = None
 
     @classmethod
     def of(cls, cset: RateConstraintSet, meta=None) -> "RateRegion":
         """The union of the one set `cset`."""
         rates = np.array([[cset.r1_max, cset.r2_max, cset.sum_max]])
         return cls(rates, pareto_frontier(rates), meta=meta)
-
-    @property
-    def points(self) -> list:
-        if self._points is None:
-            if self.lattice is not None:
-                self._points = self.lattice.rate_points()
-            else:
-                descriptor = {"case": self.meta.get("case")}
-                self._points = [RatePoint(RateConstraintSet(*row), descriptor)
-                                for row in self.rates.tolist()]
-        return self._points
 
     def contains(self, r1, r2, tol: float):
         """Whether some set holds (r1, r2) within tol: both rates at least
@@ -488,24 +466,6 @@ class LatticePoints:
         """Per layer, the stack row that each kept point picks."""
         return np.unravel_index(self.kept, tuple(len(layer.matrices) for layer in self.layers))
 
-    def descriptors(self) -> list:
-        """Per layer, the `region.json` descriptor of each of its channels.
-
-        Every point that picks a channel shares its one descriptor.
-        """
-        return [[{"from": list(layer.from_names),
-                  "to": [[v.name, v.cardinality] for v in layer.to_vars],
-                  "matrix": matrix}
-                 for matrix in layer.matrices.tolist()]
-                for layer in self.layers]
-
-    def rate_points(self) -> list:
-        """Each kept point as a `RatePoint` carrying the channels it picks."""
-        descriptors = self.descriptors()
-        return [RatePoint(RateConstraintSet(*row),
-                          {"channels": [d[i] for d, i in zip(descriptors, pick)]})
-                for row, *pick in zip(self.rates.tolist(), *(p.tolist() for p in self.picks()))]
-
 
 def _evaluate_lattice(base: JointPmf, layers, formula) -> tuple:
     """`formula` applied to every point of the channel lattice `layers`.
@@ -560,22 +520,20 @@ def _kept_lattice(base: JointPmf, family: str, grid: GridSpec) -> tuple:
 
 
 def enumerate_region(base: JointPmf, family: str, grid: GridSpec, *,
-                     workers: int = 0,
-                     hull: bool = False) -> RateRegion:
+                     workers: int = 0) -> RateRegion:
     """Union of the family's constraint sets over the whole channel lattice.
 
     The region holds its kept lattice points (see `_kept_lattice`) as
-    `lattice`, and its `rates` are theirs.
+    `lattice`, and its `rates` are theirs; the time-sharing hull of its
+    frontier is `upper_concave_envelope(region.frontier)`.
     `workers` is accepted for compatibility and ignored.  The count of
     backward-outer points skipped for a Markov chain violation is reported
     in `meta`.
     """
     evaluated, lattice = _kept_lattice(base, family, grid)
-    frontier = pareto_frontier(lattice.rates)
     return RateRegion(
         lattice.rates,
-        frontier,
-        hull=upper_concave_envelope(frontier) if hull else None,
+        pareto_frontier(lattice.rates),
         meta={"family": family, "evaluated": evaluated,
               "rejected": evaluated - len(lattice.kept),
               "grid": {"S": grid.card_s, "T": grid.card_t, "U": grid.card_u,

@@ -1106,22 +1106,26 @@ def check_definition1(report: SimReport, eps: float) -> dict:
 # Presets
 # ---------------------------------------------------------------------------
 
-def identity_preset(n: int, *, trials: int = 1000, seeds=(1,), margin: float = 0.5) -> SimConfig:
+#: Each preset's rate1 as a fraction of its auxiliary point's inner-bound r1.
+_PRESET_RATE_FRACTION = 0.5
+
+
+def identity_preset(n: int, *, trials: int = 1000, seeds=(1,)) -> SimConfig:
     """Noiseless sanity configuration: X1 = X3, independent X2, S = X1.
 
     Every sequence is typical (eps = 1 on a uniform bit), so the encoder
-    never fails and end-to-end error is exactly zero.
+    never fails and end-to-end error is exactly zero.  rate1 is half the
+    inner-bound point r1 = I(X1;X3) = 1 bit.
     """
     base = identity_source()
     aux_channels = _forward_channels(base)
-    rate1 = margin * 1.0  # inner-bound point r1 = I(X1;X3) = 1 bit
+    rate1 = _PRESET_RATE_FRACTION * 1.0
     return SimConfig(base, "forward", aux_channels, n, rate1, 0.0,
                      EpsParams(enc=1.0, dec=1.0), trials, tuple(seeds))
 
 
 def broadcast_forward_preset(n: int, *, flip_tap: float = 0.25, trials: int = 1000,
-                             seeds=(1,), margin: float = 0.5,
-                             eps_enc: float = 0.75) -> SimConfig:
+                             seeds=(1,), eps_enc: float = 0.75) -> SimConfig:
     """Forward demo on the broadcast chain arranged with user 3 at the center.
 
     User 1 observes the center bit exactly (noiseless key leg) and user 2
@@ -1129,27 +1133,28 @@ def broadcast_forward_preset(n: int, *, flip_tap: float = 0.25, trials: int = 10
     (eps_enc < 1) the dominant error is the encoder's typical-set miss,
     which decays with n by concentration; leakage to the tapped leg is
     nonzero and shrinks per symbol as the residual binning absorbs it.
+    rate1 is half the inner-bound point's r1 at S = X1.
     """
     base = broadcast_source("X3", 0.0, flip_tap)
     aux_channels = _forward_channels(base)
     aux = AuxSystem.forward(base, *aux_channels)
     point = forward_inner_point(aux)
-    rate1 = margin * point.r1_max
+    rate1 = _PRESET_RATE_FRACTION * point.r1_max
     return SimConfig(base, "forward", aux_channels, n, rate1, 0.0,
                      EpsParams(enc=eps_enc, dec=1.0), trials, tuple(seeds))
 
 
 def broadcast_backward_preset(n: int, *, flip_tap: float = 0.25, trials: int = 1000,
-                              seeds=(1,), margin: float = 0.5,
-                              eps_enc: float = 0.75) -> SimConfig:
+                              seeds=(1,), eps_enc: float = 0.75) -> SimConfig:
     """Backward demo: user 3 holds the center, S = X3, T constant.
 
     User 1's leg is noiseless, user 2 taps through BSC(flip_tap); user 2's
-    key space is trivial by construction.
+    key space is trivial by construction.  rate1 is half the inner-bound
+    point's r1 at S = X3.
     """
     base = broadcast_source("X3", 0.0, flip_tap)
     aux_channels = _backward_channels(base)
     point = backward_inner_point(AuxSystem.backward(base, *aux_channels))
-    rate1 = margin * point.r1_max
+    rate1 = _PRESET_RATE_FRACTION * point.r1_max
     return SimConfig(base, "backward", aux_channels, n, rate1, 0.0,
                      EpsParams(enc=eps_enc, dec=1.0), trials, tuple(seeds))

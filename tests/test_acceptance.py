@@ -89,9 +89,8 @@ def test_c03_xor_forward_inner_point_and_frontier():
         assert (pt.r1_max, pt.r2_max, pt.sum_max) == (1.0, 1.0, 1.0)
         region = enumerate_region(xor, "forward-inner", GridSpec(2, 2, 1, 1, 1))
         assert (1.0, 0.0) in region.frontier and (0.0, 1.0) in region.frontier
-        for p in region.points:
-            c = p.constraints
-            assert min(c.r1_max + c.r2_max, c.sum_max) <= 1.0 + 1e-9
+        for r1_max, r2_max, sum_max in region.rates.tolist():
+            assert min(r1_max + r2_max, sum_max) <= 1.0 + 1e-9
 
 
 def test_c04_case1_coincidence_random_chains(tmp_path):
@@ -148,9 +147,9 @@ def test_c06_containment_sweep():
             outer = explicit_outer(base)
             for family in ("forward-inner", "backward-inner"):
                 region = enumerate_region(base, family, grid)
-                for p in region.points:
-                    assert p.constraints.r1_max <= outer.r1_max + 1e-9
-                    assert p.constraints.r2_max <= outer.r2_max + 1e-9
+                for r1_max, r2_max, _ in region.rates.tolist():
+                    assert r1_max <= outer.r1_max + 1e-9
+                    assert r2_max <= outer.r2_max + 1e-9
 
 
 def test_c07_lemma3_fuzzing():
@@ -210,7 +209,7 @@ def test_c11_single_key_degeneration():
             base = random_pmf(rng, (2, 2, 2))
             direct = single_key_capacity(base, "forward", grid)
             region = enumerate_region(base, "forward-inner", grid)
-            projected = max(p.constraints.r1_max for p in region.points)
+            projected = region.rates[:, 0].max()
             assert abs(direct - projected) < 1e-12
 
 

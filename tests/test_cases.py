@@ -77,7 +77,7 @@ def test_diagnose_permutation_consistency(rng):
 def test_case1_e6_segment_height():
     region = case1_region(E6)
     assert region.frontier == [(0.0, pytest.approx(0.143156, abs=1e-6))]
-    assert region.points[0].constraints.r1_max == 0.0
+    assert region.rates[0, 0] == 0.0
 
 
 def test_case1_x3_independent_collapses():
@@ -97,7 +97,7 @@ def test_case1_degenerate_x2_equals_x3():
     base = triple_from_table(t)
     region = case1_region(base)
     h_x3_given_x1 = base.entropy({"X3", "X1"}) - base.entropy({"X1"})
-    assert region.points[0].constraints.r2_max == pytest.approx(h_x3_given_x1, abs=1e-12)
+    assert region.rates[0, 1] == pytest.approx(h_x3_given_x1, abs=1e-12)
 
 
 def test_case1_rejects_non_chain():
@@ -106,10 +106,9 @@ def test_case1_rejects_non_chain():
 
 
 def test_case2_e3_square():
-    region = case2_region(E3)
-    c = region.points[0].constraints
-    assert c.r1_max == pytest.approx(0.143156, abs=1e-6)
-    assert c.r1_max == pytest.approx(c.r2_max, abs=1e-12)
+    r1_max, r2_max, _ = case2_region(E3).rates[0]
+    assert r1_max == pytest.approx(0.143156, abs=1e-6)
+    assert r1_max == pytest.approx(r2_max, abs=1e-12)
 
 
 def test_case2_identity_leg_rectangle():
@@ -119,10 +118,9 @@ def test_case2_identity_leg_rectangle():
         for b in (0, 1):
             t[a, b, a] = 0.25
     base = triple_from_table(t)
-    region = case2_region(base)
-    c = region.points[0].constraints
-    assert c.r1_max == pytest.approx(1.0, abs=1e-12)
-    assert c.r2_max == pytest.approx(0.0, abs=1e-12)
+    r1_max, r2_max, _ = case2_region(base).rates[0]
+    assert r1_max == pytest.approx(1.0, abs=1e-12)
+    assert r2_max == pytest.approx(0.0, abs=1e-12)
 
 
 def test_case2_independent_origin():
@@ -144,7 +142,7 @@ def test_case3_symmetric_e3_is_origin_with_rejections():
     region = case3_region(E3, GridSpec(2, 1, 1, 1, 1))
     assert region.frontier == [(0.0, 0.0)]
     m = region.meta
-    assert m["evaluated"] == m["chain_rejected"] + m["consequence_rejected"] + len(region.points)
+    assert m["evaluated"] == m["chain_rejected"] + m["consequence_rejected"] + len(region.rates)
     assert m["bound"] == "lower"
 
 
@@ -178,7 +176,7 @@ def test_case3_points_satisfy_backward_outer_chains():
     # whatever was accepted also satisfies the two outer-bound chains,
     # because they are a subset of the case's rejection conditions
     assert region.meta["chain_rejected"] + region.meta["consequence_rejected"] \
-        + len(region.points) == region.meta["evaluated"]
+        + len(region.rates) == region.meta["evaluated"]
 
 
 # ---------------------------------------------------------------------------
@@ -334,7 +332,7 @@ def test_case3_matches_oracle_formulas(rng):
         assert region.meta["evaluated"] == len(layers[0]) * len(layers[1])
         assert region.meta["chain_rejected"] == chain_rejected
         assert region.meta["consequence_rejected"] == consequence_rejected
-        assert len(region.points) == len(expected)
-        for point, (r1, r2) in zip(region.points, expected):
-            assert point.constraints.r1_max == pytest.approx(r1, abs=1e-12)
-            assert point.constraints.r2_max == pytest.approx(r2, abs=1e-12)
+        assert len(region.rates) == len(expected)
+        for (r1_max, r2_max, _), (r1, r2) in zip(region.rates.tolist(), expected):
+            assert r1_max == pytest.approx(r1, abs=1e-12)
+            assert r2_max == pytest.approx(r2, abs=1e-12)

@@ -13,7 +13,6 @@ import gc
 import json
 import math
 import sys
-from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -23,14 +22,13 @@ import skregion.cli as cli
 from skregion.cli import _json_text
 from skregion.region import (
     GridSpec,
-    RatePoint,
     enumerate_region,
     explicit_outer,
     pareto_frontier,
     upper_concave_envelope,
 )
 from skregion.sources import broadcast_source, random_pmf, xor_source
-from conftest import rows_of
+from conftest import as_rates
 
 
 def _oracle(obj):
@@ -216,24 +214,37 @@ CARDS = "S=2,T=2,U=2,V=1"
 
 def _region_doc_as_dicts(dist, direction, bound, cards, hull):
     """The document whose `json.dumps` text region.json must be, with each
-    point a dict built from `RateRegion.points` and the frontier built from
-    their constraint sets."""
+    point a dict: a lattice point's channels built from its layers'
+    `from_names`, `to_vars` and picked matrices, its constraints from its
+    rate row, and the explicit bound's one point from `explicit_outer`."""
     base = cli.load_distribution(dist)
     if bound == "explicit":
-        points = [RatePoint(explicit_outer(base), {"channels": None})]
+        cset = explicit_outer(base)
+        rows = [(cset.r1_max, cset.r2_max, cset.sum_max)]
+        channels = [None]
         meta = {"family": "explicit-outer"}
     else:
-        card = cli._parse_cards(cards, base)
-        grid = GridSpec(card.card_s, card.card_t, card.card_u, card.card_v, 1)
+        card = {"S": 2, "T": 2, "U": 1, "V": 1}
+        card.update((k, int(v)) for k, v in (item.split("=") for item in cards.split(",")))
+        grid = GridSpec(card["S"], card["T"], card["U"], card["V"], 1)
         region = enumerate_region(base, f"{direction}-{bound}", grid)
-        points, meta = region.points, region.meta
-    frontier = pareto_frontier(rows_of(p.constraints for p in points))
+        lattice, meta = region.lattice, region.meta
+        rows = lattice.rates.tolist()
+        layers = lattice.layers
+        picks = np.unravel_index(lattice.kept, [len(layer.matrices) for layer in layers])
+        channels = [[{"from": list(layer.from_names),
+                      "to": [[v.name, v.cardinality] for v in layer.to_vars],
+                      "matrix": layer.matrices[i].tolist()}
+                     for layer, i in zip(layers, pick)]
+                    for pick in zip(*picks)]
+    frontier = pareto_frontier(as_rates(rows))
     doc = {
         "schema": 1,
         "direction": direction,
         "bound": bound,
-        "points": [{"constraints": cli._cset_json(*astuple(p.constraints)),
-                    "channels": p.descriptor["channels"]} for p in points],
+        "points": [{"constraints": {"r1_max": r1, "r2_max": r2,
+                                    "sum_max": None if rsum == math.inf else rsum},
+                    "channels": chs} for (r1, r2, rsum), chs in zip(rows, channels)],
         "frontier": [[r1, r2] for r1, r2 in frontier],
         "meta": meta,
     }

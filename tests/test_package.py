@@ -9,6 +9,7 @@ fresh interpreter and compare `sys.modules` names, not timings.
 import importlib
 import json
 import os
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
@@ -73,6 +74,13 @@ def test_star_import_binds_every_name():
     assert set(PUBLIC) <= set(namespace)
     for name in PUBLIC:
         assert namespace[name] is getattr(skregion, name)
+
+
+@pytest.mark.parametrize("module", sorted(m.name for m in pkgutil.iter_modules(skregion.__path__)))
+def test_submodule_all_names_resolve(module):
+    # a stale export (a deleted name left in `__all__`) breaks `import *`
+    mod = importlib.import_module(f"skregion.{module}")
+    assert [name for name in getattr(mod, "__all__", ()) if not hasattr(mod, name)] == []
 
 
 def test_unknown_name_raises_attribute_error():

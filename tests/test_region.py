@@ -12,9 +12,7 @@ from skregion.region import (
     AuxSystem,
     FamilyError,
     GridSpec,
-    LatticePoints,
     RateConstraintSet,
-    RatePoint,
     _kept_lattice,
     backward_inner_point,
     backward_outer_point,
@@ -225,9 +223,8 @@ def test_enumerate_xor_forward_inner_q1():
     region = enumerate_region(xor_source(), "forward-inner", GridSpec(2, 2, 1, 1, 1))
     assert (1.0, 0.0) in region.frontier
     assert (0.0, 1.0) in region.frontier
-    for p in region.points:
-        achievable_sum = min(p.constraints.r1_max + p.constraints.r2_max,
-                             p.constraints.sum_max)
+    for r1_max, r2_max, sum_max in region.rates.tolist():
+        achievable_sum = min(r1_max + r2_max, sum_max)
         assert achievable_sum <= 1.0 + 1e-9
     assert region.meta["evaluated"] == 16
 
@@ -256,12 +253,9 @@ def test_enumerate_deterministic_across_workers():
         enumerate_region(E3, "forward-inner", GridSpec(2, 2, 1, 1, 1), workers=w)
         for w in (1, 2, 8)
     ]
-    ref = [(p.constraints.r1_max, p.constraints.r2_max, p.constraints.sum_max)
-           for p in regions[0].points]
+    ref = regions[0].rates.tolist()
     for region in regions[1:]:
-        got = [(p.constraints.r1_max, p.constraints.r2_max, p.constraints.sum_max)
-               for p in region.points]
-        assert got == ref
+        assert region.rates.tolist() == ref
         assert region.frontier == regions[0].frontier
 
 
@@ -275,9 +269,9 @@ def test_grid_refinement_never_shrinks(rng):
 
 def test_backward_outer_rejection_counted():
     region = enumerate_region(E6, "backward-outer", GridSpec(2, 1, 2, 1, 1))
-    assert region.meta["evaluated"] == region.meta["rejected"] + len(region.points)
+    assert region.meta["evaluated"] == region.meta["rejected"] + len(region.rates)
     # accepted points satisfy the chains by construction of the evaluator
-    assert all(p.constraints.r1_max >= 0 for p in region.points)
+    assert (region.rates[:, 0] >= 0).all()
 
 
 @settings(max_examples=40, deadline=None)
@@ -338,7 +332,7 @@ def test_single_key_matches_region_projection(rng):
         base = random_pmf(rng, (2, 2, 2))
         direct = single_key_capacity(base, "forward", grid)
         region = enumerate_region(base, "forward-inner", grid)
-        projected = max(p.constraints.r1_max for p in region.points)
+        projected = region.rates[:, 0].max()
         assert abs(direct - projected) < 1e-12
 
 
@@ -521,8 +515,8 @@ def test_hull_is_concave_majorant():
 # ---------------------------------------------------------------------------
 
 def _region_snapshot(region):
-    return ([(p.constraints, p.descriptor) for p in region.points],
-            region.meta, region.frontier)
+    kept = None if region.lattice is None else region.lattice.kept.tolist()
+    return region.rates.tolist(), kept, region.meta, region.frontier
 
 
 @pytest.mark.parametrize("family,base,grid", [
@@ -608,11 +602,13 @@ def test_enumerate_matches_oracle_formulas(rng, family):
                 continue
             expected.append(([c.matrix.tolist() for c in chs], _oracle_family(family, p)))
         assert region.meta["evaluated"] - region.meta["rejected"] == len(expected)
-        assert len(region.points) == len(expected)
-        for point, (matrices, rates) in zip(region.points, expected):
-            assert [d["matrix"] for d in point.descriptor["channels"]] == matrices
-            got = point.constraints
-            for value, want in zip((got.r1_max, got.r2_max, got.sum_max), rates):
+        lattice = region.lattice
+        assert len(region.rates) == len(expected)
+        picked = zip(*(layer.matrices[pick].tolist()
+                       for layer, pick in zip(lattice.layers, lattice.picks())))
+        for row, chosen, (matrices, rates) in zip(region.rates.tolist(), picked, expected):
+            assert list(chosen) == matrices
+            for value, want in zip(row, rates):
                 assert value == pytest.approx(max(0.0, want), abs=1e-12)
 
 
@@ -647,62 +643,15 @@ def test_lattice_point_equals_its_point_evaluator_bit_for_bit(family, base):
     assert evaluated == i + 1 and n == len(csets) > 0
 
 
-@pytest.mark.parametrize("family", list(_POINT_EVALUATORS))
-@pytest.mark.parametrize("base", [E3, random_pmf(np.random.default_rng(5), (2, 2, 2))],
-                         ids=["e3", "random"])
-def test_lazy_points_equal_the_eager_point_list(monkeypatch, family, base):
-    """A lattice region builds its `points` on first read, and they are the
-    `RatePoint`s that `enumerate_region` used to build eagerly from the same
-    `_kept_lattice` output: equal in order, constraints bit for bit, and one
-    shared descriptor object per picked channel."""
-    grid = GridSpec(2, 2, 2, 2, 1)
-    _, lattice = _kept_lattice(base, family, grid)
-    layers, kept = lattice.layers, lattice.kept
-    picks = np.unravel_index(kept, tuple(len(layer.matrices) for layer in layers))
-    descriptors = [[{"from": list(layer.from_names),
-                     "to": [[v.name, v.cardinality] for v in layer.to_vars],
-                     "matrix": matrix}
-                    for matrix in layer.matrices.tolist()]
-                   for layer in layers]
-    csets = [RateConstraintSet(a, b, c) for a, b, c in zip(*lattice.rates.T.tolist())]
-    expected = [RatePoint(cset, {"channels": [d[i] for d, i in zip(descriptors, pick)]})
-                for cset, *pick in zip(csets, *(p.tolist() for p in picks))]
-
-    built = []
-    rate_points = LatticePoints.rate_points
-    monkeypatch.setattr(LatticePoints, "rate_points",
-                        lambda self: built.append(1) or rate_points(self))
-    region = enumerate_region(base, family, grid)
-    assert built == [] and np.array_equal(region.lattice.kept, kept)
-    points = region.points
-    assert region.points is points and built == [1]
-    assert points == expected and len(points) == len(kept) > 0
-    bits = [np.array([(c.r1_max, c.r2_max, c.sum_max) for c in cs]).view(np.uint64)
-            for cs in ([p.constraints for p in points], csets)]
-    assert np.array_equal(*bits)
-    for j, pick in enumerate(picks):
-        shared = {}
-        for point, i in zip(points, pick.tolist()):
-            assert shared.setdefault(i, point.descriptor["channels"][j]) is \
-                point.descriptor["channels"][j]
-        assert len({id(d) for d in shared.values()}) == len(shared)
-
-
-def test_rate_readers_never_build_points(monkeypatch):
+def test_rate_readers_read_the_lattice_rows():
     """`RateRegion.rates` and `contains`, `verify_coincidence` and
-    `single_key_capacity` read a lattice region's rate rows: none of them
-    builds its `RatePoint`s."""
-    built = []
-    rate_points = LatticePoints.rate_points
-    monkeypatch.setattr(LatticePoints, "rate_points",
-                        lambda self: built.append(1) or rate_points(self))
+    `single_key_capacity` read a lattice region's rate rows."""
     inner = enumerate_region(E6, "backward-inner", GridSpec(1, 2, 1, 1, 1))
     assert inner.rates is inner.lattice.rates
     x, y = inner.frontier[-1]
     assert inner.contains(x, y, tol=1e-12) and not inner.contains(x + 1e-3, y, tol=1e-12)
     assert verify_coincidence(inner, case1_region(E6), 1e-9)[0]
     assert single_key_capacity(E6, "backward", GridSpec(2, 1, 1, 1, 1)) == 0.0
-    assert built == []
 
 
 def test_single_key_matches_oracle_formula(rng):
