@@ -35,11 +35,13 @@ underscore or other digit set; `--cards` and `--seeds` items may be padded
 with spaces.  No seed may repeat in `--seeds` nor a name in `--cards`.
 
 `json.dumps(doc, sort_keys=True, indent=2)` writes every JSON output, plus
-a newline, through `_json_text`.  The one part the program renders itself
+a newline, through `_json_pieces`.  The one part the program renders itself
 is region.json's `points` array, a `_PointArray` kept as the region's
 lattice columns: each channel descriptor is dumped once, and each point is
 its descriptors' texts plus one piece holding its three rates.  Its bytes
-are those that `json.dumps` writes for the same points as dicts.
+are those that `json.dumps` writes for the same points as dicts.  It is
+rendered into the file a block of `_POINTS_BLOCK` points at a time, so
+writing region.json never holds its whole text.
 """
 
 import argparse
@@ -161,19 +163,27 @@ def write_distribution(pmf: JointPmf, path: str) -> None:
 # Output plumbing
 # ---------------------------------------------------------------------------
 
-#: characters of a text that `_atomic_write` encodes and writes at a time:
-#: writing it whole would hold a second, encoded copy of all of it at once
-_WRITE_CHUNK = 1 << 20
+#: points of region.json's `points` array that `_render_points` renders into
+#: one piece: `_atomic_write` holds one piece at a time, so one block's text
+#: is the most of the array's text in memory, however many points there are
+_POINTS_BLOCK = 512
 
 
-def _atomic_write(path: str, text: str) -> None:
+def _atomic_write(path: str, pieces) -> None:
+    """Write `pieces`, a `str` or an iterable of `str`, to `path` in UTF-8.
+
+    The pieces go one at a time to a temporary file in `path`'s directory,
+    which is renamed to `path` after the last: if producing or writing a
+    piece raises, the temporary file is removed and `path` keeps its bytes.
+    """
+    if isinstance(pieces, str):
+        pieces = (pieces,)
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-")
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
-            for start in range(0, len(text), _WRITE_CHUNK):
-                fh.write(text[start:start + _WRITE_CHUNK])
+            fh.writelines(pieces)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -181,30 +191,33 @@ def _atomic_write(path: str, text: str) -> None:
         raise
 
 
-#: what `_json_text` dumps in place of region.json's `points` before it puts
-#: their text there: it holds a NUL, which no string the program makes does
+#: what `_json_pieces` dumps in place of region.json's `points` before it
+#: puts their text there: it holds a NUL, which no string the program makes does
 _POINTS_SLOT = "\x00points"
 
 
-def _json_text(obj) -> str:
+def _json_pieces(obj):
     """`json.dumps(obj, sort_keys=True, indent=2, allow_nan=False)` plus a
-    newline.
+    newline, as an iterable of `str` pieces.  Whatever `json.dumps` would
+    raise is raised here, before the first piece.
 
-    A dict whose `points` is a `_PointArray` (region.json) is dumped with
-    `_POINTS_SLOT` in its place, and the text `_render_points` gives for the
-    array goes where the slot's text was: the bytes `json.dumps` writes for
-    the same points as dicts.
+    A plain document is one piece.  A dict whose `points` is a `_PointArray`
+    (region.json) is dumped with `_POINTS_SLOT` in its place; its pieces
+    are the text before the slot's, `_render_points`' blocks, and the text
+    after it: the bytes `json.dumps` writes for the same points as dicts.
     """
     points = obj.get("points") if isinstance(obj, dict) else None
     if not isinstance(points, _PointArray):
-        return json.dumps(obj, sort_keys=True, indent=2, allow_nan=False) + "\n"
+        return [json.dumps(obj, sort_keys=True, indent=2, allow_nan=False) + "\n"]
     text = json.dumps({**obj, "points": _POINTS_SLOT}, sort_keys=True, indent=2,
                       allow_nan=False)
     head, _, tail = text.partition(json.dumps(_POINTS_SLOT))
-    out = [head]
-    _render_points(points, out)
-    out.append(tail + "\n")
-    return "".join(out)
+    return itertools.chain([head], _render_points(points), [tail + "\n"])
+
+
+def _json_text(obj) -> str:
+    """The whole text of `_json_pieces(obj)`, as one `str`."""
+    return "".join(_json_pieces(obj))
 
 
 class _PointArray:
@@ -235,16 +248,19 @@ def _channel_descriptors(layers) -> list:
             for layer in layers]
 
 
-def _render_points(points: _PointArray, out: list) -> None:
-    """Append the JSON text of `points`, the value of a top-level key, to
-    `out`: each point as its layers' descriptor texts (each descriptor
-    rendered once, with the separators before it) plus one piece holding
-    its three rates."""
+def _render_points(points: _PointArray):
+    """A generator of the JSON text of `points`, the value of a top-level
+    key, one piece per `_POINTS_BLOCK` points.  A non-finite rate raises as
+    `json.dumps` raises, and every descriptor is rendered, before this
+    returns; the generator only picks and joins.
+
+    Each point is its layers' descriptor texts (each descriptor rendered
+    once, with the separators before it) plus the text of its three rates.
+    """
     rates = points.rates
     n = len(rates)
     if not n:
-        out.append("[]")
-        return
+        return iter(["[]"])
     point = "\n    "
     key = point + "  "
     item = key + "  "
@@ -254,27 +270,35 @@ def _render_points(points: _PointArray, out: list) -> None:
         json.dumps(rates.flat[int(np.argmin(valid))].item(), allow_nan=False)
     head = "{" + key + '"channels": '
     if points.descriptors is None:
-        columns, close = [[head + "null"] * n], ""
+        columns, close = [([head + "null"], np.zeros(n, dtype=np.intp))], ""
     else:
         columns, lead = [], head + "[" + item
         for descriptors, pick in zip(points.descriptors, points.picks):
             texts = [lead + json.dumps(d, sort_keys=True, indent=2,
                                        allow_nan=False).replace("\n", item)
                      for d in descriptors]
-            columns.append([texts[i] for i in pick.tolist()])
+            columns.append((texts, pick))
             lead = "," + item
         close = key + "]"
     # `%r` of a float is `float.__repr__`, the text json writes for it
     last = (close + "," + key + '"constraints": {' + item + '"r1_max": %r,' + item
             + '"r2_max": %r,' + item + '"sum_max": %s' + key + "}" + point + "}")
     following = last + "," + point
-    r1, r2, sums = rates.T.tolist()
-    sums = ["null" if s == math.inf else float.__repr__(s) for s in sums]
-    tails = [following % row for row in zip(r1, r2, sums)]
-    tails[-1] = last % (r1[-1], r2[-1], sums[-1])
-    out.append("[" + point)
-    out.extend(itertools.chain.from_iterable(zip(*columns, tails)))
-    out.append("\n  ]")
+
+    def blocks():
+        yield "[" + point
+        for start in range(0, n, _POINTS_BLOCK):
+            block = slice(start, start + _POINTS_BLOCK)
+            r1, r2, sums = rates[block].T.tolist()
+            sums = ["null" if s == math.inf else float.__repr__(s) for s in sums]
+            tails = [following % row for row in zip(r1, r2, sums)]
+            if block.stop >= n:
+                tails[-1] = last % (r1[-1], r2[-1], sums[-1])
+            picked = [[texts[i] for i in pick[block].tolist()] for texts, pick in columns]
+            yield "".join(itertools.chain.from_iterable(zip(*picked, tails)))
+        yield "\n  ]"
+
+    return blocks()
 
 
 def _digest(path: str) -> str:
@@ -382,9 +406,10 @@ def cmd_region(args) -> int:
     }
     if args.hull:
         doc["hull"] = [[x, y] for x, y in upper_concave_envelope(frontier)]
+    pieces = _json_pieces(doc)  # raises before any file is written
     _write_manifest(args, [])
     _atomic_write(os.path.join(args.out, "frontier.csv"), frontier_csv(frontier))
-    _atomic_write(os.path.join(args.out, "region.json"), _json_text(doc))
+    _atomic_write(os.path.join(args.out, "region.json"), pieces)
     print(f"wrote {args.out}/frontier.csv ({len(frontier)} vertices)")
     return EXIT_OK
 

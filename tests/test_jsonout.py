@@ -1,18 +1,22 @@
 """The CLI's JSON writer against `json.dumps`, the oracle.
 
-`cli._json_text` writes every document with `json.dumps`, except
-region.json's point array, which it renders from the lattice columns.  Its
-output must equal `json.dumps(obj, sort_keys=True, indent=2, allow_nan=False) +
-"\\n"` byte for byte, and it must raise the same exception type wherever
-`json.dumps` raises; region.json is checked against the document with each
-point a dict.
+`cli._json_pieces` renders every document with `json.dumps`, except
+region.json's point array, which it renders from the lattice columns a
+block of points at a time.  Its pieces, joined (`cli._json_text`) or written
+by `cli._atomic_write`, must equal `json.dumps(obj, sort_keys=True, indent=2,
+allow_nan=False) + "\\n"` byte for byte, and it must raise the same
+exception type wherever `json.dumps` raises; region.json is checked against
+the document with each point a dict, at several block sizes.  A region.json
+write holds one block's text, and a failed write leaves no file behind.
 """
 
 import enum
 import gc
 import json
 import math
+import os
 import sys
+import tempfile
 
 import numpy as np
 import pytest
@@ -28,7 +32,7 @@ from skregion.region import (
     upper_concave_envelope,
 )
 from skregion.sources import broadcast_source, random_pmf, xor_source
-from conftest import as_rates
+from conftest import as_rates, traced_peak
 
 
 def _oracle(obj):
@@ -338,3 +342,117 @@ def test_region_json_non_finite_rate_raises_like_json_dumps(tmp_path, monkeypatc
     _patch_first_point_of_each_chunk(monkeypatch, "forward-inner", r1, r2, rsum)
     text, error = _assert_region_json_matches_oracle(tmp_path, "e3", "forward", "inner")
     assert error is ValueError
+
+
+# ---------------------------------------------------------------------------
+# region.json written a block of points at a time
+# ---------------------------------------------------------------------------
+
+_BLOCKS = [1, 2, cli._POINTS_BLOCK]
+# rates at the edges of float text: signed zeros, a subnormal, large and
+# short-repr values; sum bounds may also be inf (written as null)
+_EDGE_RATES = [0.0, -0.0, 5e-324, 1e-320, 0.1, 1.0, 1e300, 0.6931471805599453]
+
+
+def _descriptor(rng, layer):
+    rows, cols = rng.integers(1, 4, size=2)
+    return {"from": [f"X{layer + 1}"], "to": [[f"A{layer}", int(cols)]],
+            "matrix": rng.uniform(size=(rows, cols)).tolist()}
+
+
+@st.composite
+def _point_arrays(draw):
+    """(block size, `_PointArray`, the same points as dicts): 0, 1, block-1,
+    block or block+1 points, with no channels (the explicit bound) or one
+    to three layers of channels."""
+    block = draw(st.sampled_from(_BLOCKS))
+    n = max(0, block + draw(st.sampled_from([-block, 1 - block, -1, 0, 1])))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rates = np.where(rng.uniform(size=(n, 3)) < 0.3,
+                     rng.choice(_EDGE_RATES, size=(n, 3)), rng.uniform(-1.0, 2.0, (n, 3)))
+    rates[rng.uniform(size=n) < 0.3, 2] = math.inf
+    constraints = [{"r1_max": r1, "r2_max": r2, "sum_max": None if s == math.inf else s}
+                   for r1, r2, s in rates.tolist()]
+    if draw(st.booleans()):
+        points = cli._PointArray(None, (), rates)
+        return block, points, [{"channels": None, "constraints": c} for c in constraints]
+    layers = [[_descriptor(rng, j) for _ in range(rng.integers(1, 4))]
+              for j in range(draw(st.integers(1, 3)))]
+    picks = [rng.integers(0, len(layer), size=n) for layer in layers]
+    dicts = [{"channels": [layer[pick[i]] for layer, pick in zip(layers, picks)],
+              "constraints": c} for i, c in enumerate(constraints)]
+    return block, cli._PointArray(layers, picks, rates), dicts
+
+
+@settings(max_examples=150, deadline=None)
+@given(_point_arrays(), st.dictionaries(st.sampled_from(["a", "meta", "z"]),
+                                        st.lists(FLOATS, max_size=3)))
+def test_region_json_blocks_match_json_dumps(arrays, extra):
+    """At any block size, with 0, 1, block-1, block or block+1 points, the
+    joined pieces and the file `_atomic_write` writes from them are the
+    `json.dumps` text of the dict document, and no piece holds more than
+    one block of points."""
+    block, points, dicts = arrays
+    doc = {**extra, "schema": 1, "points": points, "frontier": [[0.5, 0.25]]}
+    expected = _oracle({**doc, "points": dicts})
+    with pytest.MonkeyPatch.context() as mp, tempfile.TemporaryDirectory() as tmp:
+        mp.setattr(cli, "_POINTS_BLOCK", block)
+        pieces = list(cli._json_pieces(doc))
+        path = os.path.join(tmp, "region.json")
+        cli._atomic_write(path, cli._json_pieces(doc))
+        with open(path, encoding="utf-8", newline="") as fh:
+            written = fh.read()
+    assert "".join(pieces) == expected and written == expected
+    assert max(piece.count('"constraints"') for piece in pieces) <= block
+
+
+def _region_e3_doc():
+    """region-e3's region.json document: e3, forward inner, S=3,T=3,U=2,V=2."""
+    region = enumerate_region(SOURCES["e3"], "forward-inner", GridSpec(3, 3, 2, 2, 1))
+    lattice = region.lattice
+    points = cli._PointArray(cli._channel_descriptors(lattice.layers), lattice.picks(),
+                             lattice.rates)
+    return {"schema": 1, "direction": "forward", "bound": "inner", "points": points,
+            "frontier": [[r1, r2] for r1, r2 in region.frontier], "meta": region.meta}
+
+
+def test_region_json_write_holds_one_block(tmp_path):
+    # the text is rendered into the file a block of points at a time: the
+    # write holds one block's text and its encoded copy, not the document
+    doc = _region_e3_doc()
+    path = tmp_path / "region.json"
+    _, peak = traced_peak(lambda: cli._atomic_write(str(path), cli._json_pieces(doc)))
+    size = path.stat().st_size
+    assert size >= 4 << 20
+    assert peak <= size / 3
+
+
+def _snapshot(directory):
+    return {p.name: p.read_bytes() for p in directory.iterdir()}
+
+
+def test_region_nan_rate_raises_before_any_file_is_written(tmp_path, monkeypatch):
+    dist = tmp_path / "e3.dist"
+    cli.write_distribution(SOURCES["e3"], str(dist))
+    out = tmp_path / "out"
+    argv = ["region", "--dist", str(dist), "--direction", "forward", "--bound", "inner",
+            "--cards", CARDS, "--out", str(out)]
+    assert cli.main(argv) == 0
+    before = _snapshot(out)
+    _patch_first_point_of_each_chunk(monkeypatch, "forward-inner", r2=math.nan)
+    with pytest.raises(ValueError):
+        cli.main(argv + ["--hull"])  # a changed manifest, had it been written
+    assert _snapshot(out) == before
+
+
+def test_failed_piece_leaves_no_partial_file(tmp_path):
+    path = tmp_path / "region.json"
+    path.write_text("old\n", encoding="utf-8")
+
+    def pieces():
+        yield "x" * (1 << 20)  # more than the file buffer: bytes reach the temporary file
+        raise ValueError("render failed")
+
+    with pytest.raises(ValueError, match="render failed"):
+        cli._atomic_write(str(path), pieces())
+    assert _snapshot(tmp_path) == {"region.json": b"old\n"}
