@@ -288,7 +288,10 @@ class JointBatch:
         return JointBatch(self.names + tuple(v.name for v in to_vars), tables)
 
     def entropy(self, names) -> np.ndarray:
-        """Joint entropy in bits of the variable subset `names`, per table."""
+        """Joint entropy in bits of the variable subset `names`, per table.
+
+        One mask, and one buffer for t * log2(t) (+0.0 where t is not positive):
+        so glibc does not trim and regrow its heap between lattice chunks."""
         key = frozenset(names)
         h = self._entropies.get(key)
         if h is not None:
@@ -301,8 +304,11 @@ class JointBatch:
             t = _marginal(self.tables, drop) if drop else self.tables
             # one contiguous row per table, so each row sum is numpy's pairwise sum
             t = np.ascontiguousarray(t.reshape(-1, len(self)).T)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                x = np.where(t > 0.0, t * np.log2(np.where(t > 0.0, t, 1.0)), 0.0)
+            pos = t > 0.0
+            x = np.where(pos, t, 1.0)
+            np.log2(x, out=x)
+            x *= t
+            x[~pos] = 0.0
             h = -x.sum(axis=1)
         else:
             h = np.zeros(len(self))

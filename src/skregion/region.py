@@ -84,7 +84,9 @@ FAMILIES = ("forward-inner", "forward-outer", "backward-inner", "backward-outer"
 #: Most full-joint entries one chunk of lattice points may hold (8 bytes
 #: each).  Bounds the evaluator's working memory; results do not depend on it.
 #: A chunk's point count is the inner-loop length of its marginal sums (910
-#: points on region-e3); larger chunks measured no faster and held more memory.
+#: points on region-e3).  With the one-buffer entropy kernel, region-e3's peak
+#: RSS read 39.05-39.08 MB at 2^17 against 40.94-40.99 MB at 2^18, CPU about
+#: equal; the q=2 lattice CPU was unresolved (ROADMAP item 19).
 _CHUNK_ENTRIES = 1 << 18
 
 

@@ -24,6 +24,15 @@ def oracle_entropy(pmf, names) -> float:
     return -sum(p * math.log2(p) for p in marginal.values() if p > 0.0)
 
 
+def oracle_entropy_rows(rows: np.ndarray) -> np.ndarray:
+    """Per-row entropy of the (tables, cells) array `rows` by the two-mask
+    formula: t * log2(t) where t > 0, else +0.0, summed over each row as
+    numpy sums a contiguous row (pairwise)."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        x = np.where(rows > 0.0, rows * np.log2(np.where(rows > 0.0, rows, 1.0)), 0.0)
+    return -x.sum(axis=1)
+
+
 def oracle_cmi(pmf, a, b, c=()) -> float:
     a, b, c = list(a), list(b), list(c)
     return (oracle_entropy(pmf, a + c) + oracle_entropy(pmf, b + c)

@@ -2,7 +2,7 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from skregion.cases import case3_region
 from skregion.codec import TypicalityParams, build_forward_codebooks
@@ -23,7 +23,7 @@ from skregion.region import GridSpec, enumerate_region, single_key_capacity
 from skregion.sim import broadcast_forward_preset, exact_report
 from skregion.sources import broadcast_source, independent_source, random_pmf, xor_source
 from skregion.tolerances import ENTROPY_ROUNDOFF
-from conftest import oracle_cmi
+from conftest import oracle_cmi, oracle_entropy_rows, traced_peak
 
 
 def uniform_pair():
@@ -335,6 +335,18 @@ def _layout(a: np.ndarray) -> list:
     return [stride for stride, n in zip(a.strides, a.shape) if n > 1]
 
 
+def _stacked(tables: list) -> np.ndarray:
+    """`tables` (one shape, one memory order) along a last axis, innermost
+    in memory, each keeping its memory order: as `JointBatch` holds them."""
+    first = tables[0]
+    order = sorted(range(first.ndim), key=lambda a: -first.strides[a])
+    t = np.empty([first.shape[a] for a in order] + [len(tables)]).transpose(
+        list(np.argsort(order)) + [first.ndim])
+    for b, table in enumerate(tables):
+        t[..., b] = table
+    return t
+
+
 def _assert_marginal_bits(tables: list) -> None:
     """For every drop set, `_marginal` of the batch of `tables` gives each
     table's `np.sum` bit for bit, and in its layout.
@@ -343,11 +355,7 @@ def _assert_marginal_bits(tables: list) -> None:
     along a last axis, innermost in memory, as `JointBatch` does.
     """
     first = tables[0]
-    order = sorted(range(first.ndim), key=lambda a: -first.strides[a])
-    t = np.empty([first.shape[a] for a in order] + [len(tables)]).transpose(
-        list(np.argsort(order)) + [first.ndim])
-    for b, table in enumerate(tables):
-        t[..., b] = table
+    t = _stacked(tables)
     for k in range(first.ndim + 1):
         for drop in itertools.combinations(range(first.ndim), k):
             got = np.asarray(_marginal(t, drop))
@@ -397,3 +405,65 @@ def test_marginal_trailing_runs_bit_for_bit(run, permuted):
     assert tables[0].shape == (3, 2) + run
     _assert_marginal_bits(tables)
     _assert_marginal_bits(tables[:1])
+
+
+# `JointBatch.entropy` takes t * log2(t) in one buffer and writes +0.0 into
+# every cell that is not positive; the two-mask formula in
+# `conftest.oracle_entropy_rows` is its oracle, bit for bit.  A -0.0 product
+# left in a zero cell would not show in any entropy, because numpy's row sum
+# starts from +0.0; a nan cell (no table the library builds holds one) is
+# what shows a product left in a cell that is not positive.
+
+@st.composite
+def held_batches(draw):
+    """1 or 3 tables of one shape and one memory order (C order or a
+    transpose of it), whose cells mix +0.0, -0.0, subnormals and normal
+    values."""
+    cards = draw(st.lists(st.integers(1, 3), min_size=1, max_size=4))
+    perm = draw(st.permutations(range(len(cards))))
+    cells = st.one_of(st.just(-0.0), st.floats(0.0, 1.0))
+    size = int(np.prod(cards))
+    return [np.array(draw(st.lists(cells, min_size=size, max_size=size))).reshape(cards)
+            .transpose(perm) for _ in range(draw(st.sampled_from([1, 3])))]
+
+
+@settings(max_examples=100, deadline=None)
+@given(held_batches())
+@example([np.array([-0.0])])
+@example([np.array([[-0.0, -0.0]]), np.array([[5e-324, 0.0]]), np.array([[-0.0, 0.5]])])
+@example([np.array([[np.nan, -0.0], [0.25, 5e-324]])])
+def test_entropy_matches_two_mask_formula_bit_for_bit(tables):
+    names = ("A", "B", "C", "D")[:tables[0].ndim]
+    joint = JointBatch(names, _stacked(tables))
+    for k in range(1, len(names) + 1):
+        for keep in itertools.combinations(names, k):
+            drop = tuple(i for i, n in enumerate(names) if n not in keep)
+            rows = np.array([np.sum(table, axis=drop).ravel() for table in tables])
+            # numpy's warnings raise; underflow stays ignored, as by default,
+            # because a subnormal cell's t * log2(t) underflows by design
+            with np.errstate(all="raise", under="ignore"):
+                got = joint.entropy(keep)
+            want = oracle_entropy_rows(rows)
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), (keep, got, want)
+
+
+def test_entropy_of_a_chunk_marginal_holds_one_buffer():
+    # the {S, T, X3, U, V} marginal of a region-e3 lattice chunk (910
+    # points), its transposed copy, one mask and one buffer: about 2.25
+    # times the marginal's bytes, where the two-mask formula took 3.13
+    from skregion.region import _evaluate_lattice, _family_layers, _lattice_layers
+
+    base = broadcast_source("X3", 0.25, 0.25)
+    grid = GridSpec(3, 3, 2, 2, 1)
+    chunks = []
+
+    def keep(h):
+        chunks.append(h)
+        return (np.zeros(len(h)),)
+
+    _evaluate_lattice(base, _lattice_layers(base, _family_layers("forward-inner", grid), 1), keep)
+    h = chunks[0]
+    key = ("S", "T", "X3", "U", "V")
+    marginal = 8 * len(h) * int(np.prod([h.tables.shape[h.names.index(n)] for n in key]))
+    _, peak = traced_peak(lambda: h.entropy(key))
+    assert peak <= 2.5 * marginal, (peak, marginal)
